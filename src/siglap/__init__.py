@@ -24,8 +24,10 @@ from .errors import (
     FactorNotPDError,
     GraphParseError,
     HypothesisViolatedError,
+    InvalidToleranceError,
     NodeOutOfRangeError,
     NodesDisconnectedError,
+    NonFiniteWeightError,
     NotSymmetricError,
     SelfLoopError,
     SiglapError,

@@ -16,11 +16,7 @@ from typing import NamedTuple
 from .errors import CrossCheckError, DisconnectedError, HypothesisViolatedError
 from .graph_core import SignedGraph, component_labels, path_edge_sets
 from .laplacians import laplacian_matrix
-from .resistance import (
-    effective_resistance,
-    resistance_matrix_for_negatives,
-    total_resistance,
-)
+from .resistance import resistance_matrix_for_negatives, total_resistance
 from .spectra import Signature, signature
 
 # Relative tolerance on |w| * R - 1 deciding boundary equality.
@@ -93,6 +89,24 @@ def _cross_validate(classification: Classification, sigma: Signature) -> None:
         )
 
 
+def _resistance_terms(g: SignedGraph, neg: list[int]
+                      ) -> tuple[tuple[EdgeThreshold, ...], Corollary6Result]:
+    """Per-edge thresholds and the Corollary 6 test for the negative edges
+    ``neg`` (a nonempty list of edge indices), from one resistance matrix
+    over the positive subgraph."""
+    pairs = [(g.edges[k][0], g.edges[k][1]) for k in neg]
+    matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
+    magnitudes = [abs(g.edges[k][2]) for k in neg]
+    per_edge = tuple(
+        EdgeThreshold(pair, mag, 1.0 / r, mag * r - 1.0)
+        for pair, mag, r in zip(pairs, magnitudes, diag)
+    )
+    r_tot = total_resistance(matrix)
+    inv_sum = float(sum(1.0 / mag for mag in magnitudes))
+    c6 = Corollary6Result(inv_sum >= r_tot - COROLLARY6_SLACK, inv_sum, r_tot)
+    return per_edge, c6
+
+
 def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:
     """Verdict for a graph with exactly one negative edge.
 
@@ -109,14 +123,10 @@ def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definitenes
     if failures:
         raise HypothesisViolatedError(failures)
 
-    u, v, w = g.edges[neg[0]]
-    r_uv = effective_resistance(g.positive_subgraph(), u, v)
-    margin = abs(w) * r_uv - 1.0
-    classification = _classify([margin], BOUNDARY_RTOL)
+    per_edge, c6 = _resistance_terms(g, neg)
+    classification = _classify([per_edge[0].margin], BOUNDARY_RTOL)
     sigma = signature(laplacian_matrix(g), tol)
     _cross_validate(classification, sigma)
-    c6 = corollary6_check(g)
-    per_edge = (EdgeThreshold((u, v), abs(w), 1.0 / r_uv, margin),)
     return DefinitenessVerdict(classification, per_edge, True, c6.satisfied, sigma)
 
 
@@ -145,11 +155,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     disjoint = all(
         not (sets[i] & sets[j]) for i in range(len(sets)) for j in range(i + 1, len(sets))
     )
-    _, diag = resistance_matrix_for_negatives(g_plus, pairs)
-    per_edge = tuple(
-        EdgeThreshold((u, v), abs(g.edges[k][2]), 1.0 / r, abs(g.edges[k][2]) * r - 1.0)
-        for k, (u, v), r in zip(neg, pairs, diag)
-    )
+    per_edge, c6 = _resistance_terms(g, neg)
     sigma = signature(laplacian_matrix(g), tol)
     if disjoint:
         classification = _classify([e.margin for e in per_edge], BOUNDARY_RTOL)
@@ -162,7 +168,6 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
             classification = Classification.BOUNDARY
         else:
             classification = Classification.STRICT_INTERIOR
-    c6 = corollary6_check(g)
     return DefinitenessVerdict(classification, per_edge, disjoint, c6.satisfied, sigma)
 
 
@@ -178,8 +183,5 @@ def corollary6_check(g: SignedGraph) -> Corollary6Result:
         raise DisconnectedError("positive subgraph is disconnected")
     if not neg:
         return Corollary6Result(True, 0.0, 0.0)
-    pairs = [(g.edges[k][0], g.edges[k][1]) for k in neg]
-    matrix, _ = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
-    r_tot = total_resistance(matrix)
-    inv_sum = float(sum(1.0 / abs(g.edges[k][2]) for k in neg))
-    return Corollary6Result(inv_sum >= r_tot - COROLLARY6_SLACK, inv_sum, r_tot)
+    _, c6 = _resistance_terms(g, neg)
+    return c6

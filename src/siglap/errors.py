@@ -17,6 +17,10 @@ class ZeroWeightError(GraphConstructionError):
     """An edge carries weight exactly zero."""
 
 
+class NonFiniteWeightError(GraphConstructionError):
+    """An edge carries a NaN or infinite weight."""
+
+
 class SelfLoopError(GraphConstructionError):
     """An edge joins a node to itself."""
 
@@ -45,6 +49,10 @@ class NotSymmetricError(SiglapError, ValueError):
     """A matrix that must be symmetric is not, beyond tolerance."""
 
 
+class InvalidToleranceError(SiglapError, ValueError):
+    """A zero tolerance is negative or NaN."""
+
+
 class FactorNotPDError(SiglapError, ValueError):
     """A factor that must be positive definite is not."""
 
@@ -67,8 +75,9 @@ class UnboundedError(SiglapError):
 
 
 class CrossCheckError(SiglapError):
-    """Two independent computation routes disagreed beyond tolerance.
+    """Two independent computation routes disagreed beyond tolerance, or a
+    linear solve failed its residual check.
 
-    This is a numerical diagnostic: neither value is returned because
-    neither can be trusted.
+    This is a numerical diagnostic: no value is returned because none can be
+    trusted.
     """

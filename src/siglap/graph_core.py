@@ -8,6 +8,7 @@ every other module.  All operations here are pure functions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import (
     NodeOutOfRangeError,
     NodesDisconnectedError,
+    NonFiniteWeightError,
     SelfLoopError,
     ZeroWeightError,
 )
@@ -86,8 +88,8 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     order is preserved and defines the edge indices.
 
     Raises:
-        NodeOutOfRangeError, SelfLoopError, ZeroWeightError: naming the
-            offending edge index.
+        NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
+        NonFiniteWeightError: naming the offending edge index.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -100,6 +102,8 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
             raise SelfLoopError(k, f"edge {k}: self-loop at node {u}")
         if w == 0.0:
             raise ZeroWeightError(k, f"edge {k}: zero weight on ({u}, {v})")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(k, f"edge {k}: non-finite weight {w!r} on ({u}, {v})")
         edges.append((min(u, v), max(u, v), w))
     return SignedGraph(node_count, tuple(edges))
 

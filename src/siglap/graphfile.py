@@ -1,8 +1,8 @@
 """Plain-text graph files.
 
 Format: the first non-comment line is ``nodes N``; every following line is
-``u v w`` with 0-based node indices and a decimal weight.  ``#`` starts a
-comment.  Edge order in the file defines the edge indices.
+``u v w`` with 0-based node indices and a finite, nonzero decimal weight.
+``#`` starts a comment.  Edge order in the file defines the edge indices.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Laplacian-family matrices: node Laplacian, weighted edge Laplacian, the
 essential edge Laplacian, and the cut-basis quadratic form.
 
-Dense representation throughout: the target scale is a few thousand nodes and
-spectral decompositions dominate the cost anyway.
+The node Laplacian comes in two forms, both scattered straight from the edge
+list in edge order: :func:`sparse_laplacian` (CSC) feeds the grounded
+resistance solves, :func:`laplacian_matrix` (dense) feeds the eigenvalue
+routines.  The cut-basis matrices in :class:`LaplacianBundle` stay dense; they
+are the paper's closed-form constructions and serve as reference routes.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import coo_matrix, csc_matrix
 
 from .errors import DisconnectedError, SingularCutGramError
 from .graph_core import ForestDecomposition, SignedGraph, incidence_matrix
@@ -42,10 +46,34 @@ class EdgeLaplacian:
     symmetric: bool
 
 
+def _laplacian_entries(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the Laplacian's edge contributions.
+
+    Each edge (u, v, w) adds ``w`` at (u, u) and (v, v) and ``-w`` at (u, v)
+    and (v, u), listed edge by edge, so accumulating them in order sums every
+    entry in edge order.
+    """
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    u, v, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    rows = np.stack([u, v, u, v], axis=1).ravel()
+    cols = np.stack([u, v, v, u], axis=1).ravel()
+    vals = np.stack([w, w, -w, -w], axis=1).ravel()
+    return rows, cols, vals
+
+
 def laplacian_matrix(g: SignedGraph) -> np.ndarray:
-    """The weighted node Laplacian E W E^T (symmetric, zero row sums)."""
-    E = incidence_matrix(g)
-    return (E * g.weights) @ E.T
+    """The weighted node Laplacian E W E^T (symmetric, zero row sums), dense."""
+    rows, cols, vals = _laplacian_entries(g)
+    L = np.zeros((g.node_count, g.node_count))
+    np.add.at(L, (rows, cols), vals)
+    return L
+
+
+def sparse_laplacian(g: SignedGraph) -> csc_matrix:
+    """The weighted node Laplacian in CSC form; parallel edges are summed."""
+    rows, cols, vals = _laplacian_entries(g)
+    n = g.node_count
+    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
 def build_bundle(g: SignedGraph, d: ForestDecomposition) -> LaplacianBundle:

@@ -1,10 +1,20 @@
 """Effective resistance between node pairs, per-negative-edge resistance
 diagonals, and the total-resistance trace.
 
-Two independent routes are always cross-checked when both apply: the
-eigendecomposition pseudo-inverse and the closed-form cut-basis formula.
-Disagreement beyond tolerance raises a diagnostic instead of silently
-returning either value.
+Over an all-positive graph every resistance comes from one sparse solve of
+the grounded Laplacian: ``L(G)`` with the row and column of one node removed,
+which is nonsingular on a connected positive graph.  Right-hand sides are
+differences of indicator vectors, whose entries sum to zero, so the grounded
+solution ``x`` (with ``x = 0`` at the grounded node) gives
+``R_uv = x_u - x_v``.  Each solve checks its relative residual
+``||L x - b||_inf / (||L||_inf ||x||_inf + ||b||_inf)`` against
+``CROSS_CHECK_RTOL`` and raises :class:`CrossCheckError` when it fails.
+
+A graph with any negative weight takes the dense route instead: the
+closed-form cut-basis pseudo-inverse cross-checked against the
+eigendecomposition pseudo-inverse, falling back to the latter alone when the
+cut form is singular.  A signed grounded Laplacian may itself be singular
+(at the semidefiniteness boundary it is), so it cannot be solved there.
 """
 
 from __future__ import annotations
@@ -13,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import splu
 
 from .errors import CrossCheckError, DisconnectedError, SingularCutGramError
 from .graph_core import SignedGraph, component_labels, decompose
-from .laplacians import build_bundle, laplacian_pseudo_inverse
+from .laplacians import build_bundle, laplacian_pseudo_inverse, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
 CROSS_CHECK_RTOL = 1e-7
@@ -44,11 +54,61 @@ def _indicator_difference(n: int, u: int, v: int) -> np.ndarray:
     return vec
 
 
+def _grounded_solve(g: SignedGraph, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L(g) x = rhs`` with node 0 grounded (``x[0] = 0``).
+
+    ``g`` must be connected with all-positive weights and every column of
+    ``rhs`` (shape ``(n, m)``) must sum to zero, so the grounded system is
+    nonsingular and its solution also satisfies the dropped row.
+
+    Raises:
+        CrossCheckError: the factorization hits an exactly zero pivot, or the
+            relative residual of some column exceeds ``CROSS_CHECK_RTOL``.
+    """
+    grounded = sparse_laplacian(g)[1:, 1:]
+    b = rhs[1:]
+    x = np.zeros_like(rhs)
+    # The grounded matrix is symmetric positive definite, so a symmetric fill
+    # ordering with diagonal pivots is stable; on a 1200-node random tree
+    # plus chords its factor has about a quarter of the default's nonzeros.
+    try:
+        lu = splu(grounded, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # a pivot cancelled to exactly zero
+        raise CrossCheckError(f"grounded Laplacian factorization failed: {exc}") from exc
+    x[1:] = lu.solve(b)
+    norm_l = float(abs(grounded).sum(axis=1).max())
+    residual = np.max(np.abs(grounded @ x[1:] - b), axis=0)
+    scale = norm_l * np.max(np.abs(x), axis=0) + np.max(np.abs(b), axis=0)
+    if not np.all(residual <= CROSS_CHECK_RTOL * scale):
+        worst = float(np.max(residual / scale))
+        raise CrossCheckError(
+            f"grounded Laplacian solve failed its residual check: relative "
+            f"residual {worst!r} exceeds {CROSS_CHECK_RTOL!r}"
+        )
+    return x
+
+
+def _component_graph(g: SignedGraph, labels: np.ndarray,
+                     node: int) -> tuple[SignedGraph, np.ndarray]:
+    """The component holding ``node``, renumbered in node order, and the
+    old-to-new node index map."""
+    inside = labels == labels[node]
+    if inside.all():
+        return g, np.arange(g.node_count)
+    index = np.cumsum(inside) - 1
+    edges = tuple((int(index[a]), int(index[b]), w) for a, b, w in g.edges if inside[a])
+    return SignedGraph(int(inside.sum()), edges), index
+
+
 def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     """(e_u - e_v)^T L^+ (e_u - e_v).
 
-    Uses the closed-form cut-basis pseudo-inverse when it applies (connected
-    graph, invertible cut form) and cross-checks it against the
+    The route depends on the weight signs.  An all-positive graph takes one
+    grounded sparse solve on the component holding u and v, with its
+    residual checked (see the module docstring).  A graph with any negative
+    weight uses the closed-form cut-basis pseudo-inverse when it applies
+    (connected graph, invertible cut form) and cross-checks it against the
     eigendecomposition route; otherwise the eigendecomposition route alone.
     The resistance-threshold theorems only speak about all-positive graphs;
     the value is still defined (and computed) for signed weights, but carries
@@ -56,7 +116,8 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
 
     Raises:
         DisconnectedError: u and v lie in different components.
-        CrossCheckError: the two routes disagree beyond 1e-7.
+        CrossCheckError: the grounded solve fails its residual check, or the
+            two dense routes disagree beyond ``CROSS_CHECK_RTOL``.
     """
     n = g.node_count
     if not (0 <= u < n and 0 <= v < n):
@@ -66,6 +127,13 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     labels = component_labels(g)
     if labels[u] != labels[v]:
         raise DisconnectedError(f"nodes {u} and {v} are in different components")
+
+    if all(w > 0.0 for _, _, w in g.edges):
+        component, index = _component_graph(g, labels, u)
+        cu, cv = int(index[u]), int(index[v])
+        rhs = _indicator_difference(component.node_count, cu, cv)[:, None]
+        x = _grounded_solve(component, rhs)
+        return float(x[cu, 0] - x[cv, 0])
 
     d = decompose(g)
     bundle = build_bundle(g, d)
@@ -93,6 +161,13 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     is a list of ``(u, v)`` endpoint pairs.  The diagonal always holds the
     pairwise effective resistances over ``g_plus``; the matrix itself is
     diagonal exactly when the path-edge sets of the pairs are disjoint.
+    Computed as ``E_-^T X`` from one grounded sparse solve ``L X = E_-`` with
+    all m right-hand sides at once.
+
+    Raises:
+        ValueError: a non-positive weight or an invalid node pair.
+        DisconnectedError: ``g_plus`` is disconnected.
+        CrossCheckError: the grounded solve fails its residual check.
 
     Returns:
         ``(matrix, diagonal)`` with shapes ``(m, m)`` and ``(m,)``.
@@ -109,20 +184,13 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     if m == 0:
         return np.zeros((0, 0)), np.zeros(0)
 
-    d = decompose(g_plus)
-    bundle = build_bundle(g_plus, d)
-    left_inv = cho_solve(cho_factor(bundle.forest_edge_laplacian), d.incidence_forest.T)
-    # Cut form of an all-positive connected graph is positive definite.
-    solved = cho_solve(cho_factor(bundle.cut_gram), left_inv)
-    pinv = left_inv.T @ solved
-
     E_neg = np.zeros((n, m))
     for k, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"invalid node pair ({u}, {v})")
         E_neg[min(u, v), k] = -1.0
         E_neg[max(u, v), k] = 1.0
-    matrix = E_neg.T @ pinv @ E_neg
+    matrix = E_neg.T @ _grounded_solve(g_plus, E_neg)
     matrix = 0.5 * (matrix + matrix.T)
     return matrix, np.diag(matrix).copy()
 

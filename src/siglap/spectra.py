@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorNotPDError, NotSymmetricError
+from .errors import FactorNotPDError, InvalidToleranceError, NotSymmetricError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -64,7 +64,12 @@ def signature(m, tol: float | None = None) -> Signature:
 
     ``m`` must be symmetric to 1e-12 relative (it is symmetrized by
     averaging); the default tolerance is ``dim * eps * max|eig|``.
+
+    Raises:
+        InvalidToleranceError: ``tol`` is negative or NaN.
     """
+    if tol is not None and not tol >= 0.0:
+        raise InvalidToleranceError(f"zero tolerance must be >= 0, got {tol!r}")
     s = _symmetrized(m)
     dim = s.shape[0]
     if dim == 0:

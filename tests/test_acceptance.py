@@ -274,6 +274,16 @@ def test_criterion_6_total_resistance_necessary_condition():
             violations == 0, f"{violations} violations over {total} trials")
 
 
+def test_verdict_corollary6_matches_corollary6_check():
+    # verdicts derive Corollary 6 from their own resistance matrix; it must
+    # match the standalone check on both acceptance families
+    flags = [(verdict.corollary6_satisfied, c6.satisfied)
+             for _, _, verdict, _, c6 in run_single_edge_trials() + run_cactus_trials()]
+    mismatches = sum(1 for mine, standalone in flags if mine != standalone)
+    _report("corollary 6 in verdicts matches corollary6_check",
+            mismatches == 0, f"{mismatches} mismatches over {len(flags)} verdicts")
+
+
 # ---------------------------------------------------------------------------
 # criterion 7: clustering reproduction on the 9-node reference graph
 # ---------------------------------------------------------------------------

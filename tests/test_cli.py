@@ -88,6 +88,28 @@ def test_missing_file_exit_code(tmp_path):
     assert main(["signature", str(tmp_path / "nope.txt")]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "nodes 3\n0 1 1.0\n1 2 nan\n0 2 -0.2\n",
+    "nodes 3\n0 1 1.0\n1 2 -inf\n0 2 1.0\n",
+], ids=["nan", "-inf"])
+def test_non_finite_weight_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main(["check-psd", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "line 3" in err and "non-finite weight" in err
+
+
+def test_negative_tolerance_exit_code(tmp_path, capsys):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.1))
+    assert main(["check-psd", path, "--tol", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "tolerance" in err
+
+
 def test_hypothesis_violation_exit_code(tmp_path, capsys):
     path = graph_file(tmp_path, sl.build_graph(9, CATERPILLAR_TREE))
     code = main(["predict-clusters", path])

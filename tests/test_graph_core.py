@@ -9,6 +9,7 @@ from conftest import (
     positive_weight,
     random_connected_positive,
 )
+from siglap.errors import GraphConstructionError
 
 
 def test_build_graph_minimal():
@@ -47,6 +48,14 @@ def test_build_graph_self_loop_rejected():
 def test_build_graph_node_out_of_range():
     with pytest.raises(sl.NodeOutOfRangeError):
         sl.build_graph(2, [(0, 2, 1.0)])
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_build_graph_non_finite_weight_names_edge(weight):
+    with pytest.raises(sl.NonFiniteWeightError) as err:
+        sl.build_graph(3, [(0, 1, 1.0), (1, 2, weight), (0, 2, -0.2)])
+    assert err.value.edge_index == 1
+    assert isinstance(err.value, GraphConstructionError)
 
 
 def test_incidence_single_edge():

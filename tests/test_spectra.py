@@ -56,6 +56,25 @@ def test_signature_explicit_tolerance_recorded():
     assert sig.as_tuple() == (1, 0, 1)
 
 
+def path4_laplacian():
+    return sl.laplacian_matrix(sl.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]))
+
+
+def test_signature_rejects_negative_tolerance():
+    # tol = -1 would count the zero eigenvalue as positive: (4, 0, 0)
+    with pytest.raises(sl.InvalidToleranceError) as err:
+        sl.signature(path4_laplacian(), tol=-1.0)
+    assert isinstance(err.value, sl.SiglapError)
+    assert isinstance(err.value, ValueError)
+
+
+def test_signature_rejects_nan_tolerance():
+    # tol = nan would count every eigenvalue as negative: (0, 4, 0)
+    with pytest.raises(sl.InvalidToleranceError):
+        sl.signature(path4_laplacian(), tol=float("nan"))
+    assert sl.signature(path4_laplacian(), tol=0.0).tolerance_used == 0.0
+
+
 def test_all_positive_weights_signature():
     rng = np.random.default_rng(43)
     for _ in range(15):
