@@ -21,7 +21,6 @@ from .errors import (
     HypothesisViolatedError,
     NodesDisconnectedError,
     SiglapError,
-    SingularCutGramError,
 )
 from .graph_core import SignedGraph
 from .graphfile import read_graph_file
@@ -31,7 +30,6 @@ _HYPOTHESIS_ERRORS = (
     HypothesisViolatedError,
     DisconnectedError,
     NodesDisconnectedError,
-    SingularCutGramError,
 )
 
 
@@ -206,6 +204,7 @@ def _cmd_predict_clusters(config: RunConfig, g: SignedGraph) -> list[str]:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     try:
+        spectra._check_tolerance(config.tol)
         g = read_graph_file(config.input_path)
         if config.command == "signature":
             report = _cmd_signature(config, g)

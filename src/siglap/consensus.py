@@ -3,7 +3,10 @@ prediction at the resistance boundary, and cluster detection in trajectories.
 
 The integrator is deterministic fixed-step classical Runge-Kutta; the state
 mean is a conserved quantity of the dynamics (1^T L = 0) and is preserved to
-rounding error.
+rounding error.  At the boundary ``|w| = 1/R_uv`` of a single negative edge,
+the extra null vector of L is that edge's grounded potential over the
+positive spanning tree (the resistance layer's sparse solve), and the
+clusters are the components left once the cycle is removed.
 """
 
 from __future__ import annotations
@@ -14,14 +17,9 @@ import numpy as np
 
 from .definiteness import BOUNDARY_RTOL
 from .errors import CrossCheckError, HypothesisViolatedError, UnboundedError
-from .graph_core import (
-    SignedGraph,
-    component_labels,
-    components_after_edge_removal,
-    decompose_with_forest,
-)
-from .laplacians import laplacian_matrix
-from .resistance import effective_resistance
+from .graph_core import SignedGraph, _canonical_labels, component_labels, path_edge_sets
+from .laplacians import laplacian_matrix, sparse_laplacian
+from .resistance import _grounded_solve, _indicator_difference
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
@@ -133,34 +131,17 @@ def _detect(times: np.ndarray, states: np.ndarray, tol: float) -> ClusterAssignm
             f"initial norm {norm_start:.3e}"
         )
 
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(np.max(np.abs(window[:, i] - window[:, j]))) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    labels = []
-    order: dict[int, int] = {}
-    for node in range(n):
-        root = find(node)
-        if root not in order:
-            order[root] = len(order)
-        labels.append(order[root])
+    # Row i compares node i with every later node over the whole window.
+    tails, heads = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for i in range(n - 1):
+        gap = np.max(np.abs(window[:, i + 1:] - window[:, [i]]), axis=0)
+        agree = np.flatnonzero(gap <= tol) + i + 1
+        tails.append(np.full(agree.size, i))
+        heads.append(agree)
+    labels = _canonical_labels(n, np.concatenate(tails), np.concatenate(heads))
     final = states[-1]
-    values = []
-    for cid in range(len(order)):
-        members = [node for node in range(n) if labels[node] == cid]
-        values.append(float(np.mean(final[members])))
-    return ClusterAssignment(tuple(labels), tuple(values))
+    values = [float(np.mean(final[labels == cid])) for cid in range(int(labels.max()) + 1)]
+    return ClusterAssignment(tuple(int(c) for c in labels), tuple(values))
 
 
 def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> ClusterAssignment:
@@ -176,49 +157,25 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
     return _detect(traj.times, traj.states, tol)
 
 
-def _cycle_edge_indices(g: SignedGraph) -> set[int]:
-    """Edges of the unique cycle of a connected graph with |E| = |V|.
-
-    Found by repeatedly peeling degree-1 nodes; what survives is the cycle.
-    """
-    degree = [0] * g.node_count
-    incident: list[list[int]] = [[] for _ in range(g.node_count)]
-    for k, (u, v, _) in enumerate(g.edges):
-        degree[u] += 1
-        degree[v] += 1
-        incident[u].append(k)
-        incident[v].append(k)
-    alive = [True] * g.edge_count
-    queue = [node for node in range(g.node_count) if degree[node] == 1]
-    while queue:
-        node = queue.pop()
-        for k in incident[node]:
-            if not alive[k]:
-                continue
-            alive[k] = False
-            u, v, _ = g.edges[k]
-            other = v if u == node else u
-            degree[node] -= 1
-            degree[other] -= 1
-            if degree[other] == 1:
-                queue.append(other)
-    return {k for k in range(g.edge_count) if alive[k]}
-
-
 def predict_clusters(g: SignedGraph,
                      boundary_rtol: float = BOUNDARY_RTOL) -> ClusterPrediction:
     """Cluster count and null-space vector for the single-cycle boundary case.
 
     Requires: connected graph with exactly one cycle (|E| = |V|), exactly one
-    negative edge lying on that cycle, a connected positive subgraph (hence a
-    spanning tree), and the negative magnitude sitting at the threshold
-    1/R_uv within ``boundary_rtol``.  The predicted count q is the number of
-    components left after removing every cycle edge; the extra null vector is
-    solved from the edge-difference system and projected orthogonal to the
-    all-ones vector.
+    negative edge (u, v), a connected positive subgraph G+ (hence a spanning
+    tree, so the negative edge closes the cycle), and the negative magnitude
+    sitting at the threshold 1/R_uv within ``boundary_rtol``.
+
+    One grounded solve gives both R_uv and the extra null vector: the
+    potential ``z = L(G+)^+ (e_v - e_u)`` has ``z_v - z_u = R_uv`` and
+    ``L z = -margin (e_v - e_u)``, so it lies in the kernel of L at the
+    boundary.  It is returned projected orthogonal to the all-ones vector.
+    The cycle is the tree path from u to v plus the negative edge, and q is
+    the number of components left once it is removed.
 
     Raises:
         HypothesisViolatedError: listing every precondition that failed.
+        CrossCheckError: ``max|L z|`` exceeds 1e-8.
     """
     n = g.node_count
     failures = []
@@ -232,33 +189,30 @@ def predict_clusters(g: SignedGraph,
     if len(neg) != 1:
         failures.append(f"exactly one negative edge required, found {len(neg)}")
     positive = g.positive_edge_indices()
-    if int(component_labels(g.subgraph(positive)).max()) != 0:
+    g_plus = g.subgraph(positive)
+    if int(component_labels(g_plus).max()) != 0:
         failures.append("positive subgraph must be connected")
     if failures:
         raise HypothesisViolatedError(failures)
 
-    cycle = _cycle_edge_indices(g)
-    if neg[0] not in cycle:
-        raise HypothesisViolatedError(["the negative edge must lie on the cycle"])
     u, v, w = g.edges[neg[0]]
-    r_uv = effective_resistance(g.subgraph(positive), u, v)
+    z = _grounded_solve(g_plus, _indicator_difference(n, v, u)[:, None])[:, 0]
+    r_uv = float(z[v] - z[u])
     margin = abs(w) * r_uv - 1.0
     if abs(margin) > boundary_rtol:
         raise HypothesisViolatedError(
             [f"negative weight must equal the threshold 1/{r_uv:.12g}; margin {margin:.3e}"]
         )
 
-    q = components_after_edge_removal(g, cycle)
-    dec = decompose_with_forest(g, positive)
-    w_ordered = g.weights[list(dec.column_order)]
-    rhs = np.append(dec.tree_to_cycle[:, 0], -1.0) / w_ordered
-    x, *_ = np.linalg.lstsq(dec.incidence_full.T, rhs, rcond=None)
-    residual = float(np.linalg.norm(dec.incidence_full.T @ x - rhs))
+    null_vector = z - z.mean()
+    residual = float(np.max(np.abs(sparse_laplacian(g) @ null_vector)))
     if residual > 1e-8:
         raise CrossCheckError(
-            f"null-vector system residual {residual:.3e} exceeds 1e-8; "
+            f"null-vector residual max|L z| {residual:.3e} exceeds 1e-8; "
             "the boundary structure is not consistent"
         )
-    null_vector = x - x.mean()
+    (path,) = path_edge_sets(g_plus, [(u, v)])
+    cycle = {positive[k] for k in path} | {neg[0]}
     labels = component_labels(g, skip_edges=cycle)
-    return ClusterPrediction(q, null_vector, tuple(int(c) for c in labels))
+    return ClusterPrediction(int(labels.max()) + 1, null_vector,
+                             tuple(int(c) for c in labels))

@@ -146,16 +146,12 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     neg = g.negative_edge_indices()
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])
-    if not _positive_part_connected(g):
-        raise DisconnectedError("positive subgraph is disconnected")
-
-    g_plus = g.positive_subgraph()
-    pairs = [(g.edges[k][0], g.edges[k][1]) for k in neg]
-    sets = path_edge_sets(g_plus, pairs)
+    # Raises DisconnectedError when the positive subgraph is disconnected.
+    per_edge, c6 = _resistance_terms(g, neg)
+    sets = path_edge_sets(g.positive_subgraph(), [e.edge for e in per_edge])
     disjoint = all(
         not (sets[i] & sets[j]) for i in range(len(sets)) for j in range(i + 1, len(sets))
     )
-    per_edge, c6 = _resistance_terms(g, neg)
     sigma = signature(laplacian_matrix(g), tol)
     if disjoint:
         classification = _classify([e.margin for e in per_edge], BOUNDARY_RTOL)

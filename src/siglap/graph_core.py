@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     NodeOutOfRangeError,
@@ -117,46 +119,44 @@ def incidence_matrix(g: SignedGraph) -> np.ndarray:
     return E
 
 
+def _canonical_labels(node_count: int, tails, heads) -> np.ndarray:
+    """Connected-component label per node of the graph on ``node_count`` nodes
+    whose edges join ``tails[k]`` and ``heads[k]``.
+
+    Component ids appear in order of their lowest node; csgraph does not
+    document its own label order, so its labels are renumbered.
+    """
+    adjacency = coo_matrix((np.ones(len(tails)), (tails, heads)),
+                           shape=(node_count, node_count))
+    _, raw = connected_components(adjacency, directed=False)
+    _, lowest = np.unique(raw, return_index=True)
+    return np.unique(lowest[raw], return_inverse=True)[1]
+
+
 def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
     """Connected-component label per node, ignoring ``skip_edges``.
 
     Labels are canonical: component ids appear in order of their lowest node.
     """
     skip = set(skip_edges)
-    parent = list(range(g.node_count))
+    kept = [(u, v) for k, (u, v, _) in enumerate(g.edges) if k not in skip]
+    ends = np.array(kept, dtype=int).reshape(-1, 2)
+    return _canonical_labels(g.node_count, ends[:, 0], ends[:, 1])
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
+def _adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:
+    """Per node, its ``(edge index, neighbour)`` pairs in ascending edge index."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
     for k, (u, v, _) in enumerate(g.edges):
-        if k in skip:
-            continue
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    labels = np.empty(g.node_count, dtype=int)
-    seen: dict[int, int] = {}
-    for node in range(g.node_count):
-        root = find(node)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[node] = seen[root]
-    return labels
+        adj[u].append((k, v))
+        adj[v].append((k, u))
+    return adj
 
 
 def _dfs_forest(g: SignedGraph) -> tuple[list[int], int]:
     """Deterministic spanning forest: DFS from node 0 ascending, lowest
     admissible edge index first.  Returns (forest edge indices, components)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
-    for k, (u, v, _) in enumerate(g.edges):
-        adj[u].append((k, v))
-        adj[v].append((k, u))
-    for lst in adj:
-        lst.sort()
+    adj = _adjacency(g)
 
     visited = [False] * g.node_count
     forest: list[int] = []
@@ -217,25 +217,19 @@ def decompose_with_forest(g: SignedGraph, forest_edges) -> ForestDecomposition:
     """Decomposition with a caller-chosen spanning forest.
 
     ``forest_edges`` must be acyclic and maximal (one fewer edge than nodes in
-    every component the graph has).
+    every component the graph has).  Both follow from component counts: the
+    forest is acyclic exactly when it has ``n - components(forest)`` edges,
+    and spanning exactly when ``components(forest) == components(g)``.
+
+    Raises:
+        ValueError: the forest closes a cycle or does not span the graph.
     """
     forest = tuple(sorted(set(forest_edges)))
-    parent = list(range(g.node_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for k in forest:
-        u, v, _ = g.edges[k]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise ValueError(f"forest edge {k} closes a cycle")
-        parent[ru] = rv
+    forest_components = int(component_labels(g.subgraph(forest)).max()) + 1
+    if len(forest) != g.node_count - forest_components:
+        raise ValueError("forest edges close a cycle")
     components = int(component_labels(g).max()) + 1
-    if len(forest) != g.node_count - components:
+    if forest_components != components:
         raise ValueError(
             f"forest has {len(forest)} edges; a spanning forest needs "
             f"{g.node_count - components}"
@@ -252,12 +246,7 @@ def _biconnected_edge_components(g: SignedGraph) -> list[list[int]]:
     entering edge index instead of the parent vertex.
     """
     n = g.node_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (u, v, _) in enumerate(g.edges):
-        adj[u].append((k, v))
-        adj[v].append((k, u))
-    for lst in adj:
-        lst.sort()
+    adj = _adjacency(g)
 
     disc = [-1] * n
     low = [0] * n

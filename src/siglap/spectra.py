@@ -59,6 +59,12 @@ def _symmetrized(m) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _check_tolerance(tol: float | None) -> None:
+    """Raise :class:`InvalidToleranceError` unless ``tol`` is None or >= 0."""
+    if tol is not None and not tol >= 0.0:
+        raise InvalidToleranceError(f"zero tolerance must be >= 0, got {tol!r}")
+
+
 def signature(m, tol: float | None = None) -> Signature:
     """Signature of a symmetric matrix; |eig| <= tol counts as zero.
 
@@ -68,8 +74,7 @@ def signature(m, tol: float | None = None) -> Signature:
     Raises:
         InvalidToleranceError: ``tol`` is negative or NaN.
     """
-    if tol is not None and not tol >= 0.0:
-        raise InvalidToleranceError(f"zero tolerance must be >= 0, got {tol!r}")
+    _check_tolerance(tol)
     s = _symmetrized(m)
     dim = s.shape[0]
     if dim == 0:

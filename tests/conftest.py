@@ -105,6 +105,45 @@ def brute_force_path_edges(g: sl.SignedGraph, u: int, v: int) -> frozenset[int]:
     return frozenset(used)
 
 
+def pairwise_closure_clusters(states: np.ndarray, tol: float
+                              ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Clusters of the final 10% window by brute force: every pair of nodes
+    compared sample by sample, then the agreement relation closed by
+    repeated relabelling until no agreeing pair straddles two labels.
+    Cluster ids follow the lowest node; values are final-state means."""
+    m, n = states.shape
+    window = states[int(np.floor(0.9 * (m - 1))):]
+    agree = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if all(abs(float(row[i]) - float(row[j])) <= tol for row in window)]
+    root = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in agree:
+            low = min(root[i], root[j])
+            if root[i] != low or root[j] != low:
+                root[i] = root[j] = low
+                changed = True
+    ids: dict[int, int] = {}
+    labels = tuple(ids.setdefault(r, len(ids)) for r in root)
+    final = states[-1]
+    values = tuple(float(np.mean(final[[x for x in range(n) if labels[x] == c]]))
+                   for c in range(len(ids)))
+    return labels, values
+
+
+def edge_difference_null_vector(g: sl.SignedGraph) -> np.ndarray:
+    """The paper's extra null vector for a single-cycle boundary graph: with
+    the positive edges as spanning tree, solve the edge-difference system
+    ``E^T x = W^-1 [T_0; -1]`` in the least-squares sense and project out
+    the all-ones direction."""
+    dec = sl.decompose_with_forest(g, g.positive_edge_indices())
+    w = g.weights[list(dec.column_order)]
+    rhs = np.append(dec.tree_to_cycle[:, 0], -1.0) / w
+    x, *_ = np.linalg.lstsq(dec.incidence_full.T, rhs, rcond=None)
+    return x - x.mean()
+
+
 def tree_distance(n: int, node_pairs, u: int, v: int) -> int:
     adj = [[] for _ in range(n)]
     for a, b in node_pairs:

@@ -110,6 +110,21 @@ def test_negative_tolerance_exit_code(tmp_path, capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("command", [
+    "signature", "resistance", "threshold", "simulate", "predict-clusters",
+])
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_invalid_tolerance_rejected_by_every_command(tmp_path, capsys, command, tol):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    out = tmp_path / "report.txt"
+    assert main([command, path, "--tol", tol, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "tolerance" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_hypothesis_violation_exit_code(tmp_path, capsys):
     path = graph_file(tmp_path, sl.build_graph(9, CATERPILLAR_TREE))
     code = main(["predict-clusters", path])

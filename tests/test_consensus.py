@@ -3,8 +3,12 @@ import pytest
 
 import siglap as sl
 from conftest import (
+    bfs_component_count,
+    brute_force_path_edges,
     caterpillar_with_chord,
     dense_laplacian,
+    edge_difference_null_vector,
+    pairwise_closure_clusters,
     random_boundary_cycle_graph,
 )
 
@@ -167,3 +171,43 @@ def test_cycle_projection_eigenvalue_equals_resistance():
         r_uv = sl.effective_resistance(g.subgraph(positive), u, v)
         assert lam[-1] == pytest.approx(r_uv, abs=1e-9)
         assert np.max(np.abs(lam[:-1])) < 1e-12
+
+
+def trajectory_of(states: np.ndarray) -> sl.Trajectory:
+    return sl.Trajectory(np.arange(len(states), dtype=float), states, 1.0, None)
+
+
+def test_detect_clusters_matches_pairwise_closure():
+    rng = np.random.default_rng(107)
+    for case in range(60):
+        m, n = int(rng.integers(2, 25)), int(rng.integers(1, 16))
+        if case % 3 == 0:  # exact ties: columns copied from a few source nodes
+            states = rng.uniform(0.0, 1.0, (m, 4))[:, rng.integers(0, 4, n)]
+        elif case % 3 == 1:  # values on a coarse grid, so ties and near-ties
+            states = np.round(4.0 * rng.uniform(0.0, 1.0, (m, n))) / 4.0
+        else:
+            states = rng.integers(0, 3, n) + rng.normal(0.0, 0.05, (m, n))
+        for tol in (0.0, 0.05, 0.25, 2.0):
+            clusters = sl.detect_clusters(trajectory_of(states), tol=tol)
+            labels, values = pairwise_closure_clusters(states, tol)
+            assert clusters.labels == labels
+            assert clusters.values == values
+
+
+def test_predict_clusters_matches_edge_difference_construction():
+    rng = np.random.default_rng(8088)
+    for _ in range(50):
+        g = random_boundary_cycle_graph(rng)
+        prediction = sl.predict_clusters(g)
+        expected = edge_difference_null_vector(g)
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(prediction.null_vector - expected)) <= 1e-12 * scale
+        # the cycle is every edge on a simple u-v path of G+, plus the chord
+        positive = g.positive_edge_indices()
+        (k,) = g.negative_edge_indices()
+        u, v, _ = g.edges[k]
+        path = brute_force_path_edges(g.subgraph(positive), u, v)
+        cycle = {positive[e] for e in path} | {k}
+        kept = [(a, b) for e, (a, b, _) in enumerate(g.edges) if e not in cycle]
+        assert prediction.q == bfs_component_count(g.node_count, kept)
+        assert prediction.component_map == tuple(sl.component_labels(g, cycle).tolist())
