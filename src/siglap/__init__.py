@@ -24,6 +24,7 @@ from .errors import (
     FactorNotPDError,
     GraphParseError,
     HypothesisViolatedError,
+    InvalidParameterError,
     InvalidToleranceError,
     NodeOutOfRangeError,
     NodesDisconnectedError,

@@ -1,31 +1,35 @@
 """Linear weighted consensus dynamics x' = -L x: simulation, cluster
 prediction at the resistance boundary, and cluster detection in trajectories.
 
-The integrator is deterministic fixed-step classical Runge-Kutta; the state
-mean is a conserved quantity of the dynamics (1^T L = 0) and is preserved to
-rounding error.  At the boundary ``|w| = 1/R_uv`` of a single negative edge,
-the extra null vector of L is that edge's grounded potential over the
-positive spanning tree (the resistance layer's sparse solve), and the
-clusters are the components left once the cycle is removed.
+Trajectories are sampled from the exact modal solution ``V exp(-t Lambda)
+V^T x0``; the state mean is a conserved quantity of the dynamics (1^T L = 0)
+and is preserved to rounding error.  At the boundary ``|w| = 1/R_uv`` of a
+single negative edge, the extra null vector of L is that edge's grounded
+potential over the positive spanning tree (the resistance layer's sparse
+solve), and the clusters are the components left once the cycle is removed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .definiteness import BOUNDARY_RTOL
-from .errors import CrossCheckError, HypothesisViolatedError, UnboundedError
+from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
+                     UnboundedError)
 from .graph_core import SignedGraph, _canonical_labels, component_labels, path_edge_sets
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .resistance import _grounded_solve, _indicator_difference
+from .spectra import _check_tolerance
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
 DEFAULT_OUTPUT_STRIDE = 10
 DEFAULT_CLUSTER_TOL = 1e-5
 UNBOUNDED_FACTOR = 1e6
+MAX_RECORDED_VALUES = 10**7  # samples x nodes; 80 MB of float64 states
 
 
 @dataclass(frozen=True)
@@ -64,58 +68,68 @@ class ClusterPrediction:
     component_map: tuple[int, ...]
 
 
-def _rk4_step(A: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = A @ x
-    k2 = A @ (x + 0.5 * h * k1)
-    k3 = A @ (x + 0.5 * h * k2)
-    k4 = A @ (x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
              step: float = DEFAULT_STEP, output_stride: int = DEFAULT_OUTPUT_STRIDE,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Trajectory:
-    """Integrate x' = -L x from x0 with fixed-step RK4.
+    """Exact solution of x' = -L x from x0, sampled at t = 0, every
+    ``output_stride`` steps of size ``step``, and ``t_final``.
 
-    States are recorded at t = 0, every ``output_stride`` steps, and at
-    ``t_final``.  Divergence (possible when L is indefinite) is legitimate:
-    the trajectory is returned with ``final_clusters = None``.
+    Each sample is ``V exp(-t Lambda) V^T x0`` from one eigendecomposition
+    of L.  Divergence (possible when L is indefinite) is legitimate: the
+    trajectory is returned with ``final_clusters = None``.
+
+    Raises:
+        InvalidParameterError: x0 is not a finite vector over the nodes,
+            ``t_final`` or ``step`` is not finite and positive,
+            ``output_stride < 1``, or more than ``MAX_RECORDED_VALUES``
+            values would be recorded.
+        InvalidToleranceError: ``cluster_tol`` is negative or NaN.
     """
+    n = g.node_count
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (g.node_count,):
-        raise ValueError(f"x0 must have shape ({g.node_count},), got {x0.shape}")
-    if t_final <= 0.0 or step <= 0.0:
-        raise ValueError("t_final and step must be positive")
+    if x0.shape != (n,):
+        raise InvalidParameterError(f"x0 must have shape ({n},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParameterError("x0 must be finite")
+    for name, value in (("t_final", t_final), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
     if output_stride < 1:
-        raise ValueError("output_stride must be >= 1")
+        raise InvalidParameterError(f"output_stride must be >= 1, got {output_stride!r}")
+    _check_tolerance(cluster_tol, "cluster tolerance")
 
-    A = -laplacian_matrix(g)
-    n_steps = int(np.floor(t_final / step + 1e-9))
+    # The cap keeps an absurd (even infinite) step count an int to reject.
+    n_steps = math.floor(min(t_final / step + 1e-9, 2.0 ** 62))
     remainder = t_final - n_steps * step
+    exact_end = remainder <= 1e-12 * max(1.0, t_final)
+    tail = not exact_end or n_steps % output_stride != 0
+    samples = n_steps // output_stride + 1 + tail
+    if samples * n > MAX_RECORDED_VALUES:
+        raise InvalidParameterError(
+            f"{samples} samples of {n} nodes exceed the {MAX_RECORDED_VALUES} recorded "
+            "values allowed; increase step or decrease t_final"
+        )
+    times = np.arange(0, n_steps + 1, output_stride) * step
+    if tail:
+        times = np.append(times, n_steps * step if exact_end else t_final)
 
-    times = [0.0]
-    states = [x0.copy()]
-    x = x0.copy()
-    for i in range(1, n_steps + 1):
-        x = _rk4_step(A, x, step)
-        if i % output_stride == 0:
-            times.append(i * step)
-            states.append(x.copy())
-    if remainder > 1e-12 * max(1.0, t_final):
-        x = _rk4_step(A, x, remainder)
-        times.append(t_final)
-        states.append(x.copy())
-    elif n_steps % output_stride != 0:
-        times.append(n_steps * step)
-        states.append(x.copy())
-
-    times_arr = np.array(times)
-    states_arr = np.array(states)
+    lam, V = np.linalg.eigh(laplacian_matrix(g))
+    modes = V.T @ x0
+    # A mode that x0 misses exactly stays zero even where exp(-t lam) overflows.
+    active = modes != 0.0
+    lam, V, modes = lam[active], V[:, active], modes[active]
+    states = np.empty((times.size, n))
+    # An indefinite L overflows exp(-t lam) to inf, and V @ (... inf ...) can
+    # give NaN; both are reported as divergence below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times):
+            states[k] = V @ (np.exp(-t * lam) * modes)
+    states[0] = x0
     try:
-        clusters = _detect(times_arr, states_arr, cluster_tol)
+        clusters = _detect(times, states, cluster_tol)
     except UnboundedError:
         clusters = None
-    return Trajectory(times_arr, states_arr, step, clusters)
+    return Trajectory(times, states, step, clusters)
 
 
 def _detect(times: np.ndarray, states: np.ndarray, tol: float) -> ClusterAssignment:
@@ -123,9 +137,11 @@ def _detect(times: np.ndarray, states: np.ndarray, tol: float) -> ClusterAssignm
     start = int(np.floor(0.9 * (m - 1)))
     window = states[start:]
 
-    norm_end = float(np.max(np.linalg.norm(window, axis=1)))
-    norm_start = float(np.linalg.norm(states[0]))
-    if norm_end > UNBOUNDED_FACTOR * norm_start:
+    with np.errstate(over="ignore"):
+        norm_end = float(np.max(np.linalg.norm(window, axis=1)))
+        norm_start = float(np.linalg.norm(states[0]))
+    # Written so that a NaN norm (a non-finite window) also counts as unbounded.
+    if not norm_end <= UNBOUNDED_FACTOR * norm_start:
         raise UnboundedError(
             f"final-window norm {norm_end:.3e} exceeds {UNBOUNDED_FACTOR:g} x "
             f"initial norm {norm_start:.3e}"
@@ -152,8 +168,10 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
 
     Raises:
         UnboundedError: the final window grew beyond 1e6 x the initial norm,
-            the footprint of an indefinite Laplacian.
+            or holds an inf or NaN, the footprint of an indefinite Laplacian.
+        InvalidToleranceError: ``tol`` is negative or NaN.
     """
+    _check_tolerance(tol, "cluster tolerance")
     return _detect(traj.times, traj.states, tol)
 
 

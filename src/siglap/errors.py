@@ -50,7 +50,11 @@ class NotSymmetricError(SiglapError, ValueError):
 
 
 class InvalidToleranceError(SiglapError, ValueError):
-    """A zero tolerance is negative or NaN."""
+    """A tolerance is negative or NaN."""
+
+
+class InvalidParameterError(SiglapError, ValueError):
+    """A parameter is out of range: not finite, not positive, or too large."""
 
 
 class FactorNotPDError(SiglapError, ValueError):

@@ -10,11 +10,10 @@ solution ``x`` (with ``x = 0`` at the grounded node) gives
 ``||L x - b||_inf / (||L||_inf ||x||_inf + ||b||_inf)`` against
 ``CROSS_CHECK_RTOL`` and raises :class:`CrossCheckError` when it fails.
 
-A graph with any negative weight takes the dense route instead: the
-closed-form cut-basis pseudo-inverse cross-checked against the
-eigendecomposition pseudo-inverse, falling back to the latter alone when the
-cut form is singular.  A signed grounded Laplacian may itself be singular
-(at the semidefiniteness boundary it is), so it cannot be solved there.
+A graph with any negative weight takes one dense route instead: the
+eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
+Laplacian may itself be singular (at the semidefiniteness boundary it is),
+so it cannot be solved there.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .errors import CrossCheckError, DisconnectedError, SingularCutGramError
-from .graph_core import SignedGraph, component_labels, decompose
-from .laplacians import build_bundle, laplacian_pseudo_inverse, sparse_laplacian
+from .errors import CrossCheckError, DisconnectedError
+from .graph_core import SignedGraph, component_labels
+from .laplacians import laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
 CROSS_CHECK_RTOL = 1e-7
@@ -107,17 +106,14 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     The route depends on the weight signs.  An all-positive graph takes one
     grounded sparse solve on the component holding u and v, with its
     residual checked (see the module docstring).  A graph with any negative
-    weight uses the closed-form cut-basis pseudo-inverse when it applies
-    (connected graph, invertible cut form) and cross-checks it against the
-    eigendecomposition route; otherwise the eigendecomposition route alone.
+    weight takes the eigendecomposition pseudo-inverse of its Laplacian.
     The resistance-threshold theorems only speak about all-positive graphs;
     the value is still defined (and computed) for signed weights, but carries
     no semidefiniteness meaning there.
 
     Raises:
         DisconnectedError: u and v lie in different components.
-        CrossCheckError: the grounded solve fails its residual check, or the
-            two dense routes disagree beyond ``CROSS_CHECK_RTOL``.
+        CrossCheckError: the grounded solve fails its residual check.
     """
     n = g.node_count
     if not (0 <= u < n and 0 <= v < n):
@@ -135,23 +131,8 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
         x = _grounded_solve(component, rhs)
         return float(x[cu, 0] - x[cv, 0])
 
-    d = decompose(g)
-    bundle = build_bundle(g, d)
     vec = _indicator_difference(n, u, v)
-    r_eig = float(vec @ pseudo_inverse_eig(bundle.laplacian) @ vec)
-
-    if d.component_count == 1:
-        try:
-            r_cut = float(vec @ laplacian_pseudo_inverse(bundle, d) @ vec)
-        except SingularCutGramError:
-            return r_eig
-        if abs(r_cut - r_eig) > CROSS_CHECK_RTOL * max(1.0, abs(r_eig)):
-            raise CrossCheckError(
-                f"resistance routes disagree: cut-basis {r_cut!r} vs "
-                f"eigendecomposition {r_eig!r}"
-            )
-        return r_cut
-    return r_eig
+    return float(vec @ pseudo_inverse_eig(laplacian_matrix(g)) @ vec)
 
 
 def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):

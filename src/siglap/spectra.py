@@ -59,10 +59,10 @@ def _symmetrized(m) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _check_tolerance(tol: float | None) -> None:
+def _check_tolerance(tol: float | None, what: str = "zero tolerance") -> None:
     """Raise :class:`InvalidToleranceError` unless ``tol`` is None or >= 0."""
     if tol is not None and not tol >= 0.0:
-        raise InvalidToleranceError(f"zero tolerance must be >= 0, got {tol!r}")
+        raise InvalidToleranceError(f"{what} must be >= 0, got {tol!r}")
 
 
 def signature(m, tol: float | None = None) -> Signature:

@@ -144,6 +144,44 @@ def edge_difference_null_vector(g: sl.SignedGraph) -> np.ndarray:
     return x - x.mean()
 
 
+def rk4_trajectory(L: np.ndarray, x0: np.ndarray, t_final: float, step: float,
+                   output_stride: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's consensus demonstration by fixed-step classical RK4 on
+    x' = -L x, recorded at t = 0, every ``output_stride`` steps and at
+    ``t_final`` (a shorter last step covers any remainder)."""
+    A = -L
+
+    def rk4_step(x, h):
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * h * k1)
+        k3 = A @ (x + 0.5 * h * k2)
+        k4 = A @ (x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n_steps = int(np.floor(t_final / step + 1e-9))
+    remainder = t_final - n_steps * step
+    times, states = [0.0], [x0.copy()]
+    x = x0.copy()
+    for i in range(1, n_steps + 1):
+        x = rk4_step(x, step)
+        if i % output_stride == 0:
+            times.append(i * step)
+            states.append(x.copy())
+    if remainder > 1e-12 * max(1.0, t_final):
+        times.append(t_final)
+        states.append(rk4_step(x, remainder))
+    elif n_steps % output_stride != 0:
+        times.append(n_steps * step)
+        states.append(x.copy())
+    return np.array(times), np.array(states)
+
+
+def modal_states(L: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
+    """Rows ``V exp(-t Lambda) V^T x0`` of the exact consensus solution."""
+    lam, V = np.linalg.eigh(L)
+    return np.array([V @ (np.exp(-t * lam) * (V.T @ x0)) for t in times])
+
+
 def tree_distance(n: int, node_pairs, u: int, v: int) -> int:
     adj = [[] for _ in range(n)]
     for a, b in node_pairs:

@@ -193,6 +193,34 @@ def test_simulate_with_wrong_x0_length(tmp_path):
     assert main(["simulate", path, "--x0", str(x0_path)]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--step", "0"], ["--step", "1e-12"], ["--t-final", "nan"], ["--t-final", "inf"],
+    ["--cluster-tol", "-1"], ["--x0", "nan"],
+], ids=["step-0", "step-1e-12", "t-final-nan", "t-final-inf", "cluster-tol-neg", "x0-nan"])
+def test_simulate_rejects_bad_parameters(tmp_path, capsys, args):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    if args[0] == "--x0":
+        x0_path = tmp_path / "x0.txt"
+        x0_path.write_text("0.5\n" * 8 + "nan\n")
+        args = ["--x0", str(x0_path)]
+    out, clusters = tmp_path / "traj.csv", tmp_path / "clusters.txt"
+    code = main(["simulate", path, *args, "--out", str(out), "--clusters-out", str(clusters)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not clusters.exists()
+
+
+def test_simulate_reports_overflowing_run_as_diverged(tmp_path):
+    path = tmp_path / "tri.txt"
+    path.write_text("nodes 3\n0 1 1.0\n1 2 1.0\n0 2 -5.0\n")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", str(path), "--t-final", "300", "--out", str(out)]) == 0
+    assert "# diverged: true" in out.read_text().splitlines()
+
+
 def test_report_determinism(tmp_path):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
     out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"

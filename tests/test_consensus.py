@@ -8,14 +8,23 @@ from conftest import (
     caterpillar_with_chord,
     dense_laplacian,
     edge_difference_null_vector,
+    modal_states,
     pairwise_closure_clusters,
     random_boundary_cycle_graph,
+    rk4_trajectory,
 )
 
 
 def test_zero_initial_state_stays_zero():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     traj = sl.simulate(g, np.zeros(3), t_final=1.0)
+    assert np.array_equal(traj.states, np.zeros_like(traj.states))
+    assert traj.final_clusters.cluster_count == 1
+
+
+def test_zero_initial_state_stays_zero_on_indefinite_graph():
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -5.0)])
+    traj = sl.simulate(g, np.zeros(3), t_final=300.0)
     assert np.array_equal(traj.states, np.zeros_like(traj.states))
     assert traj.final_clusters.cluster_count == 1
 
@@ -55,10 +64,76 @@ def test_rk4_error_drops_sixteenfold_when_halving_step():
     exact = V @ (np.exp(-lam * 1.0) * (V.T @ x0))
     errs = []
     for h in (0.02, 0.01):
-        traj = sl.simulate(g, x0, t_final=1.0, step=h, output_stride=1)
-        errs.append(np.max(np.abs(traj.states[-1] - exact)))
+        _, states = rk4_trajectory(L, x0, t_final=1.0, step=h, output_stride=1)
+        errs.append(np.max(np.abs(states[-1] - exact)))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
+
+
+def test_simulate_rows_match_modal_oracle():
+    rng = np.random.default_rng(211)
+    graphs = [caterpillar_with_chord(w) for w in (-0.1, -0.2, -0.25, -0.5)]
+    graphs += [random_boundary_cycle_graph(rng) for _ in range(5)]
+    for g in graphs:
+        x0 = rng.uniform(0.0, 1.0, g.node_count)
+        traj = sl.simulate(g, x0, t_final=20.0, step=1e-2, output_stride=3)
+        assert np.array_equal(traj.states[0], x0)
+        expected = modal_states(dense_laplacian(g.node_count, g.edges), x0, traj.times)
+        for row, exp in zip(traj.states, expected):
+            assert np.max(np.abs(row - exp)) <= 1e-12 * max(1.0, float(np.max(np.abs(row))))
+
+
+@pytest.mark.parametrize("t_final,output_stride", [(20.0, 10), (2.0153, 7), (0.5, 1)])
+def test_simulate_matches_rk4_oracle_on_the_same_grid(t_final, output_stride):
+    g = caterpillar_with_chord(-0.25)
+    x0 = np.random.default_rng(5).uniform(0.0, 1.0, 9)
+    traj = sl.simulate(g, x0, t_final=t_final, step=1e-3, output_stride=output_stride)
+    times, states = rk4_trajectory(dense_laplacian(9, g.edges), x0, t_final, 1e-3,
+                                   output_stride)
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.states - states)) <= 1e-9
+
+
+def test_non_finite_runs_are_reported_as_diverged():
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -5.0)])
+    for t_final in (75.0, 300.0):  # a huge finite window, then an infinite one
+        traj = sl.simulate(g, np.array([0.2, 0.5, 0.9]), t_final=t_final)
+        assert traj.diverged
+    for bad in (np.nan, np.inf):
+        states = np.ones((20, 3))
+        states[-1, 1] = bad
+        with pytest.raises(sl.UnboundedError):
+            sl.detect_clusters(trajectory_of(states))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 0.0}, {"step": -1e-3}, {"step": np.nan}, {"t_final": np.nan},
+    {"t_final": np.inf}, {"t_final": 0.0}, {"step": 1e-12}, {"output_stride": 0},
+    {"x0": [0.0, np.nan, 1.0]}, {"x0": [0.0, 1.0]},
+], ids=["step-0", "step-neg", "step-nan", "t-final-nan", "t-final-inf", "t-final-0",
+        "step-1e-12", "stride-0", "x0-nan", "x0-short"])
+def test_simulate_rejects_bad_parameters(kwargs):
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    x0 = kwargs.pop("x0", [0.0, 0.5, 1.0])
+    with pytest.raises(sl.InvalidParameterError):
+        sl.simulate(g, x0, **kwargs)
+
+
+def test_recorded_values_bound_counts_samples_times_nodes():
+    # 10**5 + 1 samples (t = 0 included) of 100 nodes: one sample over the bound
+    g = sl.build_graph(100, [(v - 1, v, 1.0) for v in range(1, 100)])
+    with pytest.raises(sl.InvalidParameterError, match="100001 samples of 100 nodes"):
+        sl.simulate(g, np.zeros(100), t_final=1e5, step=1.0, output_stride=1)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan])
+def test_cluster_tolerance_rejected(tol):
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(sl.InvalidToleranceError):
+        sl.simulate(g, [0.0, 0.5, 1.0], t_final=1.0, cluster_tol=tol)
+    traj = sl.simulate(g, [0.0, 0.5, 1.0], t_final=1.0)
+    with pytest.raises(sl.InvalidToleranceError):
+        sl.detect_clusters(traj, tol=tol)
 
 
 def test_synchronization_with_weak_negative_edge():

@@ -11,7 +11,14 @@ import pytest
 
 import siglap as sl
 import siglap.resistance as resistance_module
-from conftest import caterpillar_tree, dense_laplacian, random_connected_positive
+from conftest import (
+    caterpillar_tree,
+    caterpillar_with_chord,
+    dense_laplacian,
+    random_boundary_cycle_graph,
+    random_connected_positive,
+    random_signed,
+)
 
 
 def nx_graph(g: sl.SignedGraph) -> nx.Graph:
@@ -121,3 +128,28 @@ def test_numerically_singular_grounded_matrix_raises_cross_check():
         sl.effective_resistance(g, 0, 2)
     with pytest.raises(sl.CrossCheckError):
         sl.resistance_matrix_for_negatives(g, [(0, 2)])
+
+
+def test_signed_effective_resistance_matches_pinv():
+    rng = np.random.default_rng(331)
+    graphs = [caterpillar_with_chord(w) for w in (-0.1, -0.25, -0.5)]
+    graphs += [random_boundary_cycle_graph(rng) for _ in range(10)]
+    graphs += [random_signed(rng) for _ in range(40)]
+    checked = 0
+    for g in graphs:
+        if not g.negative_edge_indices():
+            continue
+        n = g.node_count
+        # pinv by SVD, dropping singular values below the package's zero
+        # tolerance n * eps * max|eig| (the two agree for symmetric L)
+        pinv = np.linalg.pinv(dense_laplacian(n, g.edges), rcond=n * np.finfo(float).eps)
+        labels = sl.component_labels(g)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if labels[u] != labels[v]:
+                    continue
+                expected = pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v]
+                got = sl.effective_resistance(g, u, v)
+                assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+                checked += 1
+    assert checked > 500
