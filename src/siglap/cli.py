@@ -22,7 +22,7 @@ from .errors import (
     NodesDisconnectedError,
     SiglapError,
 )
-from .graph_core import SignedGraph
+from .graph_core import SignedGraph, component_labels
 from .graphfile import read_graph_file
 from .laplacians import laplacian_matrix
 
@@ -127,8 +127,9 @@ def _cmd_check_psd(config: RunConfig, g: SignedGraph) -> list[str]:
     neg = g.negative_edge_indices()
     lines = _header(config)
     if not neg:
-        sig = spectra.signature(laplacian_matrix(g), config.tol)
-        lines.append(f"PSD (strict interior), sigma={_sigma_str(sig)}")
+        # PSD by construction, with one zero eigenvalue per component.
+        c = int(component_labels(g).max()) + 1
+        lines.append(f"PSD (strict interior), sigma=({g.node_count - c},0,{c})")
         lines.append("# all weights positive; Laplacian is PSD by construction")
         return lines
     verdict = definiteness.multi_edge_verdict(g, config.tol)
@@ -241,7 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="edge-list graph file")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--tol", type=float, default=None,
-                       help="zero tolerance override for eigenvalue counts")
+                       help="zero tolerance (>= 0) for eigenvalue counts: signature "
+                            "tests the spectrum of L (default dim*eps*max|eig|), check-psd "
+                            "tests eig(T), T = I - D^1/2 R D^1/2 over the negative edges "
+                            f"(default {definiteness.BOUNDARY_RTOL:g})")
 
     add_common(sub.add_parser("signature", help="signature of the weighted Laplacian"))
 

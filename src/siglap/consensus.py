@@ -22,7 +22,7 @@ from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterE
 from .graph_core import SignedGraph, _canonical_labels, component_labels, path_edge_sets
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .resistance import _grounded_solve, _indicator_difference
-from .spectra import _check_tolerance
+from .spectra import _check_tolerance, default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
@@ -76,7 +76,11 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
 
     Each sample is ``V exp(-t Lambda) V^T x0`` from one eigendecomposition
     of L.  Divergence (possible when L is indefinite) is legitimate: the
-    trajectory is returned with ``final_clusters = None``.
+    trajectory is returned with ``final_clusters = None``.  The run has
+    diverged when x0 excites a mode whose eigenvalue is below minus
+    ``default_zero_tolerance`` of the spectrum, however little that mode has
+    grown by ``t_final``, or when the final window fails the norm test of
+    :func:`detect_clusters`.
 
     Raises:
         InvalidParameterError: x0 is not a finite vector over the nodes,
@@ -114,10 +118,13 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
         times = np.append(times, n_steps * step if exact_end else t_final)
 
     lam, V = np.linalg.eigh(laplacian_matrix(g))
+    zero_tol = default_zero_tolerance(lam, n)
     modes = V.T @ x0
     # A mode that x0 misses exactly stays zero even where exp(-t lam) overflows.
     active = modes != 0.0
     lam, V, modes = lam[active], V[:, active], modes[active]
+    # Any excited mode with a negative eigenvalue grows without bound.
+    diverged = bool(np.any(lam < -zero_tol))
     states = np.empty((times.size, n))
     # An indefinite L overflows exp(-t lam) to inf, and V @ (... inf ...) can
     # give NaN; both are reported as divergence below.
@@ -125,10 +132,12 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
         for k, t in enumerate(times):
             states[k] = V @ (np.exp(-t * lam) * modes)
     states[0] = x0
-    try:
-        clusters = _detect(times, states, cluster_tol)
-    except UnboundedError:
-        clusters = None
+    clusters = None
+    if not diverged:
+        try:
+            clusters = _detect(times, states, cluster_tol)
+        except UnboundedError:  # growth from eigenvalues inside the zero tolerance
+            pass
     return Trajectory(times, states, step, clusters)
 
 

@@ -235,3 +235,21 @@ def test_tolerance_echoed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "# tol: 1e-09" in out
     assert "tolerance_used = 1e-09" in out
+
+
+def test_simulate_reports_slowly_growing_indefinite_run_as_diverged(tmp_path):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.5))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", path, "--seed", "0", "--out", str(out)]) == 0
+    head = out.read_text().splitlines()[:6]
+    assert "# diverged: true" in head
+    assert not any(line.startswith("# clusters:") for line in head)
+
+
+def test_check_psd_all_positive_counts_components(tmp_path, capsys):
+    # two components, 5 nodes: one zero eigenvalue each, whatever --tol says
+    g = sl.build_graph(5, [(0, 1, 1.0), (1, 2, 1e-8), (3, 4, 2.0)])
+    path = graph_file(tmp_path, g)
+    for tol in ([], ["--tol", "1.0"]):
+        assert main(["check-psd", path, *tol]) == 0
+        assert "PSD (strict interior), sigma=(3,0,2)" in capsys.readouterr().out

@@ -286,3 +286,12 @@ def test_predict_clusters_matches_edge_difference_construction():
         kept = [(a, b) for e, (a, b, _) in enumerate(g.edges) if e not in cycle]
         assert prediction.q == bfs_component_count(g.node_count, kept)
         assert prediction.component_map == tuple(sl.component_labels(g, cycle).tolist())
+
+
+def test_slowly_growing_indefinite_run_is_diverged():
+    # smallest eigenvalue -0.228: by t = 20 the run has grown only about
+    # sevenfold, far from the norm test's 1e6, yet it never converges
+    g = caterpillar_with_chord(-0.5)
+    traj = sl.simulate(g, np.random.default_rng(0).uniform(0.0, 1.0, 9))
+    assert np.max(np.abs(traj.states)) < 10.0
+    assert traj.diverged

@@ -10,7 +10,8 @@ from conftest import (
     random_tree,
     triangle_chain_with_chords,
 )
-from siglap.definiteness import Classification
+from siglap import definiteness
+from siglap.definiteness import BOUNDARY_RTOL, Classification, _lift_schur_inertia
 
 
 def test_parallel_pair_strict_interior():
@@ -190,3 +191,46 @@ def test_corollary6_never_contradicts_psd():
         sigma = eig_signature(dense_laplacian(g.node_count, g.edges))
         result = sl.corollary6_check(g)
         assert not (sigma[1] == 0 and not result.satisfied)
+
+
+def overlapping_chords_at_nine_tenths():
+    """Asymmetric 4-cycle with both diagonals at 0.9x their own thresholds
+    (R(0,2) = 0.42 and R(1,3) = 0.5 over the positive part)."""
+    cycle = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 4.0)]
+    g_plus = sl.build_graph(4, cycle)
+    chords = [(u, v, -0.9 / sl.effective_resistance(g_plus, u, v)) for u, v in ((0, 2), (1, 3))]
+    return sl.build_graph(4, cycle + chords)
+
+
+def test_overlapping_chords_each_inside_threshold_can_be_indefinite():
+    g = overlapping_chords_at_nine_tenths()
+    verdict = sl.multi_edge_verdict(g)
+    assert [e.margin for e in verdict.per_edge] == [pytest.approx(-0.1)] * 2
+    assert not verdict.disjointness_hypothesis_holds
+    assert verdict.classification is Classification.INDEFINITE
+    assert verdict.sigma.as_tuple() == (2, 1, 1) == eig_signature(dense_laplacian(4, g.edges))
+
+
+def test_wrong_disjointness_answer_is_caught(monkeypatch):
+    # margins alone say strict interior; the full m x m inertia says indefinite
+    monkeypatch.setattr(definiteness, "path_edge_sets",
+                        lambda g, pairs: [frozenset({k}) for k in range(len(pairs))])
+    with pytest.raises(sl.CrossCheckError):
+        sl.multi_edge_verdict(overlapping_chords_at_nine_tenths())
+
+
+def test_schur_lift_rejects_impossible_counts():
+    inner = sl.Signature(1, 1, 0, 1e-9, True)
+    assert _lift_schur_inertia(5, inner) == sl.Signature(3, 1, 1, 1e-9, True)
+    # three zero eigenvalues of T cannot sit inside a 2-node Laplacian
+    with pytest.raises(sl.CrossCheckError):
+        _lift_schur_inertia(2, sl.Signature(0, 0, 3, 1e-9))
+
+
+def test_verdict_tolerance_applies_to_t():
+    # eig(T) = -margin = 5e-3 here, so a tolerance above it counts a zero
+    g = caterpillar_with_chord(-0.25 * 0.995)
+    assert sl.single_edge_verdict(g).sigma == sl.Signature(8, 0, 1, BOUNDARY_RTOL)
+    verdict = sl.single_edge_verdict(g, tol=1e-2)
+    assert verdict.sigma == sl.Signature(7, 0, 2, 1e-2, near_singular=True)
+    assert verdict.classification is Classification.STRICT_INTERIOR
