@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 I/O or parse errors, 2 theorem-hypothesis
 violations (the message names the failed precondition), so scripted sweeps
 can bin outcomes.  All floating-point output is fixed at 12 significant
-digits and every run echoes its tolerances (and seed, where one is used).
+digits.  Every run echoes the settings its answer depends on: ``--tol`` for
+``signature`` and ``check-psd``, the seed and simulation settings for
+``simulate``.  Every command validates ``--tol``, but the others ignore it.
 """
 
 from __future__ import annotations
@@ -64,9 +66,14 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+# The commands whose answer depends on --tol; only they echo it.
+_TOL_COMMANDS = ("signature", "check-psd")
+
+
 def _header(config: RunConfig, extra: list[str] | None = None) -> list[str]:
     lines = [f"# siglap {config.command}", f"# input: {config.input_path}"]
-    lines.append(f"# tol: {'default' if config.tol is None else _fmt(config.tol)}")
+    if config.command in _TOL_COMMANDS:
+        lines.append(f"# tol: {'default' if config.tol is None else _fmt(config.tol)}")
     if extra:
         lines.extend(extra)
     return lines
@@ -242,9 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="edge-list graph file")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--tol", type=float, default=None,
-                       help="zero tolerance (>= 0) for eigenvalue counts: signature "
-                            "tests the spectrum of L (default dim*eps*max|eig|), check-psd "
-                            "tests eig(T), T = I - D^1/2 R D^1/2 over the negative edges "
+                       help="zero tolerance (>= 0) for eigenvalue counts, used by "
+                            "signature and check-psd only: signature tests the spectrum "
+                            "of L (default dim*eps*max|eig|), check-psd tests eig(T), "
+                            "T = I - D^1/2 R D^1/2 over the negative edges, and the "
+                            "per-edge margins "
                             f"(default {definiteness.BOUNDARY_RTOL:g})")
 
     add_common(sub.add_parser("signature", help="signature of the weighted Laplacian"))

@@ -30,6 +30,11 @@ DEFAULT_OUTPUT_STRIDE = 10
 DEFAULT_CLUSTER_TOL = 1e-5
 UNBOUNDED_FACTOR = 1e6
 MAX_RECORDED_VALUES = 10**7  # samples x nodes; 80 MB of float64 states
+# Time samples per matrix product in ``simulate``; the block temporary is
+# _SAMPLE_BLOCK x n.  On a 307-node graph sampled 2001 times, 256 ran faster
+# than 64 and than one product over the whole grid, whose temporary is as
+# large as the states.
+_SAMPLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,13 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     # Any excited mode with a negative eigenvalue grows without bound.
     diverged = bool(np.any(lam < -zero_tol))
     states = np.empty((times.size, n))
-    # An indefinite L overflows exp(-t lam) to inf, and V @ (... inf ...) can
+    # An indefinite L overflows exp(-t lam) to inf, and (... inf ...) @ V^T can
     # give NaN; both are reported as divergence below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(times):
-            states[k] = V @ (np.exp(-t * lam) * modes)
+        for s in range(0, times.size, _SAMPLE_BLOCK):
+            t_blk = times[s:s + _SAMPLE_BLOCK]
+            np.matmul(np.exp(-t_blk[:, None] * lam) * modes, V.T,
+                      out=states[s:s + t_blk.size])
     states[0] = x0
     clusters = None
     if not diverged:
@@ -156,15 +163,27 @@ def _detect(times: np.ndarray, states: np.ndarray, tol: float) -> ClusterAssignm
             f"initial norm {norm_start:.3e}"
         )
 
-    # Row i compares node i with every later node over the whole window.
-    tails, heads = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for i in range(n - 1):
-        gap = np.max(np.abs(window[:, i + 1:] - window[:, [i]]), axis=0)
-        agree = np.flatnonzero(gap <= tol) + i + 1
-        tails.append(np.full(agree.size, i))
-        heads.append(agree)
-    labels = _canonical_labels(n, np.concatenate(tails), np.concatenate(heads))
+    # Nodes that agree over the window agree in its last row, so in order of
+    # final value each node's partners lie within tol after it.  The slack of a
+    # few ulps keeps every pair that the rounded gap test below accepts.
     final = states[-1]
+    order = np.argsort(final, kind="stable")
+    ranked = final[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf bound keeps all
+        slack = 4.0 * np.spacing(np.abs(ranked) + tol)
+        ends = np.searchsorted(ranked, ranked + tol + slack, side="right")
+    # root[i] is the lowest node of the group joined to i so far.
+    root = np.arange(n)
+    for p in np.flatnonzero(ends > np.arange(1, n + 1)):
+        i = order[p]
+        cand = order[p + 1:ends[p]]
+        cand = cand[root[cand] != root[i]]
+        gap = np.max(np.abs(window[:, cand] - window[:, [i]]), axis=0)
+        agree = cand[gap <= tol]
+        if agree.size:
+            groups = np.append(root[agree], root[i])
+            root[np.isin(root, groups)] = groups.min()
+    labels = _canonical_labels(n, np.arange(n), root)
     values = [float(np.mean(final[labels == cid])) for cid in range(int(labels.max()) + 1)]
     return ClusterAssignment(tuple(int(c) for c in labels), tuple(values))
 
@@ -205,8 +224,12 @@ def predict_clusters(g: SignedGraph,
         CrossCheckError: ``max|L z|`` exceeds 1e-8.
     """
     n = g.node_count
+    positive = g.positive_edge_indices()
+    g_plus = g.subgraph(positive)
+    plus_connected = int(component_labels(g_plus).max()) == 0
     failures = []
-    if int(component_labels(g).max()) != 0:
+    # A connected G+ spans every node, so G is connected too.
+    if not plus_connected and int(component_labels(g).max()) != 0:
         failures.append("graph must be connected")
     if g.edge_count != n:
         failures.append(
@@ -215,9 +238,7 @@ def predict_clusters(g: SignedGraph,
     neg = g.negative_edge_indices()
     if len(neg) != 1:
         failures.append(f"exactly one negative edge required, found {len(neg)}")
-    positive = g.positive_edge_indices()
-    g_plus = g.subgraph(positive)
-    if int(component_labels(g_plus).max()) != 0:
+    if not plus_connected:
         failures.append("positive subgraph must be connected")
     if failures:
         raise HypothesisViolatedError(failures)

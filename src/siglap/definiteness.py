@@ -28,9 +28,9 @@ from .graph_core import SignedGraph, component_labels, path_edge_sets
 from .resistance import resistance_matrix_for_negatives, total_resistance
 from .spectra import Signature, signature
 
-# Relative tolerance on |w| * R - 1 deciding boundary equality; also the
-# default zero tolerance on eig(T), whose eigenvalues are -margin_k when the
-# path sets are disjoint.
+# Default relative tolerance on |w| * R - 1 deciding boundary equality, and
+# the default zero tolerance on eig(T), whose eigenvalues are -margin_k when
+# the path sets are disjoint.
 BOUNDARY_RTOL = 1e-9
 COROLLARY6_SLACK = 1e-9
 
@@ -146,18 +146,19 @@ def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
 
 
 def _schur_signature(n: int, matrix: np.ndarray, magnitudes: list[float],
-                     tol: float | None) -> Signature:
+                     tol: float) -> Signature:
     """Inertia of L from ``T = I - D^1/2 R D^1/2``; ``|eig(T)| <= tol``
-    (default ``BOUNDARY_RTOL``) counts as zero."""
+    counts as zero."""
     root = np.sqrt(magnitudes)
     t = np.eye(root.size) - root[:, None] * matrix * root[None, :]
-    return _lift_schur_inertia(n, signature(t, BOUNDARY_RTOL if tol is None else tol))
+    return _lift_schur_inertia(n, signature(t, tol))
 
 
 def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:
     """Verdict for a graph with exactly one negative edge.
 
-    ``tol`` is the zero tolerance on eig(T) (default ``BOUNDARY_RTOL``).
+    ``tol`` is the zero tolerance on eig(T) and on the per-edge margins
+    (default ``BOUNDARY_RTOL``).
 
     Raises:
         HypothesisViolatedError: zero or several negative edges, or the
@@ -173,8 +174,9 @@ def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definitenes
         raise HypothesisViolatedError(failures)
 
     per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg)
-    classification = _classify([per_edge[0].margin], BOUNDARY_RTOL)
-    sigma = _schur_signature(g.node_count, matrix, magnitudes, tol)
+    zero_tol = BOUNDARY_RTOL if tol is None else tol
+    classification = _classify([per_edge[0].margin], zero_tol)
+    sigma = _schur_signature(g.node_count, matrix, magnitudes, zero_tol)
     _cross_validate(classification, sigma)
     return DefinitenessVerdict(classification, per_edge, True, c6.satisfied, sigma)
 
@@ -189,7 +191,8 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     overlapping path sets too, decides the verdict and
     ``disjointness_hypothesis_holds`` is False.
 
-    ``tol`` is the zero tolerance on eig(T) (default ``BOUNDARY_RTOL``).
+    ``tol`` is the zero tolerance on eig(T) and on the per-edge margins
+    (default ``BOUNDARY_RTOL``).
 
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
@@ -204,9 +207,10 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     disjoint = all(
         not (sets[i] & sets[j]) for i in range(len(sets)) for j in range(i + 1, len(sets))
     )
-    sigma = _schur_signature(g.node_count, matrix, magnitudes, tol)
+    zero_tol = BOUNDARY_RTOL if tol is None else tol
+    sigma = _schur_signature(g.node_count, matrix, magnitudes, zero_tol)
     if disjoint:
-        classification = _classify([e.margin for e in per_edge], BOUNDARY_RTOL)
+        classification = _classify([e.margin for e in per_edge], zero_tol)
         _cross_validate(classification, sigma)
     else:
         # The per-edge thresholds do not apply; the inertia decides.

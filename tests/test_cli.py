@@ -253,3 +253,26 @@ def test_check_psd_all_positive_counts_components(tmp_path, capsys):
     for tol in ([], ["--tol", "1.0"]):
         assert main(["check-psd", path, *tol]) == 0
         assert "PSD (strict interior), sigma=(3,0,2)" in capsys.readouterr().out
+
+
+def test_check_psd_classifies_margins_with_the_user_tolerance(tmp_path, capsys):
+    # margin 0.2 lies within --tol 0.5, and so does eig(T) = -0.2
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.3))
+    assert main(["check-psd", path, "--tol", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert "PSD (boundary), sigma=(7,0,2)" in captured.out
+    assert captured.err == ""
+    assert main(["check-psd", path, "--tol", "0.1"]) == 0
+    assert "indefinite, sigma=(7,1,1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,echoed", [
+    ("signature", True), ("check-psd", True), ("resistance", False),
+    ("threshold", False), ("simulate", False), ("predict-clusters", False),
+])
+def test_tolerance_echoed_only_where_it_is_used(tmp_path, command, echoed):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    out = tmp_path / "report.txt"
+    assert main([command, path, "--tol", "5", "--out", str(out)]) == 0
+    tol_lines = [line for line in out.read_text().splitlines() if line.startswith("# tol:")]
+    assert tol_lines == (["# tol: 5"] if echoed else [])

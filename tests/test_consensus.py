@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siglap as sl
+from siglap import consensus
 from conftest import (
     bfs_component_count,
     brute_force_path_edges,
@@ -295,3 +298,121 @@ def test_slowly_growing_indefinite_run_is_diverged():
     traj = sl.simulate(g, np.random.default_rng(0).uniform(0.0, 1.0, 9))
     assert np.max(np.abs(traj.states)) < 10.0
     assert traj.diverged
+
+
+def window_states(window_rows) -> np.ndarray:
+    """21 samples whose final 10% window (samples 18-20) is ``window_rows``;
+    the earlier samples repeat the window's first row."""
+    rows = np.array(window_rows, dtype=float)
+    return np.vstack([np.repeat(rows[:1], 18, axis=0), rows])
+
+
+ULP_1E8 = float(np.spacing(1e8))
+
+# (window rows, tol, expected labels); each is also checked against the
+# pairwise-closure oracle.
+STRESS_CASES = {
+    # nodes 0 and 1 end equal but are apart earlier in the window
+    "crossing": ([[0.0, 1.0, 2.0], [0.5, 0.75, 2.0], [0.625, 0.625, 2.0]], 0.125,
+                 (0, 1, 2)),
+    # node 1 ~ 2 ~ 0 ~ 3, each link exactly tol apart, 1 and 0 apart; node ids
+    # out of final-value order
+    "chain": ([[0.25, 0.0, 0.125, 0.375, 1.0]] * 3, 0.125, (0, 0, 0, 0, 1)),
+    # the same chain with the 2 ~ 0 link broken earlier in the window
+    "broken-chain": ([[0.25, 0.0, 0.0, 0.375, 1.0], [0.25, 0.0, 0.125, 0.375, 1.0],
+                      [0.25, 0.0, 0.125, 0.375, 1.0]], 0.125, (0, 1, 1, 0, 2)),
+    # tol = 0: exact ties only, and a tie in the last row alone does not count
+    "tol-zero": ([[3.0, 1.0, 3.0, 1.0, 2.0], [3.0, 1.0, 3.0, 1.0, 2.0],
+                  [3.0, 1.0, 3.0, 3.0, 2.0]], 0.0, (0, 1, 0, 2, 3)),
+    # near 1e8 the spacing is 2**-26; gaps of exactly 1 and 2 ulps
+    "offset-1e8": ([[1e8 + 2 * ULP_1E8, 1e8, 1e8 + ULP_1E8, 1e8 + 3 * ULP_1E8]] * 3,
+                   ULP_1E8, (0, 0, 0, 0)),
+    # -1e8 + tol is 0 exactly, yet 5e-9 - (-1e8) rounds to tol: the gap test
+    # accepts a pair that lies past the unpadded final-value bound
+    "rounded-gap": ([[5e-9, -1e8, 3.0]] * 3, 1e8, (0, 0, 0)),
+    "rounded-gap-split": ([[5e-9, -1e8, 3.0, 2e8 + 1.0]] * 3, 1e8, (0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRESS_CASES))
+def test_detect_clusters_stress_cases_match_pairwise_closure(name):
+    rows, tol, expected = STRESS_CASES[name]
+    states = window_states(rows)
+    clusters = sl.detect_clusters(trajectory_of(states), tol=tol)
+    labels, values = pairwise_closure_clusters(states, tol)
+    assert clusters.labels == labels == expected
+    assert clusters.values == values
+
+
+# Entries that make ties, gaps of exactly a tolerance below, and mixed
+# magnitudes whose differences round.
+GRID_VALUES = [0.0, 0.125, 0.25, 0.375, 1.0, -1e8, 5e-9, -5e-9, 1e8, 1e8 + ULP_1E8,
+               1e8 + 2 * ULP_1E8]
+GRID_TOLS = [0.0, 0.125, 0.25, 1.0, ULP_1E8, 1e8, 2e8]
+
+
+@st.composite
+def state_matrices(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 12))
+    entry = st.one_of(st.sampled_from(GRID_VALUES), st.floats(-2.0, 2.0))
+    states = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    # a first row as large as any entry keeps the norm test from firing
+    big = max(1.0, float(np.max(np.abs(states))))
+    return np.vstack([np.full((1, n), big), states])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(state_matrices(), st.sampled_from(GRID_TOLS))
+def test_detect_clusters_equals_pairwise_closure_property(states, tol):
+    clusters = sl.detect_clusters(trajectory_of(states), tol=tol)
+    assert (clusters.labels, clusters.values) == pairwise_closure_clusters(states, tol)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, consensus._SAMPLE_BLOCK + 1])
+def test_simulate_rows_match_modal_oracle_around_the_sample_block(extra):
+    # stride 1 and an exact end: n_steps + 1 samples
+    samples = consensus._SAMPLE_BLOCK + extra
+    g = caterpillar_with_chord(-0.25)
+    x0 = np.random.default_rng(13).uniform(0.0, 1.0, 9)
+    traj = sl.simulate(g, x0, t_final=(samples - 1) * 0.0625, step=0.0625,
+                       output_stride=1)
+    assert traj.states.shape == (samples, 9)
+    assert np.array_equal(traj.states[0], x0)
+    expected = modal_states(dense_laplacian(9, g.edges), x0, traj.times)
+    scale = np.maximum(1.0, np.max(np.abs(traj.states), axis=1))
+    assert np.all(np.max(np.abs(traj.states - expected), axis=1) <= 1e-12 * scale)
+
+
+def test_predict_clusters_labels_g_only_when_g_plus_is_disconnected(monkeypatch):
+    calls = []
+
+    def counting(g, skip_edges=()):
+        calls.append(g.edge_count)
+        return sl.component_labels(g, skip_edges)
+
+    monkeypatch.setattr(consensus, "component_labels", counting)
+    assert sl.predict_clusters(caterpillar_with_chord(-0.25)).q == 5
+    # G+, then G without the cycle; G itself is not labelled
+    assert calls == [8, 9]
+
+    # G+ disconnected: G is labelled to report whether it is connected too,
+    # and the failures keep their order
+    calls.clear()
+    g = sl.build_graph(4, [(0, 1, 1.0), (1, 2, -1.0), (0, 2, 1.0)])
+    with pytest.raises(sl.HypothesisViolatedError) as err:
+        sl.predict_clusters(g)
+    assert err.value.failures == (
+        "graph must be connected",
+        "exactly one cycle required (|E| = |V|), got 3 edges on 4 nodes",
+        "positive subgraph must be connected",
+    )
+    assert calls == [2, 3]
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, -1.0), (0, 2, -1.0)])
+    with pytest.raises(sl.HypothesisViolatedError) as err:
+        sl.predict_clusters(g)
+    assert err.value.failures == (
+        "exactly one negative edge required, found 2",
+        "positive subgraph must be connected",
+    )

@@ -233,4 +233,17 @@ def test_verdict_tolerance_applies_to_t():
     assert sl.single_edge_verdict(g).sigma == sl.Signature(8, 0, 1, BOUNDARY_RTOL)
     verdict = sl.single_edge_verdict(g, tol=1e-2)
     assert verdict.sigma == sl.Signature(7, 0, 2, 1e-2, near_singular=True)
-    assert verdict.classification is Classification.STRICT_INTERIOR
+    # the margins are classified with the same tolerance, so both say boundary
+    assert verdict.classification is Classification.BOUNDARY
+
+
+def test_margins_classified_with_the_user_tolerance():
+    # margin 0.2: beyond the boundary by default, within it at tol = 0.5,
+    # where eig(T) = -0.2 counts as zero too
+    g = caterpillar_with_chord(-0.3)
+    for verdict_of in (sl.single_edge_verdict, sl.multi_edge_verdict):
+        assert verdict_of(g).classification is Classification.INDEFINITE
+        verdict = verdict_of(g, tol=0.5)
+        assert verdict.classification is Classification.BOUNDARY
+        assert verdict.sigma.as_tuple() == (7, 0, 2)
+        assert verdict_of(g, tol=0.1).classification is Classification.INDEFINITE
