@@ -21,7 +21,6 @@ from .definiteness import (
 from .errors import (
     CrossCheckError,
     DisconnectedError,
-    FactorNotPDError,
     GraphParseError,
     HypothesisViolatedError,
     InvalidParameterError,
@@ -32,35 +31,21 @@ from .errors import (
     NotSymmetricError,
     SelfLoopError,
     SiglapError,
-    SingularCutGramError,
     UnboundedError,
     ZeroWeightError,
 )
 from .graph_core import (
-    ForestDecomposition,
     SignedGraph,
     build_graph,
-    components_after_edge_removal,
     component_labels,
-    decompose,
-    decompose_with_forest,
-    incidence_matrix,
     path_edge_sets,
 )
 from .graphfile import format_graph, parse_graph, read_graph_file, write_graph_file
-from .laplacians import (
-    EdgeLaplacian,
-    LaplacianBundle,
-    build_bundle,
-    laplacian_matrix,
-    laplacian_pseudo_inverse,
-    weighted_edge_laplacian,
-)
+from .laplacians import laplacian_matrix
 from .resistance import (
     ResistanceReport,
     effective_resistance,
     negative_edge_report,
-    parallel_combination,
     resistance_matrix_for_negatives,
     total_resistance,
 )
@@ -69,7 +54,6 @@ from .spectra import (
     default_zero_tolerance,
     pseudo_inverse_eig,
     signature,
-    signature_of_similar_nonsymmetric,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,21 +34,6 @@ _HYPOTHESIS_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    out_path: str | None = None
-    tol: float | None = None
-    t_final: float = consensus.DEFAULT_T_FINAL
-    step: float = consensus.DEFAULT_STEP
-    cluster_tol: float = consensus.DEFAULT_CLUSTER_TOL
-    seed: int = 0
-    x0_path: str | None = None
-    clusters_out: str | None = None
-    pairs: tuple[tuple[int, int], ...] = field(default=())
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -70,19 +54,19 @@ def _write(text: str, path: str | None) -> None:
 _TOL_COMMANDS = ("signature", "check-psd")
 
 
-def _header(config: RunConfig, extra: list[str] | None = None) -> list[str]:
-    lines = [f"# siglap {config.command}", f"# input: {config.input_path}"]
-    if config.command in _TOL_COMMANDS:
-        lines.append(f"# tol: {'default' if config.tol is None else _fmt(config.tol)}")
+def _header(args: argparse.Namespace, extra: list[str] | None = None) -> list[str]:
+    lines = [f"# siglap {args.command}", f"# input: {args.graph}"]
+    if args.command in _TOL_COMMANDS:
+        lines.append(f"# tol: {'default' if args.tol is None else _fmt(args.tol)}")
     if extra:
         lines.extend(extra)
     return lines
 
 
-def _load_x0(config: RunConfig, g: SignedGraph) -> tuple[np.ndarray, list[str]]:
-    if config.x0_path is not None:
+def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list[str]]:
+    if args.x0 is not None:
         values = []
-        with open(config.x0_path, "r", encoding="utf-8") as fh:
+        with open(args.x0, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -91,26 +75,26 @@ def _load_x0(config: RunConfig, g: SignedGraph) -> tuple[np.ndarray, list[str]]:
                     values.append(float(line))
                 except ValueError:
                     raise GraphParseError(lineno, f"bad x0 value: {line!r}") from None
-        return np.array(values), [f"# x0: {config.x0_path}"]
-    rng = np.random.default_rng(config.seed)
-    return rng.uniform(0.0, 1.0, g.node_count), [f"# seed: {config.seed}"]
+        return np.array(values), [f"# x0: {args.x0}"]
+    rng = np.random.default_rng(args.seed)
+    return rng.uniform(0.0, 1.0, g.node_count), [f"# seed: {args.seed}"]
 
 
-def _cmd_signature(config: RunConfig, g: SignedGraph) -> list[str]:
-    sig = spectra.signature(laplacian_matrix(g), config.tol)
-    lines = _header(config)
+def _cmd_signature(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+    sig = spectra.signature(laplacian_matrix(g), args.tol)
+    lines = _header(args)
     lines.append(f"sigma = {_sigma_str(sig)}")
     lines.append(f"tolerance_used = {_fmt(sig.tolerance_used)}")
     lines.append(f"near_singular = {'true' if sig.near_singular else 'false'}")
     return lines
 
-def _cmd_resistance(config: RunConfig, g: SignedGraph) -> list[str]:
-    lines = _header(config)
-    if config.pairs:
+def _cmd_resistance(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+    lines = _header(args)
+    if args.pair:
         if g.negative_edge_indices():
             lines.append("# note: graph has negative weights; resistance values "
                          "fall outside the threshold theorems")
-        for u, v in config.pairs:
+        for u, v in args.pair:
             lines.append(f"R({u},{v}) = {_fmt(resistance.effective_resistance(g, u, v))}")
         return lines
     report = resistance.negative_edge_report(g)
@@ -120,26 +104,26 @@ def _cmd_resistance(config: RunConfig, g: SignedGraph) -> list[str]:
     return lines
 
 
-def _cmd_threshold(config: RunConfig, g: SignedGraph) -> list[str]:
+def _cmd_threshold(args: argparse.Namespace, g: SignedGraph) -> list[str]:
     report = resistance.negative_edge_report(g)
     if not report.pairs:
         raise HypothesisViolatedError(["at least one negative edge required"])
-    lines = _header(config)
+    lines = _header(args)
     for u, v, r in report.pairs:
         lines.append(f"edge ({u},{v}): max |w-| = {_fmt(1.0 / r)}")
     return lines
 
 
-def _cmd_check_psd(config: RunConfig, g: SignedGraph) -> list[str]:
+def _cmd_check_psd(args: argparse.Namespace, g: SignedGraph) -> list[str]:
     neg = g.negative_edge_indices()
-    lines = _header(config)
+    lines = _header(args)
     if not neg:
         # PSD by construction, with one zero eigenvalue per component.
         c = int(component_labels(g).max()) + 1
         lines.append(f"PSD (strict interior), sigma=({g.node_count - c},0,{c})")
         lines.append("# all weights positive; Laplacian is PSD by construction")
         return lines
-    verdict = definiteness.multi_edge_verdict(g, config.tol)
+    verdict = definiteness.multi_edge_verdict(g, args.tol)
     label = {
         definiteness.Classification.STRICT_INTERIOR: "PSD (strict interior)",
         definiteness.Classification.BOUNDARY: "PSD (boundary)",
@@ -164,15 +148,15 @@ def _cmd_check_psd(config: RunConfig, g: SignedGraph) -> list[str]:
     return lines
 
 
-def _cmd_simulate(config: RunConfig, g: SignedGraph) -> tuple[list[str], list[str]]:
-    x0, source_lines = _load_x0(config, g)
+def _cmd_simulate(args: argparse.Namespace, g: SignedGraph) -> tuple[list[str], list[str]]:
+    x0, source_lines = _load_x0(args, g)
     traj = consensus.simulate(
-        g, x0, t_final=config.t_final, step=config.step, cluster_tol=config.cluster_tol
+        g, x0, t_final=args.t_final, step=args.step, cluster_tol=args.cluster_tol
     )
-    head = _header(config, source_lines)
+    head = _header(args, source_lines)
     head.append(
-        f"# t_final: {_fmt(config.t_final)}  step: {_fmt(config.step)}  "
-        f"cluster_tol: {_fmt(config.cluster_tol)}"
+        f"# t_final: {_fmt(args.t_final)}  step: {_fmt(args.step)}  "
+        f"cluster_tol: {_fmt(args.cluster_tol)}"
     )
     if traj.diverged:
         head.append("# diverged: true")
@@ -192,9 +176,9 @@ def _cmd_simulate(config: RunConfig, g: SignedGraph) -> tuple[list[str], list[st
     return csv_lines, cluster_lines
 
 
-def _cmd_predict_clusters(config: RunConfig, g: SignedGraph) -> list[str]:
+def _cmd_predict_clusters(args: argparse.Namespace, g: SignedGraph) -> list[str]:
     prediction = consensus.predict_clusters(g)
-    lines = _header(config)
+    lines = _header(args)
     lines.append(f"q = {prediction.q}")
     lines.append("node,cluster,null_vector")
     for node in range(g.node_count):
@@ -204,36 +188,36 @@ def _cmd_predict_clusters(config: RunConfig, g: SignedGraph) -> list[str]:
     return lines
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        spectra._check_tolerance(config.tol)
-        g = read_graph_file(config.input_path)
-        if config.command == "signature":
-            report = _cmd_signature(config, g)
-        elif config.command == "resistance":
-            report = _cmd_resistance(config, g)
-        elif config.command == "threshold":
-            report = _cmd_threshold(config, g)
-        elif config.command == "check-psd":
-            report = _cmd_check_psd(config, g)
-        elif config.command == "simulate":
-            csv_lines, cluster_lines = _cmd_simulate(config, g)
-            _write("\n".join(csv_lines) + "\n", config.out_path)
-            if config.clusters_out is not None:
-                _write("\n".join(cluster_lines) + "\n", config.clusters_out)
+        spectra._check_tolerance(args.tol)
+        g = read_graph_file(args.graph)
+        if args.command == "signature":
+            report = _cmd_signature(args, g)
+        elif args.command == "resistance":
+            report = _cmd_resistance(args, g)
+        elif args.command == "threshold":
+            report = _cmd_threshold(args, g)
+        elif args.command == "check-psd":
+            report = _cmd_check_psd(args, g)
+        elif args.command == "simulate":
+            csv_lines, cluster_lines = _cmd_simulate(args, g)
+            _write("\n".join(csv_lines) + "\n", args.out)
+            if args.clusters_out is not None:
+                _write("\n".join(cluster_lines) + "\n", args.clusters_out)
             return 0
-        elif config.command == "predict-clusters":
-            report = _cmd_predict_clusters(config, g)
+        elif args.command == "predict-clusters":
+            report = _cmd_predict_clusters(args, g)
         else:
-            raise ValueError(f"unknown command: {config.command}")
+            raise ValueError(f"unknown command: {args.command}")
     except _HYPOTHESIS_ERRORS as exc:
-        sys.stderr.write(f"siglap {config.command}: hypothesis violated: {exc}\n")
+        sys.stderr.write(f"siglap {args.command}: hypothesis violated: {exc}\n")
         return 2
     except (OSError, SiglapError) as exc:
-        sys.stderr.write(f"siglap {config.command}: {exc}\n")
+        sys.stderr.write(f"siglap {args.command}: {exc}\n")
         return 1
-    _write("\n".join(report) + "\n", config.out_path)
+    _write("\n".join(report) + "\n", args.out)
     return 0
 
 
@@ -282,26 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    pairs = tuple((u, v) for u, v in (getattr(args, "pair", None) or ()))
-    return RunConfig(
-        command=args.command,
-        input_path=args.graph,
-        out_path=args.out,
-        tol=args.tol,
-        t_final=getattr(args, "t_final", consensus.DEFAULT_T_FINAL),
-        step=getattr(args, "step", consensus.DEFAULT_STEP),
-        cluster_tol=getattr(args, "cluster_tol", consensus.DEFAULT_CLUSTER_TOL),
-        seed=getattr(args, "seed", 0),
-        x0_path=getattr(args, "x0", None),
-        clusters_out=getattr(args, "clusters_out", None),
-        pairs=pairs,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -142,25 +142,29 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     clusters = None
     if not diverged:
         try:
-            clusters = _detect(times, states, cluster_tol)
+            clusters = _detect(states, cluster_tol)
         except UnboundedError:  # growth from eigenvalues inside the zero tolerance
             pass
     return Trajectory(times, states, step, clusters)
 
 
-def _detect(times: np.ndarray, states: np.ndarray, tol: float) -> ClusterAssignment:
+def _detect(states: np.ndarray, tol: float) -> ClusterAssignment:
     m, n = states.shape
     start = int(np.floor(0.9 * (m - 1)))
     window = states[start:]
 
+    if not (np.all(np.isfinite(states[0])) and np.all(np.isfinite(window))):
+        raise UnboundedError("the initial state or the final window holds an inf or NaN")
+    # Rows scaled by the initial state's largest entry: row 0's norm is at most
+    # sqrt(n), so only a window row far beyond the bound can overflow (to inf).
+    scale = float(np.max(np.abs(states[0]))) or 1.0
     with np.errstate(over="ignore"):
-        norm_end = float(np.max(np.linalg.norm(window, axis=1)))
-        norm_start = float(np.linalg.norm(states[0]))
-    # Written so that a NaN norm (a non-finite window) also counts as unbounded.
+        norm_end = float(np.max(np.linalg.norm(window / scale, axis=1)))
+    norm_start = float(np.linalg.norm(states[0] / scale))
     if not norm_end <= UNBOUNDED_FACTOR * norm_start:
         raise UnboundedError(
-            f"final-window norm {norm_end:.3e} exceeds {UNBOUNDED_FACTOR:g} x "
-            f"initial norm {norm_start:.3e}"
+            f"final-window norm {norm_end * scale:.3e} exceeds {UNBOUNDED_FACTOR:g} x "
+            f"initial norm {norm_start * scale:.3e}"
         )
 
     # Nodes that agree over the window agree in its last row, so in order of
@@ -196,11 +200,12 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
 
     Raises:
         UnboundedError: the final window grew beyond 1e6 x the initial norm,
-            or holds an inf or NaN, the footprint of an indefinite Laplacian.
+            or it or the initial state holds an inf or NaN, the footprint of
+            an indefinite Laplacian.
         InvalidToleranceError: ``tol`` is negative or NaN.
     """
     _check_tolerance(tol, "cluster tolerance")
-    return _detect(traj.times, traj.states, tol)
+    return _detect(traj.states, tol)
 
 
 def predict_clusters(g: SignedGraph,

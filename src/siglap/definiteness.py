@@ -172,13 +172,9 @@ def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definitenes
         failures.append("positive subgraph must be connected")
     if failures:
         raise HypothesisViolatedError(failures)
-
-    per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg)
-    zero_tol = BOUNDARY_RTOL if tol is None else tol
-    classification = _classify([per_edge[0].margin], zero_tol)
-    sigma = _schur_signature(g.node_count, matrix, magnitudes, zero_tol)
-    _cross_validate(classification, sigma)
-    return DefinitenessVerdict(classification, per_edge, True, c6.satisfied, sigma)
+    # One path set is trivially disjoint, so the multi-edge flow classifies
+    # the margin and cross-checks it against the inertia of T.
+    return multi_edge_verdict(g, tol)
 
 
 def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:

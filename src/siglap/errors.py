@@ -57,13 +57,12 @@ class InvalidParameterError(SiglapError, ValueError):
     """A parameter is out of range: not finite, not positive, or too large."""
 
 
-class FactorNotPDError(SiglapError, ValueError):
-    """A factor that must be positive definite is not."""
-
-
 class SingularCutGramError(SiglapError):
     """The cut-basis quadratic form is numerically singular, so the
-    closed-form pseudo-inverse route does not apply."""
+    closed-form pseudo-inverse route does not apply.
+
+    Raised only by the test oracle :func:`siglap.laplacians.laplacian_pseudo_inverse`.
+    """
 
 
 class HypothesisViolatedError(SiglapError):

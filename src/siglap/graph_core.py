@@ -66,6 +66,8 @@ class ForestDecomposition:
     Columns of ``incidence_full`` are ordered forest edges first, then cycle
     edges.  ``tree_to_cycle`` solves ``incidence_forest @ T = incidence_cycle``
     exactly; ``cut_basis`` is ``[I  T]``, whose rows span the cut space.
+
+    Test oracle: no production route builds one.
     """
 
     forest_edges: tuple[int, ...]
@@ -111,7 +113,10 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
 
 
 def incidence_matrix(g: SignedGraph) -> np.ndarray:
-    """|V| x |E| matrix with -1 at each edge's tail and +1 at its head."""
+    """|V| x |E| matrix with -1 at each edge's tail and +1 at its head.
+
+    Test oracle: only the decompositions below use it.
+    """
     E = np.zeros((g.node_count, g.edge_count))
     for k, (u, v, _) in enumerate(g.edges):
         E[u, k] = -1.0
@@ -205,7 +210,10 @@ def _assemble(g: SignedGraph, forest: tuple[int, ...], cycle: tuple[int, ...],
 
 
 def decompose(g: SignedGraph) -> ForestDecomposition:
-    """Split the graph into a deterministic spanning forest and its cycle edges."""
+    """Split the graph into a deterministic spanning forest and its cycle edges.
+
+    Test oracle: no production route calls it.
+    """
     forest_set, components = _dfs_forest(g)
     forest = tuple(sorted(forest_set))
     in_forest = set(forest)
@@ -220,6 +228,8 @@ def decompose_with_forest(g: SignedGraph, forest_edges) -> ForestDecomposition:
     every component the graph has).  Both follow from component counts: the
     forest is acyclic exactly when it has ``n - components(forest)`` edges,
     and spanning exactly when ``components(forest) == components(g)``.
+
+    Test oracle: no production route calls it.
 
     Raises:
         ValueError: the forest closes a cycle or does not span the graph.
@@ -367,9 +377,3 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
         results.append(frozenset(edge_set))
     return results
 
-
-def components_after_edge_removal(g: SignedGraph, removed) -> int:
-    """Number of connected components once the given edges are removed
-    (isolated nodes count)."""
-    labels = component_labels(g, skip_edges=removed)
-    return int(labels.max()) + 1

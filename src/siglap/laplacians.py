@@ -1,11 +1,11 @@
-"""Laplacian-family matrices: node Laplacian, weighted edge Laplacian, the
-essential edge Laplacian, and the cut-basis quadratic form.
+"""Laplacian-family matrices: the node Laplacian, and the paper's essential
+edge Laplacian and cut-basis quadratic form.
 
 The node Laplacian comes in two forms, both scattered straight from the edge
 list in edge order: :func:`sparse_laplacian` (CSC) feeds the grounded
 resistance solves, :func:`laplacian_matrix` (dense) feeds the eigenvalue
 routines.  The cut-basis matrices in :class:`LaplacianBundle` stay dense; they
-are the paper's closed-form constructions and serve as reference routes.
+are the paper's closed-form constructions, kept only as test oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_matrix, csc_matrix
 
 from .errors import DisconnectedError, SingularCutGramError
-from .graph_core import ForestDecomposition, SignedGraph, incidence_matrix
+from .graph_core import ForestDecomposition, SignedGraph
 from .spectra import default_zero_tolerance
 
 
@@ -29,6 +29,8 @@ class LaplacianBundle:
     forest-then-cycle edge order; ``cut_gram`` is ``R W R^T``;
     ``essential`` is ``forest_edge_laplacian @ cut_gram`` (nonsymmetric in
     general, but similar to a symmetric matrix).
+
+    Test oracle: no production route builds one.
     """
 
     laplacian: np.ndarray
@@ -36,14 +38,6 @@ class LaplacianBundle:
     cut_gram: np.ndarray
     essential: np.ndarray
     forest_edge_laplacian: np.ndarray
-
-
-@dataclass(frozen=True)
-class EdgeLaplacian:
-    """Edge-indexed companion matrix plus a flag for its symmetry."""
-
-    matrix: np.ndarray
-    symmetric: bool
 
 
 def _laplacian_entries(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +71,10 @@ def sparse_laplacian(g: SignedGraph) -> csc_matrix:
 
 
 def build_bundle(g: SignedGraph, d: ForestDecomposition) -> LaplacianBundle:
-    """Populate every matrix in one pass; ``d`` must derive from ``g``."""
+    """Populate every matrix in one pass; ``d`` must derive from ``g``.
+
+    Test oracle: no production route calls it.
+    """
     w = g.weights[list(d.column_order)]
     W = np.diag(w)
     E = d.incidence_full
@@ -94,24 +91,6 @@ def build_bundle(g: SignedGraph, d: ForestDecomposition) -> LaplacianBundle:
     )
 
 
-def weighted_edge_laplacian(g: SignedGraph) -> EdgeLaplacian:
-    """|E| x |E| edge Laplacian, in the graph's own edge order.
-
-    With all-positive weights this is the symmetric
-    ``W^(1/2) E^T E W^(1/2)``.  A negative weight has no real square root, so
-    signed graphs get the product ``W E^T E`` instead, which shares the
-    nonzero spectrum (AB and BA have the same nonzero eigenvalues) but is not
-    symmetric; the flag says which form was produced.
-    """
-    E = incidence_matrix(g)
-    w = g.weights
-    gram = E.T @ E
-    if np.all(w > 0.0):
-        root = np.sqrt(w)
-        return EdgeLaplacian(root[:, None] * gram * root[None, :], True)
-    return EdgeLaplacian(w[:, None] * gram, False)
-
-
 def laplacian_pseudo_inverse(b: LaplacianBundle, d: ForestDecomposition,
                              tol: float | None = None) -> np.ndarray:
     """Closed-form Moore-Penrose pseudo-inverse of the Laplacian.
@@ -120,6 +99,9 @@ def laplacian_pseudo_inverse(b: LaplacianBundle, d: ForestDecomposition,
     (equivalently: the Laplacian has exactly one zero eigenvalue).  Computed
     as ``(E_T^L)^T (R W R^T)^(-1) E_T^L`` with ``E_T^L`` the left-inverse of
     the tree incidence matrix.
+
+    Test oracle: no production route calls it; resistances come from the
+    grounded solve in :mod:`siglap.resistance`.
 
     Raises:
         DisconnectedError: the decomposition has more than one component.

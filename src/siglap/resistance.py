@@ -18,7 +18,6 @@ so it cannot be solved there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,21 +181,6 @@ def total_resistance(matrix: np.ndarray) -> float:
     if matrix.size == 0:
         return 0.0
     return float(np.trace(matrix))
-
-
-def parallel_combination(r_plus: float, r_minus: float) -> float:
-    """Equivalent resistance of r_plus and r_minus in parallel.
-
-    ``r_minus = -r_plus`` is an open circuit and returns ``math.inf``.
-    """
-    if r_plus <= 0.0:
-        raise ValueError(f"r_plus must be positive, got {r_plus}")
-    if r_minus == 0.0:
-        raise ValueError("r_minus must be nonzero")
-    total = r_plus + r_minus
-    if total == 0.0:
-        return math.inf
-    return r_plus * r_minus / total
 
 
 def negative_edge_report(g: SignedGraph) -> ResistanceReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorNotPDError, InvalidToleranceError, NotSymmetricError
+from .errors import InvalidToleranceError, NotSymmetricError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -88,33 +88,6 @@ def signature(m, tol: float | None = None) -> Signature:
     n_minus = dim - n_zero - n_plus
     near = bool(tol > 0.0 and np.any((mags > 0.1 * tol) & (mags <= 10.0 * tol)))
     return Signature(n_plus, n_minus, n_zero, float(tol), near)
-
-
-def signature_of_similar_nonsymmetric(pd_factor, symmetric_factor,
-                                      tol: float | None = None) -> Signature:
-    """Signature of the (nonsymmetric) product ``pd_factor @ symmetric_factor``.
-
-    The product is similar to the symmetric matrix
-    ``pd_factor**(1/2) @ symmetric_factor @ pd_factor**(1/2)``, which is
-    congruent to ``symmetric_factor``; its signature is computed from that
-    symmetric form.
-
-    Raises:
-        FactorNotPDError: if ``pd_factor`` is not positive definite.
-    """
-    A = _symmetrized(pd_factor)
-    S = _symmetrized(symmetric_factor)
-    if A.shape != S.shape:
-        raise ValueError(f"factor shapes differ: {A.shape} vs {S.shape}")
-    if A.shape[0] == 0:
-        return signature(S, tol)
-    lam, V = np.linalg.eigh(A)
-    if lam[0] <= default_zero_tolerance(lam, A.shape[0]):
-        raise FactorNotPDError(
-            f"factor is not positive definite: smallest eigenvalue {lam[0]:.3e}"
-        )
-    root = (V * np.sqrt(lam)) @ V.T
-    return signature(root @ S @ root, tol)
 
 
 def pseudo_inverse_eig(m, tol: float | None = None) -> np.ndarray:

@@ -11,6 +11,7 @@ from collections import deque
 
 import numpy as np
 
+import paper_constructions as pc
 import siglap as sl
 
 # 9-node caterpillar: path 0-1-2-3-4 with a pendant leaf on each of 0, 1, 3, 4.
@@ -137,7 +138,7 @@ def edge_difference_null_vector(g: sl.SignedGraph) -> np.ndarray:
     the positive edges as spanning tree, solve the edge-difference system
     ``E^T x = W^-1 [T_0; -1]`` in the least-squares sense and project out
     the all-ones direction."""
-    dec = sl.decompose_with_forest(g, g.positive_edge_indices())
+    dec = pc.decompose_with_forest(g, g.positive_edge_indices())
     w = g.weights[list(dec.column_order)]
     rhs = np.append(dec.tree_to_cycle[:, 0], -1.0) / w
     x, *_ = np.linalg.lstsq(dec.incidence_full.T, rhs, rcond=None)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import paper_constructions as pc
 import siglap as sl
 from conftest import (
     caterpillar_tree,
@@ -123,10 +124,10 @@ def test_criterion_3_signature_shift_suite():
     bad = 0
     for _ in range(200):
         g = random_signed(rng)
-        d = sl.decompose(g)
-        b = sl.build_bundle(g, d)
+        d = pc.decompose(g)
+        b = pc.build_bundle(g, d)
         node = sl.signature(b.laplacian)
-        ess = sl.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
+        ess = pc.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
         cut = sl.signature(b.cut_gram)
         if node.as_tuple() != (ess.n_plus, ess.n_minus, ess.n_zero + d.component_count):
             bad += 1
@@ -171,12 +172,12 @@ def test_criterion_4_resistance_route_equivalence():
     for _ in range(200):
         g = random_connected_positive(rng)
         u, v = (int(x) for x in rng.choice(g.node_count, size=2, replace=False))
-        d = sl.decompose(g)
-        b = sl.build_bundle(g, d)
+        d = pc.decompose(g)
+        b = pc.build_bundle(g, d)
         e = np.zeros(g.node_count)
         e[u], e[v] = 1.0, -1.0
         via_eig = float(e @ sl.pseudo_inverse_eig(b.laplacian) @ e)
-        via_cut = float(e @ sl.laplacian_pseudo_inverse(b, d) @ e)
+        via_cut = float(e @ pc.laplacian_pseudo_inverse(b, d) @ e)
         worst = max(worst, abs(via_eig - via_cut))
     ok = worst <= 1e-9
     worst_tree = 0.0
@@ -354,7 +355,7 @@ def test_criterion_8_single_cycle_mechanism():
     for _ in range(50):
         g = random_boundary_cycle_graph(rng)
         positive = g.positive_edge_indices()
-        dec = sl.decompose_with_forest(g, positive)
+        dec = pc.decompose_with_forest(g, positive)
         t_vec = dec.tree_to_cycle[:, 0]
         scaled = t_vec / np.sqrt(g.weights[list(dec.forest_edges)])
         lam = np.linalg.eigvalsh(np.outer(scaled, scaled))

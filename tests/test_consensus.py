@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paper_constructions as pc
 import siglap as sl
 from siglap import consensus
 from conftest import (
@@ -107,6 +108,23 @@ def test_non_finite_runs_are_reported_as_diverged():
         states[-1, 1] = bad
         with pytest.raises(sl.UnboundedError):
             sl.detect_clusters(trajectory_of(states))
+
+
+def test_detect_rejects_an_inf_among_states_whose_norms_overflow():
+    # Every row's norm overflows to inf, so a norm ratio alone misses the inf.
+    for row in (-1, 0):
+        states = np.full((20, 3), 1e200)
+        states[row, 1] = np.inf
+        with pytest.raises(sl.UnboundedError):
+            sl.detect_clusters(trajectory_of(states))
+
+
+def test_detect_rejects_growth_from_an_initial_state_whose_norm_overflows():
+    states = np.geomspace(1e200, 2e300, 20)[:, None] * np.ones(3)
+    with pytest.raises(sl.UnboundedError):
+        sl.detect_clusters(trajectory_of(states))
+    # the same magnitude held steady is bounded, and agrees
+    assert sl.detect_clusters(trajectory_of(np.full((20, 3), 1e200))).cluster_count == 1
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -239,7 +257,7 @@ def test_cycle_projection_eigenvalue_equals_resistance():
     for _ in range(5):
         g = random_boundary_cycle_graph(rng)
         positive = g.positive_edge_indices()
-        dec = sl.decompose_with_forest(g, positive)
+        dec = pc.decompose_with_forest(g, positive)
         t_vec = dec.tree_to_cycle[:, 0]
         w_plus = g.weights[list(dec.forest_edges)]
         m = np.outer(t_vec / np.sqrt(w_plus), t_vec / np.sqrt(w_plus))

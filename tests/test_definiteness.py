@@ -6,6 +6,7 @@ from conftest import (
     caterpillar_with_chord,
     dense_laplacian,
     eig_signature,
+    random_boundary_cycle_graph,
     random_connected_positive,
     random_tree,
     triangle_chain_with_chords,
@@ -78,6 +79,16 @@ def test_multi_edge_single_negative_matches_single_verdict():
     assert multi.classification is single.classification
     assert multi.sigma.as_tuple() == single.sigma.as_tuple()
     assert multi.per_edge[0].threshold == pytest.approx(single.per_edge[0].threshold)
+
+
+@pytest.mark.parametrize("tol", [None, 0.5])
+def test_single_edge_verdict_is_the_multi_edge_verdict(tol):
+    rng = np.random.default_rng(61)
+    graphs = [caterpillar_with_chord(w) for w in (-0.1, -0.25, -0.3)]
+    graphs += [random_boundary_cycle_graph(rng) for _ in range(10)]
+    for g in graphs:
+        # whole records: per-edge terms, Corollary 6, disjointness and sigma
+        assert sl.single_edge_verdict(g, tol) == sl.multi_edge_verdict(g, tol)
 
 
 def test_multi_edge_non_disjoint_falls_back_to_spectrum():

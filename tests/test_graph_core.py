@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import paper_constructions as pc
 import siglap as sl
 from conftest import (
     bfs_component_count,
@@ -60,13 +61,13 @@ def test_build_graph_non_finite_weight_names_edge(weight):
 
 def test_incidence_single_edge():
     g = sl.build_graph(2, [(0, 1, 1.0)])
-    E = sl.incidence_matrix(g)
+    E = pc.incidence_matrix(g)
     assert np.array_equal(E, [[-1.0], [1.0]])
 
 
 def test_incidence_column_sums_vanish():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    E = sl.incidence_matrix(g)
+    E = pc.incidence_matrix(g)
     assert E.shape == (3, 3)
     assert np.array_equal(E.T @ np.ones(3), np.zeros(3))
 
@@ -80,14 +81,14 @@ def test_incidence_rank_is_nodes_minus_components():
             shift = g.node_count
             extra = [(u + shift, v + shift, w) for u, v, w in g.edges]
             g = sl.build_graph(2 * shift, list(g.edges) + extra)
-        E = sl.incidence_matrix(g)
+        E = pc.incidence_matrix(g)
         c = bfs_component_count(g.node_count, [(u, v) for u, v, _ in g.edges])
         assert np.linalg.matrix_rank(E) == g.node_count - c
 
 
 def test_decompose_tree_has_no_cycle_edges():
     g = sl.build_graph(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
-    d = sl.decompose(g)
+    d = pc.decompose(g)
     assert d.cycle_edges == ()
     assert d.tree_to_cycle.shape == (3, 0)
     assert np.array_equal(d.cut_basis, np.eye(3))
@@ -95,7 +96,7 @@ def test_decompose_tree_has_no_cycle_edges():
 
 def test_decompose_triangle():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    d = sl.decompose(g)
+    d = pc.decompose(g)
     assert d.forest_edges == (0, 1)
     assert d.cycle_edges == (2,)
     # cycle edge is reproduced exactly by the forest columns
@@ -105,7 +106,7 @@ def test_decompose_triangle():
 
 def test_decompose_disconnected():
     g = sl.build_graph(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
-    d = sl.decompose(g)
+    d = pc.decompose(g)
     assert d.component_count == 2
     assert len(d.forest_edges) == 5 - 2
 
@@ -113,8 +114,8 @@ def test_decompose_disconnected():
 def test_decompose_deterministic():
     g = sl.build_graph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (2, 4, 1),
                            (4, 5, 1), (5, 2, 1)])
-    d1 = sl.decompose(g)
-    d2 = sl.decompose(g)
+    d1 = pc.decompose(g)
+    d2 = pc.decompose(g)
     assert d1.forest_edges == d2.forest_edges
     assert d1.cycle_edges == d2.cycle_edges
     assert np.array_equal(d1.tree_to_cycle, d2.tree_to_cycle)
@@ -124,7 +125,7 @@ def test_decompose_random_invariants():
     rng = np.random.default_rng(11)
     for _ in range(30):
         g = random_connected_positive(rng)
-        d = sl.decompose(g)
+        d = pc.decompose(g)
         if d.cycle_edges:
             assert np.max(np.abs(d.incidence_forest @ d.tree_to_cycle
                                  - d.incidence_cycle)) < 1e-10
@@ -134,8 +135,8 @@ def test_decompose_random_invariants():
 
 def test_decompose_with_forest_matches_decompose():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    d = sl.decompose(g)
-    d2 = sl.decompose_with_forest(g, d.forest_edges)
+    d = pc.decompose(g)
+    d2 = pc.decompose_with_forest(g, d.forest_edges)
     assert d2.forest_edges == d.forest_edges
     assert np.array_equal(d2.tree_to_cycle, d.tree_to_cycle)
 
@@ -143,9 +144,9 @@ def test_decompose_with_forest_matches_decompose():
 def test_decompose_with_forest_rejects_cycles_and_nonspanning():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     with pytest.raises(ValueError):
-        sl.decompose_with_forest(g, [0, 1, 2])
+        pc.decompose_with_forest(g, [0, 1, 2])
     with pytest.raises(ValueError):
-        sl.decompose_with_forest(g, [0])
+        pc.decompose_with_forest(g, [0])
 
 
 def test_path_edge_sets_unique_path():
@@ -191,13 +192,13 @@ def test_path_edge_sets_matches_enumeration():
 
 def test_components_after_edge_removal_trivial():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    assert sl.components_after_edge_removal(g, set()) == 1
-    assert sl.components_after_edge_removal(g, {0, 1, 2}) == 3
+    assert pc.components_after_edge_removal(g, set()) == 1
+    assert pc.components_after_edge_removal(g, {0, 1, 2}) == 3
 
 
 def test_components_after_removing_cycle_of_caterpillar():
     g = caterpillar_with_chord(-0.25)
     cycle = {0, 1, 2, 3, 8}  # path edges plus the chord
-    q = sl.components_after_edge_removal(g, cycle)
+    q = pc.components_after_edge_removal(g, cycle)
     kept = [(u, v) for k, (u, v, _) in enumerate(g.edges) if k not in cycle]
     assert q == bfs_component_count(9, kept) == 5

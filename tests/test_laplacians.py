@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import paper_constructions as pc
 import siglap as sl
 from conftest import dense_laplacian, random_signed, caterpillar_with_chord
 
 
 def bundle_for(g):
-    return sl.build_bundle(g, sl.decompose(g)), sl.decompose(g)
+    return pc.build_bundle(g, pc.decompose(g)), pc.decompose(g)
 
 
 def test_single_edge_laplacian():
@@ -33,8 +34,8 @@ def test_laplacian_annihilates_ones():
 
 def test_bundle_structure():
     g = caterpillar_with_chord(-0.25)
-    d = sl.decompose(g)
-    b = sl.build_bundle(g, d)
+    d = pc.decompose(g)
+    b = pc.build_bundle(g, d)
     assert np.allclose(b.cut_gram, b.cut_gram.T)
     assert np.array_equal(b.essential, b.forest_edge_laplacian @ b.cut_gram)
     assert np.all(np.linalg.eigvalsh(b.forest_edge_laplacian) > 0)
@@ -43,14 +44,14 @@ def test_bundle_structure():
 
 
 def test_edge_laplacian_single_edge():
-    out = sl.weighted_edge_laplacian(sl.build_graph(2, [(0, 1, 1.0)]))
+    out = pc.weighted_edge_laplacian(sl.build_graph(2, [(0, 1, 1.0)]))
     assert out.symmetric
     assert np.array_equal(out.matrix, [[2.0]])
 
 
 def test_edge_laplacian_triangle_matches_node_spectrum():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    out = sl.weighted_edge_laplacian(g)
+    out = pc.weighted_edge_laplacian(g)
     assert out.symmetric
     eigs = np.sort(np.linalg.eigvalsh(out.matrix))
     assert np.allclose(eigs, [0.0, 3.0, 3.0])
@@ -58,7 +59,7 @@ def test_edge_laplacian_triangle_matches_node_spectrum():
 
 def test_edge_laplacian_negative_edge_surrogate():
     g = sl.build_graph(2, [(0, 1, -1.0)])
-    out = sl.weighted_edge_laplacian(g)
+    out = pc.weighted_edge_laplacian(g)
     assert not out.symmetric
     assert np.array_equal(out.matrix, [[-2.0]])
     # matches the nonzero eigenvalue of the node Laplacian
@@ -70,7 +71,7 @@ def test_edge_laplacian_positive_psd_and_spectrum_match():
     for _ in range(10):
         g = random_signed(rng)
         g = sl.build_graph(g.node_count, [(u, v, abs(w)) for u, v, w in g.edges])
-        out = sl.weighted_edge_laplacian(g)
+        out = pc.weighted_edge_laplacian(g)
         assert out.symmetric
         edge_eigs = np.linalg.eigvalsh(out.matrix)
         assert edge_eigs.min() > -1e-10
@@ -83,15 +84,15 @@ def test_edge_laplacian_positive_psd_and_spectrum_match():
 
 def test_pseudo_inverse_single_edge():
     g = sl.build_graph(2, [(0, 1, 1.0)])
-    d = sl.decompose(g)
-    out = sl.laplacian_pseudo_inverse(sl.build_bundle(g, d), d)
+    d = pc.decompose(g)
+    out = pc.laplacian_pseudo_inverse(pc.build_bundle(g, d), d)
     assert np.allclose(out, 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_pseudo_inverse_triangle():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    d = sl.decompose(g)
-    out = sl.laplacian_pseudo_inverse(sl.build_bundle(g, d), d)
+    d = pc.decompose(g)
+    out = pc.laplacian_pseudo_inverse(pc.build_bundle(g, d), d)
     expected = np.linalg.pinv(dense_laplacian(3, g.edges))
     assert np.allclose(out, expected, atol=1e-12)
     assert np.allclose(np.diag(out), 2.0 / 9.0)
@@ -104,13 +105,13 @@ def test_pseudo_inverse_moore_penrose_identities():
     checked = 0
     while checked < 20:
         g = random_signed(rng, max_components=1)
-        d = sl.decompose(g)
+        d = pc.decompose(g)
         if d.component_count != 1:
             continue
-        b = sl.build_bundle(g, d)
+        b = pc.build_bundle(g, d)
         try:
-            M = sl.laplacian_pseudo_inverse(b, d)
-        except sl.SingularCutGramError:
+            M = pc.laplacian_pseudo_inverse(b, d)
+        except pc.SingularCutGramError:
             continue
         L = b.laplacian
         assert np.max(np.abs(L @ M @ L - L)) < 1e-9
@@ -122,10 +123,10 @@ def test_pseudo_inverse_moore_penrose_identities():
 
 def test_pseudo_inverse_singular_cut_form_raises():
     g = caterpillar_with_chord(-0.25)  # boundary: two zero eigenvalues
-    d = sl.decompose(g)
-    b = sl.build_bundle(g, d)
-    with pytest.raises(sl.SingularCutGramError):
-        sl.laplacian_pseudo_inverse(b, d)
+    d = pc.decompose(g)
+    b = pc.build_bundle(g, d)
+    with pytest.raises(pc.SingularCutGramError):
+        pc.laplacian_pseudo_inverse(b, d)
     # the eigendecomposition fallback still satisfies Moore-Penrose
     M = sl.pseudo_inverse_eig(b.laplacian)
     assert np.max(np.abs(b.laplacian @ M @ b.laplacian - b.laplacian)) < 1e-9
@@ -133,9 +134,9 @@ def test_pseudo_inverse_singular_cut_form_raises():
 
 def test_pseudo_inverse_requires_connected():
     g = sl.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    d = sl.decompose(g)
+    d = pc.decompose(g)
     with pytest.raises(sl.DisconnectedError):
-        sl.laplacian_pseudo_inverse(sl.build_bundle(g, d), d)
+        pc.laplacian_pseudo_inverse(pc.build_bundle(g, d), d)
 
 
 def test_both_closed_forms_agree():
@@ -144,13 +145,13 @@ def test_both_closed_forms_agree():
     checked = 0
     while checked < 15:
         g = random_signed(rng, max_components=1)
-        d = sl.decompose(g)
+        d = pc.decompose(g)
         if d.component_count != 1 or g.node_count < 2:
             continue
-        b = sl.build_bundle(g, d)
+        b = pc.build_bundle(g, d)
         try:
-            first = sl.laplacian_pseudo_inverse(b, d)
-        except sl.SingularCutGramError:
+            first = pc.laplacian_pseudo_inverse(b, d)
+        except pc.SingularCutGramError:
             continue
         left_inv = np.linalg.solve(b.forest_edge_laplacian, d.incidence_forest.T)
         second = left_inv.T @ np.linalg.solve(b.essential, d.incidence_forest.T)
@@ -163,10 +164,10 @@ def test_similarity_nonzero_spectra_match():
     checked = 0
     while checked < 25:
         g = random_signed(rng, max_components=1)
-        d = sl.decompose(g)
+        d = pc.decompose(g)
         if d.component_count != 1:
             continue
-        b = sl.build_bundle(g, d)
+        b = pc.build_bundle(g, d)
         node = np.linalg.eigvalsh(b.laplacian)
         ess = np.sort(np.linalg.eigvals(b.essential).real)
         scale = max(float(np.max(np.abs(node))), 1e-12)
@@ -182,8 +183,8 @@ def test_essential_factor_order_is_a_similarity():
     # the transform can be written with the factors in either order; both
     # orderings must share a spectrum
     g = caterpillar_with_chord(-0.1)
-    d = sl.decompose(g)
-    b = sl.build_bundle(g, d)
+    d = pc.decompose(g)
+    b = pc.build_bundle(g, d)
     forward = np.sort(np.linalg.eigvals(b.forest_edge_laplacian @ b.cut_gram).real)
     reverse = np.sort(np.linalg.eigvals(b.cut_gram @ b.forest_edge_laplacian).real)
     assert np.allclose(forward, reverse, rtol=1e-9, atol=1e-9)

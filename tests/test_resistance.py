@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import paper_constructions as pc
 import siglap as sl
 from conftest import (
     caterpillar_tree,
@@ -52,9 +53,9 @@ def test_resistance_falls_back_when_cut_form_is_singular():
     from conftest import caterpillar_with_chord
 
     g = caterpillar_with_chord(-0.25)
-    d = sl.decompose(g)
-    with pytest.raises(sl.SingularCutGramError):
-        sl.laplacian_pseudo_inverse(sl.build_bundle(g, d), d)
+    d = pc.decompose(g)
+    with pytest.raises(pc.SingularCutGramError):
+        pc.laplacian_pseudo_inverse(pc.build_bundle(g, d), d)
     pinv = np.linalg.pinv(dense_laplacian(9, g.edges))
     e = np.zeros(9)
     e[1], e[3] = 1.0, -1.0
@@ -66,12 +67,12 @@ def test_route_agreement_on_random_graphs():
     for _ in range(40):
         g = random_connected_positive(rng)
         u, v = (int(x) for x in rng.choice(g.node_count, size=2, replace=False))
-        d = sl.decompose(g)
-        b = sl.build_bundle(g, d)
+        d = pc.decompose(g)
+        b = pc.build_bundle(g, d)
         e = np.zeros(g.node_count)
         e[u], e[v] = 1.0, -1.0
         via_eig = float(e @ sl.pseudo_inverse_eig(b.laplacian) @ e)
-        via_cut = float(e @ sl.laplacian_pseudo_inverse(b, d) @ e)
+        via_cut = float(e @ pc.laplacian_pseudo_inverse(b, d) @ e)
         assert abs(via_eig - via_cut) <= 1e-9 * max(1.0, abs(via_eig))
         assert sl.effective_resistance(g, u, v) == pytest.approx(via_cut, abs=1e-9)
 
@@ -152,13 +153,13 @@ def test_total_resistance_sums_disjoint_diagonal():
 
 
 def test_parallel_combination():
-    assert sl.parallel_combination(1.0, 1.0) == pytest.approx(0.5)
-    assert sl.parallel_combination(4.0, -4.0) == math.inf
-    assert sl.parallel_combination(4.0, -8.0) == pytest.approx(8.0)
+    assert pc.parallel_combination(1.0, 1.0) == pytest.approx(0.5)
+    assert pc.parallel_combination(4.0, -4.0) == math.inf
+    assert pc.parallel_combination(4.0, -8.0) == pytest.approx(8.0)
     with pytest.raises(ValueError):
-        sl.parallel_combination(-1.0, 1.0)
+        pc.parallel_combination(-1.0, 1.0)
     with pytest.raises(ValueError):
-        sl.parallel_combination(1.0, 0.0)
+        pc.parallel_combination(1.0, 0.0)
 
 
 def test_negative_edge_report():

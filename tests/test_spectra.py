@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import paper_constructions as pc
 import siglap as sl
 from conftest import caterpillar_with_chord, eig_signature, random_signed
 
@@ -80,25 +81,25 @@ def test_all_positive_weights_signature():
     for _ in range(15):
         g = random_signed(rng)
         g = sl.build_graph(g.node_count, [(u, v, abs(w)) for u, v, w in g.edges])
-        d = sl.decompose(g)
+        d = pc.decompose(g)
         sig = sl.signature(sl.laplacian_matrix(g))
         assert sig.as_tuple() == (g.node_count - d.component_count, 0, d.component_count)
 
 
 def test_similar_nonsymmetric_tree_identity_weights():
     g = sl.build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    d = sl.decompose(g)
-    b = sl.build_bundle(g, d)
+    d = pc.decompose(g)
+    b = pc.build_bundle(g, d)
     assert np.allclose(b.cut_gram, np.eye(3))
-    sig = sl.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
+    sig = pc.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
     assert sig.as_tuple() == (3, 0, 0)
 
 
 def test_similar_nonsymmetric_boundary_caterpillar():
     g = caterpillar_with_chord(-0.25)
-    d = sl.decompose(g)
-    b = sl.build_bundle(g, d)
-    sig = sl.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
+    d = pc.decompose(g)
+    b = pc.build_bundle(g, d)
+    sig = pc.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
     assert sig.as_tuple() == (7, 0, 1)
 
 
@@ -106,17 +107,17 @@ def test_similar_nonsymmetric_equals_cut_form_signature():
     rng = np.random.default_rng(47)
     for _ in range(25):
         g = random_signed(rng)
-        d = sl.decompose(g)
-        b = sl.build_bundle(g, d)
-        via_product = sl.signature_of_similar_nonsymmetric(b.forest_edge_laplacian,
+        d = pc.decompose(g)
+        b = pc.build_bundle(g, d)
+        via_product = pc.signature_of_similar_nonsymmetric(b.forest_edge_laplacian,
                                                            b.cut_gram)
         direct = sl.signature(b.cut_gram)
         assert via_product.as_tuple() == direct.as_tuple()
 
 
 def test_similar_nonsymmetric_rejects_indefinite_factor():
-    with pytest.raises(sl.FactorNotPDError):
-        sl.signature_of_similar_nonsymmetric(np.diag([1.0, -1.0]), np.eye(2))
+    with pytest.raises(pc.FactorNotPDError):
+        pc.signature_of_similar_nonsymmetric(np.diag([1.0, -1.0]), np.eye(2))
 
 
 def test_signature_shift_by_component_count():
@@ -124,10 +125,10 @@ def test_signature_shift_by_component_count():
     rng = np.random.default_rng(53)
     for _ in range(40):
         g = random_signed(rng)
-        d = sl.decompose(g)
-        b = sl.build_bundle(g, d)
+        d = pc.decompose(g)
+        b = pc.build_bundle(g, d)
         node = sl.signature(b.laplacian)
-        ess = sl.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
+        ess = pc.signature_of_similar_nonsymmetric(b.forest_edge_laplacian, b.cut_gram)
         c = d.component_count
         assert node.as_tuple() == (ess.n_plus, ess.n_minus, ess.n_zero + c)
         cut = sl.signature(b.cut_gram)
@@ -158,7 +159,7 @@ def test_pseudo_inverse_eig_diagonal():
 
 def test_pseudo_inverse_eig_matches_closed_form():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-    d = sl.decompose(g)
-    b = sl.build_bundle(g, d)
+    d = pc.decompose(g)
+    b = pc.build_bundle(g, d)
     assert np.max(np.abs(sl.pseudo_inverse_eig(b.laplacian)
-                         - sl.laplacian_pseudo_inverse(b, d))) < 1e-9
+                         - pc.laplacian_pseudo_inverse(b, d))) < 1e-9
