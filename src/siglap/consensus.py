@@ -6,7 +6,8 @@ V^T x0``; the state mean is a conserved quantity of the dynamics (1^T L = 0)
 and is preserved to rounding error.  At the boundary ``|w| = 1/R_uv`` of a
 single negative edge, the extra null vector of L is that edge's grounded
 potential over the positive spanning tree (the resistance layer's sparse
-solve), and the clusters are the components left once the cycle is removed.
+solve), and the clusters are the components left once the cycle -- the
+biconnected block holding the negative edge -- is removed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from .graph_core import SignedGraph, _canonical_labels, component_labels, path_edge_sets
+from .graph_core import SignedGraph, _canonical_labels, component_labels, edge_blocks
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .resistance import _grounded_solve, _indicator_difference
 from .spectra import _check_tolerance, default_zero_tolerance
@@ -221,16 +222,15 @@ def predict_clusters(g: SignedGraph,
     potential ``z = L(G+)^+ (e_v - e_u)`` has ``z_v - z_u = R_uv`` and
     ``L z = -margin (e_v - e_u)``, so it lies in the kernel of L at the
     boundary.  It is returned projected orthogonal to the all-ones vector.
-    The cycle is the tree path from u to v plus the negative edge, and q is
-    the number of components left once it is removed.
+    The cycle is the biconnected block of G holding the negative edge, and q
+    is the number of components left once its edges are removed.
 
     Raises:
         HypothesisViolatedError: listing every precondition that failed.
         CrossCheckError: ``max|L z|`` exceeds 1e-8.
     """
     n = g.node_count
-    positive = g.positive_edge_indices()
-    g_plus = g.subgraph(positive)
+    g_plus = g.positive_subgraph()
     plus_connected = int(component_labels(g_plus).max()) == 0
     failures = []
     # A connected G+ spans every node, so G is connected too.
@@ -264,8 +264,8 @@ def predict_clusters(g: SignedGraph,
             f"null-vector residual max|L z| {residual:.3e} exceeds 1e-8; "
             "the boundary structure is not consistent"
         )
-    (path,) = path_edge_sets(g_plus, [(u, v)])
-    cycle = {positive[k] for k in path} | {neg[0]}
+    blocks = edge_blocks(g)
+    cycle = np.flatnonzero(blocks == blocks[neg[0]]).tolist()
     labels = component_labels(g, skip_edges=cycle)
     return ClusterPrediction(int(labels.max()) + 1, null_vector,
                              tuple(int(c) for c in labels))

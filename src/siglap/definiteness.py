@@ -13,6 +13,15 @@ G+ (connected), L = L(G+) - B D B^T and Haynsworth's inertia additivity give
 ``T = I - D^1/2 R D^1/2``, which is congruent to ``D^-1 - R`` and
 dimensionless; with disjoint path sets R is diagonal and eig(T) is minus the
 per-edge margins.  No verdict forms an n x n matrix.
+
+Disjointness needs no path-edge sets: they are pairwise disjoint exactly when
+the negative edges lie in distinct biconnected blocks of G.  An edge e in the
+path-edge sets of two negative edges f_i and f_j shares a simple cycle with
+each, so all three lie in one block of G.  Conversely, adding an edge merges
+exactly the blocks on its block-cut-tree path, whose edges form its path-edge
+set.  With disjoint sets those paths share no block of G+, so adding the
+negative edges one by one merges disjoint groups of blocks, and each negative
+edge ends in a block of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CrossCheckError, DisconnectedError, HypothesisViolatedError
-from .graph_core import SignedGraph, component_labels, path_edge_sets
+from .graph_core import SignedGraph, component_labels, edge_blocks
 from .resistance import resistance_matrix_for_negatives, total_resistance
 from .spectra import Signature, signature
 
@@ -180,12 +189,13 @@ def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definitenes
 def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:
     """Verdict for any number (>= 1) of negative edges.
 
-    When the path-edge sets of the negative edges are pairwise disjoint the
-    per-edge thresholds decide the verdict, and the inertia of the full m x m
-    matrix T must agree with them.  When they are not, the thresholds are
-    neither necessary nor sufficient; the inertia of T, which is exact for
-    overlapping path sets too, decides the verdict and
-    ``disjointness_hypothesis_holds`` is False.
+    When the path-edge sets of the negative edges are pairwise disjoint
+    (exactly when the negative edges lie in distinct biconnected blocks of G;
+    see the module docstring) the per-edge thresholds decide the verdict, and
+    the inertia of the full m x m matrix T must agree with them.  When they
+    are not, the thresholds are neither necessary nor sufficient; the inertia
+    of T, which is exact for overlapping path sets too, decides the verdict
+    and ``disjointness_hypothesis_holds`` is False.
 
     ``tol`` is the zero tolerance on eig(T) and on the per-edge margins
     (default ``BOUNDARY_RTOL``).
@@ -199,10 +209,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
         raise HypothesisViolatedError(["at least one negative edge required"])
     # Raises DisconnectedError when the positive subgraph is disconnected.
     per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg)
-    sets = path_edge_sets(g.positive_subgraph(), [e.edge for e in per_edge])
-    disjoint = all(
-        not (sets[i] & sets[j]) for i in range(len(sets)) for j in range(i + 1, len(sets))
-    )
+    disjoint = len(set(edge_blocks(g)[neg].tolist())) == len(neg)
     zero_tol = BOUNDARY_RTOL if tol is None else tol
     sigma = _schur_signature(g.node_count, matrix, magnitudes, zero_tol)
     if disjoint:

@@ -1,15 +1,20 @@
-"""Signed weighted graphs and the combinatorial decompositions everything else consumes.
+"""Signed weighted graphs, their connected components and biconnected blocks.
 
 A :class:`SignedGraph` is immutable: a node count plus an ordered tuple of
 undirected edges ``(tail, head, weight)`` with ``tail < head`` and a nonzero
 weight.  Edge indices -- positions in that tuple -- are the handles used by
 every other module.  All operations here are pure functions.
+
+One lowpoint pass, :func:`edge_blocks`, answers every cycle question: the
+path-edge sets of the negative edges are pairwise disjoint exactly when those
+edges lie in distinct blocks of G, and at the single-cycle boundary the cycle
+is the block holding the negative edge.  The spanning-forest decomposition
+below is a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
+    GraphConstructionError,
     NodeOutOfRangeError,
     NodesDisconnectedError,
     NonFiniteWeightError,
@@ -91,13 +97,20 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     Edge orientation is normalized to ``tail = min(u, v)``; the input edge
     order is preserved and defines the edge indices.
 
+    Every node's weighted degree (the sum of its |w|) must stay below
+    2**1022.  Every entry of ``L + L^T`` is then finite, and by Gershgorin
+    so is every eigenvalue of L.
+
     Raises:
         NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
         NonFiniteWeightError: naming the offending edge index.
+        GraphConstructionError: the first edge that lifts some node's
+            weighted degree to 2**1022 or above.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
     edges = []
+    degree = [0.0] * node_count
     for k, (u, v, w) in enumerate(edge_list):
         u, v, w = int(u), int(v), float(w)
         if not (0 <= u < node_count and 0 <= v < node_count):
@@ -108,6 +121,12 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
             raise ZeroWeightError(k, f"edge {k}: zero weight on ({u}, {v})")
         if not math.isfinite(w):
             raise NonFiniteWeightError(k, f"edge {k}: non-finite weight {w!r} on ({u}, {v})")
+        for x in (u, v):
+            degree[x] += abs(w)
+            if degree[x] >= 2.0 ** 1022:
+                raise GraphConstructionError(
+                    k, f"edge {k}: weight {w!r} on ({u}, {v}) lifts the weighted degree "
+                       f"of node {x} to {degree[x]!r}, at or above 2**1022")
         edges.append((min(u, v), max(u, v), w))
     return SignedGraph(node_count, tuple(edges))
 
@@ -249,9 +268,11 @@ def decompose_with_forest(g: SignedGraph, forest_edges) -> ForestDecomposition:
     return _assemble(g, forest, cycle, components)
 
 
-def _biconnected_edge_components(g: SignedGraph) -> list[list[int]]:
-    """Partition the edges into biconnected components (lists of edge indices).
+def edge_blocks(g: SignedGraph) -> np.ndarray:
+    """Biconnected block id per edge, as an int array over the edge indices.
 
+    Two edges share a block exactly when some simple cycle passes through
+    both (Hopcroft & Tarjan, CACM 1973).  Weight signs are ignored.
     Iterative lowpoint algorithm; parallel edges are handled by tracking the
     entering edge index instead of the parent vertex.
     """
@@ -260,7 +281,8 @@ def _biconnected_edge_components(g: SignedGraph) -> list[list[int]]:
 
     disc = [-1] * n
     low = [0] * n
-    comps: list[list[int]] = []
+    blocks = np.empty(g.edge_count, dtype=int)
+    block_count = 0
     estack: list[int] = []
     timer = 0
     for root in range(n):
@@ -294,86 +316,40 @@ def _biconnected_edge_components(g: SignedGraph) -> list[list[int]]:
                 if low[node] < low[parent_node]:
                     low[parent_node] = low[node]
                 if low[node] >= disc[parent_node]:
-                    comp = []
                     while True:
                         e = estack.pop()
-                        comp.append(e)
+                        blocks[e] = block_count
                         if e == pe:
                             break
-                    comps.append(comp)
+                    block_count += 1
         assert not estack, "edge stack must drain between roots"
-    return comps
+    return blocks
 
 
 def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     """Edges of ``g_plus`` lying on at least one simple u-v path, per query.
 
     ``negative_edges`` is a list of ``(u, v)`` node pairs (typically the
-    endpoints of negative edges that are *not* part of ``g_plus``).  The set
-    for a pair is the union of the biconnected components along the block-cut
-    tree path between u and v: within a biconnected block every edge is
-    reachable on some simple path between any two of its vertices.
+    endpoints of negative edges that are *not* part of ``g_plus``).  An edge
+    lies on a simple u-v path exactly when it shares a simple cycle, hence a
+    biconnected block, with an added u-v edge; the set for a pair is every
+    edge of ``g_plus`` in that edge's block.
 
     Raises:
+        ValueError: a non-positive weight, or a pair that is not two
+            distinct nodes of ``g_plus``.
         NodesDisconnectedError: if u and v fall in different components.
     """
     if any(w <= 0.0 for _, _, w in g_plus.edges):
         raise ValueError("path_edge_sets requires an all-positive graph")
-
-    blocks = _biconnected_edge_components(g_plus)
-    node_blocks: dict[int, list[int]] = {}
-    for b, comp in enumerate(blocks):
-        nodes_b = set()
-        for k in comp:
-            u, v, _ = g_plus.edges[k]
-            nodes_b.add(u)
-            nodes_b.add(v)
-        for node in nodes_b:
-            node_blocks.setdefault(node, []).append(b)
-
-    cut_nodes = {node for node, bs in node_blocks.items() if len(bs) > 1}
-    n_blocks = len(blocks)
-    # Block-cut tree: block b is tree node b, cut vertex v is tree node n_blocks + v.
-    tree_adj: dict[int, list[int]] = {}
-    for node in cut_nodes:
-        cnode = n_blocks + node
-        for b in node_blocks[node]:
-            tree_adj.setdefault(cnode, []).append(b)
-            tree_adj.setdefault(b, []).append(cnode)
-
-    def anchor(u: int) -> int | None:
-        if u in cut_nodes:
-            return n_blocks + u
-        bs = node_blocks.get(u)
-        return bs[0] if bs else None
-
+    n, count = g_plus.node_count, g_plus.edge_count
     results = []
     for u, v in negative_edges:
-        su, sv = anchor(u), anchor(v)
-        if su is None or sv is None:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"invalid node pair ({u}, {v})")
+        blocks = edge_blocks(SignedGraph(n, g_plus.edges + ((u, v, 1.0),)))
+        path = frozenset(np.flatnonzero(blocks[:count] == blocks[count]).tolist())
+        if not path:  # the added edge is a bridge
             raise NodesDisconnectedError(f"nodes {u} and {v} are not connected")
-        if su == sv:
-            path_nodes = [su]
-        else:
-            parents: dict[int, int | None] = {su: None}
-            queue = deque([su])
-            while queue and sv not in parents:
-                x = queue.popleft()
-                for y in tree_adj.get(x, ()):
-                    if y not in parents:
-                        parents[y] = x
-                        queue.append(y)
-            if sv not in parents:
-                raise NodesDisconnectedError(f"nodes {u} and {v} are not connected")
-            path_nodes = []
-            x: int | None = sv
-            while x is not None:
-                path_nodes.append(x)
-                x = parents[x]
-        edge_set: set[int] = set()
-        for x in path_nodes:
-            if x < n_blocks:
-                edge_set.update(blocks[x])
-        results.append(frozenset(edge_set))
+        results.append(path)
     return results
-

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .errors import CrossCheckError, DisconnectedError
+from .errors import CrossCheckError, DisconnectedError, InvalidParameterError
 from .graph_core import SignedGraph, component_labels
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
@@ -111,14 +111,15 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     no semidefiniteness meaning there.
 
     Raises:
+        InvalidParameterError: u or v is not a node, or u = v.
         DisconnectedError: u and v lie in different components.
         CrossCheckError: the grounded solve fails its residual check.
     """
     n = g.node_count
     if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"node out of range: ({u}, {v})")
+        raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
     if u == v:
-        raise ValueError("effective resistance needs two distinct nodes")
+        raise InvalidParameterError(f"effective resistance needs two distinct nodes, got {u} twice")
     labels = component_labels(g)
     if labels[u] != labels[v]:
         raise DisconnectedError(f"nodes {u} and {v} are in different components")

@@ -44,6 +44,35 @@ def test_check_psd_boundary_and_indefinite(tmp_path, capsys):
     assert "indefinite, sigma=(7,1,1)" in capsys.readouterr().out
 
 
+OVERLAPPING_4_CYCLE = (
+    "nodes 4\n0 1 1\n1 2 2\n2 3 3\n0 3 4\n0 2 -2.1\n1 3 -1.8\n",
+    """indefinite, sigma=(2,1,1)
+edge (0,2): |w-| = 2.1  threshold = 2.38095238095  margin = -0.118
+edge (1,3): |w-| = 1.8  threshold = 2  margin = -0.1
+disjoint_paths = false
+corollary6_satisfied = true
+""")
+SHARED_NODE_TRIANGLES = (
+    "nodes 5\n0 2 1\n1 2 1\n2 3 1\n2 4 1\n0 1 -0.3\n3 4 -0.2\n",
+    """PSD (strict interior), sigma=(4,0,1)
+edge (0,1): |w-| = 0.3  threshold = 0.5  margin = -0.4
+edge (3,4): |w-| = 0.2  threshold = 0.5  margin = -0.6
+disjoint_paths = true
+corollary6_satisfied = true
+""")
+
+
+@pytest.mark.parametrize("text, report", [OVERLAPPING_4_CYCLE, SHARED_NODE_TRIANGLES],
+                         ids=["overlapping", "disjoint"])
+def test_check_psd_bytes(tmp_path, capsys, text, report):
+    # interior margins only: boundary margins print round-off
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert main(["check-psd", str(path)]) == 0
+    header = f"# siglap check-psd\n# input: {path}\n# tol: default\n"
+    assert capsys.readouterr().out == header + report
+
+
 def test_threshold_report(tmp_path, capsys):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.1))
     assert main(["threshold", path]) == 0
@@ -100,6 +129,31 @@ def test_non_finite_weight_exit_code(tmp_path, capsys, text):
     assert code == 1
     assert err.count("\n") == 1
     assert "line 3" in err and "non-finite weight" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("signature", "nodes 2\n0 1 1e308\n"),
+    ("check-psd", "nodes 3\n0 1 1e308\n1 2 1e308\n0 2 -1e308\n"),
+], ids=["edge", "triangle"])
+def test_weighted_degree_overflow_exit_code(tmp_path, capsys, command, text):
+    # Unchecked, the first printed sigma = (0,2,0) with tolerance nan for a
+    # PSD Laplacian, and the second died in the eigensolver.
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "line 2" in captured.err and "2**1022" in captured.err
+
+
+@pytest.mark.parametrize("pair", [("1", "2"), ("1", "1")], ids=["out-of-range", "same-node"])
+def test_resistance_invalid_pair_exit_code(tmp_path, capsys, pair):
+    path = graph_file(tmp_path, sl.build_graph(2, [(0, 1, 1.0)]))
+    assert main(["resistance", path, "--pair", "0", "1", "--pair", *pair]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("siglap resistance: ")
 
 
 def test_negative_tolerance_exit_code(tmp_path, capsys):

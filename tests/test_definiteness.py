@@ -6,6 +6,7 @@ from conftest import (
     caterpillar_with_chord,
     dense_laplacian,
     eig_signature,
+    positive_weight,
     random_boundary_cycle_graph,
     random_connected_positive,
     random_tree,
@@ -224,10 +225,56 @@ def test_overlapping_chords_each_inside_threshold_can_be_indefinite():
 
 def test_wrong_disjointness_answer_is_caught(monkeypatch):
     # margins alone say strict interior; the full m x m inertia says indefinite
-    monkeypatch.setattr(definiteness, "path_edge_sets",
-                        lambda g, pairs: [frozenset({k}) for k in range(len(pairs))])
+    monkeypatch.setattr(definiteness, "edge_blocks", lambda g: np.arange(g.edge_count))
     with pytest.raises(sl.CrossCheckError):
         sl.multi_edge_verdict(overlapping_chords_at_nine_tenths())
+
+
+def blocks_glued_at_cut_vertices(rng) -> tuple[list, list[int]]:
+    """Positive edges of 1..5 blocks, each a bridge, a parallel pair or a
+    cycle on 3..5 nodes, glued at a node already placed, plus the glue nodes,
+    which are cut vertices once a second block hangs on them."""
+    edges, glue, n = [], [], 1
+    for _ in range(int(rng.integers(1, 6))):
+        anchor = int(rng.integers(0, n))
+        glue.append(anchor)
+        size = int(rng.integers(1, 5))
+        ring = [anchor, *range(n, n + size)]
+        n += size
+        closing = [(ring[-1], anchor)] if size > 1 or rng.random() < 0.5 else []
+        for a, b in list(zip(ring, ring[1:])) + closing:
+            edges.append((a, b, positive_weight(rng)))
+    return edges, glue
+
+
+def test_disjointness_flag_equals_pairwise_disjoint_path_sets():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(300):
+        positive, glue = blocks_glued_at_cut_vertices(rng)
+        n = 1 + max(max(u, v) for u, v, _ in positive)
+        pairs = []
+        for _ in range(int(rng.integers(1, 5))):
+            draw = rng.random()
+            if pairs and draw < 0.15:
+                pair = pairs[int(rng.integers(0, len(pairs)))]  # parallel negative edges
+            elif draw < 0.4:
+                pair = positive[int(rng.integers(0, len(positive)))][:2]  # parallel to G+
+            elif draw < 0.7 and len(set(glue)) > 1:
+                pair = tuple(int(x) for x in rng.choice(sorted(set(glue)), 2, replace=False))
+            else:
+                pair = tuple(int(x) for x in rng.choice(n, 2, replace=False))
+            pairs.append(pair)
+        g = sl.build_graph(n, positive + [(u, v, -float(rng.uniform(0.02, 2.0)))
+                                          for u, v in pairs])
+        verdict = sl.multi_edge_verdict(g)
+        sets = sl.path_edge_sets(g.positive_subgraph(), [e.edge for e in verdict.per_edge])
+        disjoint = all(not (sets[i] & sets[j])
+                       for i in range(len(sets)) for j in range(i + 1, len(sets)))
+        assert verdict.disjointness_hypothesis_holds == disjoint
+        seen.add((disjoint, len(pairs)))
+    # both answers occur, with one and with several negative edges
+    assert {(True, 1), (True, 3), (False, 2), (False, 4)} <= seen
 
 
 def test_schur_lift_rejects_impossible_counts():

@@ -59,6 +59,18 @@ def test_build_graph_non_finite_weight_names_edge(weight):
     assert isinstance(err.value, GraphConstructionError)
 
 
+def test_build_graph_names_first_edge_lifting_a_degree_to_2_pow_1022():
+    half = 2.0 ** 1021
+    with pytest.raises(GraphConstructionError) as err:
+        sl.build_graph(3, [(0, 1, half), (1, 2, 1.0), (0, 2, -half)])
+    assert err.value.edge_index == 2
+    assert "node 0" in str(err.value)
+    # a degree one ulp below the bound keeps the spectrum of L finite
+    g = sl.build_graph(3, [(0, 1, half), (0, 2, half - 2.0 ** 969)])
+    sig = sl.signature(sl.laplacian_matrix(g))
+    assert sig.as_tuple() == (2, 0, 1) and np.isfinite(sig.tolerance_used)
+
+
 def test_incidence_single_edge():
     g = sl.build_graph(2, [(0, 1, 1.0)])
     E = pc.incidence_matrix(g)

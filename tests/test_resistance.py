@@ -41,6 +41,14 @@ def test_disconnected_pair_raises():
     assert sl.effective_resistance(g, 0, 1) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("u, v", [(1, 2), (-1, 0), (1, 1)], ids=["beyond", "negative", "same"])
+def test_invalid_node_pair_is_a_siglap_error(u, v):
+    g = sl.build_graph(2, [(0, 1, 1.0)])
+    with pytest.raises(sl.InvalidParameterError) as err:
+        sl.effective_resistance(g, u, v)
+    assert isinstance(err.value, sl.SiglapError) and isinstance(err.value, ValueError)
+
+
 def test_resistance_on_signed_graph_is_defined():
     g = sl.build_graph(2, [(0, 1, 1.0), (0, 1, -0.25)])
     # parallel 1 ohm with -4 ohm: 1*(-4)/(1-4) = 4/3
