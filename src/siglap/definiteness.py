@@ -123,16 +123,28 @@ def _resistance_terms(g: SignedGraph, neg: list[int]
     """Per-edge thresholds, the Corollary 6 test, the resistance matrix R
     over the positive subgraph and the magnitudes |w_k|, for the negative
     edges ``neg`` (a nonempty list of edge indices), from one resistance
-    matrix."""
-    pairs = [(g.edges[k][0], g.edges[k][1]) for k in neg]
+    matrix.
+
+    Raises:
+        CrossCheckError: a resistance, threshold, margin or Corollary 6 sum
+            is not finite (it left the double range).
+    """
+    pairs = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
     matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
-    magnitudes = [abs(g.edges[k][2]) for k in neg]
-    per_edge = tuple(
-        EdgeThreshold(pair, mag, 1.0 / r, mag * r - 1.0)
-        for pair, mag, r in zip(pairs, magnitudes, diag)
-    )
-    r_tot = total_resistance(matrix)
+    magnitudes = np.abs(g.weights[neg]).tolist()
+    with np.errstate(over="ignore"):
+        per_edge = tuple(
+            EdgeThreshold(pair, mag, 1.0 / r, mag * r - 1.0)
+            for pair, mag, r in zip(pairs, magnitudes, diag)
+        )
+        r_tot = total_resistance(matrix)
     inv_sum = float(sum(1.0 / mag for mag in magnitudes))
+    values = [x for e in per_edge for x in (e.threshold, e.margin)] + [r_tot, inv_sum]
+    if not (np.isfinite(matrix).all() and np.isfinite(values).all()):
+        raise CrossCheckError(
+            "a resistance, threshold, margin or Corollary 6 sum over the negative "
+            "edges is not finite; the weights span more than the double range"
+        )
     c6 = Corollary6Result(inv_sum >= r_tot - COROLLARY6_SLACK, inv_sum, r_tot)
     return per_edge, c6, matrix, magnitudes
 
@@ -203,6 +215,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
         HypothesisViolatedError: no negative edges at all.
+        CrossCheckError: a resistance, threshold or margin is not finite.
     """
     neg = g.negative_edge_indices()
     if not neg:
@@ -232,6 +245,10 @@ def corollary6_check(g: SignedGraph) -> Corollary6Result:
     The contrapositive is a cheap rejection test: if the inequality fails,
     the Laplacian cannot be positive semidefinite.  Vacuously true without
     negative edges.
+
+    Raises:
+        DisconnectedError: the positive subgraph is disconnected.
+        CrossCheckError: a resistance or one of the two sums is not finite.
     """
     neg = g.negative_edge_indices()
     if not _positive_part_connected(g):

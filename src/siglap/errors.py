@@ -78,8 +78,9 @@ class UnboundedError(SiglapError):
 
 
 class CrossCheckError(SiglapError):
-    """Two independent computation routes disagreed beyond tolerance, or a
-    linear solve failed its residual check.
+    """Two independent computation routes disagreed beyond tolerance, a
+    linear solve failed its residual check, or a computed resistance,
+    threshold or margin left the double range.
 
     This is a numerical diagnostic: no value is returned because none can be
     trusted.

@@ -3,7 +3,10 @@
 A :class:`SignedGraph` is immutable: a node count plus an ordered tuple of
 undirected edges ``(tail, head, weight)`` with ``tail < head`` and a nonzero
 weight.  Edge indices -- positions in that tuple -- are the handles used by
-every other module.  All operations here are pure functions.
+every other module.  The same edges are also held as three read-only numpy
+columns, ``tails``, ``heads`` and ``weights``, built once with the graph;
+every graph step here and in the other modules reads those columns.  All
+operations here are pure functions.
 
 One lowpoint pass, :func:`edge_blocks`, answers every cycle question: the
 path-edge sets of the negative edges are pairwise disjoint exactly when those
@@ -14,13 +17,13 @@ below is a test oracle.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from .errors import (
     GraphConstructionError,
@@ -31,38 +34,71 @@ from .errors import (
     ZeroWeightError,
 )
 
+# Every weight magnitude must be at least the smallest normal double, and
+# every node's weighted degree must stay below DEGREE_BOUND.
+WEIGHT_FLOOR = 2.0 ** -1022
+DEGREE_BOUND = 2.0 ** 1022
+
 
 @dataclass(frozen=True)
 class SignedGraph:
     """Undirected graph with nonzero, possibly negative, edge weights.
 
     Parallel edges are permitted and kept distinct; self-loops are rejected
-    at construction (see :func:`build_graph`).
+    at construction (see :func:`build_graph`).  ``tails``, ``heads`` (intp)
+    and ``weights`` (float) are read-only columns over the edge indices,
+    equal to the columns of ``edges``; equality and hashing read only
+    ``node_count`` and ``edges``.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        self._set_columns(table[:, 0].astype(np.intp), table[:, 1].astype(np.intp),
+                          table[:, 2].copy())
+
+    def _set_columns(self, tails, heads, weights) -> None:
+        for name, column in (("tails", tails), ("heads", heads), ("weights", weights)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _from_columns(cls, node_count: int, tails: np.ndarray, heads: np.ndarray,
+                      weights: np.ndarray) -> "SignedGraph":
+        """Graph whose edge tuple is read off fresh columns, which it keeps."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "node_count", node_count)
+        object.__setattr__(g, "edges", tuple(zip(tails.tolist(), heads.tolist(),
+                                                 weights.tolist())))
+        g._set_columns(tails, heads, weights)
+        return g
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, _, w in self.edges], dtype=float)
-
     def negative_edge_indices(self) -> list[int]:
-        return [k for k, (_, _, w) in enumerate(self.edges) if w < 0.0]
+        return np.flatnonzero(self.weights < 0.0).tolist()
 
     def positive_edge_indices(self) -> list[int]:
-        return [k for k, (_, _, w) in enumerate(self.edges) if w > 0.0]
+        return np.flatnonzero(self.weights > 0.0).tolist()
 
     def subgraph(self, edge_indices) -> "SignedGraph":
-        """Graph on the same node set keeping only the given edges, in the given order."""
-        return SignedGraph(self.node_count, tuple(self.edges[k] for k in edge_indices))
+        """Graph on the same node set keeping only the given edges, in the
+        given order; ``edge_indices`` may also be a boolean mask array."""
+        if not isinstance(edge_indices, np.ndarray):
+            edge_indices = np.fromiter(edge_indices, dtype=np.intp)
+        return SignedGraph._from_columns(self.node_count, self.tails[edge_indices],
+                                         self.heads[edge_indices],
+                                         self.weights[edge_indices])
 
     def positive_subgraph(self) -> "SignedGraph":
-        return self.subgraph(self.positive_edge_indices())
+        return self.subgraph(self.weights > 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,44 +127,97 @@ class ForestDecomposition:
         return self.forest_edges + self.cycle_edges
 
 
+def _first_degree_overflow(ends: np.ndarray, steps: np.ndarray,
+                           hot: np.ndarray) -> tuple[int, float]:
+    """Earliest visit at which a running weighted degree reaches DEGREE_BOUND.
+
+    ``ends`` lists the nodes visited edge by edge (tail as given, then head),
+    ``steps`` the |w| added at each visit, and ``hot`` the nodes whose total
+    reaches the bound.  Each hot node's degree is re-accumulated in visit
+    order, as the sums of a per-edge loop would be.  Returns the visit index
+    and the degree it reaches.
+    """
+    order = np.argsort(ends, kind="stable")
+    grouped = ends[order]
+    best = (ends.size, 0.0)
+    for start, stop in zip(np.searchsorted(grouped, hot, side="left"),
+                           np.searchsorted(grouped, hot, side="right")):
+        with np.errstate(over="ignore"):
+            running = np.cumsum(steps[order[start:stop]])
+        over = np.flatnonzero(running >= DEGREE_BOUND)
+        if over.size and order[start + over[0]] < best[0]:
+            best = (int(order[start + over[0]]), float(running[over[0]]))
+    return best
+
+
 def build_graph(node_count: int, edge_list) -> SignedGraph:
     """Validate an edge list and normalize it into a :class:`SignedGraph`.
 
     Edge orientation is normalized to ``tail = min(u, v)``; the input edge
-    order is preserved and defines the edge indices.
+    order is preserved and defines the edge indices.  Every entry of
+    ``edge_list`` is a ``(u, v, w)`` triple, read as ``int(u), int(v),
+    float(w)``.
 
-    Every node's weighted degree (the sum of its |w|) must stay below
-    2**1022.  Every entry of ``L + L^T`` is then finite, and by Gershgorin
-    so is every eigenvalue of L.
+    Every weight magnitude must be at least 2**-1022, the smallest normal
+    double, and every node's weighted degree (the sum of its |w|) must stay
+    below 2**1022.  Every entry of ``L + L^T`` is then finite, and by
+    Gershgorin so is every eigenvalue of L.
 
     Raises:
         NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
         NonFiniteWeightError: naming the offending edge index.
-        GraphConstructionError: the first edge that lifts some node's
-            weighted degree to 2**1022 or above.
+        GraphConstructionError: the first edge whose magnitude is below
+            2**-1022 (after the zero and non-finite checks), or that lifts
+            some node's weighted degree to 2**1022 or above, whichever comes
+            first in edge order.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    edges = []
-    degree = [0.0] * node_count
-    for k, (u, v, w) in enumerate(edge_list):
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise NodeOutOfRangeError(k, f"edge {k}: endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise SelfLoopError(k, f"edge {k}: self-loop at node {u}")
-        if w == 0.0:
-            raise ZeroWeightError(k, f"edge {k}: zero weight on ({u}, {v})")
-        if not math.isfinite(w):
-            raise NonFiniteWeightError(k, f"edge {k}: non-finite weight {w!r} on ({u}, {v})")
-        for x in (u, v):
-            degree[x] += abs(w)
-            if degree[x] >= 2.0 ** 1022:
-                raise GraphConstructionError(
-                    k, f"edge {k}: weight {w!r} on ({u}, {v}) lifts the weighted degree "
-                       f"of node {x} to {degree[x]!r}, at or above 2**1022")
-        edges.append((min(u, v), max(u, v), w))
-    return SignedGraph(node_count, tuple(edges))
+    edges = list(edge_list)
+    if edges and set(map(len, edges)) != {3}:
+        raise ValueError("every edge must be a (u, v, w) triple")
+    us = list(map(int, map(itemgetter(0), edges)))
+    vs = list(map(int, map(itemgetter(1), edges)))
+    ws = list(map(float, map(itemgetter(2), edges)))
+    # Python ints beyond int64 give an object array, still compared exactly.
+    u, v, w = np.array(us), np.array(vs), np.array(ws, dtype=float)
+    m = len(edges)
+
+    # Per-edge checks, in the order they apply to one edge.
+    checks = (
+        ((u < 0) | (u >= node_count) | (v < 0) | (v >= node_count),
+         NodeOutOfRangeError, "endpoint out of range: ({u}, {v})"),
+        (u == v, SelfLoopError, "self-loop at node {u}"),
+        (w == 0.0, ZeroWeightError, "zero weight on ({u}, {v})"),
+        (~np.isfinite(w), NonFiniteWeightError, "non-finite weight {w!r} on ({u}, {v})"),
+        (np.abs(w) < WEIGHT_FLOOR, GraphConstructionError,
+         "weight {w!r} on ({u}, {v}) is below 2**-1022 in magnitude"),
+    )
+    bad = np.zeros(m, dtype=bool)
+    for mask, _, _ in checks:
+        bad |= np.asarray(mask, dtype=bool)
+    first_bad = int(np.argmax(bad)) if bad.any() else m
+
+    # Every edge before the first bad one is valid; degrees accumulate in
+    # edge order, tail as given first, as a per-edge loop would add them.
+    ends = np.stack([u[:first_bad], v[:first_bad]], axis=1).ravel().astype(np.intp)
+    steps = np.repeat(np.abs(w[:first_bad]), 2)
+    degree = np.bincount(ends, weights=steps, minlength=node_count)
+    hot = np.flatnonzero(degree >= DEGREE_BOUND)
+    if hot.size:
+        visit, reached = _first_degree_overflow(ends, steps, hot)
+        k, x = visit // 2, int(ends[visit])
+        raise GraphConstructionError(
+            k, f"edge {k}: weight {ws[k]!r} on ({us[k]}, {vs[k]}) lifts the weighted "
+               f"degree of node {x} to {reached!r}, at or above 2**1022")
+    if first_bad < m:
+        k = first_bad
+        for mask, error, message in checks:
+            if mask[k]:
+                text = message.format(u=us[k], v=vs[k], w=ws[k])
+                raise error(k, f"edge {k}: {text}")
+    u, v = u.astype(np.intp), v.astype(np.intp)
+    return SignedGraph._from_columns(node_count, np.minimum(u, v), np.maximum(u, v), w)
 
 
 def incidence_matrix(g: SignedGraph) -> np.ndarray:
@@ -137,10 +226,25 @@ def incidence_matrix(g: SignedGraph) -> np.ndarray:
     Test oracle: only the decompositions below use it.
     """
     E = np.zeros((g.node_count, g.edge_count))
-    for k, (u, v, _) in enumerate(g.edges):
-        E[u, k] = -1.0
-        E[v, k] = 1.0
+    columns = np.arange(g.edge_count)
+    E[g.tails, columns] = -1.0
+    E[g.heads, columns] = 1.0
     return E
+
+
+def _first_seen_ids(raw: np.ndarray) -> np.ndarray:
+    """``raw`` renumbered 0, 1, 2, ... in order of each id's first occurrence."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def _components(node_count: int, tails, heads) -> np.ndarray:
+    """csgraph's connected-component label per node, in its own label order."""
+    adjacency = coo_matrix((np.ones(len(tails)), (tails, heads)),
+                           shape=(node_count, node_count))
+    return connected_components(adjacency, directed=False)[1]
 
 
 def _canonical_labels(node_count: int, tails, heads) -> np.ndarray:
@@ -150,22 +254,19 @@ def _canonical_labels(node_count: int, tails, heads) -> np.ndarray:
     Component ids appear in order of their lowest node; csgraph does not
     document its own label order, so its labels are renumbered.
     """
-    adjacency = coo_matrix((np.ones(len(tails)), (tails, heads)),
-                           shape=(node_count, node_count))
-    _, raw = connected_components(adjacency, directed=False)
-    _, lowest = np.unique(raw, return_index=True)
-    return np.unique(lowest[raw], return_inverse=True)[1]
+    return _first_seen_ids(_components(node_count, tails, heads))
 
 
 def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
-    """Connected-component label per node, ignoring ``skip_edges``.
+    """Connected-component label per node, ignoring ``skip_edges`` (edge
+    indices; any that name no edge are ignored).
 
     Labels are canonical: component ids appear in order of their lowest node.
     """
-    skip = set(skip_edges)
-    kept = [(u, v) for k, (u, v, _) in enumerate(g.edges) if k not in skip]
-    ends = np.array(kept, dtype=int).reshape(-1, 2)
-    return _canonical_labels(g.node_count, ends[:, 0], ends[:, 1])
+    keep = np.ones(g.edge_count, dtype=bool)
+    skip = np.fromiter(skip_edges, dtype=np.intp)
+    keep[skip[(skip >= 0) & (skip < g.edge_count)]] = False
+    return _canonical_labels(g.node_count, g.tails[keep], g.heads[keep])
 
 
 def _adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:
@@ -268,62 +369,90 @@ def decompose_with_forest(g: SignedGraph, forest_edges) -> ForestDecomposition:
     return _assemble(g, forest, cycle, components)
 
 
+def _symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray):
+    """CSR adjacency listing every edge in both directions, so that csgraph's
+    directed routines traverse the undirected graph without a transpose."""
+    rows = np.concatenate([tails, heads])
+    cols = np.concatenate([heads, tails])
+    return coo_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(node_count, node_count)).tocsr()
+
+
+def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-first preorder and parents of the graph whose edges join
+    ``tails[k]`` and ``heads[k]``, from one ``csgraph.depth_first_order``.
+
+    The search starts at the lowest node that has an edge.  When several
+    components have edges, their lowest nodes are joined in order by virtual
+    edges, so the one search reaches every node with an edge; those edges
+    are bridges of the joined graph, so they merge no blocks.  Returns the
+    nodes with an edge in preorder, and each node's parent (negative at the
+    start and at nodes without an edge).
+    """
+    if tails.size == 0:
+        return np.zeros(0, dtype=np.intp), np.full(node_count, -1, dtype=np.intp)
+    adjacency = _symmetric_adjacency(node_count, tails, heads)
+    # With both directions listed, strong components are the components.
+    _, labels = connected_components(adjacency, directed=True, connection="strong")
+    _, lowest = np.unique(labels, return_index=True)
+    lowest = np.sort(lowest[np.diff(adjacency.indptr)[lowest] > 0])
+    if lowest.size > 1:
+        adjacency = _symmetric_adjacency(node_count, np.concatenate([tails, lowest[:-1]]),
+                                         np.concatenate([heads, lowest[1:]]))
+    return depth_first_order(adjacency, lowest[0], directed=True, return_predecessors=True)
+
+
+def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Biconnected block key per edge (equal keys, same block) of the graph
+    whose edges join ``tails[k]`` and ``heads[k]``."""
+    n = node_count
+    degree = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
+    # An edge at a node of degree one is a bridge, a block of its own.  The
+    # search leaves such edges out: depth_first_order rescans a node's whole
+    # neighbour list each time it returns there, quadratic at a hub of leaves.
+    inner = (degree[tails] > 1) & (degree[heads] > 1)
+    order, parent = _dfs_tree(n, tails[inner], heads[inner])
+    # Work in preorder positions: an ancestor sits before its descendants.
+    reached = order.size
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(reached)
+    up = np.full(reached, -1, dtype=np.intp)
+    up[1:] = position[parent[order[1:]]]
+    a, b = position[tails[inner]], position[heads[inner]]
+    deep = np.maximum(a, b)
+    # Every edge joins an ancestor and a descendant.  Each offers its
+    # shallower end to its deeper end's lowpoint: a back edge as usual, and
+    # a tree edge (or one parallel to it) the parent itself, which never
+    # decides the strict test below.
+    low = np.arange(reached)
+    np.minimum.at(low, deep, np.minimum(a, b))
+    low, up = low.tolist(), up.tolist()
+    for p in range(reached - 1, 0, -1):
+        if low[p] < low[up[p]]:
+            low[up[p]] = low[p]
+    # A tree edge whose child reaches above its parent continues the
+    # parent's block; every other tree edge heads a block of its own.  Each
+    # edge lies in the block of the tree edge entering its deeper end.
+    block = list(range(reached))
+    for p in range(1, reached):
+        if low[p] < up[p]:
+            block[p] = block[up[p]]
+    key = np.arange(tails.size) + n  # a bridge at a leaf: its own block
+    key[inner] = np.array(block, dtype=np.intp)[deep]
+    return key
+
+
 def edge_blocks(g: SignedGraph) -> np.ndarray:
     """Biconnected block id per edge, as an int array over the edge indices.
 
     Two edges share a block exactly when some simple cycle passes through
-    both (Hopcroft & Tarjan, CACM 1973).  Weight signs are ignored.
-    Iterative lowpoint algorithm; parallel edges are handled by tracking the
-    entering edge index instead of the parent vertex.
+    both (Hopcroft & Tarjan, CACM 1973).  Weight signs are ignored; block
+    ids appear in order of each block's lowest edge index.  One depth-first
+    order from csgraph, lowpoints from the edges by ``np.minimum.at`` and
+    one pass in reverse preorder.
     """
-    n = g.node_count
-    adj = _adjacency(g)
-
-    disc = [-1] * n
-    low = [0] * n
-    blocks = np.empty(g.edge_count, dtype=int)
-    block_count = 0
-    estack: list[int] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1 or not adj[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, object]] = [(root, -1, iter(adj[root]))]
-        while stack:
-            node, pe, it = stack[-1]
-            descended = False
-            for k, nb in it:
-                if k == pe:
-                    continue
-                if disc[nb] == -1:
-                    estack.append(k)
-                    disc[nb] = low[nb] = timer
-                    timer += 1
-                    stack.append((nb, k, iter(adj[nb])))
-                    descended = True
-                    break
-                if disc[nb] < disc[node]:
-                    estack.append(k)
-                    if disc[nb] < low[node]:
-                        low[node] = disc[nb]
-            if descended:
-                continue
-            stack.pop()
-            if stack:
-                parent_node = stack[-1][0]
-                if low[node] < low[parent_node]:
-                    low[parent_node] = low[node]
-                if low[node] >= disc[parent_node]:
-                    while True:
-                        e = estack.pop()
-                        blocks[e] = block_count
-                        if e == pe:
-                            break
-                    block_count += 1
-        assert not estack, "edge stack must drain between roots"
-    return blocks
+    return _first_seen_ids(_edge_blocks(g.node_count, g.tails, g.heads))
 
 
 def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
@@ -340,14 +469,14 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
             distinct nodes of ``g_plus``.
         NodesDisconnectedError: if u and v fall in different components.
     """
-    if any(w <= 0.0 for _, _, w in g_plus.edges):
+    if np.any(g_plus.weights <= 0.0):
         raise ValueError("path_edge_sets requires an all-positive graph")
     n, count = g_plus.node_count, g_plus.edge_count
     results = []
     for u, v in negative_edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"invalid node pair ({u}, {v})")
-        blocks = edge_blocks(SignedGraph(n, g_plus.edges + ((u, v, 1.0),)))
+        blocks = _edge_blocks(n, np.append(g_plus.tails, u), np.append(g_plus.heads, v))
         path = frozenset(np.flatnonzero(blocks[:count] == blocks[count]).tolist())
         if not path:  # the added edge is a bridge
             raise NodesDisconnectedError(f"nodes {u} and {v} are not connected")

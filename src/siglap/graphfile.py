@@ -1,7 +1,8 @@
 """Plain-text graph files.
 
 Format: the first non-comment line is ``nodes N``; every following line is
-``u v w`` with 0-based node indices and a finite, nonzero decimal weight.
+``u v w`` with 0-based node indices and a finite decimal weight of
+magnitude at least 2**-1022 (see :func:`siglap.graph_core.build_graph`).
 ``#`` starts a comment.  Edge order in the file defines the edge indices.
 """
 

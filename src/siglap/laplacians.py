@@ -2,7 +2,7 @@
 edge Laplacian and cut-basis quadratic form.
 
 The node Laplacian comes in two forms, both scattered straight from the edge
-list in edge order: :func:`sparse_laplacian` (CSC) feeds the grounded
+columns in edge order: :func:`sparse_laplacian` (CSC) feeds the grounded
 resistance solves, :func:`laplacian_matrix` (dense) feeds the eigenvalue
 routines.  The cut-basis matrices in :class:`LaplacianBundle` stay dense; they
 are the paper's closed-form constructions, kept only as test oracles.
@@ -47,8 +47,7 @@ def _laplacian_entries(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and (v, u), listed edge by edge, so accumulating them in order sums every
     entry in edge order.
     """
-    e = np.array(g.edges, dtype=float).reshape(-1, 3)
-    u, v, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+    u, v, w = g.tails, g.heads, g.weights
     rows = np.stack([u, v, u, v], axis=1).ravel()
     cols = np.stack([u, v, v, u], axis=1).ravel()
     vals = np.stack([w, w, -w, -w], axis=1).ravel()

@@ -95,8 +95,10 @@ def _component_graph(g: SignedGraph, labels: np.ndarray,
     if inside.all():
         return g, np.arange(g.node_count)
     index = np.cumsum(inside) - 1
-    edges = tuple((int(index[a]), int(index[b]), w) for a, b, w in g.edges if inside[a])
-    return SignedGraph(int(inside.sum()), edges), index
+    keep = inside[g.tails]
+    component = SignedGraph._from_columns(int(inside.sum()), index[g.tails[keep]],
+                                          index[g.heads[keep]], g.weights[keep])
+    return component, index
 
 
 def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
@@ -124,7 +126,7 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     if labels[u] != labels[v]:
         raise DisconnectedError(f"nodes {u} and {v} are in different components")
 
-    if all(w > 0.0 for _, _, w in g.edges):
+    if np.all(g.weights > 0.0):
         component, index = _component_graph(g, labels, u)
         cu, cv = int(index[u]), int(index[v])
         rhs = _indicator_difference(component.node_count, cu, cv)[:, None]
@@ -153,7 +155,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     Returns:
         ``(matrix, diagonal)`` with shapes ``(m, m)`` and ``(m,)``.
     """
-    if any(w <= 0.0 for _, _, w in g_plus.edges):
+    if np.any(g_plus.weights <= 0.0):
         raise ValueError("resistance_matrix_for_negatives requires an all-positive graph")
     labels = component_labels(g_plus)
     if labels.size and labels.max() != 0:
@@ -172,7 +174,9 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
         E_neg[min(u, v), k] = -1.0
         E_neg[max(u, v), k] = 1.0
     matrix = E_neg.T @ _grounded_solve(g_plus, E_neg)
-    matrix = 0.5 * (matrix + matrix.T)
+    # Halve before adding: a resistance above half the largest double still
+    # symmetrizes to itself.
+    matrix = 0.5 * matrix + 0.5 * matrix.T
     return matrix, np.diag(matrix).copy()
 
 
@@ -187,7 +191,7 @@ def total_resistance(matrix: np.ndarray) -> float:
 def negative_edge_report(g: SignedGraph) -> ResistanceReport:
     """Resistance report over the positive subgraph for every negative edge."""
     neg = g.negative_edge_indices()
-    pairs_in = [(g.edges[k][0], g.edges[k][1]) for k in neg]
+    pairs_in = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
     matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs_in)
     pairs = tuple((u, v, float(r)) for (u, v), r in zip(pairs_in, diag))
     return ResistanceReport(pairs=pairs, diag_r=np.diag(diag), r_tot=total_resistance(matrix))

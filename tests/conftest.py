@@ -7,12 +7,21 @@ tests compare two genuinely different routes to the same number.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 import paper_constructions as pc
 import siglap as sl
+from siglap.errors import (
+    GraphConstructionError,
+    NodeOutOfRangeError,
+    NonFiniteWeightError,
+    SelfLoopError,
+    ZeroWeightError,
+)
+from siglap.graph_core import SignedGraph
 
 # 9-node caterpillar: path 0-1-2-3-4 with a pendant leaf on each of 0, 1, 3, 4.
 # The unit-weight tree has effective resistance 4 between the path ends, so a
@@ -45,6 +54,37 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
         L[u, v] -= w
         L[v, u] -= w
     return L
+
+
+def loop_build_graph(node_count: int, edge_list) -> SignedGraph:
+    """``build_graph`` as a per-edge loop: the checks run edge by edge in
+    input order and the weighted degrees accumulate in plain floats, so the
+    first error names the first offending edge by construction."""
+    if node_count < 1:
+        raise ValueError(f"node_count must be >= 1, got {node_count}")
+    edges = []
+    degree = [0.0] * node_count
+    for k, (u, v, w) in enumerate(edge_list):
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise NodeOutOfRangeError(k, f"edge {k}: endpoint out of range: ({u}, {v})")
+        if u == v:
+            raise SelfLoopError(k, f"edge {k}: self-loop at node {u}")
+        if w == 0.0:
+            raise ZeroWeightError(k, f"edge {k}: zero weight on ({u}, {v})")
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(k, f"edge {k}: non-finite weight {w!r} on ({u}, {v})")
+        if abs(w) < 2.0 ** -1022:
+            raise GraphConstructionError(
+                k, f"edge {k}: weight {w!r} on ({u}, {v}) is below 2**-1022 in magnitude")
+        for x in (u, v):
+            degree[x] += abs(w)
+            if degree[x] >= 2.0 ** 1022:
+                raise GraphConstructionError(
+                    k, f"edge {k}: weight {w!r} on ({u}, {v}) lifts the weighted degree "
+                       f"of node {x} to {degree[x]!r}, at or above 2**1022")
+        edges.append((min(u, v), max(u, v), w))
+    return SignedGraph(node_count, tuple(edges))
 
 
 def eig_signature(m: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import siglap as sl
 from conftest import CATERPILLAR_TREE, caterpillar_with_chord
 from siglap.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def graph_file(tmp_path, g, name="graph.txt"):
@@ -145,6 +152,86 @@ def test_weighted_degree_overflow_exit_code(tmp_path, capsys, command, text):
     assert code == 1
     assert captured.out == "" and captured.err.count("\n") == 1
     assert "line 2" in captured.err and "2**1022" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "nodes 2\n0 1 1e-320\n0 1 -1e-320\n",
+    "nodes 3\n0 1 1e-320\n1 2 1e-320\n0 2 -4e-321\n",
+], ids=["two-node", "three-node"])
+def test_subnormal_weight_exit_code(tmp_path, capsys, text):
+    # Unchecked, the first printed "indefinite ... threshold = 0  margin = inf"
+    # for a Laplacian that is exactly PSD, and the second failed with a NaN
+    # residual.
+    path = tmp_path / "tiny.txt"
+    path.write_text(text)
+    code = main(["check-psd", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("siglap check-psd: line 2: edge 0: weight 1e-320 on (0, 1) "
+                            "is below 2**-1022 in magnitude\n")
+
+
+def test_resistance_above_half_the_largest_double_is_reported(tmp_path, capsys):
+    # R = 4 / 2.3e-308 = 1.74e308 is finite, but R + R overflowed when the
+    # resistance matrix was symmetrized, which printed threshold 0, margin inf
+    path = tmp_path / "path.txt"
+    path.write_text("nodes 5\n0 1 2.3e-308\n1 2 2.3e-308\n2 3 2.3e-308\n"
+                    "3 4 2.3e-308\n0 4 -1e-300\n")
+    assert main(["check-psd", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()[3:]
+    assert lines == [
+        "indefinite, sigma=(3,1,1)",
+        "edge (0,4): |w-| = 1e-300  threshold = 5.75e-309  margin = 173913042.478",
+        "disjoint_paths = true",
+        "corollary6_satisfied = false",
+    ]
+
+
+def test_margin_beyond_the_double_range_exit_code(tmp_path, capsys):
+    # R(0,2) = 2**1023 and |w| = 1e300: the margin |w| R - 1 overflows
+    path = tmp_path / "wide.txt"
+    path.write_text("nodes 3\n0 1 2.2250738585072014e-308\n1 2 2.2250738585072014e-308\n"
+                    "0 2 -1e300\n")
+    code = main(["check-psd", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+
+
+README_GRAPH = """# comments start with '#'
+nodes 9
+0 1 1.0
+1 2 1.0
+2 3 1.0
+3 4 1.0
+0 5 1.0
+1 6 1.0
+3 7 1.0
+4 8 1.0
+0 4 -0.25
+"""
+
+
+def test_check_psd_process_on_the_readme_graph(tmp_path):
+    # the whole process: interpreter start, the module's entry point, exit
+    # status and stdout bytes
+    path = tmp_path / "graph.txt"
+    path.write_text(README_GRAPH)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "siglap.cli", "check-psd", str(path)],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert done.stdout == (
+        f"# siglap check-psd\n# input: {path}\n# tol: default\n"
+        "PSD (boundary), sigma=(7,0,2)\n"
+        "edge (0,4): |w-| = 0.25  threshold = 0.25  margin = 0\n"
+        "disjoint_paths = true\n"
+        "corollary6_satisfied = true\n"
+    ).encode()
 
 
 @pytest.mark.parametrize("pair", [("1", "2"), ("1", "1")], ids=["out-of-range", "same-node"])

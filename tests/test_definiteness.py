@@ -305,3 +305,28 @@ def test_margins_classified_with_the_user_tolerance():
         assert verdict.classification is Classification.BOUNDARY
         assert verdict.sigma.as_tuple() == (7, 0, 2)
         assert verdict_of(g, tol=0.1).classification is Classification.INDEFINITE
+
+
+def test_resistance_above_half_the_largest_double_keeps_its_threshold():
+    # R(0,4) = 4 / 2.3e-308 = 1.74e308: finite, but R + R is not
+    tiny = 2.3e-308
+    g = sl.build_graph(5, [(0, 1, tiny), (1, 2, tiny), (2, 3, tiny), (3, 4, tiny),
+                           (0, 4, -1e-300)])
+    matrix, diag = sl.resistance_matrix_for_negatives(g.positive_subgraph(), [(0, 4)])
+    assert np.isfinite(matrix).all() and diag[0] == pytest.approx(4.0 / tiny, rel=1e-12)
+    verdict = sl.multi_edge_verdict(g)
+    (edge,) = verdict.per_edge
+    assert edge.threshold == pytest.approx(tiny / 4.0, rel=1e-12)
+    assert edge.margin == pytest.approx(1e-300 * 4.0 / tiny - 1.0, rel=1e-12)
+    assert verdict.classification is Classification.INDEFINITE
+    assert verdict.sigma.as_tuple() == (3, 1, 1)
+
+
+def test_non_finite_margin_raises_instead_of_a_verdict():
+    # R(0,2) = 2**1023 is finite, |w| R = 1e300 * 2**1023 is not
+    tiny = 2.0 ** -1022
+    g = sl.build_graph(3, [(0, 1, tiny), (1, 2, tiny), (0, 2, -1e300)])
+    with pytest.raises(sl.CrossCheckError, match="not finite"):
+        sl.multi_edge_verdict(g)
+    with pytest.raises(sl.CrossCheckError, match="not finite"):
+        sl.corollary6_check(g)

@@ -7,6 +7,7 @@ from conftest import (
     bfs_component_count,
     brute_force_path_edges,
     caterpillar_with_chord,
+    loop_build_graph,
     positive_weight,
     random_connected_positive,
 )
@@ -69,6 +70,107 @@ def test_build_graph_names_first_edge_lifting_a_degree_to_2_pow_1022():
     g = sl.build_graph(3, [(0, 1, half), (0, 2, half - 2.0 ** 969)])
     sig = sl.signature(sl.laplacian_matrix(g))
     assert sig.as_tuple() == (2, 0, 1) and np.isfinite(sig.tolerance_used)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1e-320), (0, 1, -1e-320)],
+    [(0, 1, 1e-320), (1, 2, 1e-320), (0, 2, -4e-321)],
+], ids=["two-node", "three-node"])
+def test_build_graph_rejects_subnormal_weights(edges):
+    n = 1 + max(max(u, v) for u, v, _ in edges)
+    with pytest.raises(GraphConstructionError) as err:
+        sl.build_graph(n, edges)
+    assert err.value.edge_index == 0
+    assert str(err.value) == "edge 0: weight 1e-320 on (0, 1) is below 2**-1022 in magnitude"
+    # the smallest normal magnitude itself is accepted
+    g = sl.build_graph(2, [(0, 1, 2.0 ** -1022), (1, 0, -(2.0 ** -1022))])
+    assert g.weights.tolist() == [2.0 ** -1022, -(2.0 ** -1022)]
+
+
+def _random_edge(rng, n: int, big: float):
+    """One edge drawn to trip, now and then, each check of build_graph."""
+    u, v = (int(x) for x in rng.integers(0, n, size=2))
+    w = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.7 else -1.0)
+    kind = rng.random()
+    if kind < 0.03:
+        u = int(rng.choice([-1, n, n + 5]))
+    elif kind < 0.06:
+        v = u
+    elif kind < 0.09:
+        w = float(rng.choice([0.0, -0.0]))
+    elif kind < 0.12:
+        w = float(rng.choice([np.nan, np.inf, -np.inf]))
+    elif kind < 0.15:
+        w = float(rng.choice([1e-320, -5e-324, 2.0 ** -1023, -1e-310]))
+    elif kind < 0.30:
+        w = big * float(rng.choice([1.0, -1.0]))
+    return u, v, w
+
+
+def _fails_alone(n: int, edge) -> bool:
+    try:
+        loop_build_graph(n, [edge])
+    except GraphConstructionError:
+        return True
+    return False
+
+
+def test_build_graph_matches_the_per_edge_loop():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for trial in range(600):
+        n = int(rng.integers(2, 9))
+        # degrees near 2**1022: a node reaches the bound after a few big edges
+        big = 2.0 ** 1022 / float(rng.choice([2.0, 3.0, 4.0, 7.0]))
+        edges = [_random_edge(rng, n, big) for _ in range(int(rng.integers(0, 12)))]
+        try:
+            expected = loop_build_graph(n, edges)
+        except GraphConstructionError as exc:
+            with pytest.raises(type(exc)) as err:
+                sl.build_graph(n, edges)
+            assert str(err.value) == str(exc)
+            assert err.value.edge_index == exc.edge_index
+            kind = type(exc).__name__
+            if "lifts" in str(exc):
+                later = edges[exc.edge_index + 1:]
+                kind += " degree" + (" before a bad edge" if any(
+                    _fails_alone(n, e) for e in later) else "")
+            outcomes.add(kind)
+            continue
+        g = sl.build_graph(n, edges)
+        assert g == expected and hash(g) == hash(expected)
+        assert g.tails.dtype == np.intp and g.heads.dtype == np.intp
+        assert g.tails.tolist() == [e[0] for e in g.edges]
+        assert g.heads.tolist() == [e[1] for e in g.edges]
+        assert g.weights.tolist() == [e[2] for e in g.edges]
+        for column in (g.tails, g.heads, g.weights):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        outcomes.add("valid")
+    # every error kind came up, and the degree bound fired both with and
+    # without a later edge that fails a check of its own
+    assert outcomes == {"valid", "NodeOutOfRangeError", "SelfLoopError", "ZeroWeightError",
+                        "NonFiniteWeightError", "GraphConstructionError",
+                        "GraphConstructionError degree",
+                        "GraphConstructionError degree before a bad edge"}
+
+
+def test_signed_graph_columns_follow_subgraphs():
+    g = sl.build_graph(5, [(3, 1, 2.0), (0, 4, -1.0), (2, 4, 0.5), (4, 2, -3.0)])
+    plus = g.positive_subgraph()
+    assert plus == sl.SignedGraph(5, ((1, 3, 2.0), (2, 4, 0.5)))
+    assert plus.tails.tolist() == [1, 2] and plus.heads.tolist() == [3, 4]
+    assert plus.weights.tolist() == [2.0, 0.5]
+    picked = g.subgraph([3, 0])
+    assert picked.edges == ((2, 4, -3.0), (1, 3, 2.0))
+    assert picked.weights.tolist() == [-3.0, 2.0] and not picked.weights.flags.writeable
+    assert g.subgraph(np.array([False, True, False, True])).edges == g.subgraph([1, 3]).edges
+    assert g.negative_edge_indices() == [1, 3] and g.positive_edge_indices() == [0, 2]
+    # a graph built straight from its edge tuple carries the same columns
+    direct = sl.SignedGraph(5, g.edges)
+    assert direct == g and np.array_equal(direct.weights, g.weights)
+    assert np.array_equal(direct.tails, g.tails) and not direct.tails.flags.writeable
 
 
 def test_incidence_single_edge():

@@ -1,4 +1,4 @@
-"""Component labels and path-edge sets against networkx.
+"""Component labels, biconnected blocks and path-edge sets against networkx.
 
 Parallel edges are kept apart by subdividing every edge k with its own node
 ``("e", k)``: subdivision leaves connectivity and the biconnected blocks
@@ -7,9 +7,12 @@ unchanged, and turns each parallel pair into an ordinary 4-cycle.
 
 import networkx as nx
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siglap as sl
 from conftest import positive_weight, random_connected_positive
+from siglap import graph_core
 
 
 def subdivided(g: sl.SignedGraph, skip_edges=()) -> nx.Graph:
@@ -78,3 +81,72 @@ def test_path_edge_sets_match_networkx_biconnected_components():
                  for _ in range(3)]
         computed = sl.path_edge_sets(g, pairs)
         assert computed == [nx_path_edges(g, u, v) for u, v in pairs]
+
+
+@st.composite
+def multigraphs(draw):
+    """1..14 nodes and up to 24 edges between distinct nodes, drawn with
+    repeats: parallel edges, isolated nodes and several components all come
+    up.  Weight signs are mixed; blocks ignore them."""
+    n = draw(st.integers(1, 14))
+    if n == 1:
+        return sl.build_graph(1, [])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n))
+    pairs = draw(st.lists(pair, max_size=24))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))  # parallel edges
+    signs = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return sl.build_graph(n, [(u, v, 1.0 if s else -0.5) for (u, v), s in zip(pairs, signs)])
+
+
+def edge_partition(labels) -> set[frozenset[int]]:
+    groups: dict[int, set[int]] = {}
+    for k, b in enumerate(labels):
+        groups.setdefault(b, set()).add(k)
+    return {frozenset(x) for x in groups.values()}
+
+
+def nx_edge_partition(g: sl.SignedGraph) -> set[frozenset[int]]:
+    """Blocks of the subdivided graph, each edge k read off its half
+    ``(u, ("e", k))``: a bridge's two halves are separate blocks, and any
+    other edge's halves share the block of its cycles."""
+    G = subdivided(g)
+    block_of = {}
+    for b, block_edges in enumerate(nx.biconnected_component_edges(G)):
+        for x, y in block_edges:
+            for half, end in ((x, y), (y, x)):
+                if isinstance(half, tuple) and end == g.edges[half[1]][0]:
+                    block_of[half[1]] = b
+    return edge_partition([block_of[k] for k in range(g.edge_count)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(multigraphs())
+def test_edge_blocks_match_networkx_biconnected_component_edges(g):
+    blocks = graph_core.edge_blocks(g)
+    assert edge_partition(blocks.tolist()) == nx_edge_partition(g)
+    # block ids appear in order of each block's lowest edge index
+    _, first = np.unique(blocks, return_index=True)
+    assert np.all(np.diff(first) > 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(multigraphs())
+def test_every_non_tree_edge_of_the_dfs_joins_an_ancestor_and_a_descendant(g):
+    order, parent = graph_core._dfs_tree(g.node_count, g.tails, g.heads)
+    has_edge = np.zeros(g.node_count, dtype=bool)
+    has_edge[g.tails] = has_edge[g.heads] = True
+    assert sorted(order.tolist()) == np.flatnonzero(has_edge).tolist()
+    preorder = {x: p for p, x in enumerate(order.tolist())}
+
+    def ancestors(x: int) -> set[int]:
+        seen = set()
+        while parent[x] >= 0:
+            assert preorder[int(parent[x])] < preorder[x]
+            x = int(parent[x])
+            seen.add(x)
+        return seen
+
+    for u, v, _ in g.edges:
+        assert u in ancestors(v) or v in ancestors(u)

@@ -121,9 +121,9 @@ def test_perturbed_grounded_solve_raises_cross_check(monkeypatch):
 
 
 def test_numerically_singular_grounded_matrix_raises_cross_check():
-    # 1e-320 vanishes next to 1e300 on node 1's diagonal, so the grounded
-    # matrix is exactly singular in floating point; the true R overflows
-    g = sl.build_graph(3, [(0, 1, 1e-320), (1, 2, 1e300)])
+    # 1e-300 vanishes next to 1e300 on node 1's diagonal, so the grounded
+    # matrix is exactly singular in floating point although R = 1e300 is not
+    g = sl.build_graph(3, [(0, 1, 1e-300), (1, 2, 1e300)])
     with pytest.raises(sl.CrossCheckError):
         sl.effective_resistance(g, 0, 2)
     with pytest.raises(sl.CrossCheckError):
