@@ -47,7 +47,6 @@ from .resistance import (
     effective_resistance,
     negative_edge_report,
     resistance_matrix_for_negatives,
-    total_resistance,
 )
 from .spectra import (
     Signature,

@@ -1,11 +1,12 @@
 """Command-line front end: edge-list files in, deterministic text reports out.
 
-Exit codes: 0 success, 1 I/O or parse errors, 2 theorem-hypothesis
-violations (the message names the failed precondition), so scripted sweeps
-can bin outcomes.  All floating-point output is fixed at 12 significant
-digits.  Every run echoes the settings its answer depends on: ``--tol`` for
-``signature`` and ``check-psd``, the seed and simulation settings for
-``simulate``.  Every command validates ``--tol``, but the others ignore it.
+Exit codes: 0 success, 1 I/O, parse, numerical or out-of-memory errors, 2
+theorem-hypothesis violations (the message names the failed precondition), so
+scripted sweeps can bin outcomes.  All floating-point output is fixed at 12
+significant digits.  Every run echoes the settings its answer depends on:
+``--tol`` for ``signature`` and ``check-psd``, the seed and simulation
+settings for ``simulate``.  Every command validates ``--tol``, but the others
+ignore it.
 """
 
 from __future__ import annotations
@@ -214,8 +215,8 @@ def run(args: argparse.Namespace) -> int:
     except _HYPOTHESIS_ERRORS as exc:
         sys.stderr.write(f"siglap {args.command}: hypothesis violated: {exc}\n")
         return 2
-    except (OSError, SiglapError) as exc:
-        sys.stderr.write(f"siglap {args.command}: {exc}\n")
+    except (OSError, MemoryError, SiglapError) as exc:  # MemoryError: a huge 'nodes N'
+        sys.stderr.write(f"siglap {args.command}: {str(exc) or type(exc).__name__}\n")
         return 1
     _write("\n".join(report) + "\n", args.out)
     return 0

@@ -248,7 +248,8 @@ def predict_clusters(g: SignedGraph,
     if failures:
         raise HypothesisViolatedError(failures)
 
-    u, v, w = g.edges[neg[0]]
+    k = neg[0]
+    u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
     z = _grounded_solve(g_plus, _indicator_difference(n, v, u)[:, None])[:, 0]
     r_uv = float(z[v] - z[u])
     margin = abs(w) * r_uv - 1.0
@@ -265,7 +266,7 @@ def predict_clusters(g: SignedGraph,
             "the boundary structure is not consistent"
         )
     blocks = edge_blocks(g)
-    cycle = np.flatnonzero(blocks == blocks[neg[0]]).tolist()
+    cycle = np.flatnonzero(blocks == blocks[k]).tolist()
     labels = component_labels(g, skip_edges=cycle)
     return ClusterPrediction(int(labels.max()) + 1, null_vector,
                              tuple(int(c) for c in labels))

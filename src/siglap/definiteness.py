@@ -32,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckError, DisconnectedError, HypothesisViolatedError
+from .errors import CrossCheckError, HypothesisViolatedError
 from .graph_core import SignedGraph, component_labels, edge_blocks
-from .resistance import resistance_matrix_for_negatives, total_resistance
+from .resistance import negative_edge_report
 from .spectra import Signature, signature
 
 # Default relative tolerance on |w| * R - 1 deciding boundary equality, and
@@ -122,31 +122,28 @@ def _resistance_terms(g: SignedGraph, neg: list[int]
                                  np.ndarray, list[float]]:
     """Per-edge thresholds, the Corollary 6 test, the resistance matrix R
     over the positive subgraph and the magnitudes |w_k|, for the negative
-    edges ``neg`` (a nonempty list of edge indices), from one resistance
-    matrix.
+    edges ``neg`` (the indices of all of them), from one resistance matrix.
 
     Raises:
+        DisconnectedError: the positive subgraph is disconnected.
         CrossCheckError: a resistance, threshold, margin or Corollary 6 sum
             is not finite (it left the double range).
     """
-    pairs = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
-    matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
+    report = negative_edge_report(g)
     magnitudes = np.abs(g.weights[neg]).tolist()
     with np.errstate(over="ignore"):
         per_edge = tuple(
-            EdgeThreshold(pair, mag, 1.0 / r, mag * r - 1.0)
-            for pair, mag, r in zip(pairs, magnitudes, diag)
+            EdgeThreshold((u, v), mag, 1.0 / r, mag * r - 1.0)
+            for (u, v, _), mag, r in zip(report.pairs, magnitudes, np.diag(report.matrix))
         )
-        r_tot = total_resistance(matrix)
     inv_sum = float(sum(1.0 / mag for mag in magnitudes))
-    values = [x for e in per_edge for x in (e.threshold, e.margin)] + [r_tot, inv_sum]
-    if not (np.isfinite(matrix).all() and np.isfinite(values).all()):
+    if not np.isfinite([x for e in per_edge for x in (e.threshold, e.margin)] + [inv_sum]).all():
         raise CrossCheckError(
             "a resistance, threshold, margin or Corollary 6 sum over the negative "
             "edges is not finite; the weights span more than the double range"
         )
-    c6 = Corollary6Result(inv_sum >= r_tot - COROLLARY6_SLACK, inv_sum, r_tot)
-    return per_edge, c6, matrix, magnitudes
+    c6 = Corollary6Result(inv_sum >= report.r_tot - COROLLARY6_SLACK, inv_sum, report.r_tot)
+    return per_edge, c6, report.matrix, magnitudes
 
 
 def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
@@ -250,9 +247,4 @@ def corollary6_check(g: SignedGraph) -> Corollary6Result:
         DisconnectedError: the positive subgraph is disconnected.
         CrossCheckError: a resistance or one of the two sums is not finite.
     """
-    neg = g.negative_edge_indices()
-    if not _positive_part_connected(g):
-        raise DisconnectedError("positive subgraph is disconnected")
-    if not neg:
-        return Corollary6Result(True, 0.0, 0.0)
-    return _resistance_terms(g, neg)[1]
+    return _resistance_terms(g, g.negative_edge_indices())[1]

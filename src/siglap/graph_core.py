@@ -1,12 +1,11 @@
 """Signed weighted graphs, their connected components and biconnected blocks.
 
-A :class:`SignedGraph` is immutable: a node count plus an ordered tuple of
-undirected edges ``(tail, head, weight)`` with ``tail < head`` and a nonzero
-weight.  Edge indices -- positions in that tuple -- are the handles used by
-every other module.  The same edges are also held as three read-only numpy
-columns, ``tails``, ``heads`` and ``weights``, built once with the graph;
-every graph step here and in the other modules reads those columns.  All
-operations here are pure functions.
+A :class:`SignedGraph` is immutable: a node count plus three read-only numpy
+columns over the undirected edges, ``tails``, ``heads`` and ``weights``, with
+``tail < head`` and a nonzero weight.  Edge indices -- positions in those
+columns -- are the handles used by every other module, and every graph step
+here and in the other modules reads the columns.  All operations here are
+pure functions.
 
 One lowpoint pass, :func:`edge_blocks`, answers every cycle question: the
 path-edge sets of the negative edges are pairwise disjoint exactly when those
@@ -17,7 +16,7 @@ below is a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -40,62 +39,59 @@ WEIGHT_FLOOR = 2.0 ** -1022
 DEGREE_BOUND = 2.0 ** 1022
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Undirected graph with nonzero, possibly negative, edge weights.
 
     Parallel edges are permitted and kept distinct; self-loops are rejected
-    at construction (see :func:`build_graph`).  ``tails``, ``heads`` (intp)
-    and ``weights`` (float) are read-only columns over the edge indices,
-    equal to the columns of ``edges``; equality and hashing read only
-    ``node_count`` and ``edges``.
+    by :func:`build_graph`, which validates what this constructor only
+    stores.  Each column is copied to its dtype (intp, intp, float64) and
+    made read-only.  Equality and hashing read ``node_count`` and ``edges``.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
-    tails: np.ndarray = field(init=False, repr=False, compare=False)
-    heads: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        table = np.array(self.edges, dtype=float).reshape(-1, 3)
-        self._set_columns(table[:, 0].astype(np.intp), table[:, 1].astype(np.intp),
-                          table[:, 2].copy())
-
-    def _set_columns(self, tails, heads, weights) -> None:
-        for name, column in (("tails", tails), ("heads", heads), ("weights", weights)):
+        for name, dtype in (("tails", np.intp), ("heads", np.intp), ("weights", np.float64)):
+            column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if self.tails.ndim != 1 or not self.tails.shape == self.heads.shape == self.weights.shape:
+            raise ValueError("tails, heads and weights must be 1-d columns of one length")
 
-    @classmethod
-    def _from_columns(cls, node_count: int, tails: np.ndarray, heads: np.ndarray,
-                      weights: np.ndarray) -> "SignedGraph":
-        """Graph whose edge tuple is read off fresh columns, which it keeps."""
-        g = cls.__new__(cls)
-        object.__setattr__(g, "node_count", node_count)
-        object.__setattr__(g, "edges", tuple(zip(tails.tolist(), heads.tolist(),
-                                                 weights.tolist())))
-        g._set_columns(tails, heads, weights)
-        return g
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The ``(tail, head, weight)`` triples in edge order, built from the
+        columns on each read."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist(), self.weights.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node_count, self.edges) == (other.node_count, other.edges)
+
+    def __hash__(self):
+        return hash((self.node_count, self.edges))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.tails.size
 
     def negative_edge_indices(self) -> list[int]:
         return np.flatnonzero(self.weights < 0.0).tolist()
 
-    def positive_edge_indices(self) -> list[int]:
-        return np.flatnonzero(self.weights > 0.0).tolist()
-
     def subgraph(self, edge_indices) -> "SignedGraph":
         """Graph on the same node set keeping only the given edges, in the
-        given order; ``edge_indices`` may also be a boolean mask array."""
+        given order; a boolean ``edge_indices`` (array or sequence) is a mask."""
         if not isinstance(edge_indices, np.ndarray):
-            edge_indices = np.fromiter(edge_indices, dtype=np.intp)
-        return SignedGraph._from_columns(self.node_count, self.tails[edge_indices],
-                                         self.heads[edge_indices],
-                                         self.weights[edge_indices])
+            edge_indices = np.array(list(edge_indices))
+            if edge_indices.dtype != bool:  # an empty list reads as float
+                edge_indices = edge_indices.astype(np.intp)
+        return SignedGraph(self.node_count, self.tails[edge_indices],
+                           self.heads[edge_indices], self.weights[edge_indices])
 
     def positive_subgraph(self) -> "SignedGraph":
         return self.subgraph(self.weights > 0.0)
@@ -216,8 +212,7 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
             if mask[k]:
                 text = message.format(u=us[k], v=vs[k], w=ws[k])
                 raise error(k, f"edge {k}: {text}")
-    u, v = u.astype(np.intp), v.astype(np.intp)
-    return SignedGraph._from_columns(node_count, np.minimum(u, v), np.maximum(u, v), w)
+    return SignedGraph(node_count, np.minimum(u, v), np.maximum(u, v), w)
 
 
 def incidence_matrix(g: SignedGraph) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Effective resistance between node pairs, per-negative-edge resistance
-diagonals, and the total-resistance trace.
+"""Effective resistance between node pairs, and the resistance matrix of the
+negative edges with its trace, the total resistance.
 
 Over an all-positive graph every resistance comes from one sparse solve of
 the grounded Laplacian: ``L(G)`` with the row and column of one node removed,
@@ -36,12 +36,12 @@ class ResistanceReport:
     """Per-negative-edge resistances over the positive subgraph.
 
     ``pairs`` holds ``(u, v, R_uv)`` per negative edge in edge order;
-    ``diag_r`` is the diagonal resistance matrix; ``r_tot`` is the trace of
-    the full quadratic form.
+    ``matrix`` is the resistance matrix ``E_-^T L^+(G+) E_-`` (diagonal
+    exactly when the path-edge sets are disjoint); ``r_tot`` is its trace.
     """
 
     pairs: tuple[tuple[int, int, float], ...]
-    diag_r: np.ndarray
+    matrix: np.ndarray
     r_tot: float
 
 
@@ -96,8 +96,8 @@ def _component_graph(g: SignedGraph, labels: np.ndarray,
         return g, np.arange(g.node_count)
     index = np.cumsum(inside) - 1
     keep = inside[g.tails]
-    component = SignedGraph._from_columns(int(inside.sum()), index[g.tails[keep]],
-                                          index[g.heads[keep]], g.weights[keep])
+    component = SignedGraph(int(inside.sum()), index[g.tails[keep]], index[g.heads[keep]],
+                            g.weights[keep])
     return component, index
 
 
@@ -180,18 +180,25 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     return matrix, np.diag(matrix).copy()
 
 
-def total_resistance(matrix: np.ndarray) -> float:
-    """Trace of the quadratic-form matrix (0 for an empty negative set)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return 0.0
-    return float(np.trace(matrix))
-
-
 def negative_edge_report(g: SignedGraph) -> ResistanceReport:
-    """Resistance report over the positive subgraph for every negative edge."""
+    """Resistances over the positive subgraph for every negative edge, from
+    one resistance matrix; every command and verdict that reads them calls
+    this.
+
+    Raises:
+        DisconnectedError: the positive subgraph is disconnected.
+        CrossCheckError: a resistance or ``R_tot`` is not finite (it left the
+            double range).
+    """
     neg = g.negative_edge_indices()
-    pairs_in = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
-    matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs_in)
-    pairs = tuple((u, v, float(r)) for (u, v), r in zip(pairs_in, diag))
-    return ResistanceReport(pairs=pairs, diag_r=np.diag(diag), r_tot=total_resistance(matrix))
+    pairs = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
+    matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
+    with np.errstate(over="ignore"):
+        r_tot = float(np.trace(matrix))
+    if not (np.isfinite(matrix).all() and np.isfinite(r_tot)):
+        raise CrossCheckError(
+            "a resistance or the total resistance R_tot over the negative edges is not "
+            "finite; the weights span more than the double range"
+        )
+    return ResistanceReport(tuple((u, v, float(r)) for (u, v), r in zip(pairs, diag)),
+                            matrix, r_tot)

@@ -62,7 +62,7 @@ def loop_build_graph(node_count: int, edge_list) -> SignedGraph:
     first error names the first offending edge by construction."""
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    edges = []
+    tails, heads, weights = [], [], []
     degree = [0.0] * node_count
     for k, (u, v, w) in enumerate(edge_list):
         u, v, w = int(u), int(v), float(w)
@@ -83,8 +83,10 @@ def loop_build_graph(node_count: int, edge_list) -> SignedGraph:
                 raise GraphConstructionError(
                     k, f"edge {k}: weight {w!r} on ({u}, {v}) lifts the weighted degree "
                        f"of node {x} to {degree[x]!r}, at or above 2**1022")
-        edges.append((min(u, v), max(u, v), w))
-    return SignedGraph(node_count, tuple(edges))
+        tails.append(min(u, v))
+        heads.append(max(u, v))
+        weights.append(w)
+    return SignedGraph(node_count, tails, heads, weights)
 
 
 def eig_signature(m: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:
@@ -178,7 +180,7 @@ def edge_difference_null_vector(g: sl.SignedGraph) -> np.ndarray:
     the positive edges as spanning tree, solve the edge-difference system
     ``E^T x = W^-1 [T_0; -1]`` in the least-squares sense and project out
     the all-ones direction."""
-    dec = pc.decompose_with_forest(g, g.positive_edge_indices())
+    dec = pc.decompose_with_forest(g, np.flatnonzero(g.weights > 0))
     w = g.weights[list(dec.column_order)]
     rhs = np.append(dec.tree_to_cycle[:, 0], -1.0) / w
     x, *_ = np.linalg.lstsq(dec.incidence_full.T, rhs, rcond=None)

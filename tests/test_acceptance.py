@@ -354,7 +354,7 @@ def test_criterion_8_single_cycle_mechanism():
     worst_ones = 0.0
     for _ in range(50):
         g = random_boundary_cycle_graph(rng)
-        positive = g.positive_edge_indices()
+        positive = np.flatnonzero(g.weights > 0)
         dec = pc.decompose_with_forest(g, positive)
         t_vec = dec.tree_to_cycle[:, 0]
         scaled = t_vec / np.sqrt(g.weights[list(dec.forest_edges)])

@@ -1,14 +1,17 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import siglap as sl
-from conftest import CATERPILLAR_TREE, caterpillar_with_chord
+from conftest import CATERPILLAR_TREE, caterpillar_with_chord, random_boundary_cycle_graph
 from siglap.cli import main
+from siglap.graph_core import edge_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -200,6 +203,42 @@ def test_margin_beyond_the_double_range_exit_code(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["resistance", "threshold", "check-psd"])
+def test_total_resistance_beyond_the_double_range_exit_code(tmp_path, capsys, command):
+    # each R(0,3) = 3 * 2**1022 is finite, but their sum R_tot is not
+    path = tmp_path / "wide.txt"
+    tiny = "2.2250738585072014e-308"
+    path.write_text(f"nodes 4\n0 1 {tiny}\n1 2 {tiny}\n2 3 {tiny}\n0 3 -1\n0 3 -1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may leak either
+        code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-psd", "signature"])
+def test_out_of_memory_exit_code(tmp_path, command):
+    # a 'nodes N' header whose per-node arrays cannot be allocated under an
+    # address-space limit set on the child process alone
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.txt"
+    path.write_text("nodes 1000000000\n0 1 1\n")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 3 * 10**9 if hard == resource.RLIM_INFINITY else min(3 * 10**9, hard)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "siglap.cli", command, str(path)],
+                          capture_output=True, env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (limit, limit)))
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == b""
+    assert done.stderr.startswith(f"siglap {command}: ".encode())
+    assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
+
+
 README_GRAPH = """# comments start with '#'
 nodes 9
 0 1 1.0
@@ -232,6 +271,44 @@ def test_check_psd_process_on_the_readme_graph(tmp_path):
         "disjoint_paths = true\n"
         "corollary6_satisfied = true\n"
     ).encode()
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    graph = re.search(r"## Graph file format\n\n```\n(.*?)```", readme, re.S).group(1)
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    assert graph == README_GRAPH
+    (tmp_path / "graph.txt").write_text(graph)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["verdict"].classification is sl.Classification.BOUNDARY
+    assert isinstance(namespace["clusters"], sl.ClusterAssignment)
+
+
+def test_no_production_route_reads_the_edge_tuple(tmp_path, monkeypatch):
+    # the edge tuple is a view for printing and for tests; every route reads
+    # the columns
+    def forbidden(self):
+        raise AssertionError("SignedGraph.edges was read")
+
+    monkeypatch.setattr(sl.SignedGraph, "edges", property(forbidden))
+    readme = sl.build_graph(9, CATERPILLAR_TREE + [(0, 4, -0.25)])
+    with pytest.raises(AssertionError):
+        readme.edges
+    for g in (readme, random_boundary_cycle_graph(np.random.default_rng(5))):
+        sl.multi_edge_verdict(g)
+        sl.corollary6_check(g)
+        sl.negative_edge_report(g)
+        sl.effective_resistance(g.positive_subgraph(), 0, 1)
+        sl.effective_resistance(g, 0, 1)
+        edge_blocks(g)
+        sl.component_labels(g)
+        sl.simulate(g, np.linspace(0.0, 1.0, g.node_count), t_final=1.0)
+        sl.predict_clusters(g)
+    path = tmp_path / "graph.txt"
+    path.write_text(README_GRAPH)
+    assert main(["check-psd", str(path), "--out", str(tmp_path / "report.txt")]) == 0
 
 
 @pytest.mark.parametrize("pair", [("1", "2"), ("1", "1")], ids=["out-of-range", "same-node"])

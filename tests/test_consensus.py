@@ -256,7 +256,7 @@ def test_cycle_projection_eigenvalue_equals_resistance():
     rng = np.random.default_rng(103)
     for _ in range(5):
         g = random_boundary_cycle_graph(rng)
-        positive = g.positive_edge_indices()
+        positive = np.flatnonzero(g.weights > 0)
         dec = pc.decompose_with_forest(g, positive)
         t_vec = dec.tree_to_cycle[:, 0]
         w_plus = g.weights[list(dec.forest_edges)]
@@ -299,7 +299,7 @@ def test_predict_clusters_matches_edge_difference_construction():
         scale = float(np.max(np.abs(expected)))
         assert np.max(np.abs(prediction.null_vector - expected)) <= 1e-12 * scale
         # the cycle is every edge on a simple u-v path of G+, plus the chord
-        positive = g.positive_edge_indices()
+        positive = np.flatnonzero(g.weights > 0)
         (k,) = g.negative_edge_indices()
         u, v, _ = g.edges[k]
         path = brute_force_path_edges(g.subgraph(positive), u, v)

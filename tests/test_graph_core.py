@@ -159,18 +159,35 @@ def test_build_graph_matches_the_per_edge_loop():
 def test_signed_graph_columns_follow_subgraphs():
     g = sl.build_graph(5, [(3, 1, 2.0), (0, 4, -1.0), (2, 4, 0.5), (4, 2, -3.0)])
     plus = g.positive_subgraph()
-    assert plus == sl.SignedGraph(5, ((1, 3, 2.0), (2, 4, 0.5)))
+    assert plus == sl.SignedGraph(5, [1, 2], [3, 4], [2.0, 0.5])
     assert plus.tails.tolist() == [1, 2] and plus.heads.tolist() == [3, 4]
     assert plus.weights.tolist() == [2.0, 0.5]
     picked = g.subgraph([3, 0])
     assert picked.edges == ((2, 4, -3.0), (1, 3, 2.0))
     assert picked.weights.tolist() == [-3.0, 2.0] and not picked.weights.flags.writeable
     assert g.subgraph(np.array([False, True, False, True])).edges == g.subgraph([1, 3]).edges
-    assert g.negative_edge_indices() == [1, 3] and g.positive_edge_indices() == [0, 2]
-    # a graph built straight from its edge tuple carries the same columns
-    direct = sl.SignedGraph(5, g.edges)
+    assert g.negative_edge_indices() == [1, 3] and np.flatnonzero(g.weights > 0).tolist() == [0, 2]
+    # a graph built straight from its columns keeps read-only copies of them,
+    # coerced to intp, intp and float64
+    direct = sl.SignedGraph(5, g.tails.tolist(), g.heads.tolist(), g.weights.tolist())
     assert direct == g and np.array_equal(direct.weights, g.weights)
     assert np.array_equal(direct.tails, g.tails) and not direct.tails.flags.writeable
+    assert direct.tails.dtype == direct.heads.dtype == np.intp
+    assert direct.weights.dtype == np.float64
+    weights = g.weights.copy()
+    copied = sl.SignedGraph(5, g.tails, g.heads, weights)
+    weights[0] = 9.0
+    assert copied == g and weights.flags.writeable
+    with pytest.raises(ValueError):
+        sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0])
+
+
+def test_subgraph_reads_a_boolean_list_as_a_mask():
+    g = sl.build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, -0.5)])
+    picked = g.subgraph([True, False, True, False])
+    assert picked.edges == ((0, 1, 1.0), (2, 3, 3.0))
+    assert picked == g.subgraph(np.array([True, False, True, False])) == g.subgraph([0, 2])
+    assert g.subgraph([]).edge_count == 0 and g.subgraph([]).node_count == 4
 
 
 def test_incidence_single_edge():

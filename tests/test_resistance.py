@@ -7,6 +7,7 @@ import paper_constructions as pc
 import siglap as sl
 from conftest import (
     caterpillar_tree,
+    caterpillar_with_chord,
     dense_laplacian,
     positive_weight,
     random_connected_positive,
@@ -58,8 +59,6 @@ def test_resistance_on_signed_graph_is_defined():
 def test_resistance_falls_back_when_cut_form_is_singular():
     # boundary chord makes the closed-form route inapplicable; the
     # eigendecomposition route must take over and match a brute oracle
-    from conftest import caterpillar_with_chord
-
     g = caterpillar_with_chord(-0.25)
     d = pc.decompose(g)
     with pytest.raises(pc.SingularCutGramError):
@@ -146,18 +145,17 @@ def test_matrix_requires_connected_positive():
 
 
 def test_total_resistance():
-    g = caterpillar_tree()
-    m, _ = sl.resistance_matrix_for_negatives(g, [(0, 4)])
-    assert sl.total_resistance(m) == pytest.approx(4.0, abs=1e-9)
-    assert sl.total_resistance(np.zeros((0, 0))) == 0.0
+    report = sl.negative_edge_report(caterpillar_with_chord(-0.25))
+    assert report.r_tot == pytest.approx(4.0, abs=1e-9)
+    assert sl.negative_edge_report(caterpillar_tree()).r_tot == 0.0
 
 
 def test_total_resistance_sums_disjoint_diagonal():
-    g_plus = sl.build_graph(5, [(0, 1, 1), (0, 2, 1), (1, 2, 1),
-                                (2, 3, 1), (2, 4, 1), (3, 4, 1)])
-    m, diag = sl.resistance_matrix_for_negatives(g_plus, [(0, 1), (3, 4)])
-    assert sl.total_resistance(m) == pytest.approx(float(diag.sum()), abs=1e-12)
-    assert sl.total_resistance(m) == pytest.approx(4.0 / 3.0, abs=1e-9)
+    g = sl.build_graph(5, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1),
+                           (0, 1, -1), (3, 4, -1)])
+    report = sl.negative_edge_report(g)
+    assert report.r_tot == pytest.approx(sum(r for _, _, r in report.pairs), abs=1e-12)
+    assert report.r_tot == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
 def test_parallel_combination():
@@ -178,4 +176,4 @@ def test_negative_edge_report():
     assert report.pairs[0][2] == pytest.approx(2.0, abs=1e-9)
     assert report.pairs[1][2] == pytest.approx(2.0, abs=1e-9)
     assert report.r_tot == pytest.approx(4.0, abs=1e-9)
-    assert np.allclose(report.diag_r, np.diag([2.0, 2.0]), atol=1e-9)
+    assert np.allclose(report.matrix, np.diag([2.0, 2.0]), atol=1e-9)
