@@ -22,6 +22,15 @@ exactly the blocks on its block-cut-tree path, whose edges form its path-edge
 set.  With disjoint sets those paths share no block of G+, so adding the
 negative edges one by one merges disjoint groups of blocks, and each negative
 edge ends in a block of its own.
+
+The same blocks make R block-diagonal.  A simple path between two nodes of a
+block never leaves it: it could only leave through a cut vertex and would
+have to come back through the same one.  So the positive part of the block
+holding f_k = (u, v) is connected whenever G+ is, the unit current from u to
+v, a sum of simple u-v paths, flows only through it, and ``R_jk = 0``
+exactly when f_j and f_k lie in different blocks.  The verdict hands the
+block ids of its one :func:`~siglap.graph_core.edge_blocks` pass down to the
+resistance layer, which solves only the blocks holding a negative edge.
 """
 
 from __future__ import annotations
@@ -117,19 +126,20 @@ def _cross_validate(classification: Classification, sigma: Signature) -> None:
         )
 
 
-def _resistance_terms(g: SignedGraph, neg: list[int]
+def _resistance_terms(g: SignedGraph, neg: list[int], blocks: np.ndarray | None = None
                       ) -> tuple[tuple[EdgeThreshold, ...], Corollary6Result,
                                  np.ndarray, list[float]]:
     """Per-edge thresholds, the Corollary 6 test, the resistance matrix R
     over the positive subgraph and the magnitudes |w_k|, for the negative
     edges ``neg`` (the indices of all of them), from one resistance matrix.
+    ``blocks`` are the block ids of G when the caller has them already.
 
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
         CrossCheckError: a resistance, threshold, margin or Corollary 6 sum
             is not finite (it left the double range).
     """
-    report = negative_edge_report(g)
+    report = negative_edge_report(g, _blocks=blocks)
     magnitudes = np.abs(g.weights[neg]).tolist()
     with np.errstate(over="ignore"):
         per_edge = tuple(
@@ -217,9 +227,10 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     neg = g.negative_edge_indices()
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])
+    blocks = edge_blocks(g)
     # Raises DisconnectedError when the positive subgraph is disconnected.
-    per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg)
-    disjoint = len(set(edge_blocks(g)[neg].tolist())) == len(neg)
+    per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg, blocks)
+    disjoint = len(set(blocks[neg].tolist())) == len(neg)
     zero_tol = BOUNDARY_RTOL if tol is None else tol
     sigma = _schur_signature(g.node_count, matrix, magnitudes, zero_tol)
     if disjoint:

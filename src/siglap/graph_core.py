@@ -9,8 +9,9 @@ pure functions.
 
 One lowpoint pass, :func:`edge_blocks`, answers every cycle question: the
 path-edge sets of the negative edges are pairwise disjoint exactly when those
-edges lie in distinct blocks of G, and at the single-cycle boundary the cycle
-is the block holding the negative edge.  The spanning-forest decomposition
+edges lie in distinct blocks of G, their resistance matrix is block-diagonal
+over those blocks, and at the single-cycle boundary the cycle is the block
+holding the negative edge.  The spanning-forest decomposition
 below is a test oracle.
 """
 

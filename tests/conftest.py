@@ -274,6 +274,23 @@ def random_tree(rng, n_lo: int = 3, n_hi: int = 10) -> sl.SignedGraph:
     return sl.build_graph(n, edges)
 
 
+def blocks_glued_at_cut_vertices(rng) -> tuple[list, list[int]]:
+    """Positive edges of 1..5 blocks, each a bridge, a parallel pair or a
+    cycle on 3..5 nodes, glued at a node already placed, plus the glue nodes,
+    which are cut vertices once a second block hangs on them."""
+    edges, glue, n = [], [], 1
+    for _ in range(int(rng.integers(1, 6))):
+        anchor = int(rng.integers(0, n))
+        glue.append(anchor)
+        size = int(rng.integers(1, 5))
+        ring = [anchor, *range(n, n + size)]
+        n += size
+        closing = [(ring[-1], anchor)] if size > 1 or rng.random() < 0.5 else []
+        for a, b in list(zip(ring, ring[1:])) + closing:
+            edges.append((a, b, positive_weight(rng)))
+    return edges, glue
+
+
 def random_signed(rng, max_components: int = 3) -> sl.SignedGraph:
     """1..max_components components, <= 10 nodes, weights in +-[0.1, 2]."""
     c = int(rng.integers(1, max_components + 1))

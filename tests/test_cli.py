@@ -356,6 +356,20 @@ def test_threshold_without_negative_edges_is_hypothesis_violation(tmp_path):
     assert main(["threshold", path]) == 2
 
 
+def test_resistance_without_negative_edges_on_a_disconnected_graph(tmp_path, capsys):
+    path = graph_file(tmp_path, sl.build_graph(3, [(0, 1, 1.0)]))
+    assert main(["resistance", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "R_tot = 0"
+
+
+def test_threshold_without_negative_edges_on_a_disconnected_graph(tmp_path, capsys):
+    path = graph_file(tmp_path, sl.build_graph(3, [(0, 1, 1.0)]))
+    assert main(["threshold", path]) == 2
+    err = capsys.readouterr().err
+    assert "at least one negative edge required" in err
+    assert "disconnected" not in err
+
+
 def test_predict_clusters_report(tmp_path, capsys):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
     assert main(["predict-clusters", path]) == 0

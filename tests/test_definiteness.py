@@ -3,10 +3,10 @@ import pytest
 
 import siglap as sl
 from conftest import (
+    blocks_glued_at_cut_vertices,
     caterpillar_with_chord,
     dense_laplacian,
     eig_signature,
-    positive_weight,
     random_boundary_cycle_graph,
     random_connected_positive,
     random_tree,
@@ -138,6 +138,14 @@ def test_corollary6_vacuous_without_negative_edges():
     assert result == (True, 0.0, 0.0)
 
 
+def test_corollary6_vacuous_without_negative_edges_on_a_disconnected_graph():
+    # node 2 is isolated; with no negative edge there is nothing to solve
+    g = sl.build_graph(3, [(0, 1, 1.0)])
+    assert sl.corollary6_check(g) == (True, 0.0, 0.0)
+    report = sl.negative_edge_report(g)
+    assert (report.pairs, report.matrix.shape, report.r_tot) == ((), (0, 0), 0.0)
+
+
 def test_threshold_flips_exactly_at_boundary():
     rng = np.random.default_rng(73)
     for _ in range(40):
@@ -230,23 +238,6 @@ def test_wrong_disjointness_answer_is_caught(monkeypatch):
         sl.multi_edge_verdict(overlapping_chords_at_nine_tenths())
 
 
-def blocks_glued_at_cut_vertices(rng) -> tuple[list, list[int]]:
-    """Positive edges of 1..5 blocks, each a bridge, a parallel pair or a
-    cycle on 3..5 nodes, glued at a node already placed, plus the glue nodes,
-    which are cut vertices once a second block hangs on them."""
-    edges, glue, n = [], [], 1
-    for _ in range(int(rng.integers(1, 6))):
-        anchor = int(rng.integers(0, n))
-        glue.append(anchor)
-        size = int(rng.integers(1, 5))
-        ring = [anchor, *range(n, n + size)]
-        n += size
-        closing = [(ring[-1], anchor)] if size > 1 or rng.random() < 0.5 else []
-        for a, b in list(zip(ring, ring[1:])) + closing:
-            edges.append((a, b, positive_weight(rng)))
-    return edges, glue
-
-
 def test_disjointness_flag_equals_pairwise_disjoint_path_sets():
     rng = np.random.default_rng(11)
     seen = set()
@@ -330,3 +321,32 @@ def test_non_finite_margin_raises_instead_of_a_verdict():
         sl.multi_edge_verdict(g)
     with pytest.raises(sl.CrossCheckError, match="not finite"):
         sl.corollary6_check(g)
+
+
+def cycle_chain_at_threshold(weights, length=15, chord=3, hop=7):
+    """Cycles of ``length`` nodes, cycle i with every weight ``weights[i]``
+    and glued at node ``hop`` of cycle i-1, each with one negative chord
+    ``chord`` apart at its threshold ``1/R = length w / (chord (length - chord))``."""
+    edges, n, anchor = [], 1, 0
+    for w in weights:
+        ring = [anchor, *range(n, n + length - 1)]
+        n += length - 1
+        edges += [(ring[i], ring[(i + 1) % length], w) for i in range(length)]
+        edges.append((ring[0], ring[chord], -length * w / (chord * (length - chord))))
+        anchor = ring[hop]
+    return sl.build_graph(n, edges)
+
+
+@pytest.mark.parametrize("last", [1e6, 1.0])
+def test_boundary_verdict_when_block_weights_differ_in_scale(last):
+    # a heavy last cycle beside 39 light ones: every block's R must keep
+    # its own relative accuracy, or the boundary verdicts flip
+    weights = [1e-6] * 39 + [last]
+    g = cycle_chain_at_threshold(weights)
+    verdict = sl.multi_edge_verdict(g)
+    assert verdict.classification is Classification.BOUNDARY
+    assert verdict.sigma.as_tuple() == (520, 0, 41)
+    matrix = sl.negative_edge_report(g).matrix
+    exact = np.array([3 * 12 / (15 * w) for w in weights])
+    assert np.all(np.abs(np.diag(matrix) - exact) <= 1e-12 * exact)
+    assert np.array_equal(matrix, np.diag(np.diag(matrix)))

@@ -177,3 +177,22 @@ def test_negative_edge_report():
     assert report.pairs[1][2] == pytest.approx(2.0, abs=1e-9)
     assert report.r_tot == pytest.approx(4.0, abs=1e-9)
     assert np.allclose(report.matrix, np.diag([2.0, 2.0]), atol=1e-9)
+
+
+def test_wrong_block_ids_are_caught():
+    # 4-cycle 0-1-2-3 with a chord (0, 2); G has one block
+    g_plus = sl.build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    # the chord's block holds only (0,1) and (2,3): both ends, not connected
+    with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) is not connected"):
+        sl.resistance_matrix_for_negatives(g_plus, [(0, 2)], _blocks=[0, 1, 0, 1, 0])
+    # the chord's block holds only (0,1): node 2 is missing
+    with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) misses an end"):
+        sl.resistance_matrix_for_negatives(g_plus, [(0, 2)], _blocks=[0, 1, 1, 1, 0])
+
+
+def test_cancelling_parallel_edges_still_join_their_nodes():
+    # L(0,1) sums to an explicitly stored 0; the edge still joins 0 and 1
+    g = sl.build_graph(3, [(0, 1, 1.0), (0, 1, -1.0), (1, 2, 1.0)])
+    pinv = np.linalg.pinv(dense_laplacian(3, g.edges))
+    e = np.array([1.0, 0.0, -1.0])
+    assert sl.effective_resistance(g, 0, 2) == pytest.approx(float(e @ pinv @ e), abs=1e-12)

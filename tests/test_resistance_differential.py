@@ -2,16 +2,20 @@
 
 ``networkx.resistance_distance`` is the differential oracle; it takes edge
 weights as conductances with ``invert_weight=False`` and, being a simple
-graph, needs parallel edges merged by summing their conductances.
+graph, needs parallel edges merged by summing their conductances.  A dense
+pseudo-inverse is the oracle for the whole resistance matrix.
 """
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siglap as sl
 import siglap.resistance as resistance_module
 from conftest import (
+    blocks_glued_at_cut_vertices,
     caterpillar_tree,
     caterpillar_with_chord,
     dense_laplacian,
@@ -19,6 +23,7 @@ from conftest import (
     random_connected_positive,
     random_signed,
 )
+from siglap.graph_core import edge_blocks
 
 
 def nx_graph(g: sl.SignedGraph) -> nx.Graph:
@@ -153,3 +158,41 @@ def test_signed_effective_resistance_matches_pinv():
                 assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
                 checked += 1
     assert checked > 500
+
+
+@st.composite
+def glued_blocks_with_pairs(draw):
+    """Blocks glued at cut vertices, positive weights log-uniform over
+    [1e-3, 1e3], and 1..4 node pairs: each parallel to a positive edge (so
+    several pairs may share a block) or between any two nodes (often in
+    different blocks, or merging blocks)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positive, _ = blocks_glued_at_cut_vertices(rng)
+    n = 1 + max(max(u, v) for u, v, _ in positive)
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(positive),
+                              max_size=len(positive)))
+    positive = [(u, v, 10.0 ** x) for (u, v, _), x in zip(positive, exponents)]
+    any_pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    pair = st.one_of(st.sampled_from([e[:2] for e in positive]), any_pair)
+    pairs = [draw(pair) for _ in range(draw(st.integers(1, 4)))]
+    return sl.build_graph(n, positive), pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(glued_blocks_with_pairs())
+def test_block_route_matches_dense_pseudo_inverse(case):
+    g_plus, pairs = case
+    matrix, diag = sl.resistance_matrix_for_negatives(g_plus, pairs)
+    n, m = g_plus.node_count, len(pairs)
+    E = np.zeros((n, m))
+    for k, (u, v) in enumerate(pairs):
+        E[min(u, v), k], E[max(u, v), k] = -1.0, 1.0
+    oracle = E.T @ np.linalg.pinv(dense_laplacian(n, g_plus.edges)) @ E
+    assert np.max(np.abs(matrix - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+    assert np.array_equal(diag, np.diag(matrix))
+    assert np.array_equal(matrix, matrix.T)
+    g = sl.build_graph(n, list(g_plus.edges) + [(u, v, -1.0) for u, v in pairs])
+    pair_block = edge_blocks(g)[g_plus.edge_count:]
+    across = pair_block[:, None] != pair_block[None, :]
+    assert np.all(matrix[across] == 0.0)
