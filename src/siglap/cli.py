@@ -12,6 +12,7 @@ ignore it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     SiglapError,
 )
 from .graph_core import SignedGraph, component_labels
-from .graphfile import read_graph_file
+from .graphfile import _content_lines, read_graph_file
 from .laplacians import laplacian_matrix
 
 _HYPOTHESIS_ERRORS = (
@@ -43,21 +44,13 @@ def _sigma_str(sig: spectra.Signature) -> str:
     return f"({sig.n_plus},{sig.n_minus},{sig.n_zero})"
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-# The commands whose answer depends on --tol; only they echo it.
-_TOL_COMMANDS = ("signature", "check-psd")
+# A handler's outputs: (path, lines) pairs, path None for stdout.
+_Outputs = list[tuple[str | None, list[str]]]
 
 
 def _header(args: argparse.Namespace, extra: list[str] | None = None) -> list[str]:
     lines = [f"# siglap {args.command}", f"# input: {args.graph}"]
-    if args.command in _TOL_COMMANDS:
+    if args.echo_tol:
         lines.append(f"# tol: {'default' if args.tol is None else _fmt(args.tol)}")
     if extra:
         lines.extend(extra)
@@ -68,10 +61,7 @@ def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list
     if args.x0 is not None:
         values = []
         with open(args.x0, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
+            for lineno, line in _content_lines(fh):
                 try:
                     values.append(float(line))
                 except ValueError:
@@ -81,15 +71,16 @@ def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list
     return rng.uniform(0.0, 1.0, g.node_count), [f"# seed: {args.seed}"]
 
 
-def _cmd_signature(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+def _cmd_signature(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     sig = spectra.signature(laplacian_matrix(g), args.tol)
     lines = _header(args)
     lines.append(f"sigma = {_sigma_str(sig)}")
     lines.append(f"tolerance_used = {_fmt(sig.tolerance_used)}")
     lines.append(f"near_singular = {'true' if sig.near_singular else 'false'}")
-    return lines
+    return [(args.out, lines)]
 
-def _cmd_resistance(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+
+def _cmd_resistance(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     lines = _header(args)
     if args.pair:
         if g.negative_edge_indices():
@@ -97,25 +88,25 @@ def _cmd_resistance(args: argparse.Namespace, g: SignedGraph) -> list[str]:
                          "fall outside the threshold theorems")
         for u, v in args.pair:
             lines.append(f"R({u},{v}) = {_fmt(resistance.effective_resistance(g, u, v))}")
-        return lines
-    report = resistance.negative_edge_report(g)
-    for u, v, r in report.pairs:
-        lines.append(f"edge ({u},{v}): R+ = {_fmt(r)}")
-    lines.append(f"R_tot = {_fmt(report.r_tot)}")
-    return lines
+    else:
+        report = resistance.negative_edge_report(g)
+        for u, v, r in report.pairs:
+            lines.append(f"edge ({u},{v}): R+ = {_fmt(r)}")
+        lines.append(f"R_tot = {_fmt(report.r_tot)}")
+    return [(args.out, lines)]
 
 
-def _cmd_threshold(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+def _cmd_threshold(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     report = resistance.negative_edge_report(g)
     if not report.pairs:
         raise HypothesisViolatedError(["at least one negative edge required"])
     lines = _header(args)
     for u, v, r in report.pairs:
         lines.append(f"edge ({u},{v}): max |w-| = {_fmt(1.0 / r)}")
-    return lines
+    return [(args.out, lines)]
 
 
-def _cmd_check_psd(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+def _cmd_check_psd(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     neg = g.negative_edge_indices()
     lines = _header(args)
     if not neg:
@@ -123,7 +114,7 @@ def _cmd_check_psd(args: argparse.Namespace, g: SignedGraph) -> list[str]:
         c = int(component_labels(g).max()) + 1
         lines.append(f"PSD (strict interior), sigma=({g.node_count - c},0,{c})")
         lines.append("# all weights positive; Laplacian is PSD by construction")
-        return lines
+        return [(args.out, lines)]
     verdict = definiteness.multi_edge_verdict(g, args.tol)
     label = {
         definiteness.Classification.STRICT_INTERIOR: "PSD (strict interior)",
@@ -146,10 +137,10 @@ def _cmd_check_psd(args: argparse.Namespace, g: SignedGraph) -> list[str]:
     )
     if verdict.sigma.near_singular:
         lines.append("near_singular = true")
-    return lines
+    return [(args.out, lines)]
 
 
-def _cmd_simulate(args: argparse.Namespace, g: SignedGraph) -> tuple[list[str], list[str]]:
+def _cmd_simulate(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     x0, source_lines = _load_x0(args, g)
     traj = consensus.simulate(
         g, x0, t_final=args.t_final, step=args.step, cluster_tol=args.cluster_tol
@@ -174,10 +165,13 @@ def _cmd_simulate(args: argparse.Namespace, g: SignedGraph) -> tuple[list[str], 
         for node in range(g.node_count):
             cid = fc.labels[node]
             cluster_lines.append(f"{node},{cid},{_fmt(fc.values[cid])}")
-    return csv_lines, cluster_lines
+    outputs = [(args.out, csv_lines)]
+    if args.clusters_out is not None:
+        outputs.append((args.clusters_out, cluster_lines))
+    return outputs
 
 
-def _cmd_predict_clusters(args: argparse.Namespace, g: SignedGraph) -> list[str]:
+def _cmd_predict_clusters(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     prediction = consensus.predict_clusters(g)
     lines = _header(args)
     lines.append(f"q = {prediction.q}")
@@ -186,7 +180,7 @@ def _cmd_predict_clusters(args: argparse.Namespace, g: SignedGraph) -> list[str]
         lines.append(
             f"{node},{prediction.component_map[node]},{_fmt(prediction.null_vector[node])}"
         )
-    return lines
+    return [(args.out, lines)]
 
 
 def run(args: argparse.Namespace) -> int:
@@ -194,34 +188,24 @@ def run(args: argparse.Namespace) -> int:
     try:
         spectra._check_tolerance(args.tol)
         g = read_graph_file(args.graph)
-        if args.command == "signature":
-            report = _cmd_signature(args, g)
-        elif args.command == "resistance":
-            report = _cmd_resistance(args, g)
-        elif args.command == "threshold":
-            report = _cmd_threshold(args, g)
-        elif args.command == "check-psd":
-            report = _cmd_check_psd(args, g)
-        elif args.command == "simulate":
-            csv_lines, cluster_lines = _cmd_simulate(args, g)
-            _write("\n".join(csv_lines) + "\n", args.out)
-            if args.clusters_out is not None:
-                _write("\n".join(cluster_lines) + "\n", args.clusters_out)
-            return 0
-        elif args.command == "predict-clusters":
-            report = _cmd_predict_clusters(args, g)
-        else:
-            raise ValueError(f"unknown command: {args.command}")
+        # Files first and stdout last, so a failed write leaves stdout empty.
+        for path, lines in sorted(args.handler(args, g), key=lambda out: out[0] is None):
+            text = "\n".join(lines) + "\n"
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
     except _HYPOTHESIS_ERRORS as exc:
         sys.stderr.write(f"siglap {args.command}: hypothesis violated: {exc}\n")
         return 2
     except (OSError, MemoryError, SiglapError) as exc:  # MemoryError: a huge 'nodes N'
         sys.stderr.write(f"siglap {args.command}: {str(exc) or type(exc).__name__}\n")
         return 1
-    _write("\n".join(report) + "\n", args.out)
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siglap",
@@ -230,7 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name, handler, summary, echo_tol=False) -> argparse.ArgumentParser:
+        """One subcommand; only the commands whose answer depends on --tol echo it."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, echo_tol=echo_tol)
         p.add_argument("graph", help="edge-list graph file")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--tol", type=float, default=None,
@@ -240,19 +227,20 @@ def _build_parser() -> argparse.ArgumentParser:
                             "T = I - D^1/2 R D^1/2 over the negative edges, and the "
                             "per-edge margins "
                             f"(default {definiteness.BOUNDARY_RTOL:g})")
+        return p
 
-    add_common(sub.add_parser("signature", help="signature of the weighted Laplacian"))
+    add_command("signature", _cmd_signature, "signature of the weighted Laplacian",
+                echo_tol=True)
 
-    p = sub.add_parser("resistance", help="effective resistances over the positive subgraph")
-    add_common(p)
+    p = add_command("resistance", _cmd_resistance,
+                    "effective resistances over the positive subgraph")
     p.add_argument("--pair", nargs=2, type=int, action="append", metavar=("U", "V"),
                    default=None, help="resistance for this node pair (repeatable)")
 
-    add_common(sub.add_parser("threshold", help="admissible negative magnitude per edge"))
-    add_common(sub.add_parser("check-psd", help="semidefiniteness verdict"))
+    add_command("threshold", _cmd_threshold, "admissible negative magnitude per edge")
+    add_command("check-psd", _cmd_check_psd, "semidefiniteness verdict", echo_tol=True)
 
-    p = sub.add_parser("simulate", help="integrate the consensus protocol")
-    add_common(p)
+    p = add_command("simulate", _cmd_simulate, "integrate the consensus protocol")
     p.add_argument("--t-final", type=float, default=consensus.DEFAULT_T_FINAL)
     p.add_argument("--step", type=float, default=consensus.DEFAULT_STEP)
     p.add_argument("--cluster-tol", type=float, default=consensus.DEFAULT_CLUSTER_TOL)
@@ -262,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters-out", default=None,
                    help="also write the detected-cluster report here")
 
-    add_common(sub.add_parser("predict-clusters",
-                              help="predicted boundary clustering (single-cycle case)"))
+    add_command("predict-clusters", _cmd_predict_clusters,
+                "predicted boundary clustering (single-cycle case)")
     return parser
 
 

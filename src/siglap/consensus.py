@@ -20,7 +20,7 @@ import numpy as np
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from .graph_core import SignedGraph, _canonical_labels, component_labels, edge_blocks
+from .graph_core import SignedGraph, _first_seen_ids, component_labels, edge_blocks
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .resistance import _grounded_solve, _indicator_difference
 from .spectra import _check_tolerance, default_zero_tolerance
@@ -188,7 +188,8 @@ def _detect(states: np.ndarray, tol: float) -> ClusterAssignment:
         if agree.size:
             groups = np.append(root[agree], root[i])
             root[np.isin(root, groups)] = groups.min()
-    labels = _canonical_labels(n, np.arange(n), root)
+    # Each root is its group's lowest node, so first-seen order is canonical.
+    labels = _first_seen_ids(root)
     values = [float(np.mean(final[labels == cid])) for cid in range(int(labels.max()) + 1)]
     return ClusterAssignment(tuple(int(c) for c in labels), tuple(values))
 
@@ -209,14 +210,13 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
     return _detect(traj.states, tol)
 
 
-def predict_clusters(g: SignedGraph,
-                     boundary_rtol: float = BOUNDARY_RTOL) -> ClusterPrediction:
+def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     """Cluster count and null-space vector for the single-cycle boundary case.
 
     Requires: connected graph with exactly one cycle (|E| = |V|), exactly one
     negative edge (u, v), a connected positive subgraph G+ (hence a spanning
     tree, so the negative edge closes the cycle), and the negative magnitude
-    sitting at the threshold 1/R_uv within ``boundary_rtol``.
+    sitting at the threshold 1/R_uv within ``BOUNDARY_RTOL``.
 
     One grounded solve gives both R_uv and the extra null vector: the
     potential ``z = L(G+)^+ (e_v - e_u)`` has ``z_v - z_u = R_uv`` and
@@ -253,7 +253,7 @@ def predict_clusters(g: SignedGraph,
     z = _grounded_solve(sparse_laplacian(g_plus), 1, _indicator_difference(n, v, u)[:, None])[:, 0]
     r_uv = float(z[v] - z[u])
     margin = abs(w) * r_uv - 1.0
-    if abs(margin) > boundary_rtol:
+    if abs(margin) > BOUNDARY_RTOL:
         raise HypothesisViolatedError(
             [f"negative weight must equal the threshold 1/{r_uv:.12g}; margin {margin:.3e}"]
         )

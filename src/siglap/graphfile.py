@@ -8,8 +8,19 @@ magnitude at least 2**-1022 (see :func:`siglap.graph_core.build_graph`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+
 from .errors import GraphConstructionError, GraphParseError
 from .graph_core import SignedGraph, build_graph
+
+
+def _content_lines(raw_lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(1-based line number, text)`` of each line that is not blank once
+    its ``#`` comment and surrounding whitespace are stripped."""
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_graph(text: str) -> SignedGraph:
@@ -17,12 +28,8 @@ def parse_graph(text: str) -> SignedGraph:
     node_count = None
     edges: list[tuple[int, int, float]] = []
     edge_lines: list[int] = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    raw_lines = text.splitlines()
+    for lineno, line in _content_lines(raw_lines):
         parts = line.split()
         if node_count is None:
             if len(parts) != 2 or parts[0] != "nodes":
@@ -43,7 +50,7 @@ def parse_graph(text: str) -> SignedGraph:
         edges.append((u, v, w))
         edge_lines.append(lineno)
     if node_count is None:
-        raise GraphParseError(last_line or 1, "missing 'nodes N' header")
+        raise GraphParseError(len(raw_lines) or 1, "missing 'nodes N' header")
     try:
         return build_graph(node_count, edges)
     except GraphConstructionError as exc:

@@ -339,6 +339,20 @@ def triangle_chain_with_chords(rng, n_triangles: int, factors) -> tuple[sl.Signe
     return sl.build_graph(next_node, edges + chords), thresholds
 
 
+def cycle_chain_at_threshold(weights, length=15, chord=3, hop=7):
+    """Cycles of ``length`` nodes, cycle i with every weight ``weights[i]``
+    and glued at node ``hop`` of cycle i-1, each with one negative chord
+    ``chord`` apart at its threshold ``1/R = length w / (chord (length - chord))``."""
+    edges, n, anchor = [], 1, 0
+    for w in weights:
+        ring = [anchor, *range(n, n + length - 1)]
+        n += length - 1
+        edges += [(ring[i], ring[(i + 1) % length], w) for i in range(length)]
+        edges.append((ring[0], ring[chord], -length * w / (chord * (length - chord))))
+        anchor = ring[hop]
+    return sl.build_graph(n, edges)
+
+
 def random_boundary_cycle_graph(rng, n_lo: int = 4, n_hi: int = 10) -> sl.SignedGraph:
     """Random weighted tree plus one negative chord at exactly the threshold."""
     n = int(rng.integers(n_lo, n_hi + 1))

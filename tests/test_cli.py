@@ -10,6 +10,7 @@ import pytest
 
 import siglap as sl
 from conftest import CATERPILLAR_TREE, caterpillar_with_chord, random_boundary_cycle_graph
+from siglap import cli
 from siglap.cli import main
 from siglap.graph_core import edge_blocks
 
@@ -318,6 +319,32 @@ def test_resistance_invalid_pair_exit_code(tmp_path, capsys, pair):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("siglap resistance: ")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("signature", "--out"), ("resistance", "--out"), ("threshold", "--out"),
+    ("check-psd", "--out"), ("simulate", "--out"), ("predict-clusters", "--out"),
+    ("simulate", "--clusters-out"),
+])
+def test_unwritable_output_exit_code(tmp_path, capsys, command, option):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    code = main([command, path, option, str(tmp_path / "missing" / "report.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"siglap {command}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    path = graph_file(tmp_path, sl.build_graph(9, CATERPILLAR_TREE))
+    cli._build_parser.cache_clear()
+    assert main(["resistance", path, "--pair", "0", "4"]) == 0
+    assert "R(0,4) = 4" in capsys.readouterr().out
+    assert main(["resistance", path, "--pair", "2", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "R(2,8) = 3" in out and "R(0,4)" not in out
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_negative_tolerance_exit_code(tmp_path, capsys):

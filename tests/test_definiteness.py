@@ -5,6 +5,7 @@ import siglap as sl
 from conftest import (
     blocks_glued_at_cut_vertices,
     caterpillar_with_chord,
+    cycle_chain_at_threshold,
     dense_laplacian,
     eig_signature,
     random_boundary_cycle_graph,
@@ -321,20 +322,6 @@ def test_non_finite_margin_raises_instead_of_a_verdict():
         sl.multi_edge_verdict(g)
     with pytest.raises(sl.CrossCheckError, match="not finite"):
         sl.corollary6_check(g)
-
-
-def cycle_chain_at_threshold(weights, length=15, chord=3, hop=7):
-    """Cycles of ``length`` nodes, cycle i with every weight ``weights[i]``
-    and glued at node ``hop`` of cycle i-1, each with one negative chord
-    ``chord`` apart at its threshold ``1/R = length w / (chord (length - chord))``."""
-    edges, n, anchor = [], 1, 0
-    for w in weights:
-        ring = [anchor, *range(n, n + length - 1)]
-        n += length - 1
-        edges += [(ring[i], ring[(i + 1) % length], w) for i in range(length)]
-        edges.append((ring[0], ring[chord], -length * w / (chord * (length - chord))))
-        anchor = ring[hop]
-    return sl.build_graph(n, edges)
 
 
 @pytest.mark.parametrize("last", [1e6, 1.0])

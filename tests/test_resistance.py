@@ -8,6 +8,7 @@ import siglap as sl
 from conftest import (
     caterpillar_tree,
     caterpillar_with_chord,
+    cycle_chain_at_threshold,
     dense_laplacian,
     positive_weight,
     random_connected_positive,
@@ -196,3 +197,21 @@ def test_cancelling_parallel_edges_still_join_their_nodes():
     pinv = np.linalg.pinv(dense_laplacian(3, g.edges))
     e = np.array([1.0, 0.0, -1.0])
     assert sl.effective_resistance(g, 0, 2) == pytest.approx(float(e @ pinv @ e), abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="One grounded solve over the whole component: a light block beside a "
+           "heavy one keeps only about 1e-4 relative accuracy (worst 1.7e-4 here), "
+           "though the residual check passes; the block-by-block route of "
+           "resistance_matrix_for_negatives is exact to 1.5e-15 on the same graph.",
+)
+def test_pair_resistance_when_block_weights_differ_in_scale():
+    # chord (u, v) 3 apart on a unit-shaped 15-cycle of weight w: R = 36 / (15 w)
+    weights = [1e-6] * 39 + [1e6]
+    g = cycle_chain_at_threshold(weights)
+    g_plus = g.positive_subgraph()
+    for k, w in zip(g.negative_edge_indices(), weights):
+        exact = 36.0 / (15.0 * w)
+        r = sl.effective_resistance(g_plus, int(g.tails[k]), int(g.heads[k]))
+        assert abs(r - exact) <= 1e-12 * exact
