@@ -20,8 +20,8 @@ import numpy as np
 from . import consensus, definiteness, resistance, spectra
 from .errors import (
     DisconnectedError,
-    GraphParseError,
     HypothesisViolatedError,
+    InvalidParameterError,
     NodesDisconnectedError,
     SiglapError,
 )
@@ -65,7 +65,9 @@ def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list
                 try:
                     values.append(float(line))
                 except ValueError:
-                    raise GraphParseError(lineno, f"bad x0 value: {line!r}") from None
+                    raise InvalidParameterError(
+                        f"x0 file {args.x0}: line {lineno}: bad x0 value: {line!r}"
+                    ) from None
         return np.array(values), [f"# x0: {args.x0}"]
     rng = np.random.default_rng(args.seed)
     return rng.uniform(0.0, 1.0, g.node_count), [f"# seed: {args.seed}"]

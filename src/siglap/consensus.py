@@ -2,12 +2,16 @@
 prediction at the resistance boundary, and cluster detection in trajectories.
 
 Trajectories are sampled from the exact modal solution ``V exp(-t Lambda)
-V^T x0``; the state mean is a conserved quantity of the dynamics (1^T L = 0)
-and is preserved to rounding error.  At the boundary ``|w| = 1/R_uv`` of a
-single negative edge, the extra null vector of L is that edge's grounded
-potential over the positive spanning tree (the resistance layer's sparse
-solve), and the clusters are the components left once the cycle -- the
-biconnected block holding the negative edge -- is removed.
+V^T x0`` of one eigendecomposition (LAPACK ``dsyevd``); the state mean is a
+conserved quantity of the dynamics (1^T L = 0) and is preserved to rounding
+error.  Clusters are detected in order of final value: one vectorized pass
+over the final window joins agreeing rank neighbours into runs, and only a
+node whose near neighbours reach past its run is compared with them one by
+one.  At the boundary ``|w| = 1/R_uv`` of a single negative edge, the extra
+null vector of L is that edge's grounded potential over the positive spanning
+tree (the resistance layer's sparse solve), and the clusters are the
+components left once the cycle -- the biconnected block holding the negative
+edge -- is removed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
@@ -31,11 +36,14 @@ DEFAULT_OUTPUT_STRIDE = 10
 DEFAULT_CLUSTER_TOL = 1e-5
 UNBOUNDED_FACTOR = 1e6
 MAX_RECORDED_VALUES = 10**7  # samples x nodes; 80 MB of float64 states
-# Time samples per matrix product in ``simulate``; the block temporary is
-# _SAMPLE_BLOCK x n.  On a 307-node graph sampled 2001 times, 256 ran faster
-# than 64 and than one product over the whole grid, whose temporary is as
-# large as the states.
+# Time samples per matrix product in ``simulate``; each block's
+# ``exp(-t lam) * modes`` is computed in place in one reused _SAMPLE_BLOCK x n
+# buffer.  On a 307-node graph sampled 2001 times, 256 ran faster than 64 and
+# than one product over the whole grid, whose buffer is as large as the states.
 _SAMPLE_BLOCK = 256
+# Final-window rows gathered in rank order at a time by cluster detection, so
+# that it never holds a second copy of the whole window.
+_GAP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -123,22 +131,33 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     if tail:
         times = np.append(times, n_steps * step if exact_end else t_final)
 
-    lam, V = np.linalg.eigh(laplacian_matrix(g))
+    # L is finite by construction (build_graph rejects non-finite weights) and
+    # freshly built, so LAPACK may overwrite it unchecked.
+    lam, V = eigh(laplacian_matrix(g), driver="evd", overwrite_a=True, check_finite=False)
     zero_tol = default_zero_tolerance(lam, n)
-    modes = V.T @ x0
+    # V^T x0 on a row-major copy of V, the layout numpy.linalg.eigh returns: on
+    # LAPACK's column-major V the product runs another BLAS kernel, which
+    # rounds differently and would move the recorded states in their last
+    # bits.  The block products below keep V column-major, as V[:, active] is.
+    modes = np.ascontiguousarray(V).T @ x0
     # A mode that x0 misses exactly stays zero even where exp(-t lam) overflows.
     active = modes != 0.0
-    lam, V, modes = lam[active], V[:, active], modes[active]
+    if not active.all():
+        lam, V, modes = lam[active], V[:, active], modes[active]
     # Any excited mode with a negative eigenvalue grows without bound.
     diverged = bool(np.any(lam < -zero_tol))
     states = np.empty((times.size, n))
+    block = np.empty((min(_SAMPLE_BLOCK, times.size), lam.size))
     # An indefinite L overflows exp(-t lam) to inf, and (... inf ...) @ V^T can
     # give NaN; both are reported as divergence below.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, times.size, _SAMPLE_BLOCK):
             t_blk = times[s:s + _SAMPLE_BLOCK]
-            np.matmul(np.exp(-t_blk[:, None] * lam) * modes, V.T,
-                      out=states[s:s + t_blk.size])
+            blk = block[:t_blk.size]
+            np.multiply(-t_blk[:, None], lam, out=blk)
+            np.exp(blk, out=blk)
+            blk *= modes
+            np.matmul(blk, V.T, out=states[s:s + t_blk.size])
     states[0] = x0
     clusters = None
     if not diverged:
@@ -177,9 +196,25 @@ def _detect(states: np.ndarray, tol: float) -> ClusterAssignment:
     with np.errstate(over="ignore", invalid="ignore"):  # an inf bound keeps all
         slack = 4.0 * np.spacing(np.abs(ranked) + tol)
         ends = np.searchsorted(ranked, ranked + tol + slack, side="right")
+    # One pass over the window compares each rank position with the next; the
+    # window is gathered in rank order a few rows at a time.
+    next_gap = np.zeros(n - 1)
+    for r in range(0, window.shape[0], _GAP_ROWS):
+        rows = window[r:r + _GAP_ROWS][:, order]
+        diff = np.subtract(rows[:, 1:], rows[:, :-1])
+        np.maximum(next_gap, np.max(np.abs(diff, out=diff), axis=0), out=next_gap)
+    # Agreeing rank neighbours chain into runs of consecutive positions, each
+    # inside one cluster.  Only a position whose candidates reach past the end
+    # of its run can join another run, so only those are compared one by one.
+    joined = (next_gap <= tol) & (ends[:-1] > np.arange(1, n))
+    run_starts = np.concatenate(([True], ~joined))
+    run = np.cumsum(run_starts) - 1
+    starts = np.flatnonzero(run_starts)
+    run_end = np.append(starts[1:], n)[run]
     # root[i] is the lowest node of the group joined to i so far.
-    root = np.arange(n)
-    for p in np.flatnonzero(ends > np.arange(1, n + 1)):
+    root = np.empty(n, dtype=order.dtype)
+    root[order] = np.minimum.reduceat(order, starts)[run]
+    for p in np.flatnonzero(ends > run_end):
         i = order[p]
         cand = order[p + 1:ends[p]]
         cand = cand[root[cand] != root[i]]
@@ -190,8 +225,12 @@ def _detect(states: np.ndarray, tol: float) -> ClusterAssignment:
             root[np.isin(root, groups)] = groups.min()
     # Each root is its group's lowest node, so first-seen order is canonical.
     labels = _first_seen_ids(root)
-    values = [float(np.mean(final[labels == cid])) for cid in range(int(labels.max()) + 1)]
-    return ClusterAssignment(tuple(int(c) for c in labels), tuple(values))
+    # Each cluster's final values in ascending node order, the order in which
+    # final[labels == cid] holds them, so each mean sums them alike.
+    by_cluster = final[np.argsort(labels, kind="stable")]
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    values = tuple(float(np.mean(part)) for part in np.split(by_cluster, bounds))
+    return ClusterAssignment(tuple(labels.tolist()), values)
 
 
 def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> ClusterAssignment:

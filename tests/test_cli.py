@@ -452,6 +452,17 @@ def test_simulate_with_wrong_x0_length(tmp_path):
     assert main(["simulate", path, "--x0", str(x0_path)]) == 1
 
 
+def test_bad_x0_value_names_the_x0_file(tmp_path, capsys):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    x0_path = tmp_path / "x0.txt"
+    x0_path.write_text("1.0\nzz\n")
+    code = main(["simulate", path, "--x0", str(x0_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"siglap simulate: x0 file {x0_path}: line 2: bad x0 value: 'zz'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["--step", "0"], ["--step", "1e-12"], ["--t-final", "nan"], ["--t-final", "inf"],
     ["--cluster-tol", "-1"], ["--x0", "nan"],

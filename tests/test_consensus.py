@@ -388,6 +388,26 @@ def test_detect_clusters_equals_pairwise_closure_property(states, tol):
     assert (clusters.labels, clusters.values) == pairwise_closure_clusters(states, tol)
 
 
+def test_detect_clusters_at_workload_scale_matches_pairwise_closure():
+    # 300 nodes in 5 clusters jittered well inside tol, as a boundary run ends,
+    # plus a planted trio a < b < c in final value: a and c agree over the
+    # window, b agrees with neither.  The clusters join rank neighbours in one
+    # pass; the trio's rank neighbours disagree, so a must reach past b to c.
+    rng = np.random.default_rng(17)
+    tol = 1e-5
+    centres = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    final = centres[rng.integers(0, 5, 300)] + rng.uniform(-1e-6, 1e-6, 300)
+    clustered = final + rng.uniform(-1e-6, 1e-6, (3, 300))
+    trio = [[2.0, 3.0, 2.0 + 5e-6], [2.0, 3.0, 2.0 + 5e-6], [2.0, 2.0 + 2.5e-6, 2.0 + 5e-6]]
+    perm = rng.permutation(303)
+    states = window_states(np.hstack([clustered, trio]))[:, perm]
+    a, b, c = np.argsort(perm)[300:]  # the trio's node ids after the shuffle
+    clusters = sl.detect_clusters(trajectory_of(states), tol=tol)
+    assert (clusters.labels, clusters.values) == pairwise_closure_clusters(states, tol)
+    assert clusters.cluster_count == 7
+    assert clusters.labels[a] == clusters.labels[c] != clusters.labels[b]
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1, consensus._SAMPLE_BLOCK + 1])
 def test_simulate_rows_match_modal_oracle_around_the_sample_block(extra):
     # stride 1 and an exact end: n_steps + 1 samples
