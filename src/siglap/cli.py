@@ -68,6 +68,9 @@ def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list
                     raise InvalidParameterError(
                         f"x0 file {args.x0}: line {lineno}: bad x0 value: {line!r}"
                     ) from None
+        if len(values) != g.node_count:
+            raise InvalidParameterError(
+                f"x0 file {args.x0}: expected {g.node_count} values, got {len(values)}")
         return np.array(values), [f"# x0: {args.x0}"]
     rng = np.random.default_rng(args.seed)
     return rng.uniform(0.0, 1.0, g.node_count), [f"# seed: {args.seed}"]

@@ -5,14 +5,16 @@ while each negative weight magnitude stays at or below the inverse effective
 resistance between its endpoints over the positive subgraph (per-edge
 thresholds require pairwise-disjoint path-edge sets).
 
-The inertia of L comes from an m x m matrix, m being the number of negative
-edges.  With D = diag|w_k| over the negative edges, B their incidence columns
-and R = B^T L(G+)^+ B the resistance matrix over the positive subgraph
-G+ (connected), L = L(G+) - B D B^T and Haynsworth's inertia additivity give
+The inertia of L comes from the Schur complement over the m negative edges.
+With D = diag|w_k| over the negative edges, B their incidence columns and
+R = B^T L(G+)^+ B the resistance matrix over the positive subgraph G+
+(connected), L = L(G+) - B D B^T and Haynsworth's inertia additivity give
 ``In(L) = (n-1-m, 0, 1) + In(D^-1 - R)``.  The verdict takes the counts from
 ``T = I - D^1/2 R D^1/2``, which is congruent to ``D^-1 - R`` and
 dimensionless; with disjoint path sets R is diagonal and eig(T) is minus the
-per-edge margins.  No verdict forms an n x n matrix.
+per-edge margins.  No verdict forms an n x n matrix, nor an m x m one: R and
+T are block-diagonal (below), and In(T) is the sum of the inertias of their
+diagonal blocks, counted by one batched eigenvalue call per block size.
 
 Disjointness needs no path-edge sets: they are pairwise disjoint exactly when
 the negative edges lie in distinct biconnected blocks of G.  An edge e in the
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import CrossCheckError, HypothesisViolatedError
 from .graph_core import SignedGraph, component_labels, edge_blocks
@@ -77,9 +80,10 @@ class EdgeThreshold:
 class DefinitenessVerdict:
     """Verdict, per-edge terms and the inertia ``sigma`` of L.
 
-    ``sigma`` counts the eigenvalues of L, lifted from those of the m x m
-    matrix T (see the module docstring); its ``tolerance_used`` and
-    ``near_singular`` describe the zero test on eig(T).
+    ``sigma`` counts the eigenvalues of L, lifted from those of the
+    block-diagonal matrix T (see the module docstring); its
+    ``tolerance_used`` and ``near_singular`` describe the zero test on
+    eig(T), near singular when any block of T is.
     """
 
     classification: Classification
@@ -109,7 +113,8 @@ def _classify(margins, rtol: float) -> Classification:
 
 
 def _cross_validate(classification: Classification, sigma: Signature) -> None:
-    """Diagonal-margin verdict vs the inertia from the full m x m matrix T.
+    """Diagonal-margin verdict vs the inertia of the whole of T, off-diagonal
+    entries included.
 
     The margins read only the diagonal of the resistance matrix, so a wrong
     disjointness answer shows up here.  A boundary verdict is not checked
@@ -144,7 +149,7 @@ def _resistance_terms(g: SignedGraph, neg: list[int], blocks: np.ndarray | None 
     with np.errstate(over="ignore"):
         per_edge = tuple(
             EdgeThreshold((u, v), mag, 1.0 / r, mag * r - 1.0)
-            for (u, v, _), mag, r in zip(report.pairs, magnitudes, np.diag(report.matrix))
+            for (u, v, _), mag, r in zip(report.pairs, magnitudes, report.matrix.diagonal())
         )
     inv_sum = float(sum(1.0 / mag for mag in magnitudes))
     if not np.isfinite([x for e in per_edge for x in (e.threshold, e.margin)] + [inv_sum]).all():
@@ -158,7 +163,7 @@ def _resistance_terms(g: SignedGraph, neg: list[int], blocks: np.ndarray | None 
 
 def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
     """Inertia of an n-node Laplacian, ``(n-1-m, 0, 1) + In(T)``, from the
-    inertia ``inner`` of the m x m matrix T.
+    inertia ``inner`` of T over the m negative edges.
 
     Raises:
         CrossCheckError: the counts are impossible (``n-1-m+p < 0``).
@@ -173,13 +178,34 @@ def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
                      inner.tolerance_used, inner.near_singular)
 
 
-def _schur_signature(n: int, matrix: np.ndarray, magnitudes: list[float],
+def _schur_signature(n: int, matrix: csr_array, magnitudes: list[float],
                      tol: float) -> Signature:
     """Inertia of L from ``T = I - D^1/2 R D^1/2``; ``|eig(T)| <= tol``
-    counts as zero."""
+    counts as zero.
+
+    ``matrix`` is R as :func:`~siglap.resistance.resistance_matrix_for_negatives`
+    stores it: block-diagonal over the blocks of G holding a negative edge,
+    row j holding exactly the entries of j's block, in edge order.  T is
+    block-diagonal too, and its inertia is the sum of the inertias of its
+    diagonal blocks; the blocks of each size are stacked and counted by one
+    batched :func:`~siglap.spectra.signature`.
+    """
     root = np.sqrt(magnitudes)
-    t = np.eye(root.size) - root[:, None] * matrix * root[None, :]
-    return _lift_schur_inertia(n, signature(t, tol))
+    indptr, indices = matrix.indptr, matrix.indices
+    size = np.diff(indptr)
+    # Each block's first negative edge leads its own row.
+    leading = np.flatnonzero(indices[indptr[:-1]] == np.arange(size.size))
+    parts = []
+    for s in np.unique(size[leading]):
+        # One row per block of size s: its negative edges in edge order.
+        members = indices[indptr[leading[size[leading] == s]][:, None] + np.arange(s)]
+        r = matrix.data[indptr[members][:, :, None] + np.arange(s)]
+        stack = np.eye(s) - root[members][:, :, None] * r * root[members][:, None, :]
+        parts.append(signature(stack, tol))
+    inner = Signature(sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
+                      sum(p.n_zero for p in parts), float(tol),
+                      any(p.near_singular for p in parts))
+    return _lift_schur_inertia(n, inner)
 
 
 def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:
@@ -211,7 +237,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     When the path-edge sets of the negative edges are pairwise disjoint
     (exactly when the negative edges lie in distinct biconnected blocks of G;
     see the module docstring) the per-edge thresholds decide the verdict, and
-    the inertia of the full m x m matrix T must agree with them.  When they
+    the inertia of T must agree with them.  When they
     are not, the thresholds are neither necessary nor sufficient; the inertia
     of T, which is exact for overlapping path sets too, decides the verdict
     and ``disjointness_hypothesis_holds`` is False.

@@ -173,12 +173,18 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     edges = list(edge_list)
     if edges and set(map(len, edges)) != {3}:
         raise ValueError("every edge must be a (u, v, w) triple")
-    us = list(map(int, map(itemgetter(0), edges)))
-    vs = list(map(int, map(itemgetter(1), edges)))
-    ws = list(map(float, map(itemgetter(2), edges)))
     # Python ints beyond int64 give an object array, still compared exactly.
-    u, v, w = np.array(us), np.array(vs), np.array(ws, dtype=float)
-    m = len(edges)
+    u = np.array(list(map(int, map(itemgetter(0), edges))))
+    v = np.array(list(map(int, map(itemgetter(1), edges))))
+    w = np.array(list(map(float, map(itemgetter(2), edges))), dtype=float)
+    return _graph_from_columns(node_count, u, v, w)
+
+
+def _graph_from_columns(node_count: int, u: np.ndarray, v: np.ndarray,
+                        w: np.ndarray) -> SignedGraph:
+    """:func:`build_graph` on its three columns: ``u`` and ``v`` integer
+    arrays (object arrays for ints beyond int64), ``w`` a float64 array."""
+    m = w.size
 
     # Per-edge checks, in the order they apply to one edge.
     checks = (
@@ -205,13 +211,13 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
         visit, reached = _first_degree_overflow(ends, steps, hot)
         k, x = visit // 2, int(ends[visit])
         raise GraphConstructionError(
-            k, f"edge {k}: weight {ws[k]!r} on ({us[k]}, {vs[k]}) lifts the weighted "
-               f"degree of node {x} to {reached!r}, at or above 2**1022")
+            k, f"edge {k}: weight {float(w[k])!r} on ({int(u[k])}, {int(v[k])}) lifts the "
+               f"weighted degree of node {x} to {reached!r}, at or above 2**1022")
     if first_bad < m:
         k = first_bad
         for mask, error, message in checks:
             if mask[k]:
-                text = message.format(u=us[k], v=vs[k], w=ws[k])
+                text = message.format(u=int(u[k]), v=int(v[k]), w=float(w[k]))
                 raise error(k, f"edge {k}: {text}")
     return SignedGraph(node_count, np.minimum(u, v), np.maximum(u, v), w)
 

@@ -18,7 +18,9 @@ through the positive edges of that edge's block, and two negative edges in
 different blocks do not couple.  It takes one solve of the blocks that hold
 a negative edge, each on its own node copies (a cut vertex gets one copy
 per block) and grounded at its lowest copy; right-hand-side column ``c``
-carries the c-th negative edge of every block.
+carries the c-th negative edge of every block.  The matrix is kept sparse,
+with only its entries within blocks, so its size is the sum of the squared
+numbers of negative edges per block, not m x m.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -31,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .errors import CrossCheckError, DisconnectedError, InvalidParameterError
+from .errors import CrossCheckError, DisconnectedError, InvalidParameterError, SiglapError
 from .graph_core import SignedGraph, _edge_blocks, component_labels, edge_blocks
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
@@ -48,12 +50,14 @@ class ResistanceReport:
     """Per-negative-edge resistances over the positive subgraph.
 
     ``pairs`` holds ``(u, v, R_uv)`` per negative edge in edge order;
-    ``matrix`` is the resistance matrix ``E_-^T L^+(G+) E_-`` (diagonal
-    exactly when the path-edge sets are disjoint); ``r_tot`` is its trace.
+    ``matrix`` is the resistance matrix ``E_-^T L^+(G+) E_-``, block-diagonal
+    over the biconnected blocks of G and stored as a ``scipy.sparse``
+    ``csr_array`` with only the entries within blocks (diagonal exactly when
+    the path-edge sets are disjoint); ``r_tot`` is its trace.
     """
 
     pairs: tuple[tuple[int, int, float], ...]
-    matrix: np.ndarray
+    matrix: csr_array
     r_tot: float
 
 
@@ -156,11 +160,29 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _block_failure(pair: tuple[int, int], what: str) -> CrossCheckError:
-    return CrossCheckError(
-        f"the positive part of the block of G holding negative edge {pair} {what}; "
-        "the biconnected blocks are inconsistent with the graph"
-    )
+def _block_failure(g_plus: SignedGraph, what: str) -> SiglapError:
+    """The error for a failed connectivity test on the blocks of G.
+
+    With the right block ids such a test fails exactly when G+ is
+    disconnected.  Only here, once a test has failed, are the components of
+    G+ labelled, to tell a disconnected G+ from block ids that contradict
+    the graph.
+    """
+    if component_labels(g_plus).any():
+        return DisconnectedError("positive subgraph is disconnected")
+    return CrossCheckError(f"{what}; the biconnected blocks are inconsistent with the graph")
+
+
+def _component_count(node_count: int, tails: np.ndarray, heads: np.ndarray,
+                     block: np.ndarray) -> int:
+    """Connected components, isolated nodes included, of the graph whose
+    edges join ``tails[k]`` and ``heads[k]``, from its block ids: the blocks
+    of a component with n_c nodes form a tree over its cut vertices, so
+    ``sum_b (n_b - 1) = n_c - 1`` and ``c = n - sum_b (n_b - 1)``."""
+    # Sorting and counting runs: np.unique takes several times longer here.
+    keys = np.sort(np.concatenate([block * node_count + tails, block * node_count + heads]))
+    distinct = keys[_first_of_runs(keys)]
+    return node_count - distinct.size + int(_first_of_runs(distinct // node_count).sum())
 
 
 def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.ndarray,
@@ -174,12 +196,13 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     grounds one copy per block.
 
     Raises:
-        CrossCheckError: a pair's block has no copy of one of its ends, or
-            the copies of a block are not connected.  Neither happens when
-            the block ids are right and ``g_plus`` is connected.
+        DisconnectedError, CrossCheckError: a pair's block has no copy of
+            one of its ends, or the copies of a block are not connected.
+            With the right block ids either happens exactly when ``g_plus``
+            is disconnected (see :func:`_block_failure`).
     """
     n = g_plus.node_count
-    solved = np.isin(edge_block, pair_block)
+    solved = np.isin(edge_block, pair_block, kind="table")
     ends = np.concatenate([g_plus.tails[solved], g_plus.heads[solved]])
     keys, end_copy = np.unique(np.tile(edge_block[solved], 2) * n + ends,
                                return_inverse=True)
@@ -193,26 +216,34 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
                                          g_plus.weights[solved]))
 
     pair_keys = pair_block[:, None] * n + pairs
-    held = np.isin(pair_keys, keys).all(axis=1)
+    pair_copy = np.searchsorted(keys, pair_keys)
+    held = (pair_copy < keys.size).all(axis=1)
+    held[held] = (keys[pair_copy[held]] == pair_keys[held]).all(axis=1)
     if not held.all():
-        raise _block_failure(tuple(pairs[np.argmin(held)].tolist()), "misses an end of the edge")
+        pair = tuple(pairs[np.argmin(held)].tolist())
+        raise _block_failure(g_plus, f"the positive part of the block of G holding negative "
+                                     f"edge {pair} misses an end of the edge")
     count, parts = connected_components(split, directed=False)
     if count != blocks:
         # parts[:blocks] holds each block's part, at its lowest copy.
         apart = parts[renumber] != parts[:blocks][np.cumsum(lowest) - 1]
         k = int(np.flatnonzero(np.isin(pair_block, copy_block[apart]))[0])
-        raise _block_failure(tuple(pairs[k].tolist()), "is not connected")
-    return split, blocks, renumber[np.searchsorted(keys, pair_keys)]
+        raise _block_failure(g_plus, f"the positive part of the block of G holding negative "
+                                     f"edge {tuple(pairs[k].tolist())} is not connected")
+    return split, blocks, renumber[pair_copy]
 
 
-def _colours(pair_block: np.ndarray) -> np.ndarray:
-    """Each pair's rank among the pairs of its block, in pair order."""
+def _block_runs(pair_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs grouped by block: ``order`` lists them block by block, in
+    pair order within a block; per pair, the start in ``order`` of its
+    block's run and its colour, its rank among the pairs of its block."""
     order = np.argsort(pair_block, kind="stable")
     run_start = np.maximum.accumulate(
         np.where(_first_of_runs(pair_block[order]), np.arange(order.size), 0))
-    colour = np.empty(order.size, dtype=np.intp)
+    start, colour = np.empty_like(order), np.empty_like(order)
+    start[order] = run_start
     colour[order] = np.arange(order.size) - run_start
-    return colour
+    return order, start, colour
 
 
 def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blocks=None):
@@ -225,30 +256,35 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blo
 
     The matrix is block-diagonal over the biconnected blocks of G, the graph
     ``g_plus`` plus the pairs as edges: entries between pairs in different
-    blocks are exactly zero.  One grounded sparse solve covers every block
-    that holds a pair, each on its own node copies; column ``c`` of the
-    right-hand side carries the c-th pair of every block, so there are as
-    many columns as the most pairs in one block (see the module docstring).
-    The block ids come from one biconnected-block pass over G; the private
-    ``_blocks`` hands down ids already computed, one per edge of ``g_plus``
-    and then one per pair, equal exactly for edges of one block.
+    blocks are exactly zero and are not stored.  One grounded sparse solve
+    covers every block that holds a pair, each on its own node copies;
+    column ``c`` of the right-hand side carries the c-th pair of every block,
+    so there are as many columns as the most pairs in one block (see the
+    module docstring).  The block ids come from one biconnected-block pass
+    over G; the private ``_blocks`` hands down ids already computed, one per
+    edge of ``g_plus`` and then one per pair, equal exactly for edges of one
+    block.
+
+    G+ is connected exactly when G is connected and the positive part of
+    every block holding a pair is connected (blocks without a pair are
+    all positive).  The first is read from the block ids, the second is
+    tested on each block the solve covers; no separate pass labels the
+    components of ``g_plus``.
 
     Raises:
         ValueError: a non-positive weight or an invalid node pair.
         DisconnectedError: ``g_plus`` is disconnected.
-        CrossCheckError: the positive part of some pair's block is not
-            connected or misses an end of the pair (the block ids are wrong),
-            or the grounded solve fails its residual check.
+        CrossCheckError: a connectivity test on the blocks fails although
+            ``g_plus`` is connected (the block ids are wrong), or the
+            grounded solve fails its residual check.
 
     Returns:
-        ``(matrix, diagonal)`` with shapes ``(m, m)`` and ``(m,)``.
+        ``(matrix, diagonal)``: a ``scipy.sparse.csr_array`` of shape
+        ``(m, m)`` whose row j stores the entries of the pairs in j's block,
+        in pair order, and an array of shape ``(m,)``.
     """
     if np.any(g_plus.weights <= 0.0):
         raise ValueError("resistance_matrix_for_negatives requires an all-positive graph")
-    labels = component_labels(g_plus)
-    if labels.size and labels.max() != 0:
-        raise DisconnectedError("positive subgraph is disconnected")
-
     n = g_plus.node_count
     listed = list(negative_edges)
     for u, v in listed:
@@ -257,28 +293,40 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blo
     # One (low, high) row per pair: E_- has -1 at the low end, +1 at the high.
     pairs = np.sort(np.array(listed, dtype=np.intp).reshape(-1, 2), axis=1)
     m = len(pairs)
-    if m == 0:
-        return np.zeros((0, 0)), np.zeros(0)
+    tails = np.append(g_plus.tails, pairs[:, 0])
+    heads = np.append(g_plus.heads, pairs[:, 1])
     if _blocks is None:
-        _blocks = _edge_blocks(n, np.append(g_plus.tails, pairs[:, 0]),
-                               np.append(g_plus.heads, pairs[:, 1]))
+        _blocks = _edge_blocks(n, tails, heads)
     blocks = np.asarray(_blocks, dtype=np.int64)
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
-
-    split, grounded, ends = _split_blocks(g_plus, edge_block, pair_block, pairs)
-    colour = _colours(pair_block)
+    # The solved blocks are tested first: their errors name a pair.
+    if m:
+        split, grounded, ends = _split_blocks(g_plus, edge_block, pair_block, pairs)
+    components = _component_count(n, tails, heads, blocks)
+    if components != 1:
+        raise _block_failure(g_plus, f"the block ids give G {components} components")
+    if m == 0:
+        return csr_array((0, 0)), np.zeros(0)
+    order, start, colour = _block_runs(pair_block)
     rhs = np.zeros((split.shape[0], int(colour.max()) + 1))
     rhs[ends[:, 0], colour] = -1.0
     rhs[ends[:, 1], colour] = 1.0
     x = _grounded_solve(split, grounded, rhs)
-    # Row j holds b_j^T x[:, c] for every column c; within a block, column
-    # colour(k) is the potential of pair k.
-    coupling = (x[ends[:, 1]] - x[ends[:, 0]])[:, colour]
-    matrix = np.where(pair_block[:, None] == pair_block[None, :], coupling, 0.0)
+    # potential[j, c] = b_j^T x[:, c]; within a block, column colour(k) is
+    # the potential of pair k, so R_jk = potential[j, colour(k)].
+    potential = x[ends[:, 1]] - x[ends[:, 0]]
+    # Row j lists the pairs of its block, order[start(j) + i] for i below
+    # the block's size.
+    size = np.bincount(start, minlength=m)[start]
+    indptr = np.concatenate([[0], np.cumsum(size)])
+    rows = np.repeat(np.arange(m), size)
+    cols = order[np.repeat(start - indptr[:-1], size) + np.arange(indptr[-1])]
     # Halve before adding: a resistance above half the largest double still
     # symmetrizes to itself.
-    matrix = 0.5 * matrix + 0.5 * matrix.T
-    return matrix, np.diag(matrix).copy()
+    values = 0.5 * potential[rows, colour[cols]] + 0.5 * potential[cols, colour[rows]]
+    matrix = csr_array((values, cols, indptr), shape=(m, m))
+    # Pair j is entry colour(j) of its own row.
+    return matrix, values[indptr[:-1] + colour]
 
 
 def negative_edge_report(g: SignedGraph, *, _blocks=None) -> ResistanceReport:
@@ -298,15 +346,15 @@ def negative_edge_report(g: SignedGraph, *, _blocks=None) -> ResistanceReport:
     """
     neg = g.negative_edge_indices()
     if not neg:
-        return ResistanceReport((), np.zeros((0, 0)), 0.0)
+        return ResistanceReport((), csr_array((0, 0)), 0.0)
     blocks = edge_blocks(g) if _blocks is None else _blocks
     positive = g.weights > 0.0
     pairs = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
     matrix, diag = resistance_matrix_for_negatives(
         g.subgraph(positive), pairs, _blocks=np.concatenate([blocks[positive], blocks[neg]]))
     with np.errstate(over="ignore"):
-        r_tot = float(np.trace(matrix))
-    if not (np.isfinite(matrix).all() and np.isfinite(r_tot)):
+        r_tot = float(diag.sum())
+    if not (np.isfinite(matrix.data).all() and np.isfinite(r_tot)):
         raise CrossCheckError(
             "a resistance or the total resistance R_tot over the negative edges is not "
             "finite; the weights span more than the double range"

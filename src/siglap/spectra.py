@@ -44,19 +44,28 @@ def default_zero_tolerance(eigenvalues: np.ndarray, dim: int) -> float:
     return dim * eps * scale
 
 
-def _symmetrized(m) -> np.ndarray:
+def _symmetrized(m, stacked: bool = False) -> np.ndarray:
+    """``m`` averaged with its transpose, after checking that it is
+    symmetric to ``SYMMETRY_RTOL`` relative; with ``stacked``, ``m`` is a
+    stack ``(k, s, s)`` and each matrix of it is checked on its own scale."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+        what = "stack of square matrices" if stacked else "square matrix"
+        raise ValueError(f"expected a {what}, got shape {m.shape}")
     if m.size == 0:
         return m
-    asym = float(np.max(np.abs(m - m.T)))
-    scale = float(np.max(np.abs(m)))
-    if asym > SYMMETRY_RTOL * scale:
+    mt = np.swapaxes(m, -1, -2)
+    asym = np.max(np.abs(m - mt), axis=(-2, -1))
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
+    if bad.size:
+        k = bad[0]
+        where = f"matrix {k} of the stack" if stacked else "matrix"
         raise NotSymmetricError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} over scale {scale:.3e}"
+            f"{where} is not symmetric: max asymmetry {float(asym.flat[k]):.3e} "
+            f"over scale {float(scale.flat[k]):.3e}"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def _check_tolerance(tol: float | None, what: str = "zero tolerance") -> None:
@@ -68,15 +77,20 @@ def _check_tolerance(tol: float | None, what: str = "zero tolerance") -> None:
 def signature(m, tol: float | None = None) -> Signature:
     """Signature of a symmetric matrix; |eig| <= tol counts as zero.
 
-    ``m`` must be symmetric to 1e-12 relative (it is symmetrized by
-    averaging); the default tolerance is ``dim * eps * max|eig|``.
+    ``m`` is a square matrix, or a stack ``(k, s, s)`` of the diagonal blocks
+    of a block-diagonal one, whose eigenvalues are those of its blocks: one
+    batched ``eigvalsh`` gives them all.  Every matrix must be symmetric to
+    1e-12 relative (it is symmetrized by averaging); the default tolerance
+    is ``dim * eps * max|eig|``, over the whole block-diagonal matrix for a
+    stack.
 
     Raises:
         InvalidToleranceError: ``tol`` is negative or NaN.
     """
     _check_tolerance(tol)
-    s = _symmetrized(m)
-    dim = s.shape[0]
+    m = np.asarray(m, dtype=float)
+    s = _symmetrized(m, stacked=m.ndim == 3)
+    dim = int(np.prod(s.shape[:-1]))
     if dim == 0:
         return Signature(0, 0, 0, tol if tol is not None else float(np.finfo(float).eps))
     eigs = np.linalg.eigvalsh(s)

@@ -452,6 +452,17 @@ def test_simulate_with_wrong_x0_length(tmp_path):
     assert main(["simulate", path, "--x0", str(x0_path)]) == 1
 
 
+def test_wrong_x0_length_names_the_x0_file(tmp_path, capsys):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    x0_path = tmp_path / "x0.txt"
+    x0_path.write_text("# two values for nine nodes\n1.0\n\n2.0\n")
+    code = main(["simulate", path, "--x0", str(x0_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"siglap simulate: x0 file {x0_path}: expected 9 values, got 2\n"
+    assert captured.out == ""
+
+
 def test_bad_x0_value_names_the_x0_file(tmp_path, capsys):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
     x0_path = tmp_path / "x0.txt"

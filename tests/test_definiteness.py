@@ -114,6 +114,19 @@ def test_multi_edge_requires_connected_positive_part():
         sl.multi_edge_verdict(g)
 
 
+@pytest.mark.parametrize("text", [
+    "nodes 4\n0 1 1.0\n2 3 1.0\n1 2 -0.5\n",  # G connected, G+ not
+    "nodes 5\n0 1 1.0\n1 2 1.0\n0 2 -0.2\n3 4 1.0\n",  # G disconnected
+], ids=["negative-bridge", "g-disconnected"])
+def test_disconnected_positive_part_is_a_hypothesis_violation(text):
+    # the block tests that replace the component labelling of G+ report a
+    # genuine disconnection as DisconnectedError, not as CrossCheckError
+    g = sl.parse_graph(text)
+    for call in (sl.multi_edge_verdict, sl.corollary6_check, sl.negative_edge_report):
+        with pytest.raises(sl.DisconnectedError, match="positive subgraph is disconnected"):
+            call(g)
+
+
 def test_multi_edge_requires_a_negative_edge():
     with pytest.raises(sl.HypothesisViolatedError):
         sl.multi_edge_verdict(sl.build_graph(2, [(0, 1, 1.0)]))
@@ -305,7 +318,7 @@ def test_resistance_above_half_the_largest_double_keeps_its_threshold():
     g = sl.build_graph(5, [(0, 1, tiny), (1, 2, tiny), (2, 3, tiny), (3, 4, tiny),
                            (0, 4, -1e-300)])
     matrix, diag = sl.resistance_matrix_for_negatives(g.positive_subgraph(), [(0, 4)])
-    assert np.isfinite(matrix).all() and diag[0] == pytest.approx(4.0 / tiny, rel=1e-12)
+    assert np.isfinite(matrix.toarray()).all() and diag[0] == pytest.approx(4.0 / tiny, rel=1e-12)
     verdict = sl.multi_edge_verdict(g)
     (edge,) = verdict.per_edge
     assert edge.threshold == pytest.approx(tiny / 4.0, rel=1e-12)
@@ -333,7 +346,7 @@ def test_boundary_verdict_when_block_weights_differ_in_scale(last):
     verdict = sl.multi_edge_verdict(g)
     assert verdict.classification is Classification.BOUNDARY
     assert verdict.sigma.as_tuple() == (520, 0, 41)
-    matrix = sl.negative_edge_report(g).matrix
+    matrix = sl.negative_edge_report(g).matrix.toarray()
     exact = np.array([3 * 12 / (15 * w) for w in weights])
     assert np.all(np.abs(np.diag(matrix) - exact) <= 1e-12 * exact)
     assert np.array_equal(matrix, np.diag(np.diag(matrix)))

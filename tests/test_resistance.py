@@ -177,7 +177,7 @@ def test_negative_edge_report():
     assert report.pairs[0][2] == pytest.approx(2.0, abs=1e-9)
     assert report.pairs[1][2] == pytest.approx(2.0, abs=1e-9)
     assert report.r_tot == pytest.approx(4.0, abs=1e-9)
-    assert np.allclose(report.matrix, np.diag([2.0, 2.0]), atol=1e-9)
+    assert np.allclose(report.matrix.toarray(), np.diag([2.0, 2.0]), atol=1e-9)
 
 
 def test_wrong_block_ids_are_caught():

@@ -70,7 +70,7 @@ def test_resistance_matrix_matches_networkx_and_pseudo_inverse():
         for k, (u, v) in enumerate(pairs):
             E[min(u, v), k], E[max(u, v), k] = -1.0, 1.0
         oracle = E.T @ np.linalg.pinv(dense_laplacian(g.node_count, g.edges)) @ E
-        assert np.allclose(matrix, oracle, rtol=1e-9, atol=1e-9)
+        assert np.allclose(matrix.toarray(), oracle, rtol=1e-9, atol=1e-9)
 
 
 def test_same_component_pair_of_disconnected_graph_matches_networkx():
@@ -100,7 +100,7 @@ def test_scaling_weights_by_c_scales_resistance_by_one_over_c():
         for c in (0.25, 3.0, 1e4):
             scaled = sl.build_graph(g.node_count, [(u, v, c * w) for u, v, w in g.edges])
             matrix, _ = sl.resistance_matrix_for_negatives(scaled, pairs)
-            assert np.allclose(matrix, base_matrix / c, rtol=1e-10, atol=1e-12 / c)
+            assert np.allclose(matrix.toarray(), base_matrix.toarray() / c, rtol=1e-10, atol=1e-12 / c)
             u, v = pairs[0]
             assert sl.effective_resistance(scaled, u, v) == pytest.approx(
                 sl.effective_resistance(g, u, v) / c, rel=1e-10)
@@ -184,6 +184,7 @@ def glued_blocks_with_pairs(draw):
 def test_block_route_matches_dense_pseudo_inverse(case):
     g_plus, pairs = case
     matrix, diag = sl.resistance_matrix_for_negatives(g_plus, pairs)
+    matrix = matrix.toarray()
     n, m = g_plus.node_count, len(pairs)
     E = np.zeros((n, m))
     for k, (u, v) in enumerate(pairs):

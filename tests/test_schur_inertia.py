@@ -1,13 +1,22 @@
-"""Property: the inertia that verdicts lift from the m x m matrix
-T = I - D^1/2 R D^1/2 equals the dense inertia of the n x n Laplacian."""
+"""Properties: the inertia that verdicts lift from T = I - D^1/2 R D^1/2
+over the m negative edges equals the dense inertia of the n x n Laplacian,
+and counting T block by block equals counting the densified T."""
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import siglap as sl
-from conftest import dense_laplacian, eig_signature
-from siglap.definiteness import BOUNDARY_RTOL, Classification
+from conftest import (
+    blocks_glued_at_cut_vertices,
+    cycle_chain_at_threshold,
+    dense_laplacian,
+    eig_signature,
+)
+from siglap.definiteness import BOUNDARY_RTOL, Classification, _lift_schur_inertia
+from siglap.graph_core import edge_blocks
 
 # A graph is kept only when every eigenvalue that should be nonzero clears
 # its zero tolerance by this factor, on L (tolerance n * eps * max|eig|, the
@@ -60,3 +69,57 @@ def test_schur_inertia_equals_dense_inertia(g):
     assert (verdict.classification is Classification.INDEFINITE) == (expected[1] > 0)
     if len(g.negative_edge_indices()) == 1:
         assert sl.single_edge_verdict(g).sigma == verdict.sigma
+
+
+@st.composite
+def negative_edges_in_blocks(draw):
+    """Positive blocks glued at cut vertices plus 2..6 negative edges, each
+    between two nodes of one positive block, so it stays in that block: the
+    first two to three share a block, the rest land in any block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positive, _ = blocks_glued_at_cut_vertices(rng)
+    n = 1 + max(max(u, v) for u, v, _ in positive)
+    g_plus = sl.build_graph(n, positive)
+    block = edge_blocks(g_plus)
+    node_sets = [sorted({x for k in np.flatnonzero(block == b)
+                         for x in (g_plus.tails[k], g_plus.heads[k])})
+                 for b in range(block.max() + 1)]
+    shared = draw(st.integers(0, len(node_sets) - 1))
+    homes = [shared] * draw(st.integers(2, 3))
+    homes += draw(st.lists(st.integers(0, len(node_sets) - 1), max_size=3))
+    negative = []
+    for b in homes:
+        u, v = draw(st.lists(st.sampled_from(node_sets[b]), min_size=2, max_size=2,
+                             unique=True))
+        negative.append((int(u), int(v), -draw(st.floats(0.05, 2.0))))
+    return sl.build_graph(n, positive + negative)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(negative_edges_in_blocks(), st.sampled_from([BOUNDARY_RTOL, 1e-3, 0.1]))
+def test_block_inertia_equals_dense_inertia_of_t(g, tol):
+    neg = g.negative_edge_indices()
+    root = np.sqrt(np.abs(g.weights[neg]))
+    dense_r = sl.negative_edge_report(g).matrix.toarray()
+    t = np.eye(len(neg)) - root[:, None] * dense_r * root[None, :]
+    mags = np.abs(np.linalg.eigvalsh(t))
+    # no eigenvalue within round-off of a threshold of the zero test
+    for edge in (tol, 0.1 * tol, 10.0 * tol):
+        assume(np.all(np.abs(mags - edge) > 1e-9 * edge))
+
+    expected = _lift_schur_inertia(g.node_count, sl.signature(t, tol))
+    assert sl.multi_edge_verdict(g, tol).sigma == expected
+
+
+def test_cactus_verdict_memory_stays_far_below_one_dense_m_by_m_matrix():
+    # 10 000 cycles, one chord each at its threshold: m = 10 000, and one
+    # dense m x m float array alone would take 800 MB
+    g = cycle_chain_at_threshold([1.0] * 10_000)
+    tracemalloc.start()
+    try:
+        verdict = sl.multi_edge_verdict(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.sigma.as_tuple() == (130_000, 0, 10_001)
+    assert peak < 160e6

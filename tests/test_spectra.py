@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import paper_constructions as pc
 import siglap as sl
@@ -36,6 +37,30 @@ def test_signature_rejects_asymmetric():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(sl.NotSymmetricError):
         sl.signature(m)
+
+
+def test_stack_signature_is_that_of_the_block_diagonal_matrix():
+    rng = np.random.default_rng(43)
+    for size in (1, 2, 5):
+        stack = rng.standard_normal((7, size, size))
+        stack = stack + np.swapaxes(stack, 1, 2)
+        stack[0] = 0.0  # zero eigenvalues under the default tolerance too
+        dense = block_diag(*stack)
+        for tol in (None, 0.5):
+            got, expected = sl.signature(stack, tol), sl.signature(dense, tol)
+            assert got.as_tuple() == expected.as_tuple()
+            assert got.near_singular == expected.near_singular
+            # the default tolerance reads max|eig|, equal up to round-off
+            assert got.tolerance_used == pytest.approx(expected.tolerance_used, rel=1e-12)
+    assert sl.signature(np.zeros((0, 3, 3))).as_tuple() == (0, 0, 0)
+
+
+def test_stack_signature_checks_each_block_on_its_own_scale():
+    # block 1 is 1e-6 asymmetric relative to its own scale, but not to the
+    # stack's largest entry
+    stack = np.array([[[1e6, 0.0], [0.0, 1e6]], [[1.0, 1e-6], [0.0, 1.0]]])
+    with pytest.raises(sl.NotSymmetricError, match="matrix 1 of the stack"):
+        sl.signature(stack)
 
 
 def test_signature_symmetrizes_within_tolerance():
