@@ -91,8 +91,8 @@ def _cmd_resistance(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
         if g.negative_edge_indices():
             lines.append("# note: graph has negative weights; resistance values "
                          "fall outside the threshold theorems")
-        for u, v in args.pair:
-            lines.append(f"R({u},{v}) = {_fmt(resistance.effective_resistance(g, u, v))}")
+        values = resistance._pair_resistances(g, args.pair)
+        lines += [f"R({u},{v}) = {_fmt(r)}" for (u, v), r in zip(args.pair, values)]
     else:
         report = resistance.negative_edge_report(g)
         for u, v, r in report.pairs:

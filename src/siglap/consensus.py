@@ -289,7 +289,7 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
 
     k = neg[0]
     u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
-    z = _grounded_solve(sparse_laplacian(g_plus), 1, _indicator_difference(n, v, u)[:, None])[:, 0]
+    z = _grounded_solve(g_plus, 1, _indicator_difference(n, v, u)[:, None])[:, 0]
     r_uv = float(z[v] - z[u])
     margin = abs(w) * r_uv - 1.0
     if abs(margin) > BOUNDARY_RTOL:

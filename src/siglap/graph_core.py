@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from .errors import (
@@ -234,12 +234,47 @@ def incidence_matrix(g: SignedGraph) -> np.ndarray:
     return E
 
 
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor.
+
+    Sorting and counting runs stands in for ``np.unique``, which takes
+    several times longer on the small integer arrays of the block route.
+    """
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
+
+
 def _first_seen_ids(raw: np.ndarray) -> np.ndarray:
     """``raw`` renumbered 0, 1, 2, ... in order of each id's first occurrence."""
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
+    order = np.argsort(raw, kind="stable")
+    first = _first_of_runs(raw[order])
+    run = np.cumsum(first) - 1
+    # A stable sort puts each id's first occurrence at the head of its run.
+    rank = np.empty(int(first.sum()), dtype=np.intp)
+    rank[np.argsort(order[first])] = np.arange(rank.size)
+    ids = np.empty(raw.size, dtype=np.intp)
+    ids[order] = rank[run]
+    return ids
+
+
+def _components(node_count: int, tails: np.ndarray, heads: np.ndarray
+                ) -> tuple[int, np.ndarray]:
+    """Component count and csgraph's labels, in no documented order, of the
+    graph whose edges join ``tails[k]`` and ``heads[k]``.
+
+    The CSR adjacency, one entry per edge in row ``tails[k]``, is filled
+    straight from the columns with csgraph's int32 indices, not converted
+    from COO.  Parallel edges stay as repeated entries, which csgraph's
+    undirected search takes (its strong-component search does not return
+    on them, scipy 1.17).
+    """
+    order = np.argsort(tails, kind="stable")
+    indptr = np.zeros(node_count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=node_count), out=indptr[1:])
+    adjacency = csr_matrix((np.ones(tails.size), heads[order].astype(np.int32), indptr),
+                           shape=(node_count, node_count))
+    return connected_components(adjacency, directed=False)
 
 
 def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
@@ -253,9 +288,7 @@ def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
     keep = np.ones(g.edge_count, dtype=bool)
     skip = np.fromiter(skip_edges, dtype=np.intp)
     keep[skip[(skip >= 0) & (skip < g.edge_count)]] = False
-    tails, heads, n = g.tails[keep], g.heads[keep], g.node_count
-    adjacency = coo_matrix((np.ones(tails.size), (tails, heads)), shape=(n, n))
-    return _first_seen_ids(connected_components(adjacency, directed=False)[1])
+    return _first_seen_ids(_components(g.node_count, g.tails[keep], g.heads[keep])[1])
 
 
 def _adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:

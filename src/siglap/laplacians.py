@@ -2,9 +2,9 @@
 edge Laplacian and cut-basis quadratic form.
 
 The node Laplacian comes in two forms, both scattered straight from the edge
-columns in edge order: :func:`sparse_laplacian` (CSC) feeds the grounded
-resistance solves, :func:`laplacian_matrix` (dense) feeds the eigenvalue
-routines.  The cut-basis matrices in :class:`LaplacianBundle` stay dense; they
+columns in edge order: :func:`sparse_laplacian` (CSC) feeds the ``splu``
+route of the grounded resistance solves, :func:`laplacian_matrix` (dense)
+feeds the eigenvalue routines.  The cut-basis matrices in :class:`LaplacianBundle` stay dense; they
 are the paper's closed-form constructions, kept only as test oracles.
 """
 

@@ -10,9 +10,30 @@ grounded solution ``x`` (with ``x = 0`` at the grounded nodes) gives
 ``||L x - b||_inf / (||L||_inf ||x||_inf + ||b||_inf)`` against
 ``CROSS_CHECK_RTOL`` and raises :class:`CrossCheckError` when it fails.
 
-A pair takes one solve on the component holding it.  The resistance matrix
-of the negative edges is block-diagonal over the biconnected blocks of G
-(G+ plus the negative edges): a simple u-v path never leaves the block of
+The factorization is chosen from the grounded matrix as it comes, in the
+node order it has (George & Liu, *Computer Solution of Large Sparse
+Positive Definite Systems*, 1981).  With ``n_f`` rows and bandwidth
+``bw = max |i - j|`` over its nonzeros, it is factored by banded Cholesky
+(LAPACK ``dpbtrf``/``dpbtrs``, the band assembled straight from the edge
+columns) when the band storage ``n_f (bw + 1)`` is at most ``_BAND_RATIO``
+= 32 times its nonzeros, and by ``splu`` with a minimum-degree ordering
+otherwise.  The ratio is about 7.6 on a 36x36 grid in row-major order and
+0.7 on the blocks of a chain of cycles, which take the band; about 100 on
+a random tree numbered breadth-first and 210 on a random tree plus chords,
+which take ``splu``.  The constant also bounds the band's memory.  A mesh
+given in scrambled node order has a wide band and takes ``splu``: the same
+answers, at ``splu``'s speed.  The banded route eliminates the free nodes
+from the highest down, so a tree whose every node is numbered after its
+parent is eliminated leaves first: with unit weights every pivot is 1 and
+every potential exact, as under ``splu``'s minimum-degree order.  LAPACK
+stops only on a pivot that is not positive, so that route also raises
+:class:`CrossCheckError` when a pivot has cancelled to rounding level,
+``c_jj**2 <= eps * A_jj``.
+
+Pairs take one solve per component holding one, with one right-hand-side
+column per pair.  The resistance matrix of the negative edges is
+block-diagonal over the biconnected blocks of G (G+ plus the negative
+edges): a simple u-v path never leaves the block of
 the u-v edge, so the current between the ends of a negative edge flows only
 through the positive edges of that edge's block, and two negative edges in
 different blocks do not couple.  It takes one solve of the blocks that hold
@@ -33,16 +54,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from .errors import CrossCheckError, DisconnectedError, InvalidParameterError, SiglapError
-from .graph_core import SignedGraph, _edge_blocks, component_labels, edge_blocks
+from .graph_core import (
+    SignedGraph,
+    _components,
+    _edge_blocks,
+    _first_of_runs,
+    component_labels,
+    edge_blocks,
+)
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
 CROSS_CHECK_RTOL = 1e-7
+
+# Band storage over nonzeros at or below which the grounded matrix is
+# factored banded (see the module docstring).  Measured in-process on a
+# 2-core Xeon with two BLAS threads, assembly included: banded was faster on
+# k x k grids up to k = 160 (ratio 32; 0.63 against 3.1 ms at k = 36), splu
+# on a 50 x 200 grid (ratio 41; 24 against 38 ms) and on random trees and
+# trees plus chords numbered breadth-first from ratio 62 up (0.34 against
+# 0.67 ms on a 307-node tree, ratio 99).
+_BAND_RATIO = 32
+
+# A banded Cholesky pivot c_jj with c_jj**2 <= _PIVOT_EPS * A_jj has cancelled
+# to rounding level: LAPACK stops only on a pivot that is not positive.
+_PIVOT_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -68,22 +109,49 @@ def _indicator_difference(n: int, u: int, v: int) -> np.ndarray:
     return vec
 
 
-def _grounded_solve(laplacian: csc_matrix, grounded: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L x = rhs`` with ``x = 0`` at the first ``grounded`` nodes.
+def _band(g: SignedGraph, grounded: int) -> int | None:
+    """The bandwidth of ``g``'s Laplacian without its first ``grounded`` rows
+    and columns, in the node order ``g`` has, when the banded route factors
+    that matrix; None when ``splu`` does.
 
-    ``laplacian`` is the Laplacian of an all-positive graph each of whose
-    components holds exactly one of the first ``grounded`` nodes, and every
-    column of ``rhs`` (shape ``(n, c)``) sums to zero over each component, so
-    the grounded system is nonsingular and its solution also satisfies the
-    dropped rows.
-
-    Raises:
-        CrossCheckError: the factorization hits an exactly zero pivot, or the
-            relative residual of some column exceeds ``CROSS_CHECK_RTOL``.
+    The rule is one comparison: band storage ``n_f (bw + 1)`` against
+    ``_BAND_RATIO`` times the nonzeros the edges scatter, ``n_f`` on the
+    diagonal and two per edge between free nodes (n_f free nodes).
     """
-    free = laplacian[grounded:, grounded:]
-    b = rhs[grounded:]
-    x = np.zeros_like(rhs)
+    low = np.minimum(g.tails, g.heads)
+    inner = low >= grounded
+    width = int(np.max(np.maximum(g.tails, g.heads)[inner] - low[inner], initial=0))
+    free = g.node_count - grounded
+    return width if free * (width + 1) <= _BAND_RATIO * (free + 2 * int(inner.sum())) else None
+
+
+def _banded_solve(g: SignedGraph, grounded: int, width: int, b: np.ndarray) -> np.ndarray:
+    """The solution y of ``A y = b`` by LAPACK banded Cholesky (``dpbtrf``,
+    ``dpbtrs``) of the grounded matrix A, its band assembled straight from
+    the edge columns."""
+    n, free = g.node_count, g.node_count - grounded
+    k = width + 1
+    # Free nodes in reverse order, so the highest is eliminated first.
+    first = n - 1 - np.maximum(g.tails, g.heads)
+    second = n - 1 - np.minimum(g.tails, g.heads)
+    inner = second < free
+    # Lower band storage in Fortran order: A[i, j] (i >= j) at j * k + i - j.
+    ends = np.concatenate([first, second[inner]])
+    index = np.concatenate([ends * k, first[inner] * k + (second - first)[inner]])
+    value = np.concatenate([g.weights, g.weights[inner], -g.weights[inner]])
+    band = np.bincount(index, weights=value, minlength=k * free).reshape(k, free, order="F")
+    diagonal = band[0].copy()
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0 or np.any(factor[0] ** 2 <= _PIVOT_EPS * diagonal):
+        raise CrossCheckError("grounded Laplacian factorization failed: a banded Cholesky "
+                              "pivot cancelled to rounding level")
+    return dpbtrs(factor, b[::-1], lower=1)[0][::-1]
+
+
+def _splu_solve(g: SignedGraph, grounded: int, b: np.ndarray) -> np.ndarray:
+    """The solution y of ``A y = b`` by SuperLU of the grounded matrix A,
+    sliced from the CSC Laplacian."""
+    free = sparse_laplacian(g)[grounded:, grounded:]
     # The grounded matrix is symmetric positive definite, so a symmetric fill
     # ordering with diagonal pivots is stable; on a 1200-node random tree
     # plus chords its factor has about a quarter of the default's nonzeros.
@@ -97,12 +165,46 @@ def _grounded_solve(laplacian: csc_matrix, grounded: int, rhs: np.ndarray) -> np
                   relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # a pivot cancelled to exactly zero
         raise CrossCheckError(f"grounded Laplacian factorization failed: {exc}") from exc
-    x[grounded:] = lu.solve(b)
-    # Row sums of |L| from the stored entries; L is symmetric, so CSC row
-    # indices serve.
-    norm_l = float(np.bincount(free.indices, weights=np.abs(free.data)).max())
-    residual = np.max(np.abs(free @ x[grounded:] - b), axis=0)
-    scale = norm_l * np.max(np.abs(x), axis=0) + np.max(np.abs(b), axis=0)
+    return lu.solve(b)
+
+
+def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L x = rhs`` with ``x = 0`` at the first ``grounded`` nodes.
+
+    ``g`` is an all-positive graph each of whose components holds exactly
+    one of the first ``grounded`` nodes, and every column of ``rhs`` (shape
+    ``(n, c)``) sums to zero over each component, so the grounded system is
+    nonsingular and its solution also satisfies the dropped rows.  The
+    factorization is banded Cholesky or ``splu``, as :func:`_band` decides.
+
+    Raises:
+        CrossCheckError: a pivot cancels (exactly, or to rounding level on
+            the banded route), or the relative residual of some column
+            exceeds ``CROSS_CHECK_RTOL``.
+    """
+    n, columns = rhs.shape
+    b = rhs[grounded:]
+    width = _band(g, grounded)
+    x = np.zeros_like(rhs)
+    x[grounded:] = (_splu_solve(g, grounded, b) if width is None
+                    else _banded_solve(g, grounded, width, b))
+    # L x and ||A||_inf from the edge columns, whichever route solved: each
+    # edge's current in each column, scattered to both ends by one bincount
+    # over (column, node) keys; the rows of grounded nodes are dropped.
+    # The rows of x.T are gathered: gathering rows of the narrow x is slower.
+    potential = np.ascontiguousarray(x.T)
+    current = g.weights * (np.take(potential, g.tails, axis=1)
+                           - np.take(potential, g.heads, axis=1))
+    ends = np.concatenate([g.tails, g.heads])
+    keys = ends + n * np.arange(columns)[:, None]
+    product = np.bincount(keys.ravel(), weights=np.concatenate([current, -current], axis=1).ravel(),
+                          minlength=n * columns).reshape(columns, n).T[grounded:]
+    # |w| on the diagonal at each end, and again off it between free nodes.
+    inner = np.minimum(g.tails, g.heads) >= grounded
+    row_abs = np.tile(np.abs(g.weights) * (1.0 + inner), 2)
+    norm_l = float(np.bincount(ends, weights=row_abs, minlength=n)[grounded:].max())
+    residual = np.max(np.abs(product - b), axis=0)
+    scale = norm_l * np.max(np.abs(x[grounded:]), axis=0) + np.max(np.abs(b), axis=0)
     if not np.all(residual <= CROSS_CHECK_RTOL * scale):
         worst = float(np.max(residual / scale))
         raise CrossCheckError(
@@ -110,6 +212,73 @@ def _grounded_solve(laplacian: csc_matrix, grounded: int, rhs: np.ndarray) -> np
             f"residual {worst!r} exceeds {CROSS_CHECK_RTOL!r}"
         )
     return x
+
+
+def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
+    """``R_uv`` for each ``(u, v)`` of ``pairs``, in order.
+
+    An all-positive graph takes one grounded solve per component holding a
+    pair, with one right-hand-side column per pair; a graph with any
+    negative weight takes one eigendecomposition pseudo-inverse.
+
+    The pairs are checked in order as :func:`effective_resistance` checks
+    one; those before the first that fails are solved, and then that pair's
+    error is raised, as pair-by-pair calls would raise it.  A failed solve
+    raises its :class:`CrossCheckError` first.
+    """
+    n = g.node_count
+    labels = None
+    solvable, failure = [], None
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            failure = InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
+        elif u == v:
+            failure = InvalidParameterError(
+                f"effective resistance needs two distinct nodes, got {u} twice")
+        else:
+            if labels is None:
+                labels = _components(n, g.tails, g.heads)[1]
+            if labels[u] != labels[v]:
+                failure = DisconnectedError(f"nodes {u} and {v} are in different components")
+        if failure is not None:
+            break
+        solvable.append((u, v))
+    values = _solve_pairs(g, labels, solvable) if solvable else []
+    if failure is not None:
+        raise failure
+    return values
+
+
+def _solve_pairs(g: SignedGraph, labels: np.ndarray, pairs: list) -> list[float]:
+    """:func:`_pair_resistances` for pairs already checked, ``labels`` the
+    components of ``g``."""
+    n = g.node_count
+    if not np.all(g.weights > 0.0):
+        inverse = pseudo_inverse_eig(laplacian_matrix(g))
+        return [float(vec @ inverse @ vec)
+                for vec in (_indicator_difference(n, u, v) for u, v in pairs)]
+    ends = np.array(pairs, dtype=np.intp)
+    pair_label = labels[ends[:, 0]]
+    values = np.empty(len(pairs))
+    for label in dict.fromkeys(pair_label.tolist()):  # in order of first pair
+        mine = np.flatnonzero(pair_label == label)
+        u, v = ends[mine, 0], ends[mine, 1]
+        inside = np.flatnonzero(labels == label)
+        part = g
+        if inside.size < n:  # keep the component, its lowest node first
+            kept = labels[g.tails] == label
+            local = np.empty(n, dtype=np.intp)
+            local[inside] = np.arange(inside.size)
+            part = SignedGraph(inside.size, local[g.tails[kept]], local[g.heads[kept]],
+                               g.weights[kept])
+            u, v = local[u], local[v]
+        column = np.arange(mine.size)
+        rhs = np.zeros((part.node_count, mine.size))
+        rhs[u, column] = 1.0
+        rhs[v, column] = -1.0
+        x = _grounded_solve(part, 1, rhs)
+        values[mine] = x[u, column] - x[v, column]
+    return values.tolist()
 
 
 def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
@@ -126,38 +295,10 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     Raises:
         InvalidParameterError: u or v is not a node, or u = v.
         DisconnectedError: u and v lie in different components.
-        CrossCheckError: the grounded solve fails its residual check.
+        CrossCheckError: the grounded solve hits a cancelled pivot or fails
+            its residual check.
     """
-    n = g.node_count
-    if not (0 <= u < n and 0 <= v < n):
-        raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
-    if u == v:
-        raise InvalidParameterError(f"effective resistance needs two distinct nodes, got {u} twice")
-    # One assembly: connectivity is read from the Laplacian's pattern, in
-    # which every edge keeps its entries (csgraph counts stored zeros too).
-    laplacian = sparse_laplacian(g)
-    labels = connected_components(laplacian, directed=False)[1]
-    if labels[u] != labels[v]:
-        raise DisconnectedError(f"nodes {u} and {v} are in different components")
-
-    if np.all(g.weights > 0.0):
-        inside = np.flatnonzero(labels == labels[u])
-        if inside.size < n:  # keep u's component, lowest node first
-            laplacian = laplacian[inside[:, None], inside]
-            u, v = (int(i) for i in np.searchsorted(inside, [u, v]))
-        rhs = _indicator_difference(inside.size, u, v)[:, None]
-        x = _grounded_solve(laplacian, 1, rhs)
-        return float(x[u, 0] - x[v, 0])
-
-    vec = _indicator_difference(n, u, v)
-    return float(vec @ pseudo_inverse_eig(laplacian_matrix(g)) @ vec)
-
-
-def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor."""
-    first = np.ones(sorted_keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
+    return _pair_resistances(g, [(u, v)])[0]
 
 
 def _block_failure(g_plus: SignedGraph, what: str) -> SiglapError:
@@ -186,8 +327,8 @@ def _component_count(node_count: int, tails: np.ndarray, heads: np.ndarray,
 
 
 def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.ndarray,
-                  pairs: np.ndarray) -> tuple[csc_matrix, int, np.ndarray]:
-    """The Laplacian of the positive edges in the pairs' blocks, each block on
+                  pairs: np.ndarray) -> tuple[SignedGraph, int, np.ndarray]:
+    """The graph of the positive edges in the pairs' blocks, each block on
     its own node copies, the number of blocks, and the copies of the pairs'
     ends (shape ``(m, 2)``).
 
@@ -204,16 +345,19 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     n = g_plus.node_count
     solved = np.isin(edge_block, pair_block, kind="table")
     ends = np.concatenate([g_plus.tails[solved], g_plus.heads[solved]])
-    keys, end_copy = np.unique(np.tile(edge_block[solved], 2) * n + ends,
-                               return_inverse=True)
+    end_keys = np.tile(edge_block[solved], 2) * n + ends
+    order = np.argsort(end_keys)
+    first = _first_of_runs(end_keys[order])
+    keys = end_keys[order][first]
+    end_copy = np.empty(end_keys.size, dtype=np.intp)
+    end_copy[order] = np.cumsum(first) - 1
     copy_block = keys // n
     lowest = _first_of_runs(copy_block)
     blocks = int(lowest.sum())
     renumber = np.empty(keys.size, dtype=np.intp)
     renumber[np.argsort(~lowest, kind="stable")] = np.arange(keys.size)
     end_copy = renumber[end_copy].reshape(2, -1)
-    split = sparse_laplacian(SignedGraph(keys.size, end_copy[0], end_copy[1],
-                                         g_plus.weights[solved]))
+    split = SignedGraph(keys.size, end_copy[0], end_copy[1], g_plus.weights[solved])
 
     pair_keys = pair_block[:, None] * n + pairs
     pair_copy = np.searchsorted(keys, pair_keys)
@@ -223,7 +367,7 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
         pair = tuple(pairs[np.argmin(held)].tolist())
         raise _block_failure(g_plus, f"the positive part of the block of G holding negative "
                                      f"edge {pair} misses an end of the edge")
-    count, parts = connected_components(split, directed=False)
+    count, parts = _components(split.node_count, split.tails, split.heads)
     if count != blocks:
         # parts[:blocks] holds each block's part, at its lowest copy.
         apart = parts[renumber] != parts[:blocks][np.cumsum(lowest) - 1]
@@ -308,7 +452,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blo
     if m == 0:
         return csr_array((0, 0)), np.zeros(0)
     order, start, colour = _block_runs(pair_block)
-    rhs = np.zeros((split.shape[0], int(colour.max()) + 1))
+    rhs = np.zeros((split.node_count, int(colour.max()) + 1))
     rhs[ends[:, 0], colour] = -1.0
     rhs[ends[:, 1], colour] = 1.0
     x = _grounded_solve(split, grounded, rhs)

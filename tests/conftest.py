@@ -274,6 +274,35 @@ def random_tree(rng, n_lo: int = 3, n_hi: int = 10) -> sl.SignedGraph:
     return sl.build_graph(n, edges)
 
 
+def grid_edges(rng, rows: int, cols: int) -> list[tuple[int, int, float]]:
+    """A rows x cols grid numbered row by row, weights in [0.5, 2]."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            node = r * cols + c
+            if c + 1 < cols:
+                edges.append((node, node + 1, float(rng.uniform(0.5, 2.0))))
+            if r + 1 < rows:
+                edges.append((node, node + cols, float(rng.uniform(0.5, 2.0))))
+    return edges
+
+
+def hub_tree(rng, hubs: int = 6, leaves: int = 50) -> sl.SignedGraph:
+    """A root, ``hubs`` hubs on edges in [50, 100] and ``leaves`` leaves per
+    hub on edges in [1, 2], numbered root, hubs, then each hub's leaves."""
+    edges = [(0, h, float(rng.uniform(50.0, 100.0))) for h in range(1, hubs + 1)]
+    edges += [(h, hubs + 1 + (h - 1) * leaves + i, float(rng.uniform(1.0, 2.0)))
+              for h in range(1, hubs + 1) for i in range(leaves)]
+    return sl.build_graph(1 + hubs * (1 + leaves), edges)
+
+
+def relabelled(g: sl.SignedGraph, perm) -> sl.SignedGraph:
+    """``g`` with node i renamed ``perm[i]``, edges in the same order."""
+    perm = np.asarray(perm)
+    return sl.build_graph(g.node_count, list(zip(perm[g.tails].tolist(),
+                                                 perm[g.heads].tolist(), g.weights.tolist())))
+
+
 def blocks_glued_at_cut_vertices(rng) -> tuple[list, list[int]]:
     """Positive edges of 1..5 blocks, each a bridge, a parallel pair or a
     cycle on 3..5 nodes, glued at a node already placed, plus the glue nodes,

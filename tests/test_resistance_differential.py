@@ -18,10 +18,14 @@ from conftest import (
     blocks_glued_at_cut_vertices,
     caterpillar_tree,
     caterpillar_with_chord,
+    cycle_chain_at_threshold,
     dense_laplacian,
+    grid_edges,
+    hub_tree,
     random_boundary_cycle_graph,
     random_connected_positive,
     random_signed,
+    relabelled,
 )
 from siglap.graph_core import edge_blocks
 
@@ -106,8 +110,10 @@ def test_scaling_weights_by_c_scales_resistance_by_one_over_c():
                 sl.effective_resistance(g, u, v) / c, rel=1e-10)
 
 
-def test_perturbed_grounded_solve_raises_cross_check(monkeypatch):
-    real_splu = resistance_module.splu
+def perturb_both_solvers(monkeypatch):
+    """Scale every solution of either factorization by 1 + 1e-3, so that
+    whichever route runs fails its residual check."""
+    real_splu, real_dpbtrs = resistance_module.splu, resistance_module.dpbtrs
 
     class Perturbed:
         def __init__(self, lu):
@@ -118,11 +124,21 @@ def test_perturbed_grounded_solve_raises_cross_check(monkeypatch):
 
     monkeypatch.setattr(resistance_module, "splu",
                         lambda *args, **kwargs: Perturbed(real_splu(*args, **kwargs)))
-    g = caterpillar_tree()
-    with pytest.raises(sl.CrossCheckError):
-        sl.effective_resistance(g, 0, 4)
-    with pytest.raises(sl.CrossCheckError):
-        sl.resistance_matrix_for_negatives(g, [(0, 4)])
+    monkeypatch.setattr(resistance_module, "dpbtrs", lambda *args, **kwargs: (
+        real_dpbtrs(*args, **kwargs)[0] * (1.0 + 1e-3), 0))
+
+
+def test_perturbed_grounded_solve_raises_cross_check(monkeypatch):
+    perturb_both_solvers(monkeypatch)
+    rng = np.random.default_rng(113)
+    scrambled_grid = relabelled(sl.build_graph(256, grid_edges(rng, 16, 16)),
+                                rng.permutation(256))
+    for g, banded in ((caterpillar_tree(), True), (scrambled_grid, False)):
+        assert (resistance_module._band(g, 1) is not None) == banded
+        with pytest.raises(sl.CrossCheckError):
+            sl.effective_resistance(g, 0, 4)
+        with pytest.raises(sl.CrossCheckError):
+            sl.resistance_matrix_for_negatives(g, [(0, 4)])
 
 
 def test_numerically_singular_grounded_matrix_raises_cross_check():
@@ -133,6 +149,159 @@ def test_numerically_singular_grounded_matrix_raises_cross_check():
         sl.effective_resistance(g, 0, 2)
     with pytest.raises(sl.CrossCheckError):
         sl.resistance_matrix_for_negatives(g, [(0, 2)])
+
+
+def test_numerically_singular_grounded_matrix_raises_cross_check_on_the_splu_route():
+    # The graph of the test above, relabelled and hung on node 0 of a unit
+    # 200-cycle in scrambled order, so that both solves take splu; node 0
+    # is still grounded, and the pair's block of G is the whole graph.
+    perm = np.random.default_rng(127).permutation(np.arange(1, 202))
+    ring = [0, *perm[:199].tolist()]
+    light, heavy = perm[199:].tolist()
+    edges = [(ring[i], ring[(i + 1) % 200], 1.0) for i in range(200)]
+    g = sl.build_graph(202, edges + [(0, light, 1e-300), (light, heavy, 1e300)])
+    assert resistance_module._band(g, 1) is None
+    with pytest.raises(sl.CrossCheckError):
+        sl.effective_resistance(g, ring[100], heavy)
+    with pytest.raises(sl.CrossCheckError):
+        sl.resistance_matrix_for_negatives(g, [(ring[100], heavy)])
+
+
+def test_pivot_guard_passes_cycle_chains_whose_weights_differ_in_scale():
+    # Pivots well above rounding level (min c_jj**2 / A_jj: 5.6e-13 and 0.19),
+    # so the banded route returns a value, within the accuracy the strict
+    # xfail in test_resistance.py records.
+    for weights in ([1e-6] * 39 + [1e6], list(np.geomspace(1e-6, 1e6, 40))):
+        g = cycle_chain_at_threshold(weights)
+        g_plus = g.positive_subgraph()
+        assert resistance_module._band(g_plus, 1) is not None
+        for k, w in zip(g.negative_edge_indices(), weights):
+            exact = 36.0 / (15.0 * w)
+            r = sl.effective_resistance(g_plus, int(g.tails[k]), int(g.heads[k]))
+            assert abs(r - exact) <= 1e-2 * exact
+
+
+def test_route_rule_on_a_grid_its_scrambled_copy_and_a_hub_tree():
+    rng = np.random.default_rng(131)
+    grid = sl.build_graph(36 * 36, grid_edges(rng, 36, 36))
+    assert resistance_module._band(grid, 1) == 36
+    assert resistance_module._band(relabelled(grid, rng.permutation(36 * 36)), 1) is None
+    assert resistance_module._band(hub_tree(rng), 1) is None
+
+
+@st.composite
+def positive_graph_in_two_orders(draw):
+    """A tree, a chain of cycles, a grid or a tree plus chords with weights
+    in [0.5, 2], up to about 300 nodes; the same graph under a random
+    relabelling; and 1..3 node pairs of the first (the second's pairs are
+    their images)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["tree", "cycles", "grid", "random"]))
+    if family == "grid":
+        rows, cols = int(rng.integers(2, 18)), int(rng.integers(2, 18))
+        n, edges = rows * cols, grid_edges(rng, rows, cols)
+    elif family == "cycles":
+        length = int(rng.integers(3, 16))
+        g = cycle_chain_at_threshold([1.0] * int(rng.integers(1, 21)), length=length,
+                                     chord=1, hop=int(rng.integers(0, length)))
+        n = g.node_count
+        edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u, v, _ in g.positive_subgraph().edges]
+    else:
+        n = int(rng.integers(2, 301))
+        edges = [(int(rng.integers(0, v)), v, float(rng.uniform(0.5, 2.0))) for v in range(1, n)]
+        for _ in range(int(rng.integers(0, n)) if family == "random" else 0):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            edges.append((u, v, float(rng.uniform(0.5, 2.0))))
+    g = sl.build_graph(n, edges)
+    perm = rng.permutation(n)
+    pairs = [tuple(int(x) for x in rng.choice(n, size=2, replace=False))
+             for _ in range(int(rng.integers(1, 4)))]
+    return g, relabelled(g, perm), pairs, perm
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(positive_graph_in_two_orders())
+def test_both_routes_match_dense_pseudo_inverse(case):
+    g, scrambled, pairs, perm = case
+    pinv = np.linalg.pinv(dense_laplacian(g.node_count, g.edges))
+    expected = [pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v] for u, v in pairs]
+    images = [(int(perm[u]), int(perm[v])) for u, v in pairs]
+    for graph, nodes in ((g, pairs), (scrambled, images)):
+        got = [sl.effective_resistance(graph, u, v) for u, v in nodes]
+        _, diag = sl.resistance_matrix_for_negatives(graph, nodes)
+        assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
+        assert np.allclose(diag, expected, rtol=1e-10, atol=0.0)
+
+
+def two_grids_interleaved(rng):
+    """A 12x12 grid in row order on the even nodes 0..286 and a 16x16 grid
+    in scrambled order on the other 256 of 400 nodes: two components, the
+    first solved on the band and the second by splu; and alternating pairs
+    of the two, three in the first and two in the second."""
+    first = np.arange(0, 288, 2)
+    second = np.setdiff1d(np.arange(400), first)[rng.permutation(256)]
+    edges = [(int(first[u]), int(first[v]), w) for u, v, w in grid_edges(rng, 12, 12)]
+    edges += [(int(second[u]), int(second[v]), w) for u, v, w in grid_edges(rng, 16, 16)]
+    pairs = [(int(first[0]), int(first[143])), (int(second[0]), int(second[255])),
+             (int(first[13]), int(first[100])), (int(second[17]), int(second[200])),
+             (int(first[143]), int(first[5]))]
+    return sl.build_graph(400, edges), pairs
+
+
+def solve_spy(monkeypatch) -> list[tuple[str, int]]:
+    """Record (route, right-hand-side columns) of every grounded solve."""
+    calls = []
+    for name in ("_banded_solve", "_splu_solve"):
+        real = getattr(resistance_module, name)
+
+        def spy(g, grounded, *rest, real=real, name=name):
+            calls.append((name, rest[-1].shape[1]))
+            return real(g, grounded, *rest)
+
+        monkeypatch.setattr(resistance_module, name, spy)
+    return calls
+
+
+def test_pairs_of_two_components_take_one_solve_each(monkeypatch):
+    g, pairs = two_grids_interleaved(np.random.default_rng(137))
+    one_by_one = [sl.effective_resistance(g, u, v) for u, v in pairs]
+    calls = solve_spy(monkeypatch)
+    assert resistance_module._pair_resistances(g, pairs) == one_by_one
+    assert calls == [("_banded_solve", 3), ("_splu_solve", 2)]
+    pinv = np.linalg.pinv(dense_laplacian(g.node_count, g.edges))
+    expected = [pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v] for u, v in pairs]
+    assert np.allclose(one_by_one, expected, rtol=1e-10, atol=0.0)
+
+
+def test_pairs_of_a_signed_graph_take_one_pseudo_inverse(monkeypatch):
+    g, pairs = two_grids_interleaved(np.random.default_rng(139))
+    weights = g.weights.copy()
+    weights[[0, -1]] = -0.1  # one negative edge in each grid
+    g = sl.SignedGraph(g.node_count, g.tails, g.heads, weights)
+    one_by_one = [sl.effective_resistance(g, u, v) for u, v in pairs]
+    real = resistance_module.pseudo_inverse_eig
+    calls = []
+    monkeypatch.setattr(resistance_module, "pseudo_inverse_eig",
+                        lambda matrix: calls.append(1) or real(matrix))
+    assert resistance_module._pair_resistances(g, pairs) == one_by_one
+    assert len(calls) == 1
+
+
+def test_pairs_before_the_first_invalid_one_are_solved_first(monkeypatch):
+    g, pairs = two_grids_interleaved(np.random.default_rng(149))
+    calls = solve_spy(monkeypatch)
+    with pytest.raises(sl.InvalidParameterError, match="node out of range: \\(0, 400\\)"):
+        resistance_module._pair_resistances(g, pairs[:2] + [(0, 400)] + pairs[2:])
+    assert calls == [("_banded_solve", 1), ("_splu_solve", 1)]
+    calls.clear()
+    with pytest.raises(sl.DisconnectedError):
+        resistance_module._pair_resistances(g, pairs[:1] + [(pairs[0][0], pairs[1][0])])
+    assert calls == [("_banded_solve", 1)]
+    # A failed solve of the pairs before an invalid one is raised first.
+    perturb_both_solvers(monkeypatch)
+    for valid in (pairs[0], pairs[1]):
+        with pytest.raises(sl.CrossCheckError):
+            resistance_module._pair_resistances(g, [valid, (0, 400)])
 
 
 def test_signed_effective_resistance_matches_pinv():
