@@ -26,7 +26,7 @@ from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
 from .graph_core import SignedGraph, _first_seen_ids, component_labels, edge_blocks
-from .laplacians import laplacian_matrix, sparse_laplacian
+from .laplacians import laplacian_matrix
 from .resistance import _grounded_solve, _indicator_difference
 from .spectra import _check_tolerance, default_zero_tolerance
 
@@ -298,7 +298,11 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
         )
 
     null_vector = z - z.mean()
-    residual = float(np.max(np.abs(sparse_laplacian(g) @ null_vector)))
+    # L z from the edge columns: each edge's current scattered to both ends.
+    current = g.weights * (null_vector[g.tails] - null_vector[g.heads])
+    product = np.bincount(np.concatenate([g.tails, g.heads]),
+                          weights=np.concatenate([current, -current]), minlength=n)
+    residual = float(np.max(np.abs(product)))
     if residual > 1e-8:
         raise CrossCheckError(
             f"null-vector residual max|L z| {residual:.3e} exceeds 1e-8; "

@@ -30,9 +30,10 @@ block never leaves it: it could only leave through a cut vertex and would
 have to come back through the same one.  So the positive part of the block
 holding f_k = (u, v) is connected whenever G+ is, the unit current from u to
 v, a sum of simple u-v paths, flows only through it, and ``R_jk = 0``
-exactly when f_j and f_k lie in different blocks.  The verdict hands the
-block ids of its one :func:`~siglap.graph_core.edge_blocks` pass down to the
-resistance layer, which solves only the blocks holding a negative edge.
+exactly when f_j and f_k lie in different blocks.  The resistance layer makes
+the query's one block pass and solves only the blocks holding a negative
+edge; the verdict reads those blocks back from R's diagonal blocks, so the
+path sets are disjoint exactly when every block of R has size 1.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import CrossCheckError, HypothesisViolatedError
-from .graph_core import SignedGraph, component_labels, edge_blocks
-from .resistance import negative_edge_report
+from .graph_core import SignedGraph, component_labels
+from .resistance import _diagonal_blocks, negative_edge_report
 from .spectra import Signature, signature
 
 # Default relative tolerance on |w| * R - 1 deciding boundary equality, and
@@ -131,20 +132,19 @@ def _cross_validate(classification: Classification, sigma: Signature) -> None:
         )
 
 
-def _resistance_terms(g: SignedGraph, neg: list[int], blocks: np.ndarray | None = None
+def _resistance_terms(g: SignedGraph, neg: list[int]
                       ) -> tuple[tuple[EdgeThreshold, ...], Corollary6Result,
-                                 np.ndarray, list[float]]:
+                                 csr_array, list[float]]:
     """Per-edge thresholds, the Corollary 6 test, the resistance matrix R
     over the positive subgraph and the magnitudes |w_k|, for the negative
     edges ``neg`` (the indices of all of them), from one resistance matrix.
-    ``blocks`` are the block ids of G when the caller has them already.
 
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
         CrossCheckError: a resistance, threshold, margin or Corollary 6 sum
             is not finite (it left the double range).
     """
-    report = negative_edge_report(g, _blocks=blocks)
+    report = negative_edge_report(g)
     magnitudes = np.abs(g.weights[neg]).tolist()
     with np.errstate(over="ignore"):
         per_edge = tuple(
@@ -178,30 +178,18 @@ def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
                      inner.tolerance_used, inner.near_singular)
 
 
-def _schur_signature(n: int, matrix: csr_array, magnitudes: list[float],
-                     tol: float) -> Signature:
+def _schur_signature(n: int, stacks: list[tuple[np.ndarray, np.ndarray]],
+                     magnitudes: list[float], tol: float) -> Signature:
     """Inertia of L from ``T = I - D^1/2 R D^1/2``; ``|eig(T)| <= tol``
-    counts as zero.
-
-    ``matrix`` is R as :func:`~siglap.resistance.resistance_matrix_for_negatives`
-    stores it: block-diagonal over the blocks of G holding a negative edge,
-    row j holding exactly the entries of j's block, in edge order.  T is
-    block-diagonal too, and its inertia is the sum of the inertias of its
-    diagonal blocks; the blocks of each size are stacked and counted by one
-    batched :func:`~siglap.spectra.signature`.
+    counts as zero.  ``stacks`` are R's diagonal blocks by size, from
+    :func:`~siglap.resistance._diagonal_blocks`; T is block-diagonal too, and
+    its inertia is the sum of its blocks', counted by one batched
+    :func:`~siglap.spectra.signature` per block size.
     """
     root = np.sqrt(magnitudes)
-    indptr, indices = matrix.indptr, matrix.indices
-    size = np.diff(indptr)
-    # Each block's first negative edge leads its own row.
-    leading = np.flatnonzero(indices[indptr[:-1]] == np.arange(size.size))
-    parts = []
-    for s in np.unique(size[leading]):
-        # One row per block of size s: its negative edges in edge order.
-        members = indices[indptr[leading[size[leading] == s]][:, None] + np.arange(s)]
-        r = matrix.data[indptr[members][:, :, None] + np.arange(s)]
-        stack = np.eye(s) - root[members][:, :, None] * r * root[members][:, None, :]
-        parts.append(signature(stack, tol))
+    parts = [signature(np.eye(members.shape[1])
+                       - root[members][:, :, None] * r * root[members][:, None, :], tol)
+             for members, r in stacks]
     inner = Signature(sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
                       sum(p.n_zero for p in parts), float(tol),
                       any(p.near_singular for p in parts))
@@ -253,12 +241,12 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     neg = g.negative_edge_indices()
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])
-    blocks = edge_blocks(g)
     # Raises DisconnectedError when the positive subgraph is disconnected.
-    per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg, blocks)
-    disjoint = len(set(blocks[neg].tolist())) == len(neg)
+    per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg)
+    stacks = _diagonal_blocks(matrix)
+    disjoint = all(members.shape[1] == 1 for members, _ in stacks)
     zero_tol = BOUNDARY_RTOL if tol is None else tol
-    sigma = _schur_signature(g.node_count, matrix, magnitudes, zero_tol)
+    sigma = _schur_signature(g.node_count, stacks, magnitudes, zero_tol)
     if disjoint:
         classification = _classify([e.margin for e in per_edge], zero_tol)
         _cross_validate(classification, sigma)

@@ -11,7 +11,9 @@ One lowpoint pass, :func:`edge_blocks`, answers every cycle question: the
 path-edge sets of the negative edges are pairwise disjoint exactly when those
 edges lie in distinct blocks of G, their resistance matrix is block-diagonal
 over those blocks, and at the single-cycle boundary the cycle is the block
-holding the negative edge.  The spanning-forest decomposition
+holding the negative edge.  A verdict makes the pass once, inside the
+resistance layer, over G+ plus the negative edges; the verdict reads the
+blocks back from the resistance matrix.  The spanning-forest decomposition
 below is a test oracle.
 """
 
@@ -487,7 +489,7 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     edge of ``g_plus`` in that edge's block.
 
     No production route calls it: the verdict reads the disjointness of these
-    sets straight from :func:`edge_blocks`.  It stays public here as the
+    sets from the blocks of the resistance matrix.  It stays public here as the
     definitional oracle of path-edge sets, and because the benchmark's layer
     tracer (``perfbench/tracing.py``) binds it by name.
 

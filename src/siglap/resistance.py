@@ -41,7 +41,9 @@ a negative edge, each on its own node copies (a cut vertex gets one copy
 per block) and grounded at its lowest copy; right-hand-side column ``c``
 carries the c-th negative edge of every block.  The matrix is kept sparse,
 with only its entries within blocks, so its size is the sum of the squared
-numbers of negative edges per block, not m x m.
+numbers of negative edges per block, not m x m.  The query's one
+biconnected-block pass is made here, and the verdict reads the blocks back
+from R through :func:`_diagonal_blocks`.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -59,14 +61,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from .errors import CrossCheckError, DisconnectedError, InvalidParameterError, SiglapError
-from .graph_core import (
-    SignedGraph,
-    _components,
-    _edge_blocks,
-    _first_of_runs,
-    component_labels,
-    edge_blocks,
-)
+from .graph_core import SignedGraph, _components, _edge_blocks, _first_of_runs, component_labels
 from .laplacians import laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
@@ -390,7 +385,7 @@ def _block_runs(pair_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return order, start, colour
 
 
-def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blocks=None):
+def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     """Quadratic form E_-^T L^+(G+) E_- and its diagonal.
 
     ``g_plus`` must be connected with all-positive weights; ``negative_edges``
@@ -404,10 +399,8 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blo
     covers every block that holds a pair, each on its own node copies;
     column ``c`` of the right-hand side carries the c-th pair of every block,
     so there are as many columns as the most pairs in one block (see the
-    module docstring).  The block ids come from one biconnected-block pass
-    over G; the private ``_blocks`` hands down ids already computed, one per
-    edge of ``g_plus`` and then one per pair, equal exactly for edges of one
-    block.
+    module docstring).  The block ids come from the query's one
+    biconnected-block pass over G, made here.
 
     G+ is connected exactly when G is connected and the positive part of
     every block holding a pair is connected (blocks without a pair are
@@ -439,9 +432,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blo
     m = len(pairs)
     tails = np.append(g_plus.tails, pairs[:, 0])
     heads = np.append(g_plus.heads, pairs[:, 1])
-    if _blocks is None:
-        _blocks = _edge_blocks(n, tails, heads)
-    blocks = np.asarray(_blocks, dtype=np.int64)
+    blocks = _edge_blocks(n, tails, heads)
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
     # The solved blocks are tested first: their errors name a pair.
     if m:
@@ -473,15 +464,28 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges, *, _blo
     return matrix, values[indptr[:-1] + colour]
 
 
-def negative_edge_report(g: SignedGraph, *, _blocks=None) -> ResistanceReport:
+def _diagonal_blocks(matrix: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
+    """R's diagonal blocks, from :func:`resistance_matrix_for_negatives`,
+    stacked by size: per size s, ascending, ``(members, entries)`` of shapes
+    ``(k, s)`` and ``(k, s, s)``, one row per block listing its pairs in pair
+    order and that block of R.  The only reader of R's csr layout, in which
+    each block's first pair leads its own row.
+    """
+    indptr, indices = matrix.indptr, matrix.indices
+    size = np.diff(indptr)
+    leading = np.flatnonzero(indices[indptr[:-1]] == np.arange(size.size))
+    stacks = []
+    for s in np.unique(size[leading]):
+        members = indices[indptr[leading[size[leading] == s]][:, None] + np.arange(s)]
+        stacks.append((members, matrix.data[indptr[members][:, :, None] + np.arange(s)]))
+    return stacks
+
+
+def negative_edge_report(g: SignedGraph) -> ResistanceReport:
     """Resistances over the positive subgraph for every negative edge, from
     one resistance matrix; every command and verdict that reads them calls
     this.  Without negative edges the report is empty, whatever the
     positive subgraph.
-
-    The block ids of G come from one :func:`~siglap.graph_core.edge_blocks`
-    pass; the private ``_blocks`` hands down that pass's result when the
-    caller has it already.
 
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
@@ -491,11 +495,8 @@ def negative_edge_report(g: SignedGraph, *, _blocks=None) -> ResistanceReport:
     neg = g.negative_edge_indices()
     if not neg:
         return ResistanceReport((), csr_array((0, 0)), 0.0)
-    blocks = edge_blocks(g) if _blocks is None else _blocks
-    positive = g.weights > 0.0
     pairs = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
-    matrix, diag = resistance_matrix_for_negatives(
-        g.subgraph(positive), pairs, _blocks=np.concatenate([blocks[positive], blocks[neg]]))
+    matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
     with np.errstate(over="ignore"):
         r_tot = float(diag.sum())
     if not (np.isfinite(matrix.data).all() and np.isfinite(r_tot)):

@@ -213,6 +213,22 @@ def test_predict_clusters_caterpillar():
     assert len(np.unique(np.round(v[:5], 9))) == 5
 
 
+def test_predict_clusters_checks_the_null_vector_residual(monkeypatch):
+    # a potential off by 1e-6 at leaf 5 keeps R(0, 4) but breaks L z = 0 at
+    # the leaf and at its anchor 0
+    solve = consensus._grounded_solve
+
+    def perturbed(g, grounded, rhs):
+        x = solve(g, grounded, rhs)
+        x[5] += 1e-6
+        return x
+
+    monkeypatch.setattr(consensus, "_grounded_solve", perturbed)
+    with pytest.raises(sl.CrossCheckError,
+                       match=r"null-vector residual max\|L z\| 1\.000e-06 exceeds 1e-8"):
+        sl.predict_clusters(caterpillar_with_chord(-0.25))
+
+
 def test_predict_clusters_reports_all_failed_preconditions():
     g = sl.build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])  # tree, no negatives
     with pytest.raises(sl.HypothesisViolatedError) as err:

@@ -13,7 +13,7 @@ from conftest import (
     random_tree,
     triangle_chain_with_chords,
 )
-from siglap import definiteness
+from siglap import definiteness, graph_core, resistance
 from siglap.definiteness import BOUNDARY_RTOL, Classification, _lift_schur_inertia
 
 
@@ -246,10 +246,40 @@ def test_overlapping_chords_each_inside_threshold_can_be_indefinite():
 
 
 def test_wrong_disjointness_answer_is_caught(monkeypatch):
-    # margins alone say strict interior; the full m x m inertia says indefinite
-    monkeypatch.setattr(definiteness, "edge_blocks", lambda g: np.arange(g.edge_count))
+    # block ids that put every edge in a block of its own call the chords'
+    # path sets disjoint; each chord's block then holds none of its positive
+    # paths, which the resistance layer's connectivity test on the blocks
+    # reports as inconsistent block ids, not as a disconnected G+
+    monkeypatch.setattr(resistance, "_edge_blocks", lambda n, tails, heads: np.arange(tails.size))
     with pytest.raises(sl.CrossCheckError):
         sl.multi_edge_verdict(overlapping_chords_at_nine_tenths())
+
+
+@pytest.mark.parametrize("family", ["cycle-chain", "tree-plus-chords"])
+def test_each_query_makes_one_block_pass(monkeypatch, family):
+    if family == "cycle-chain":
+        g = cycle_chain_at_threshold([1.0, 2.0, 0.5, 1.0])
+    else:
+        rng = np.random.default_rng(5)
+        g_plus = random_connected_positive(rng, 30, 30)
+        chords = [(int(u), int(v), -0.05)
+                  for u, v in (rng.choice(30, size=2, replace=False) for _ in range(3))]
+        g = sl.build_graph(30, list(g_plus.edges) + chords)
+    calls = []
+    original = graph_core._edge_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # the pass as graph_core's edge_blocks and as the resistance layer reach it
+    monkeypatch.setattr(graph_core, "_edge_blocks", counted)
+    monkeypatch.setattr(resistance, "_edge_blocks", counted)
+    assert not hasattr(definiteness, "edge_blocks")
+    for call in (sl.multi_edge_verdict, sl.corollary6_check, sl.negative_edge_report):
+        calls.clear()
+        call(g)
+        assert len(calls) == 1, call.__name__
 
 
 def test_disjointness_flag_equals_pairwise_disjoint_path_sets():

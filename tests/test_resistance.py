@@ -14,6 +14,7 @@ from conftest import (
     random_connected_positive,
     random_tree,
 )
+from siglap import resistance
 
 
 def test_series_path():
@@ -180,15 +181,21 @@ def test_negative_edge_report():
     assert np.allclose(report.matrix.toarray(), np.diag([2.0, 2.0]), atol=1e-9)
 
 
-def test_wrong_block_ids_are_caught():
+def test_wrong_block_ids_are_caught(monkeypatch):
     # 4-cycle 0-1-2-3 with a chord (0, 2); G has one block
     g_plus = sl.build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+
+    def block_pass_returning(ids):
+        monkeypatch.setattr(resistance, "_edge_blocks", lambda n, tails, heads: np.array(ids))
+
     # the chord's block holds only (0,1) and (2,3): both ends, not connected
+    block_pass_returning([0, 1, 0, 1, 0])
     with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) is not connected"):
-        sl.resistance_matrix_for_negatives(g_plus, [(0, 2)], _blocks=[0, 1, 0, 1, 0])
+        sl.resistance_matrix_for_negatives(g_plus, [(0, 2)])
     # the chord's block holds only (0,1): node 2 is missing
+    block_pass_returning([0, 1, 1, 1, 0])
     with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) misses an end"):
-        sl.resistance_matrix_for_negatives(g_plus, [(0, 2)], _blocks=[0, 1, 1, 1, 0])
+        sl.resistance_matrix_for_negatives(g_plus, [(0, 2)])
 
 
 def test_cancelling_parallel_edges_still_join_their_nodes():
