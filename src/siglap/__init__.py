@@ -16,7 +16,6 @@ from .definiteness import (
     EdgeThreshold,
     corollary6_check,
     multi_edge_verdict,
-    single_edge_verdict,
 )
 from .errors import (
     CrossCheckError,

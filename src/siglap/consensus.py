@@ -26,8 +26,8 @@ from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
 from .graph_core import SignedGraph, _first_seen_ids, component_labels, edge_blocks
-from .laplacians import laplacian_matrix
-from .resistance import _grounded_solve, _indicator_difference
+from .laplacians import _laplacian_product, laplacian_matrix
+from .resistance import _grounded_solve
 from .spectra import _check_tolerance, default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
@@ -289,7 +289,10 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
 
     k = neg[0]
     u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
-    z = _grounded_solve(g_plus, 1, _indicator_difference(n, v, u)[:, None])[:, 0]
+    rhs = np.zeros((n, 1))
+    rhs[v, 0] = 1.0
+    rhs[u, 0] = -1.0
+    z = _grounded_solve(g_plus, 1, rhs)[:, 0]
     r_uv = float(z[v] - z[u])
     margin = abs(w) * r_uv - 1.0
     if abs(margin) > BOUNDARY_RTOL:
@@ -298,11 +301,7 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
         )
 
     null_vector = z - z.mean()
-    # L z from the edge columns: each edge's current scattered to both ends.
-    current = g.weights * (null_vector[g.tails] - null_vector[g.heads])
-    product = np.bincount(np.concatenate([g.tails, g.heads]),
-                          weights=np.concatenate([current, -current]), minlength=n)
-    residual = float(np.max(np.abs(product)))
+    residual = float(np.max(np.abs(_laplacian_product(g, null_vector[:, None]))))
     if residual > 1e-8:
         raise CrossCheckError(
             f"null-vector residual max|L z| {residual:.3e} exceeds 1e-8; "

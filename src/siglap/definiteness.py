@@ -3,7 +3,9 @@
 A graph with negative edges keeps a positive-semidefinite Laplacian exactly
 while each negative weight magnitude stays at or below the inverse effective
 resistance between its endpoints over the positive subgraph (per-edge
-thresholds require pairwise-disjoint path-edge sets).
+thresholds require pairwise-disjoint path-edge sets).  One entry point,
+:func:`multi_edge_verdict`, gives the verdict for any number of negative
+edges; the paper's single-edge theorem is its case m = 1.
 
 The inertia of L comes from the Schur complement over the m negative edges.
 With D = diag|w_k| over the negative edges, B their incidence columns and
@@ -46,7 +48,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import CrossCheckError, HypothesisViolatedError
-from .graph_core import SignedGraph, component_labels
+from .graph_core import SignedGraph
 from .resistance import _diagonal_blocks, negative_edge_report
 from .spectra import Signature, signature
 
@@ -98,11 +100,6 @@ class Corollary6Result(NamedTuple):
     satisfied: bool
     inverse_weight_sum: float
     total_resistance: float
-
-
-def _positive_part_connected(g: SignedGraph) -> bool:
-    labels = component_labels(g.positive_subgraph())
-    return int(labels.max()) == 0
 
 
 def _classify(margins, rtol: float) -> Classification:
@@ -194,29 +191,6 @@ def _schur_signature(n: int, stacks: list[tuple[np.ndarray, np.ndarray]],
                       sum(p.n_zero for p in parts), float(tol),
                       any(p.near_singular for p in parts))
     return _lift_schur_inertia(n, inner)
-
-
-def single_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:
-    """Verdict for a graph with exactly one negative edge.
-
-    ``tol`` is the zero tolerance on eig(T) and on the per-edge margins
-    (default ``BOUNDARY_RTOL``).
-
-    Raises:
-        HypothesisViolatedError: zero or several negative edges, or the
-            positive subgraph is disconnected.
-    """
-    neg = g.negative_edge_indices()
-    failures = []
-    if len(neg) != 1:
-        failures.append(f"exactly one negative edge required, found {len(neg)}")
-    if not _positive_part_connected(g):
-        failures.append("positive subgraph must be connected")
-    if failures:
-        raise HypothesisViolatedError(failures)
-    # One path set is trivially disjoint, so the multi-edge flow classifies
-    # the margin and cross-checks it against the inertia of T.
-    return multi_edge_verdict(g, tol)
 
 
 def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:

@@ -365,34 +365,6 @@ def decompose(g: SignedGraph) -> ForestDecomposition:
     return _assemble(g, forest, cycle, components)
 
 
-def decompose_with_forest(g: SignedGraph, forest_edges) -> ForestDecomposition:
-    """Decomposition with a caller-chosen spanning forest.
-
-    ``forest_edges`` must be acyclic and maximal (one fewer edge than nodes in
-    every component the graph has).  Both follow from component counts: the
-    forest is acyclic exactly when it has ``n - components(forest)`` edges,
-    and spanning exactly when ``components(forest) == components(g)``.
-
-    Test oracle: no production route calls it.
-
-    Raises:
-        ValueError: the forest closes a cycle or does not span the graph.
-    """
-    forest = tuple(sorted(set(forest_edges)))
-    forest_components = int(component_labels(g.subgraph(forest)).max()) + 1
-    if len(forest) != g.node_count - forest_components:
-        raise ValueError("forest edges close a cycle")
-    components = int(component_labels(g).max()) + 1
-    if forest_components != components:
-        raise ValueError(
-            f"forest has {len(forest)} edges; a spanning forest needs "
-            f"{g.node_count - components}"
-        )
-    in_forest = set(forest)
-    cycle = tuple(k for k in range(g.edge_count) if k not in in_forest)
-    return _assemble(g, forest, cycle, components)
-
-
 def _symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray):
     """CSR adjacency listing every edge in both directions, so that csgraph's
     directed routines traverse the undirected graph without a transpose."""
@@ -419,7 +391,9 @@ def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
     adjacency = _symmetric_adjacency(node_count, tails, heads)
     # With both directions listed, strong components are the components.
     _, labels = connected_components(adjacency, directed=True, connection="strong")
-    _, lowest = np.unique(labels, return_index=True)
+    # Each component's lowest node heads its run in a stable sort of the labels.
+    order = np.argsort(labels, kind="stable")
+    lowest = order[_first_of_runs(labels[order])]
     lowest = np.sort(lowest[np.diff(adjacency.indptr)[lowest] > 0])
     if lowest.size > 1:
         adjacency = _symmetric_adjacency(node_count, np.concatenate([tails, lowest[:-1]]),

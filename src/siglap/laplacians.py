@@ -4,8 +4,11 @@ edge Laplacian and cut-basis quadratic form.
 The node Laplacian comes in two forms, both scattered straight from the edge
 columns in edge order: :func:`sparse_laplacian` (CSC) feeds the ``splu``
 route of the grounded resistance solves, :func:`laplacian_matrix` (dense)
-feeds the eigenvalue routines.  The cut-basis matrices in :class:`LaplacianBundle` stay dense; they
-are the paper's closed-form constructions, kept only as test oracles.
+feeds the eigenvalue routines.  Its product ``L x`` needs neither form:
+:func:`_laplacian_product` reads it from the edge columns for the grounded
+solve's residual check and the boundary null vector's check.  The
+cut-basis matrices in :class:`LaplacianBundle` stay dense; they are the
+paper's closed-form constructions, kept only as test oracles.
 """
 
 from __future__ import annotations
@@ -62,6 +65,20 @@ def laplacian_matrix(g: SignedGraph) -> np.ndarray:
     return L
 
 
+def _laplacian_product(g: SignedGraph, x: np.ndarray) -> np.ndarray:
+    """``L x`` for ``x`` of shape ``(n, c)``, from the edge columns: each
+    edge's current in each column, scattered to both ends by one bincount
+    over (column, node) keys."""
+    n, columns = x.shape
+    # The rows of x.T are gathered: gathering rows of the narrow x is slower.
+    potential = np.ascontiguousarray(x.T)
+    current = g.weights * (np.take(potential, g.tails, axis=1)
+                           - np.take(potential, g.heads, axis=1))
+    keys = np.concatenate([g.tails, g.heads]) + n * np.arange(columns)[:, None]
+    return np.bincount(keys.ravel(), weights=np.concatenate([current, -current], axis=1).ravel(),
+                       minlength=n * columns).reshape(columns, n).T
+
+
 def sparse_laplacian(g: SignedGraph) -> csc_matrix:
     """The weighted node Laplacian in CSC form; parallel edges are summed."""
     rows, cols, vals = _laplacian_entries(g)
@@ -90,8 +107,7 @@ def build_bundle(g: SignedGraph, d: ForestDecomposition) -> LaplacianBundle:
     )
 
 
-def laplacian_pseudo_inverse(b: LaplacianBundle, d: ForestDecomposition,
-                             tol: float | None = None) -> np.ndarray:
+def laplacian_pseudo_inverse(b: LaplacianBundle, d: ForestDecomposition) -> np.ndarray:
     """Closed-form Moore-Penrose pseudo-inverse of the Laplacian.
 
     Valid for a connected graph whose cut-basis quadratic form is invertible
@@ -104,8 +120,10 @@ def laplacian_pseudo_inverse(b: LaplacianBundle, d: ForestDecomposition,
 
     Raises:
         DisconnectedError: the decomposition has more than one component.
-        SingularCutGramError: ``cut_gram`` is numerically singular at ``tol``;
-            callers should fall back to :func:`siglap.spectra.pseudo_inverse_eig`.
+        SingularCutGramError: ``cut_gram`` is numerically singular, with an
+            eigenvalue at most ``f * eps * max|eig|`` in magnitude (f forest
+            edges); callers should fall back to
+            :func:`siglap.spectra.pseudo_inverse_eig`.
     """
     if d.component_count != 1:
         raise DisconnectedError("the pseudo-inverse formula requires a connected graph")
@@ -116,8 +134,7 @@ def laplacian_pseudo_inverse(b: LaplacianBundle, d: ForestDecomposition,
     left_inv = cho_solve(cho_factor(b.forest_edge_laplacian), d.incidence_forest.T)
     gram = 0.5 * (b.cut_gram + b.cut_gram.T)
     lam, V = np.linalg.eigh(gram)
-    if tol is None:
-        tol = default_zero_tolerance(lam, f)
+    tol = default_zero_tolerance(lam, f)
     if np.min(np.abs(lam)) <= tol:
         raise SingularCutGramError(
             f"cut-basis form is singular at tolerance {tol:.3e}: "

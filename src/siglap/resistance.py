@@ -30,13 +30,13 @@ stops only on a pivot that is not positive, so that route also raises
 :class:`CrossCheckError` when a pivot has cancelled to rounding level,
 ``c_jj**2 <= eps * A_jj``.
 
-Pairs take one solve per component holding one, with one right-hand-side
-column per pair.  The resistance matrix of the negative edges is
-block-diagonal over the biconnected blocks of G (G+ plus the negative
-edges): a simple u-v path never leaves the block of
-the u-v edge, so the current between the ends of a negative edge flows only
-through the positive edges of that edge's block, and two negative edges in
-different blocks do not couple.  It takes one solve of the blocks that hold
+Pairs are all checked before any solve; then they take one solve per
+component holding one, with one right-hand-side column per pair.  The
+resistance matrix of the negative edges is block-diagonal over the
+biconnected blocks of G (G+ plus the negative edges): a simple u-v path
+never leaves the block of the u-v edge, so the current between the ends
+of a negative edge flows only through the positive edges of that edge's
+block, and two negative edges in different blocks do not couple.  It takes one solve of the blocks that hold
 a negative edge, each on its own node copies (a cut vertex gets one copy
 per block) and grounded at its lowest copy; right-hand-side column ``c``
 carries the c-th negative edge of every block.  The matrix is kept sparse,
@@ -62,7 +62,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import CrossCheckError, DisconnectedError, InvalidParameterError, SiglapError
 from .graph_core import SignedGraph, _components, _edge_blocks, _first_of_runs, component_labels
-from .laplacians import laplacian_matrix, sparse_laplacian
+from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
 CROSS_CHECK_RTOL = 1e-7
@@ -95,13 +95,6 @@ class ResistanceReport:
     pairs: tuple[tuple[int, int, float], ...]
     matrix: csr_array
     r_tot: float
-
-
-def _indicator_difference(n: int, u: int, v: int) -> np.ndarray:
-    vec = np.zeros(n)
-    vec[u] = 1.0
-    vec[v] = -1.0
-    return vec
 
 
 def _band(g: SignedGraph, grounded: int) -> int | None:
@@ -177,27 +170,19 @@ def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarra
             the banded route), or the relative residual of some column
             exceeds ``CROSS_CHECK_RTOL``.
     """
-    n, columns = rhs.shape
     b = rhs[grounded:]
     width = _band(g, grounded)
     x = np.zeros_like(rhs)
     x[grounded:] = (_splu_solve(g, grounded, b) if width is None
                     else _banded_solve(g, grounded, width, b))
-    # L x and ||A||_inf from the edge columns, whichever route solved: each
-    # edge's current in each column, scattered to both ends by one bincount
-    # over (column, node) keys; the rows of grounded nodes are dropped.
-    # The rows of x.T are gathered: gathering rows of the narrow x is slower.
-    potential = np.ascontiguousarray(x.T)
-    current = g.weights * (np.take(potential, g.tails, axis=1)
-                           - np.take(potential, g.heads, axis=1))
-    ends = np.concatenate([g.tails, g.heads])
-    keys = ends + n * np.arange(columns)[:, None]
-    product = np.bincount(keys.ravel(), weights=np.concatenate([current, -current], axis=1).ravel(),
-                          minlength=n * columns).reshape(columns, n).T[grounded:]
+    # L x and ||A||_inf from the edge columns, whichever route solved; the
+    # rows of grounded nodes are dropped.
+    product = _laplacian_product(g, x)[grounded:]
     # |w| on the diagonal at each end, and again off it between free nodes.
     inner = np.minimum(g.tails, g.heads) >= grounded
     row_abs = np.tile(np.abs(g.weights) * (1.0 + inner), 2)
-    norm_l = float(np.bincount(ends, weights=row_abs, minlength=n)[grounded:].max())
+    norm_l = float(np.bincount(np.concatenate([g.tails, g.heads]), weights=row_abs,
+                               minlength=g.node_count)[grounded:].max())
     residual = np.max(np.abs(product - b), axis=0)
     scale = norm_l * np.max(np.abs(x[grounded:]), axis=0) + np.max(np.abs(b), axis=0)
     if not np.all(residual <= CROSS_CHECK_RTOL * scale):
@@ -212,49 +197,32 @@ def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarra
 def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     """``R_uv`` for each ``(u, v)`` of ``pairs``, in order.
 
-    An all-positive graph takes one grounded solve per component holding a
-    pair, with one right-hand-side column per pair; a graph with any
-    negative weight takes one eigendecomposition pseudo-inverse.
-
-    The pairs are checked in order as :func:`effective_resistance` checks
-    one; those before the first that fails are solved, and then that pair's
-    error is raised, as pair-by-pair calls would raise it.  A failed solve
-    raises its :class:`CrossCheckError` first.
+    Every pair is checked first, in order, as :func:`effective_resistance`
+    checks one, and the first that fails raises its error before anything
+    is factored.  Then an all-positive graph takes one grounded solve per
+    component holding a pair, with one right-hand-side column per pair; a
+    graph with any negative weight takes one eigendecomposition
+    pseudo-inverse.
     """
     n = g.node_count
-    labels = None
-    solvable, failure = [], None
+    labels = _components(n, g.tails, g.heads)[1]
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
-            failure = InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
-        elif u == v:
-            failure = InvalidParameterError(
+            raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
+        if u == v:
+            raise InvalidParameterError(
                 f"effective resistance needs two distinct nodes, got {u} twice")
-        else:
-            if labels is None:
-                labels = _components(n, g.tails, g.heads)[1]
-            if labels[u] != labels[v]:
-                failure = DisconnectedError(f"nodes {u} and {v} are in different components")
-        if failure is not None:
-            break
-        solvable.append((u, v))
-    values = _solve_pairs(g, labels, solvable) if solvable else []
-    if failure is not None:
-        raise failure
-    return values
-
-
-def _solve_pairs(g: SignedGraph, labels: np.ndarray, pairs: list) -> list[float]:
-    """:func:`_pair_resistances` for pairs already checked, ``labels`` the
-    components of ``g``."""
-    n = g.node_count
+        if labels[u] != labels[v]:
+            raise DisconnectedError(f"nodes {u} and {v} are in different components")
+    ends = np.array(pairs, dtype=np.intp)
     if not np.all(g.weights > 0.0):
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
-        return [float(vec @ inverse @ vec)
-                for vec in (_indicator_difference(n, u, v) for u, v in pairs)]
-    ends = np.array(pairs, dtype=np.intp)
+        # Row k is L^+ (e_u - e_v) of pair k.
+        potential = inverse[ends[:, 0]] - inverse[ends[:, 1]]
+        column = np.arange(len(ends))
+        return (potential[column, ends[:, 0]] - potential[column, ends[:, 1]]).tolist()
     pair_label = labels[ends[:, 0]]
-    values = np.empty(len(pairs))
+    values = np.empty(len(ends))
     for label in dict.fromkeys(pair_label.tolist()):  # in order of first pair
         mine = np.flatnonzero(pair_label == label)
         u, v = ends[mine, 0], ends[mine, 1]
@@ -474,8 +442,9 @@ def _diagonal_blocks(matrix: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
     indptr, indices = matrix.indptr, matrix.indices
     size = np.diff(indptr)
     leading = np.flatnonzero(indices[indptr[:-1]] == np.arange(size.size))
+    sizes = np.sort(size[leading])
     stacks = []
-    for s in np.unique(size[leading]):
+    for s in sizes[_first_of_runs(sizes)]:
         members = indices[indptr[leading[size[leading] == s]][:, None] + np.arange(s)]
         stacks.append((members, matrix.data[indptr[members][:, :, None] + np.arange(s)]))
     return stacks

@@ -104,17 +104,17 @@ def signature(m, tol: float | None = None) -> Signature:
     return Signature(n_plus, n_minus, n_zero, float(tol), near)
 
 
-def pseudo_inverse_eig(m, tol: float | None = None) -> np.ndarray:
+def pseudo_inverse_eig(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric matrix via eigendecomposition.
 
-    Eigenvalues with ``|eig| > tol`` are inverted; the rest are dropped.
+    Eigenvalues with ``|eig| > dim * eps * max|eig|`` (see
+    :func:`default_zero_tolerance`) are inverted; the rest are dropped.
     """
     s = _symmetrized(m)
     if s.size == 0:
         return s.copy()
     lam, V = np.linalg.eigh(s)
-    if tol is None:
-        tol = default_zero_tolerance(lam, s.shape[0])
+    tol = default_zero_tolerance(lam, s.shape[0])
     keep = np.abs(lam) > tol
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]

@@ -7,10 +7,18 @@ this module:
 
 - defined here: the weighted edge Laplacian, the signature of the
   nonsymmetric essential edge Laplacian by similarity, the component count
-  after removing edges, and the parallel combination of two resistances;
-- re-exported from ``siglap``: the spanning-forest decomposition, the
-  cut-basis matrices and the closed-form pseudo-inverse.  They still live
-  in the package because the benchmark's tracer binds them by name there.
+  after removing edges, the parallel combination of two resistances, and
+  the decomposition over a caller-chosen spanning forest,
+  ``decompose_with_forest``;
+- re-exported from ``siglap``: ``graph_core.decompose`` (with
+  ``ForestDecomposition`` and ``incidence_matrix``) and
+  ``laplacians.build_bundle`` (with ``LaplacianBundle``) and
+  ``laplacians.laplacian_pseudo_inverse``.  They still live in the package
+  because the benchmark's layer tracer (``perfbench/tracing.py``,
+  ``LAYERS``) binds ``decompose``, ``build_bundle`` and
+  ``laplacian_pseudo_inverse`` by name there, and its traced run fails when
+  a bound name is missing; moving them here waits on a change to the
+  benchmark.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from siglap.errors import SiglapError, SingularCutGramError
 from siglap.graph_core import (
     ForestDecomposition,
     SignedGraph,
+    _assemble,
     component_labels,
     decompose,
-    decompose_with_forest,
     incidence_matrix,
 )
 from siglap.laplacians import LaplacianBundle, build_bundle, laplacian_pseudo_inverse
@@ -127,3 +135,31 @@ def parallel_combination(r_plus: float, r_minus: float) -> float:
     if total == 0.0:
         return math.inf
     return r_plus * r_minus / total
+
+
+def decompose_with_forest(g: SignedGraph, forest_edges) -> ForestDecomposition:
+    """Decomposition with a caller-chosen spanning forest.
+
+    ``forest_edges`` must be acyclic and maximal (one fewer edge than nodes in
+    every component the graph has).  Both follow from component counts: the
+    forest is acyclic exactly when it has ``n - components(forest)`` edges,
+    and spanning exactly when ``components(forest) == components(g)``.
+
+    Test oracle: no production route calls it.
+
+    Raises:
+        ValueError: the forest closes a cycle or does not span the graph.
+    """
+    forest = tuple(sorted(set(forest_edges)))
+    forest_components = int(component_labels(g.subgraph(forest)).max()) + 1
+    if len(forest) != g.node_count - forest_components:
+        raise ValueError("forest edges close a cycle")
+    components = int(component_labels(g).max()) + 1
+    if forest_components != components:
+        raise ValueError(
+            f"forest has {len(forest)} edges; a spanning forest needs "
+            f"{g.node_count - components}"
+        )
+    in_forest = set(forest)
+    cycle = tuple(k for k in range(g.edge_count) if k not in in_forest)
+    return _assemble(g, forest, cycle, components)

@@ -56,7 +56,7 @@ def test_criterion_1_reference_graph():
             ok, _ = False, detail.append(f"sigma(w={w}) = {sig.as_tuple()}")
 
     sig = sl.signature(sl.laplacian_matrix(caterpillar_with_chord(-0.3)))
-    verdict = sl.single_edge_verdict(caterpillar_with_chord(-0.3))
+    verdict = sl.multi_edge_verdict(caterpillar_with_chord(-0.3))
     if sig.n_minus < 1 or verdict.classification is not Classification.INDEFINITE:
         ok, _ = False, detail.append(f"w=-0.3 not indefinite: {sig.as_tuple()}")
 
@@ -86,7 +86,7 @@ def run_single_edge_trials():
         for factor in CHORD_FACTORS:
             g = sl.build_graph(g_plus.node_count,
                                list(g_plus.edges) + [(u, v, -factor / r_uv)])
-            verdict = sl.single_edge_verdict(g)
+            verdict = sl.multi_edge_verdict(g)
             sigma = eig_signature(dense_laplacian(g.node_count, g.edges))
             c6 = sl.corollary6_check(g)
             trials.append((factor, g.node_count, verdict, sigma, c6))

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -53,6 +54,26 @@ def test_check_psd_boundary_and_indefinite(tmp_path, capsys):
     assert "PSD (boundary), sigma=(7,0,2)" in capsys.readouterr().out
     assert main(["check-psd", graph_file(tmp_path, caterpillar_with_chord(-0.3))]) == 0
     assert "indefinite, sigma=(7,1,1)" in capsys.readouterr().out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Relabelling flips a verdict at the boundary: on a 41-node cycle whose path "
+           "weights span 1e-4 to 1e4, with the chord at 1/R (exact margin -9.4e-17), "
+           "nodes in path order give indefinite (39,1,1) with margin 7.7e-8, and the "
+           "order i -> 40 - i gives PSD (boundary) (39,0,2).  In path order the ground, "
+           "node 0, is the light end, and banded Cholesky and splu both give the wrong "
+           "verdict there.",
+)
+def test_relabelling_keeps_the_verdict_of_a_cycle_whose_weights_span_eight_decades(
+        tmp_path, capsys):
+    weights = (10.0 ** np.linspace(-4.0, 4.0, 40)).tolist()
+    chord = -1.0 / math.fsum(1.0 / w for w in weights)
+    for name, label in (("forward.txt", lambda i: i), ("reversed.txt", lambda i: 40 - i)):
+        edges = [(label(i), label(i + 1), w) for i, w in enumerate(weights)]
+        g = sl.build_graph(41, edges + [(label(0), label(40), chord)])
+        assert main(["check-psd", graph_file(tmp_path, g, name)]) == 0
+        assert "PSD (boundary), sigma=(39,0,2)" in capsys.readouterr().out
 
 
 OVERLAPPING_4_CYCLE = (

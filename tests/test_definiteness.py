@@ -8,7 +8,6 @@ from conftest import (
     cycle_chain_at_threshold,
     dense_laplacian,
     eig_signature,
-    random_boundary_cycle_graph,
     random_connected_positive,
     random_tree,
     triangle_chain_with_chords,
@@ -19,7 +18,7 @@ from siglap.definiteness import BOUNDARY_RTOL, Classification, _lift_schur_inert
 
 def test_parallel_pair_strict_interior():
     g = sl.build_graph(2, [(0, 1, 1.0), (0, 1, -0.5)])
-    verdict = sl.single_edge_verdict(g)
+    verdict = sl.multi_edge_verdict(g)
     assert verdict.classification is Classification.STRICT_INTERIOR
     assert verdict.per_edge[0].threshold == pytest.approx(1.0)
     assert verdict.sigma.as_tuple() == (1, 0, 1)
@@ -27,27 +26,28 @@ def test_parallel_pair_strict_interior():
 
 
 def test_caterpillar_boundary():
-    verdict = sl.single_edge_verdict(caterpillar_with_chord(-0.25))
+    verdict = sl.multi_edge_verdict(caterpillar_with_chord(-0.25))
     assert verdict.classification is Classification.BOUNDARY
     assert verdict.sigma.as_tuple() == (7, 0, 2)
     assert verdict.per_edge[0].threshold == pytest.approx(0.25, abs=1e-12)
 
 
 def test_caterpillar_indefinite():
-    verdict = sl.single_edge_verdict(caterpillar_with_chord(-0.3))
+    verdict = sl.multi_edge_verdict(caterpillar_with_chord(-0.3))
     assert verdict.classification is Classification.INDEFINITE
     assert verdict.sigma.n_minus == 1
     assert eig_signature(dense_laplacian(9, caterpillar_with_chord(-0.3).edges))[1] == 1
 
 
 def test_single_edge_hypothesis_violations():
-    with pytest.raises(sl.HypothesisViolatedError):
-        sl.single_edge_verdict(sl.build_graph(2, [(0, 1, 1.0)]))  # no negative edge
-    with pytest.raises(sl.HypothesisViolatedError):
-        sl.single_edge_verdict(sl.build_graph(3, [(0, 1, -1.0), (1, 2, -1.0), (0, 2, 1.0)]))
+    with pytest.raises(sl.HypothesisViolatedError, match="at least one negative edge"):
+        sl.multi_edge_verdict(sl.build_graph(2, [(0, 1, 1.0)]))  # no negative edge
+    # two negative edges leave node 1 without a positive edge
+    with pytest.raises(sl.DisconnectedError, match="positive subgraph is disconnected"):
+        sl.multi_edge_verdict(sl.build_graph(3, [(0, 1, -1.0), (1, 2, -1.0), (0, 2, 1.0)]))
     # removing the negative edge disconnects the graph
-    with pytest.raises(sl.HypothesisViolatedError):
-        sl.single_edge_verdict(sl.build_graph(3, [(0, 1, 1.0), (1, 2, -1.0)]))
+    with pytest.raises(sl.DisconnectedError, match="positive subgraph is disconnected"):
+        sl.multi_edge_verdict(sl.build_graph(3, [(0, 1, 1.0), (1, 2, -1.0)]))
 
 
 def shared_node_triangles(chord_weights):
@@ -72,25 +72,6 @@ def test_multi_edge_indefinite():
     verdict = sl.multi_edge_verdict(g)
     assert verdict.classification is Classification.INDEFINITE
     assert eig_signature(dense_laplacian(5, g.edges))[1] == 1
-
-
-def test_multi_edge_single_negative_matches_single_verdict():
-    g = caterpillar_with_chord(-0.1)
-    single = sl.single_edge_verdict(g)
-    multi = sl.multi_edge_verdict(g)
-    assert multi.classification is single.classification
-    assert multi.sigma.as_tuple() == single.sigma.as_tuple()
-    assert multi.per_edge[0].threshold == pytest.approx(single.per_edge[0].threshold)
-
-
-@pytest.mark.parametrize("tol", [None, 0.5])
-def test_single_edge_verdict_is_the_multi_edge_verdict(tol):
-    rng = np.random.default_rng(61)
-    graphs = [caterpillar_with_chord(w) for w in (-0.1, -0.25, -0.3)]
-    graphs += [random_boundary_cycle_graph(rng) for _ in range(10)]
-    for g in graphs:
-        # whole records: per-edge terms, Corollary 6, disjointness and sigma
-        assert sl.single_edge_verdict(g, tol) == sl.multi_edge_verdict(g, tol)
 
 
 def test_multi_edge_non_disjoint_falls_back_to_spectrum():
@@ -171,7 +152,7 @@ def test_threshold_flips_exactly_at_boundary():
                                  (1.05, Classification.INDEFINITE)):
             g = sl.build_graph(g_plus.node_count,
                                list(g_plus.edges) + [(u, v, -factor / r_uv)])
-            verdict = sl.single_edge_verdict(g)
+            verdict = sl.multi_edge_verdict(g)
             assert verdict.classification is expected
             sigma = eig_signature(dense_laplacian(g.node_count, g.edges))
             if expected is Classification.STRICT_INTERIOR:
@@ -190,7 +171,7 @@ def test_boundary_tree_plus_chord_gains_a_zero():
         r_uv = sl.effective_resistance(tree, u, v)
         g = sl.build_graph(tree.node_count, list(tree.edges) + [(u, v, -1.0 / r_uv)])
         assert eig_signature(dense_laplacian(g.node_count, g.edges))[2] == 2
-        assert sl.single_edge_verdict(g).classification is Classification.BOUNDARY
+        assert sl.multi_edge_verdict(g).classification is Classification.BOUNDARY
 
 
 def test_cactus_chain_verdicts_match_spectrum():
@@ -323,8 +304,8 @@ def test_schur_lift_rejects_impossible_counts():
 def test_verdict_tolerance_applies_to_t():
     # eig(T) = -margin = 5e-3 here, so a tolerance above it counts a zero
     g = caterpillar_with_chord(-0.25 * 0.995)
-    assert sl.single_edge_verdict(g).sigma == sl.Signature(8, 0, 1, BOUNDARY_RTOL)
-    verdict = sl.single_edge_verdict(g, tol=1e-2)
+    assert sl.multi_edge_verdict(g).sigma == sl.Signature(8, 0, 1, BOUNDARY_RTOL)
+    verdict = sl.multi_edge_verdict(g, tol=1e-2)
     assert verdict.sigma == sl.Signature(7, 0, 2, 1e-2, near_singular=True)
     # the margins are classified with the same tolerance, so both say boundary
     assert verdict.classification is Classification.BOUNDARY
@@ -334,12 +315,11 @@ def test_margins_classified_with_the_user_tolerance():
     # margin 0.2: beyond the boundary by default, within it at tol = 0.5,
     # where eig(T) = -0.2 counts as zero too
     g = caterpillar_with_chord(-0.3)
-    for verdict_of in (sl.single_edge_verdict, sl.multi_edge_verdict):
-        assert verdict_of(g).classification is Classification.INDEFINITE
-        verdict = verdict_of(g, tol=0.5)
-        assert verdict.classification is Classification.BOUNDARY
-        assert verdict.sigma.as_tuple() == (7, 0, 2)
-        assert verdict_of(g, tol=0.1).classification is Classification.INDEFINITE
+    assert sl.multi_edge_verdict(g).classification is Classification.INDEFINITE
+    verdict = sl.multi_edge_verdict(g, tol=0.5)
+    assert verdict.classification is Classification.BOUNDARY
+    assert verdict.sigma.as_tuple() == (7, 0, 2)
+    assert sl.multi_edge_verdict(g, tol=0.1).classification is Classification.INDEFINITE
 
 
 def test_resistance_above_half_the_largest_double_keeps_its_threshold():

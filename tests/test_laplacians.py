@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paper_constructions as pc
 import siglap as sl
 from conftest import dense_laplacian, random_signed, caterpillar_with_chord
+from siglap.laplacians import _laplacian_product
 
 
 def bundle_for(g):
@@ -188,3 +191,32 @@ def test_essential_factor_order_is_a_similarity():
     forward = np.sort(np.linalg.eigvals(b.forest_edge_laplacian @ b.cut_gram).real)
     reverse = np.sort(np.linalg.eigvals(b.cut_gram @ b.forest_edge_laplacian).real)
     assert np.allclose(forward, reverse, rtol=1e-9, atol=1e-9)
+
+
+@st.composite
+def signed_multigraphs_and_columns(draw):
+    """A signed multigraph on 1..12 nodes, parallel edges drawn by repeating
+    node pairs, weights of either sign over six decades, and an x of 1 or 3
+    columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 13))
+    edges = []
+    if n > 1:
+        for _ in range(int(rng.integers(0, 25))):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            for _ in range(int(rng.integers(1, 4))):  # 1..3 parallel copies
+                edges.append((u, v, float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))))
+    x = rng.normal(size=(n, draw(st.sampled_from([1, 3]))))
+    return sl.build_graph(n, edges), x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_multigraphs_and_columns())
+def test_laplacian_product_is_the_dense_product(case):
+    g, x = case
+    product = _laplacian_product(g, x)
+    assert product.shape == x.shape
+    # Relative to the entries of L before signs cancel: |w| per edge entry.
+    unsigned = sl.SignedGraph(g.node_count, g.tails, g.heads, np.abs(g.weights))
+    scale = np.abs(sl.laplacian_matrix(unsigned)) @ np.abs(x)
+    assert np.all(np.abs(product - sl.laplacian_matrix(g) @ x) <= 1e-12 * scale)

@@ -287,20 +287,25 @@ def test_pairs_of_a_signed_graph_take_one_pseudo_inverse(monkeypatch):
     assert len(calls) == 1
 
 
-def test_pairs_before_the_first_invalid_one_are_solved_first(monkeypatch):
+def test_an_invalid_pair_raises_before_any_solve(monkeypatch):
     g, pairs = two_grids_interleaved(np.random.default_rng(149))
     calls = solve_spy(monkeypatch)
-    with pytest.raises(sl.InvalidParameterError, match="node out of range: \\(0, 400\\)"):
-        resistance_module._pair_resistances(g, pairs[:2] + [(0, 400)] + pairs[2:])
-    assert calls == [("_banded_solve", 1), ("_splu_solve", 1)]
-    calls.clear()
-    with pytest.raises(sl.DisconnectedError):
-        resistance_module._pair_resistances(g, pairs[:1] + [(pairs[0][0], pairs[1][0])])
-    assert calls == [("_banded_solve", 1)]
-    # A failed solve of the pairs before an invalid one is raised first.
+    same_node = (pairs[2][0], pairs[2][0])
+    across = (pairs[0][0], pairs[1][0])  # one node in each grid
+    for invalid, error, message in (
+            ((0, 400), sl.InvalidParameterError, "node out of range: \\(0, 400\\) on 400 nodes"),
+            (same_node, sl.InvalidParameterError, "two distinct nodes"),
+            (across, sl.DisconnectedError, "different components")):
+        with pytest.raises(error, match=message):
+            resistance_module._pair_resistances(g, pairs[:2] + [invalid] + pairs[2:])
+        assert calls == []
+    # With both solvers perturbed, the valid pairs alone fail their solve,
+    # but after them an invalid pair is still the error raised.
     perturb_both_solvers(monkeypatch)
     for valid in (pairs[0], pairs[1]):
         with pytest.raises(sl.CrossCheckError):
+            resistance_module._pair_resistances(g, [valid])
+        with pytest.raises(sl.InvalidParameterError, match="node out of range"):
             resistance_module._pair_resistances(g, [valid, (0, 400)])
 
 

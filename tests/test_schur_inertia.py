@@ -67,8 +67,6 @@ def test_schur_inertia_equals_dense_inertia(g):
     assert verdict.sigma.as_tuple() == expected
     assert verdict.sigma.tolerance_used == BOUNDARY_RTOL
     assert (verdict.classification is Classification.INDEFINITE) == (expected[1] > 0)
-    if len(g.negative_edge_indices()) == 1:
-        assert sl.single_edge_verdict(g).sigma == verdict.sigma
 
 
 @st.composite
