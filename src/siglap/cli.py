@@ -18,22 +18,12 @@ import sys
 import numpy as np
 
 from . import consensus, definiteness, resistance, spectra
-from .errors import (
-    DisconnectedError,
-    HypothesisViolatedError,
-    InvalidParameterError,
-    NodesDisconnectedError,
-    SiglapError,
-)
+from .errors import DisconnectedError, HypothesisViolatedError, InvalidParameterError, SiglapError
 from .graph_core import SignedGraph, component_labels
 from .graphfile import _content_lines, read_graph_file
 from .laplacians import laplacian_matrix
 
-_HYPOTHESIS_ERRORS = (
-    HypothesisViolatedError,
-    DisconnectedError,
-    NodesDisconnectedError,
-)
+_HYPOTHESIS_ERRORS = (HypothesisViolatedError, DisconnectedError)
 
 
 def _fmt(x: float) -> str:

@@ -7,11 +7,11 @@ conserved quantity of the dynamics (1^T L = 0) and is preserved to rounding
 error.  Clusters are detected in order of final value: one vectorized pass
 over the final window joins agreeing rank neighbours into runs, and only a
 node whose near neighbours reach past its run is compared with them one by
-one.  At the boundary ``|w| = 1/R_uv`` of a single negative edge, the extra
-null vector of L is that edge's grounded potential over the positive spanning
-tree (the resistance layer's sparse solve), and the clusters are the
-components left once the cycle -- the biconnected block holding the negative
-edge -- is removed.
+one.  At the boundary ``|w| = 1/R_uv`` of a single negative edge, the
+clusters are the components left once the cycle -- the biconnected block
+holding the negative edge -- is removed, and the extra null vector of L is
+that edge's grounded potential on the cycle, from the resistance layer's
+block solve (the one the verdict reads), scattered over the clusters.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from scipy.linalg import eigh
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from .graph_core import SignedGraph, _first_seen_ids, component_labels, edge_blocks
+from .graph_core import SignedGraph, _first_seen_ids, component_labels
 from .laplacians import _laplacian_product, laplacian_matrix
-from .resistance import _grounded_solve
+from .resistance import _block_solve
 from .spectra import _check_tolerance, default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
@@ -257,12 +257,13 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     tree, so the negative edge closes the cycle), and the negative magnitude
     sitting at the threshold 1/R_uv within ``BOUNDARY_RTOL``.
 
-    One grounded solve gives both R_uv and the extra null vector: the
-    potential ``z = L(G+)^+ (e_v - e_u)`` has ``z_v - z_u = R_uv`` and
-    ``L z = -margin (e_v - e_u)``, so it lies in the kernel of L at the
-    boundary.  It is returned projected orthogonal to the all-ones vector.
-    The cycle is the biconnected block of G holding the negative edge, and q
-    is the number of components left once its edges are removed.
+    The verdict's block solve gives R_uv (so this accepts exactly when
+    :func:`~siglap.definiteness.multi_edge_verdict` says BOUNDARY), the cycle,
+    the negative edge's biconnected block of G, and the potential ``z`` on
+    it, with ``z_v - z_u = R_uv``.  q is the number of components of G
+    without the cycle, each holding one cycle node; with each node at its
+    cycle node's potential, ``L z = -margin (e_v - e_u)``, in the kernel of
+    L at the boundary.  It is returned orthogonal to the all-ones vector.
 
     Raises:
         HypothesisViolatedError: listing every precondition that failed.
@@ -289,17 +290,20 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
 
     k = neg[0]
     u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
-    rhs = np.zeros((n, 1))
-    rhs[v, 0] = 1.0
-    rhs[u, 0] = -1.0
-    z = _grounded_solve(g_plus, 1, rhs)[:, 0]
-    r_uv = float(z[v] - z[u])
+    _, diagonal, x, copy_node, blocks = _block_solve(g_plus, [(u, v)])
+    r_uv = float(diagonal[0])
     margin = abs(w) * r_uv - 1.0
     if abs(margin) > BOUNDARY_RTOL:
         raise HypothesisViolatedError(
             [f"negative weight must equal the threshold 1/{r_uv:.12g}; margin {margin:.3e}"]
         )
 
+    # G+ is G without edge k, so its edges are G's others in order.
+    on_cycle = np.flatnonzero(g.weights > 0.0)[blocks[:-1] == blocks[-1]]
+    labels = component_labels(g, skip_edges=[*on_cycle.tolist(), k])
+    potential = np.empty(n)
+    potential[labels[copy_node]] = x[:, 0]
+    z = potential[labels]
     null_vector = z - z.mean()
     residual = float(np.max(np.abs(_laplacian_product(g, null_vector[:, None]))))
     if residual > 1e-8:
@@ -307,8 +311,5 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
             f"null-vector residual max|L z| {residual:.3e} exceeds 1e-8; "
             "the boundary structure is not consistent"
         )
-    blocks = edge_blocks(g)
-    cycle = np.flatnonzero(blocks == blocks[k]).tolist()
-    labels = component_labels(g, skip_edges=cycle)
     return ClusterPrediction(int(labels.max()) + 1, null_vector,
                              tuple(int(c) for c in labels))

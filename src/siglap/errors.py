@@ -37,12 +37,12 @@ class GraphParseError(SiglapError, ValueError):
         self.line = line
 
 
-class NodesDisconnectedError(SiglapError):
-    """The two queried nodes lie in different connected components."""
-
-
 class DisconnectedError(SiglapError):
     """The operation requires a connected (sub)graph."""
+
+
+class NodesDisconnectedError(DisconnectedError):
+    """The two queried nodes lie in different connected components."""
 
 
 class NotSymmetricError(SiglapError, ValueError):

@@ -7,13 +7,14 @@ columns -- are the handles used by every other module, and every graph step
 here and in the other modules reads the columns.  All operations here are
 pure functions.
 
-One lowpoint pass, :func:`edge_blocks`, answers every cycle question: the
+One lowpoint pass, :func:`_edge_blocks`, answers every cycle question: the
 path-edge sets of the negative edges are pairwise disjoint exactly when those
 edges lie in distinct blocks of G, their resistance matrix is block-diagonal
 over those blocks, and at the single-cycle boundary the cycle is the block
-holding the negative edge.  A verdict makes the pass once, inside the
-resistance layer, over G+ plus the negative edges; the verdict reads the
-blocks back from the resistance matrix.  The spanning-forest decomposition
+holding the negative edge.  A query makes the pass once, inside the
+resistance layer's block solve, over G+ plus the negative edges; the verdict
+reads the blocks back from the resistance matrix, and cluster prediction
+reads the block keys the solve returns.  The spanning-forest decomposition
 below is a test oracle.
 """
 
@@ -29,6 +30,7 @@ from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from .errors import (
     GraphConstructionError,
+    InvalidParameterError,
     NodeOutOfRangeError,
     NodesDisconnectedError,
     NonFiniteWeightError,
@@ -63,7 +65,8 @@ class SignedGraph:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if self.tails.ndim != 1 or not self.tails.shape == self.heads.shape == self.weights.shape:
-            raise ValueError("tails, heads and weights must be 1-d columns of one length")
+            raise InvalidParameterError(
+                "tails, heads and weights must be 1-d columns of one length")
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -171,10 +174,10 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
             first in edge order.
     """
     if node_count < 1:
-        raise ValueError(f"node_count must be >= 1, got {node_count}")
+        raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
     edges = list(edge_list)
     if edges and set(map(len, edges)) != {3}:
-        raise ValueError("every edge must be a (u, v, w) triple")
+        raise InvalidParameterError("every edge must be a (u, v, w) triple")
     # Python ints beyond int64 give an object array, still compared exactly.
     u = np.array(list(map(int, map(itemgetter(0), edges))))
     v = np.array(list(map(int, map(itemgetter(1), edges))))
@@ -441,18 +444,6 @@ def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.nd
     return key
 
 
-def edge_blocks(g: SignedGraph) -> np.ndarray:
-    """Biconnected block id per edge, as an int array over the edge indices.
-
-    Two edges share a block exactly when some simple cycle passes through
-    both (Hopcroft & Tarjan, CACM 1973).  Weight signs are ignored; block
-    ids appear in order of each block's lowest edge index.  One depth-first
-    order from csgraph, lowpoints from the edges by ``np.minimum.at`` and
-    one pass in reverse preorder.
-    """
-    return _first_seen_ids(_edge_blocks(g.node_count, g.tails, g.heads))
-
-
 def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     """Edges of ``g_plus`` lying on at least one simple u-v path, per query.
 
@@ -468,17 +459,17 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     tracer (``perfbench/tracing.py``) binds it by name.
 
     Raises:
-        ValueError: a non-positive weight, or a pair that is not two
-            distinct nodes of ``g_plus``.
+        InvalidParameterError: a non-positive weight, or a pair that is not
+            two distinct nodes of ``g_plus``.
         NodesDisconnectedError: if u and v fall in different components.
     """
     if np.any(g_plus.weights <= 0.0):
-        raise ValueError("path_edge_sets requires an all-positive graph")
+        raise InvalidParameterError("path_edge_sets requires an all-positive graph")
     n, count = g_plus.node_count, g_plus.edge_count
     results = []
     for u, v in negative_edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"invalid node pair ({u}, {v})")
+            raise InvalidParameterError(f"invalid node pair ({u}, {v})")
         blocks = _edge_blocks(n, np.append(g_plus.tails, u), np.append(g_plus.heads, v))
         path = frozenset(np.flatnonzero(blocks[:count] == blocks[count]).tolist())
         if not path:  # the added edge is a bridge

@@ -42,8 +42,9 @@ per block) and grounded at its lowest copy; right-hand-side column ``c``
 carries the c-th negative edge of every block.  The matrix is kept sparse,
 with only its entries within blocks, so its size is the sum of the squared
 numbers of negative edges per block, not m x m.  The query's one
-biconnected-block pass is made here, and the verdict reads the blocks back
-from R through :func:`_diagonal_blocks`.
+biconnected-block pass is made here: the verdict reads the blocks back from
+R through :func:`_diagonal_blocks`, and cluster prediction reads R_uv, the
+block keys and the potentials from :func:`_block_solve`.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -60,7 +61,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
-from .errors import CrossCheckError, DisconnectedError, InvalidParameterError, SiglapError
+from .errors import (CrossCheckError, DisconnectedError, InvalidParameterError,
+                     NodesDisconnectedError, SiglapError)
 from .graph_core import SignedGraph, _components, _edge_blocks, _first_of_runs, component_labels
 from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
@@ -213,7 +215,7 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
             raise InvalidParameterError(
                 f"effective resistance needs two distinct nodes, got {u} twice")
         if labels[u] != labels[v]:
-            raise DisconnectedError(f"nodes {u} and {v} are in different components")
+            raise NodesDisconnectedError(f"nodes {u} and {v} are in different components")
     ends = np.array(pairs, dtype=np.intp)
     if not np.all(g.weights > 0.0):
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
@@ -257,7 +259,7 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
 
     Raises:
         InvalidParameterError: u or v is not a node, or u = v.
-        DisconnectedError: u and v lie in different components.
+        NodesDisconnectedError: u and v lie in different components.
         CrossCheckError: the grounded solve hits a cancelled pivot or fails
             its residual check.
     """
@@ -290,10 +292,10 @@ def _component_count(node_count: int, tails: np.ndarray, heads: np.ndarray,
 
 
 def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.ndarray,
-                  pairs: np.ndarray) -> tuple[SignedGraph, int, np.ndarray]:
+                  pairs: np.ndarray) -> tuple[SignedGraph, int, np.ndarray, np.ndarray]:
     """The graph of the positive edges in the pairs' blocks, each block on
-    its own node copies, the number of blocks, and the copies of the pairs'
-    ends (shape ``(m, 2)``).
+    its own node copies, the number of blocks, the copies of the pairs'
+    ends (shape ``(m, 2)``) and the node of each copy.
 
     A copy stands for one (block, node).  Each block's lowest copy, the copy
     of its lowest node, is numbered first, so grounding the first copies
@@ -337,7 +339,9 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
         k = int(np.flatnonzero(np.isin(pair_block, copy_block[apart]))[0])
         raise _block_failure(g_plus, f"the positive part of the block of G holding negative "
                                      f"edge {tuple(pairs[k].tolist())} is not connected")
-    return split, blocks, renumber[pair_copy]
+    copy_node = np.empty(keys.size, dtype=np.intp)
+    copy_node[renumber] = keys % n
+    return split, blocks, renumber[pair_copy], copy_node
 
 
 def _block_runs(pair_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,7 +381,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     components of ``g_plus``.
 
     Raises:
-        ValueError: a non-positive weight or an invalid node pair.
+        InvalidParameterError: a non-positive weight or an invalid node pair.
         DisconnectedError: ``g_plus`` is disconnected.
         CrossCheckError: a connectivity test on the blocks fails although
             ``g_plus`` is connected (the block ids are wrong), or the
@@ -389,14 +393,25 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
         in pair order, and an array of shape ``(m,)``.
     """
     if np.any(g_plus.weights <= 0.0):
-        raise ValueError("resistance_matrix_for_negatives requires an all-positive graph")
+        raise InvalidParameterError(
+            "resistance_matrix_for_negatives requires an all-positive graph")
     n = g_plus.node_count
     listed = list(negative_edges)
     for u, v in listed:
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"invalid node pair ({u}, {v})")
+            raise InvalidParameterError(f"invalid node pair ({u}, {v})")
+    return _block_solve(g_plus, listed)[:2]
+
+
+def _block_solve(g_plus: SignedGraph, pairs
+                 ) -> tuple[csr_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`resistance_matrix_for_negatives` on checked pairs, plus the
+    potentials ``x`` on the node copies (one column per colour), the node of
+    each copy and the block key of each edge of ``g_plus``, then of each pair.
+    """
+    n = g_plus.node_count
     # One (low, high) row per pair: E_- has -1 at the low end, +1 at the high.
-    pairs = np.sort(np.array(listed, dtype=np.intp).reshape(-1, 2), axis=1)
+    pairs = np.sort(np.array(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
     m = len(pairs)
     tails = np.append(g_plus.tails, pairs[:, 0])
     heads = np.append(g_plus.heads, pairs[:, 1])
@@ -404,12 +419,12 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
     # The solved blocks are tested first: their errors name a pair.
     if m:
-        split, grounded, ends = _split_blocks(g_plus, edge_block, pair_block, pairs)
+        split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
     components = _component_count(n, tails, heads, blocks)
     if components != 1:
         raise _block_failure(g_plus, f"the block ids give G {components} components")
     if m == 0:
-        return csr_array((0, 0)), np.zeros(0)
+        return csr_array((0, 0)), np.zeros(0), np.zeros((0, 1)), np.zeros(0, np.intp), blocks
     order, start, colour = _block_runs(pair_block)
     rhs = np.zeros((split.node_count, int(colour.max()) + 1))
     rhs[ends[:, 0], colour] = -1.0
@@ -429,7 +444,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     values = 0.5 * potential[rows, colour[cols]] + 0.5 * potential[cols, colour[rows]]
     matrix = csr_array((values, cols, indptr), shape=(m, m))
     # Pair j is entry colour(j) of its own row.
-    return matrix, values[indptr[:-1] + colour]
+    return matrix, values[indptr[:-1] + colour], x, copy_node, blocks
 
 
 def _diagonal_blocks(matrix: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidToleranceError, NotSymmetricError
+from .errors import InvalidParameterError, InvalidToleranceError, NotSymmetricError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -51,7 +51,7 @@ def _symmetrized(m, stacked: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
         what = "stack of square matrices" if stacked else "square matrix"
-        raise ValueError(f"expected a {what}, got shape {m.shape}")
+        raise InvalidParameterError(f"expected a {what}, got shape {m.shape}")
     if m.size == 0:
         return m
     mt = np.swapaxes(m, -1, -2)

@@ -7,9 +7,10 @@ this module:
 
 - defined here: the weighted edge Laplacian, the signature of the
   nonsymmetric essential edge Laplacian by similarity, the component count
-  after removing edges, the parallel combination of two resistances, and
-  the decomposition over a caller-chosen spanning forest,
-  ``decompose_with_forest``;
+  after removing edges, the parallel combination of two resistances, the
+  decomposition over a caller-chosen spanning forest,
+  ``decompose_with_forest``, and the canonical biconnected block id per
+  edge, ``edge_blocks``, over ``graph_core``'s one lowpoint pass;
 - re-exported from ``siglap``: ``graph_core.decompose`` (with
   ``ForestDecomposition`` and ``incidence_matrix``) and
   ``laplacians.build_bundle`` (with ``LaplacianBundle``) and
@@ -33,6 +34,8 @@ from siglap.graph_core import (
     ForestDecomposition,
     SignedGraph,
     _assemble,
+    _edge_blocks,
+    _first_seen_ids,
     component_labels,
     decompose,
     incidence_matrix,
@@ -50,6 +53,7 @@ __all__ = [
     "components_after_edge_removal",
     "decompose",
     "decompose_with_forest",
+    "edge_blocks",
     "incidence_matrix",
     "laplacian_pseudo_inverse",
     "parallel_combination",
@@ -120,6 +124,18 @@ def components_after_edge_removal(g: SignedGraph, removed) -> int:
     (isolated nodes count)."""
     labels = component_labels(g, skip_edges=removed)
     return int(labels.max()) + 1
+
+
+def edge_blocks(g: SignedGraph) -> np.ndarray:
+    """Biconnected block id per edge, as an int array over the edge indices.
+
+    Two edges share a block exactly when some simple cycle passes through
+    both (Hopcroft & Tarjan, CACM 1973).  Weight signs are ignored; block
+    ids appear in order of each block's lowest edge index.  One depth-first
+    order from csgraph, lowpoints from the edges by ``np.minimum.at`` and
+    one pass in reverse preorder.
+    """
+    return _first_seen_ids(_edge_blocks(g.node_count, g.tails, g.heads))
 
 
 def parallel_combination(r_plus: float, r_minus: float) -> float:

@@ -11,9 +11,9 @@ import pytest
 
 import siglap as sl
 from conftest import CATERPILLAR_TREE, caterpillar_with_chord, random_boundary_cycle_graph
+from paper_constructions import edge_blocks
 from siglap import cli
 from siglap.cli import main
-from siglap.graph_core import edge_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

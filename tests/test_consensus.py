@@ -214,19 +214,46 @@ def test_predict_clusters_caterpillar():
 
 
 def test_predict_clusters_checks_the_null_vector_residual(monkeypatch):
-    # a potential off by 1e-6 at leaf 5 keeps R(0, 4) but breaks L z = 0 at
-    # the leaf and at its anchor 0
-    solve = consensus._grounded_solve
+    # a potential off by 1e-6 at node 0's copy keeps R(0, 4) but breaks
+    # L z = 0 at 0's cycle neighbours 1 and 4 and at 0 itself
+    solve = consensus._block_solve
 
-    def perturbed(g, grounded, rhs):
-        x = solve(g, grounded, rhs)
-        x[5] += 1e-6
-        return x
+    def perturbed(g_plus, pairs):
+        matrix, diagonal, x, copy_node, blocks = solve(g_plus, pairs)
+        x[copy_node == 0] += 1e-6
+        return matrix, diagonal, x, copy_node, blocks
 
-    monkeypatch.setattr(consensus, "_grounded_solve", perturbed)
+    monkeypatch.setattr(consensus, "_block_solve", perturbed)
     with pytest.raises(sl.CrossCheckError,
                        match=r"null-vector residual max\|L z\| 1\.000e-06 exceeds 1e-8"):
         sl.predict_clusters(caterpillar_with_chord(-0.25))
+
+
+@st.composite
+def trees_with_chord_at_threshold(draw):
+    """A random tree with weights 10**U(0, 8) plus one chord (possibly
+    parallel to a tree edge) at ``-1/R`` over the tree."""
+    n = draw(st.integers(4, 40))
+    tree = [(draw(st.integers(0, v - 1)), v, 10.0 ** draw(st.floats(0.0, 8.0)))
+            for v in range(1, n)]
+    v = draw(st.integers(1, n - 1))
+    u = draw(st.integers(0, v - 1))
+    r_uv = sl.effective_resistance(sl.build_graph(n, tree), u, v)
+    return sl.build_graph(n, tree + [(u, v, -1.0 / r_uv)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(trees_with_chord_at_threshold())
+def test_predict_clusters_accepts_exactly_the_boundary_verdicts(g):
+    # one block solve gives R_uv to both, so they agree on every margin,
+    # and the scattered null vector never fails its residual check
+    boundary = sl.multi_edge_verdict(g).classification is sl.Classification.BOUNDARY
+    try:
+        sl.predict_clusters(g)
+        accepted = True
+    except sl.HypothesisViolatedError:
+        accepted = False
+    assert accepted == boundary
 
 
 def test_predict_clusters_reports_all_failed_preconditions():

@@ -12,7 +12,7 @@ from conftest import (
     random_tree,
     triangle_chain_with_chords,
 )
-from siglap import definiteness, graph_core, resistance
+from siglap import consensus, definiteness, graph_core, resistance
 from siglap.definiteness import BOUNDARY_RTOL, Classification, _lift_schur_inertia
 
 
@@ -253,13 +253,19 @@ def test_each_query_makes_one_block_pass(monkeypatch, family):
         calls.append(args)
         return original(*args)
 
-    # the pass as graph_core's edge_blocks and as the resistance layer reach it
+    # the pass as graph_core and as the resistance layer bind it; cluster
+    # prediction reads the resistance layer's block solve, not a solve or a
+    # block pass of its own
     monkeypatch.setattr(graph_core, "_edge_blocks", counted)
     monkeypatch.setattr(resistance, "_edge_blocks", counted)
     assert not hasattr(definiteness, "edge_blocks")
-    for call in (sl.multi_edge_verdict, sl.corollary6_check, sl.negative_edge_report):
+    for name in ("_grounded_solve", "edge_blocks", "_edge_blocks"):
+        assert not hasattr(consensus, name), name
+    for call, graph in ((sl.multi_edge_verdict, g), (sl.corollary6_check, g),
+                        (sl.negative_edge_report, g),
+                        (sl.predict_clusters, caterpillar_with_chord(-0.25))):
         calls.clear()
-        call(g)
+        call(graph)
         assert len(calls) == 1, call.__name__
 
 

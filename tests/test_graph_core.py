@@ -182,6 +182,29 @@ def test_signed_graph_columns_follow_subgraphs():
         sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0]),
+     "tails, heads and weights must be 1-d columns of one length"),
+    (lambda: sl.build_graph(0, []), "node_count must be >= 1, got 0"),
+    (lambda: sl.build_graph(2, [(0, 1)]), "every edge must be a (u, v, w) triple"),
+    (lambda: sl.path_edge_sets(sl.build_graph(2, [(0, 1, -1.0)]), [(0, 1)]),
+     "path_edge_sets requires an all-positive graph"),
+    (lambda: sl.path_edge_sets(sl.build_graph(2, [(0, 1, 1.0)]), [(0, 0)]),
+     "invalid node pair (0, 0)"),
+    (lambda: sl.resistance_matrix_for_negatives(sl.build_graph(2, [(0, 1, -1.0)]), []),
+     "resistance_matrix_for_negatives requires an all-positive graph"),
+    (lambda: sl.resistance_matrix_for_negatives(sl.build_graph(2, [(0, 1, 1.0)]), [(0, 2)]),
+     "invalid node pair (0, 2)"),
+    (lambda: sl.signature(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+], ids=["columns", "node-count", "triple", "path-sign", "path-pair", "matrix-sign",
+        "matrix-pair", "square"])
+def test_bad_library_input_raises_invalid_parameter_error(call, message):
+    with pytest.raises(sl.InvalidParameterError) as err:
+        call()
+    assert str(err.value) == message
+    assert isinstance(err.value, sl.SiglapError) and isinstance(err.value, ValueError)
+
+
 def test_subgraph_reads_a_boolean_list_as_a_mask():
     g = sl.build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, -0.5)])
     picked = g.subgraph([True, False, True, False])

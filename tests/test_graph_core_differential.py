@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import siglap as sl
 from conftest import positive_weight, random_connected_positive
+from paper_constructions import edge_blocks
 from siglap import graph_core
 
 
@@ -124,7 +125,7 @@ def nx_edge_partition(g: sl.SignedGraph) -> set[frozenset[int]]:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(multigraphs())
 def test_edge_blocks_match_networkx_biconnected_component_edges(g):
-    blocks = graph_core.edge_blocks(g)
+    blocks = edge_blocks(g)
     assert edge_partition(blocks.tolist()) == nx_edge_partition(g)
     # block ids appear in order of each block's lowest edge index
     _, first = np.unique(blocks, return_index=True)

@@ -52,6 +52,27 @@ def test_invalid_node_pair_is_a_siglap_error(u, v):
     assert isinstance(err.value, sl.SiglapError) and isinstance(err.value, ValueError)
 
 
+PAIR_QUERIES = {
+    "effective_resistance": lambda g, pair: sl.effective_resistance(g, *pair),
+    "resistance_matrix_for_negatives": lambda g, pair: sl.resistance_matrix_for_negatives(
+        g, [pair]),
+    "path_edge_sets": lambda g, pair: sl.path_edge_sets(g, [pair]),
+}
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (1, 1), (0, 2)],
+                         ids=["out-of-range", "same-node", "disconnected"])
+@pytest.mark.parametrize("query", sorted(PAIR_QUERIES))
+def test_every_pair_query_rejects_a_bad_pair_with_a_siglap_error(query, pair):
+    g = sl.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(sl.SiglapError) as err:
+        PAIR_QUERIES[query](g, pair)
+    if pair == (0, 2):  # NodesDisconnectedError, a subclass, from two of the three
+        assert isinstance(err.value, sl.DisconnectedError)
+    else:
+        assert isinstance(err.value, sl.InvalidParameterError)
+
+
 def test_resistance_on_signed_graph_is_defined():
     g = sl.build_graph(2, [(0, 1, 1.0), (0, 1, -0.25)])
     # parallel 1 ohm with -4 ohm: 1*(-4)/(1-4) = 4/3

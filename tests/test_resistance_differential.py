@@ -27,7 +27,7 @@ from conftest import (
     random_signed,
     relabelled,
 )
-from siglap.graph_core import edge_blocks
+from paper_constructions import edge_blocks
 
 
 def nx_graph(g: sl.SignedGraph) -> nx.Graph:

@@ -15,8 +15,8 @@ from conftest import (
     dense_laplacian,
     eig_signature,
 )
+from paper_constructions import edge_blocks
 from siglap.definiteness import BOUNDARY_RTOL, Classification, _lift_schur_inertia
-from siglap.graph_core import edge_blocks
 
 # A graph is kept only when every eigenvalue that should be nonzero clears
 # its zero tolerance by this factor, on L (tolerance n * eps * max|eig|, the
