@@ -219,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="zero tolerance (>= 0) for eigenvalue counts, used by "
                             "signature and check-psd only: signature tests the spectrum "
                             "of L (default dim*eps*max|eig|), check-psd tests eig(T), "
-                            "T = I - D^1/2 R D^1/2 over the negative edges, and the "
-                            "per-edge margins "
+                            "T = I - D^1/2 R D^1/2 over the negative edges, whose "
+                            "diagonal is minus the printed margins "
                             f"(default {definiteness.BOUNDARY_RTOL:g})")
         return p
 

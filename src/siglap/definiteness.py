@@ -13,10 +13,13 @@ R = B^T L(G+)^+ B the resistance matrix over the positive subgraph G+
 (connected), L = L(G+) - B D B^T and Haynsworth's inertia additivity give
 ``In(L) = (n-1-m, 0, 1) + In(D^-1 - R)``.  The verdict takes the counts from
 ``T = I - D^1/2 R D^1/2``, which is congruent to ``D^-1 - R`` and
-dimensionless; with disjoint path sets R is diagonal and eig(T) is minus the
-per-edge margins.  No verdict forms an n x n matrix, nor an m x m one: R and
-T are block-diagonal (below), and In(T) is the sum of the inertias of their
-diagonal blocks, counted by one batched eigenvalue call per block size.
+dimensionless.  Its diagonal entry ``1 - |w_k| R_kk`` is minus the per-edge
+margin, and T takes it from the margin itself, so the two agree bit for bit;
+with disjoint path sets R is diagonal and eig(T) is minus the margins.  The
+counts alone decide the verdict.  No verdict forms an n x n matrix, nor an
+m x m one: R and T are block-diagonal (below), and In(T) is the sum of the
+inertias of their diagonal blocks, counted by one batched eigenvalue call per
+block size.
 
 Disjointness needs no path-edge sets: they are pairwise disjoint exactly when
 the negative edges lie in distinct biconnected blocks of G.  An edge e in the
@@ -52,10 +55,10 @@ from .graph_core import SignedGraph
 from .resistance import _diagonal_blocks, negative_edge_report
 from .spectra import Signature, signature
 
-# Default relative tolerance on |w| * R - 1 deciding boundary equality, and
-# the default zero tolerance on eig(T), whose eigenvalues are -margin_k when
-# the path sets are disjoint.
+# Default zero tolerance on eig(T).  T's diagonal is -margin_k, where the
+# margin |w| * R - 1 is a negative edge's relative distance from its threshold.
 BOUNDARY_RTOL = 1e-9
+# Relative slack of the Corollary 6 test sum_k |w_k|^-1 >= R_tot.
 COROLLARY6_SLACK = 1e-9
 
 
@@ -102,39 +105,11 @@ class Corollary6Result(NamedTuple):
     total_resistance: float
 
 
-def _classify(margins, rtol: float) -> Classification:
-    if any(m > rtol for m in margins):
-        return Classification.INDEFINITE
-    if any(abs(m) <= rtol for m in margins):
-        return Classification.BOUNDARY
-    return Classification.STRICT_INTERIOR
-
-
-def _cross_validate(classification: Classification, sigma: Signature) -> None:
-    """Diagonal-margin verdict vs the inertia of the whole of T, off-diagonal
-    entries included.
-
-    The margins read only the diagonal of the resistance matrix, so a wrong
-    disjointness answer shows up here.  A boundary verdict is not checked
-    against eigenvalue counts: within the boundary tolerance the crossing
-    eigenvalue may legitimately sit on either side of the zero threshold.
-    """
-    if classification is Classification.INDEFINITE and sigma.n_minus == 0:
-        raise CrossCheckError(
-            f"threshold says indefinite but signature is {sigma.as_tuple()}"
-        )
-    if classification is Classification.STRICT_INTERIOR and sigma.n_minus > 0:
-        raise CrossCheckError(
-            f"threshold says positive semidefinite but signature is {sigma.as_tuple()}"
-        )
-
-
 def _resistance_terms(g: SignedGraph, neg: list[int]
-                      ) -> tuple[tuple[EdgeThreshold, ...], Corollary6Result,
-                                 csr_array, list[float]]:
-    """Per-edge thresholds, the Corollary 6 test, the resistance matrix R
-    over the positive subgraph and the magnitudes |w_k|, for the negative
-    edges ``neg`` (the indices of all of them), from one resistance matrix.
+                      ) -> tuple[tuple[EdgeThreshold, ...], Corollary6Result, csr_array]:
+    """Per-edge thresholds, the Corollary 6 test and the resistance matrix R
+    over the positive subgraph, for the negative edges ``neg`` (the indices
+    of all of them), from one resistance matrix.
 
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
@@ -146,7 +121,7 @@ def _resistance_terms(g: SignedGraph, neg: list[int]
     with np.errstate(over="ignore"):
         per_edge = tuple(
             EdgeThreshold((u, v), mag, 1.0 / r, mag * r - 1.0)
-            for (u, v, _), mag, r in zip(report.pairs, magnitudes, report.matrix.diagonal())
+            for (u, v, r), mag in zip(report.pairs, magnitudes)
         )
     inv_sum = float(sum(1.0 / mag for mag in magnitudes))
     if not np.isfinite([x for e in per_edge for x in (e.threshold, e.margin)] + [inv_sum]).all():
@@ -154,8 +129,9 @@ def _resistance_terms(g: SignedGraph, neg: list[int]
             "a resistance, threshold, margin or Corollary 6 sum over the negative "
             "edges is not finite; the weights span more than the double range"
         )
-    c6 = Corollary6Result(inv_sum >= report.r_tot - COROLLARY6_SLACK, inv_sum, report.r_tot)
-    return per_edge, c6, report.matrix, magnitudes
+    c6 = Corollary6Result(inv_sum >= (1.0 - COROLLARY6_SLACK) * report.r_tot,
+                          inv_sum, report.r_tot)
+    return per_edge, c6, report.matrix
 
 
 def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
@@ -176,17 +152,23 @@ def _lift_schur_inertia(n: int, inner: Signature) -> Signature:
 
 
 def _schur_signature(n: int, stacks: list[tuple[np.ndarray, np.ndarray]],
-                     magnitudes: list[float], tol: float) -> Signature:
+                     per_edge: tuple[EdgeThreshold, ...], tol: float) -> Signature:
     """Inertia of L from ``T = I - D^1/2 R D^1/2``; ``|eig(T)| <= tol``
     counts as zero.  ``stacks`` are R's diagonal blocks by size, from
     :func:`~siglap.resistance._diagonal_blocks`; T is block-diagonal too, and
     its inertia is the sum of its blocks', counted by one batched
-    :func:`~siglap.spectra.signature` per block size.
+    :func:`~siglap.spectra.signature` per block size.  T's diagonal is
+    ``-margin_k``, the printed margin bit for bit, and its off-diagonal
+    entries are ``-|w_j|^1/2 R_jk |w_k|^1/2``.
     """
-    root = np.sqrt(magnitudes)
-    parts = [signature(np.eye(members.shape[1])
-                       - root[members][:, :, None] * r * root[members][:, None, :], tol)
-             for members, r in stacks]
+    root = np.sqrt([e.magnitude for e in per_edge])
+    diag = -np.array([e.margin for e in per_edge])
+    parts = []
+    for members, r in stacks:
+        t = -root[members][:, :, None] * r * root[members][:, None, :]
+        k = np.arange(members.shape[1])
+        t[:, k, k] = diag[members]
+        parts.append(signature(t, tol))
     inner = Signature(sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
                       sum(p.n_zero for p in parts), float(tol),
                       any(p.near_singular for p in parts))
@@ -196,16 +178,18 @@ def _schur_signature(n: int, stacks: list[tuple[np.ndarray, np.ndarray]],
 def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> DefinitenessVerdict:
     """Verdict for any number (>= 1) of negative edges.
 
-    When the path-edge sets of the negative edges are pairwise disjoint
-    (exactly when the negative edges lie in distinct biconnected blocks of G;
-    see the module docstring) the per-edge thresholds decide the verdict, and
-    the inertia of T must agree with them.  When they
-    are not, the thresholds are neither necessary nor sufficient; the inertia
-    of T, which is exact for overlapping path sets too, decides the verdict
-    and ``disjointness_hypothesis_holds`` is False.
+    The inertia of T alone decides it: INDEFINITE when T has a negative
+    eigenvalue, BOUNDARY when it has a zero one, STRICT_INTERIOR otherwise.
+    T's diagonal is minus the per-edge margins, so when the path-edge sets
+    of the negative edges are pairwise disjoint (exactly when the negative
+    edges lie in distinct biconnected blocks of G; see the module docstring)
+    T is that diagonal and the counts are the per-edge threshold test.  When
+    they are not, the thresholds are neither necessary nor sufficient, the
+    inertia of T is exact all the same, and ``disjointness_hypothesis_holds``
+    is False.
 
-    ``tol`` is the zero tolerance on eig(T) and on the per-edge margins
-    (default ``BOUNDARY_RTOL``).
+    ``tol`` is the zero tolerance on eig(T) (default ``BOUNDARY_RTOL``); the
+    margins are not tested apart from it.
 
     Raises:
         DisconnectedError: the positive subgraph is disconnected.
@@ -216,22 +200,17 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])
     # Raises DisconnectedError when the positive subgraph is disconnected.
-    per_edge, c6, matrix, magnitudes = _resistance_terms(g, neg)
+    per_edge, c6, matrix = _resistance_terms(g, neg)
     stacks = _diagonal_blocks(matrix)
     disjoint = all(members.shape[1] == 1 for members, _ in stacks)
-    zero_tol = BOUNDARY_RTOL if tol is None else tol
-    sigma = _schur_signature(g.node_count, stacks, magnitudes, zero_tol)
-    if disjoint:
-        classification = _classify([e.margin for e in per_edge], zero_tol)
-        _cross_validate(classification, sigma)
+    sigma = _schur_signature(g.node_count, stacks, per_edge,
+                             BOUNDARY_RTOL if tol is None else tol)
+    if sigma.n_minus > 0:
+        classification = Classification.INDEFINITE
+    elif sigma.n_zero > 1:
+        classification = Classification.BOUNDARY
     else:
-        # The per-edge thresholds do not apply; the inertia decides.
-        if sigma.n_minus > 0:
-            classification = Classification.INDEFINITE
-        elif sigma.n_zero > 1:
-            classification = Classification.BOUNDARY
-        else:
-            classification = Classification.STRICT_INTERIOR
+        classification = Classification.STRICT_INTERIOR
     return DefinitenessVerdict(classification, per_edge, disjoint, c6.satisfied, sigma)
 
 
@@ -239,7 +218,9 @@ def corollary6_check(g: SignedGraph) -> Corollary6Result:
     """Necessary condition: PSD implies sum_k |w_k|^-1 >= R_tot.
 
     The contrapositive is a cheap rejection test: if the inequality fails,
-    the Laplacian cannot be positive semidefinite.  Vacuously true without
+    the Laplacian cannot be positive semidefinite.  The test allows a
+    relative slack, ``sum >= (1 - COROLLARY6_SLACK) * R_tot``, so its answer
+    does not change when every weight is scaled.  Vacuously true without
     negative edges.
 
     Raises:

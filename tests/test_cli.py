@@ -94,14 +94,28 @@ corollary6_satisfied = true
 """)
 
 
-@pytest.mark.parametrize("text, report", [OVERLAPPING_4_CYCLE, SHARED_NODE_TRIANGLES],
-                         ids=["overlapping", "disjoint"])
-def test_check_psd_bytes(tmp_path, capsys, text, report):
-    # interior margins only: boundary margins print round-off
+# A chord at its threshold: the margin is round-off (+2.2e-17 in exact
+# arithmetic, +2.2e-16 computed), and at --tol 0 the verdict follows its sign.
+TRIANGLE_AT_TOL_0 = (
+    "nodes 3\n0 1 2\n1 2 5\n0 2 -1.4285714285714286\n",
+    """indefinite, sigma=(1,1,1)
+edge (0,2): |w-| = 1.42857142857  threshold = 1.42857142857  margin = 2.22044604925e-16
+disjoint_paths = true
+corollary6_satisfied = true
+""", "0")
+
+
+@pytest.mark.parametrize("text, report, tol",
+                         [(*OVERLAPPING_4_CYCLE, None), (*SHARED_NODE_TRIANGLES, None),
+                          TRIANGLE_AT_TOL_0],
+                         ids=["overlapping", "disjoint", "boundary-at-tol-0"])
+def test_check_psd_bytes(tmp_path, capsys, text, report, tol):
+    # interior margins at the default tolerance: boundary margins print
+    # round-off, pinned only where the tolerance is 0
     path = tmp_path / "graph.txt"
     path.write_text(text)
-    assert main(["check-psd", str(path)]) == 0
-    header = f"# siglap check-psd\n# input: {path}\n# tol: default\n"
+    assert main(["check-psd", str(path)] + (["--tol", tol] if tol else [])) == 0
+    header = f"# siglap check-psd\n# input: {path}\n# tol: {tol or 'default'}\n"
     assert capsys.readouterr().out == header + report
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siglap as sl
 from conftest import (
@@ -8,6 +10,7 @@ from conftest import (
     cycle_chain_at_threshold,
     dense_laplacian,
     eig_signature,
+    random_boundary_cycle_graph,
     random_connected_positive,
     random_tree,
     triangle_chain_with_chords,
@@ -197,15 +200,22 @@ def test_cactus_chain_verdicts_match_spectrum():
 
 
 def test_corollary6_never_contradicts_psd():
+    # chords at random magnitudes and at their thresholds, where the
+    # inequality is an equality, on scaled copies too: scaling every weight
+    # scales both sides alike
     rng = np.random.default_rng(89)
     for _ in range(60):
         g_plus = random_connected_positive(rng)
         u, v = (int(x) for x in rng.choice(g_plus.node_count, size=2, replace=False))
         w = -float(rng.uniform(0.05, 3.0))
-        g = sl.build_graph(g_plus.node_count, list(g_plus.edges) + [(u, v, w)])
-        sigma = eig_signature(dense_laplacian(g.node_count, g.edges))
-        result = sl.corollary6_check(g)
-        assert not (sigma[1] == 0 and not result.satisfied)
+        boundary = -1.0 / sl.effective_resistance(g_plus, u, v)
+        for chord in (w, boundary):
+            for scale in (1.0, 1e-9, 1e9):
+                g = sl.build_graph(g_plus.node_count, [
+                    (a, b, scale * x) for a, b, x in list(g_plus.edges) + [(u, v, chord)]])
+                sigma = eig_signature(dense_laplacian(g.node_count, g.edges))
+                result = sl.corollary6_check(g)
+                assert not (sigma[1] == 0 and not result.satisfied), (chord, scale)
 
 
 def overlapping_chords_at_nine_tenths():
@@ -313,8 +323,45 @@ def test_verdict_tolerance_applies_to_t():
     assert sl.multi_edge_verdict(g).sigma == sl.Signature(8, 0, 1, BOUNDARY_RTOL)
     verdict = sl.multi_edge_verdict(g, tol=1e-2)
     assert verdict.sigma == sl.Signature(7, 0, 2, 1e-2, near_singular=True)
-    # the margins are classified with the same tolerance, so both say boundary
+    # the classification is read from the same counts
     assert verdict.classification is Classification.BOUNDARY
+
+
+def test_t_diagonal_is_minus_the_printed_margins(monkeypatch):
+    # T's 1x1 blocks are the negated margins bit for bit, so its counts are
+    # the per-edge threshold test exactly
+    blocks = []
+    original = definiteness.signature
+
+    def recorded(m, tol=None):
+        blocks.append(np.array(m))
+        return original(m, tol)
+
+    monkeypatch.setattr(definiteness, "signature", recorded)
+    rng = np.random.default_rng(3)
+    graphs = [cycle_chain_at_threshold([1.0, 2.0, 0.5, 1.0, 3.0, 0.7])]
+    graphs += [random_boundary_cycle_graph(rng, 4, 40) for _ in range(40)]
+    for g in graphs:
+        blocks.clear()
+        verdict = sl.multi_edge_verdict(g, tol=0.0)
+        (t,) = blocks
+        assert t.shape == (len(verdict.per_edge), 1, 1)
+        minus_margins = -np.array([e.margin for e in verdict.per_edge])
+        assert np.array_equal(t.ravel().view(np.int64), minus_margins.view(np.int64))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**63 - 1))
+def test_boundary_cycle_verdicts_count_their_margins_at_any_tolerance(seed):
+    # a tree plus one chord at its threshold: the margin is round-off, on
+    # either side of 0, and the verdict must follow its sign even at tol 0
+    g = random_boundary_cycle_graph(np.random.default_rng(seed), 4, 40)
+    for tol in (0.0, 1e-16, BOUNDARY_RTOL):
+        verdict = sl.multi_edge_verdict(g, tol)
+        if verdict.disjointness_hypothesis_holds:
+            margins = [e.margin for e in verdict.per_edge]
+            assert verdict.sigma.n_minus == sum(m > tol for m in margins)
+            assert verdict.sigma.n_zero - 1 == sum(abs(m) <= tol for m in margins)
 
 
 def test_margins_classified_with_the_user_tolerance():
@@ -362,6 +409,8 @@ def test_boundary_verdict_when_block_weights_differ_in_scale(last):
     verdict = sl.multi_edge_verdict(g)
     assert verdict.classification is Classification.BOUNDARY
     assert verdict.sigma.as_tuple() == (520, 0, 41)
+    # Corollary 6 holds with equality at the boundary, at any weight scale
+    assert verdict.corollary6_satisfied
     matrix = sl.negative_edge_report(g).matrix.toarray()
     exact = np.array([3 * 12 / (15 * w) for w in weights])
     assert np.all(np.abs(np.diag(matrix) - exact) <= 1e-12 * exact)
