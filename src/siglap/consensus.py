@@ -290,6 +290,7 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
 
     k = neg[0]
     u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
+    # G+ is connected here, as the block solve requires.
     _, diagonal, x, copy_node, blocks = _block_solve(g_plus, [(u, v)])
     r_uv = float(diagonal[0])
     margin = abs(w) * r_uv - 1.0

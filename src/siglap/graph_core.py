@@ -25,7 +25,7 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from .errors import (
@@ -263,23 +263,29 @@ def _first_seen_ids(raw: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _adjacency_csr(node_count: int, rows: np.ndarray, cols: np.ndarray) -> csr_matrix:
+    """Adjacency with one unit entry at ``(rows[k], cols[k])`` per k, each
+    row's entries in ascending column order.
+
+    The CSR is filled straight from the columns with csgraph's int32
+    indices, not converted from COO.  Repeated pairs (parallel edges) stay
+    as repeated entries, which csgraph's undirected search and
+    ``depth_first_order`` take; its strong-component search does not
+    return on them (scipy 1.17).
+    """
+    order = np.argsort(rows * node_count + cols)
+    indptr = np.zeros(node_count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+    return csr_matrix((np.ones(rows.size), cols[order].astype(np.int32), indptr),
+                      shape=(node_count, node_count))
+
+
 def _components(node_count: int, tails: np.ndarray, heads: np.ndarray
                 ) -> tuple[int, np.ndarray]:
     """Component count and csgraph's labels, in no documented order, of the
-    graph whose edges join ``tails[k]`` and ``heads[k]``.
-
-    The CSR adjacency, one entry per edge in row ``tails[k]``, is filled
-    straight from the columns with csgraph's int32 indices, not converted
-    from COO.  Parallel edges stay as repeated entries, which csgraph's
-    undirected search takes (its strong-component search does not return
-    on them, scipy 1.17).
-    """
-    order = np.argsort(tails, kind="stable")
-    indptr = np.zeros(node_count + 1, dtype=np.int32)
-    np.cumsum(np.bincount(tails, minlength=node_count), out=indptr[1:])
-    adjacency = csr_matrix((np.ones(tails.size), heads[order].astype(np.int32), indptr),
-                           shape=(node_count, node_count))
-    return connected_components(adjacency, directed=False)
+    graph whose edges join ``tails[k]`` and ``heads[k]``, from csgraph's
+    undirected search over one entry per edge."""
+    return connected_components(_adjacency_csr(node_count, tails, heads), directed=False)
 
 
 def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
@@ -368,13 +374,13 @@ def decompose(g: SignedGraph) -> ForestDecomposition:
     return _assemble(g, forest, cycle, components)
 
 
-def _symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray):
-    """CSR adjacency listing every edge in both directions, so that csgraph's
-    directed routines traverse the undirected graph without a transpose."""
-    rows = np.concatenate([tails, heads])
-    cols = np.concatenate([heads, tails])
-    return coo_matrix((np.ones(rows.size), (rows, cols)),
-                      shape=(node_count, node_count)).tocsr()
+def _symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray
+                         ) -> csr_matrix:
+    """Adjacency listing every edge in both directions, each row in
+    ascending neighbour order, so that csgraph's directed routines traverse
+    the undirected graph without a transpose."""
+    return _adjacency_csr(node_count, np.concatenate([tails, heads]),
+                          np.concatenate([heads, tails]))
 
 
 def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
@@ -392,8 +398,7 @@ def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
     if tails.size == 0:
         return np.zeros(0, dtype=np.intp), np.full(node_count, -1, dtype=np.intp)
     adjacency = _symmetric_adjacency(node_count, tails, heads)
-    # With both directions listed, strong components are the components.
-    _, labels = connected_components(adjacency, directed=True, connection="strong")
+    _, labels = connected_components(adjacency, directed=False)
     # Each component's lowest node heads its run in a stable sort of the labels.
     order = np.argsort(labels, kind="stable")
     lowest = order[_first_of_runs(labels[order])]

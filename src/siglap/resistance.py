@@ -34,17 +34,21 @@ Pairs are all checked before any solve; then they take one solve per
 component holding one, with one right-hand-side column per pair.  The
 resistance matrix of the negative edges is block-diagonal over the
 biconnected blocks of G (G+ plus the negative edges): a simple u-v path
-never leaves the block of the u-v edge, so the current between the ends
-of a negative edge flows only through the positive edges of that edge's
-block, and two negative edges in different blocks do not couple.  It takes one solve of the blocks that hold
-a negative edge, each on its own node copies (a cut vertex gets one copy
-per block) and grounded at its lowest copy; right-hand-side column ``c``
-carries the c-th negative edge of every block.  The matrix is kept sparse,
-with only its entries within blocks, so its size is the sum of the squared
-numbers of negative edges per block, not m x m.  The query's one
-biconnected-block pass is made here: the verdict reads the blocks back from
-R through :func:`_diagonal_blocks`, and cluster prediction reads R_uv, the
-block keys and the potentials from :func:`_block_solve`.
+never leaves the block of the u-v edge, so the current between the ends of
+a negative edge flows only through the positive edges of that edge's block,
+and two negative edges in different blocks do not couple.  It takes one
+solve of the blocks that hold a negative edge, each on its own node copies
+(a cut vertex gets one copy per block) and grounded at its lowest copy;
+right-hand-side column ``c`` carries the c-th negative edge of every block.
+The matrix is kept sparse, with only its entries within blocks, so its size
+is the sum of the squared numbers of negative edges per block, not m x m.
+G+ is labelled once, up front, and a disconnected G+ raises
+:class:`DisconnectedError` before any block is formed: the threshold
+theorems need it connected.  The query's one biconnected-block pass is made
+here: the verdict reads the blocks back from R through
+:func:`_diagonal_blocks`, and cluster prediction reads R_uv, the block keys
+and the potentials from :func:`_block_solve`.  The tests on the solved
+blocks cross-check the block ids.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -62,8 +66,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from .errors import (CrossCheckError, DisconnectedError, InvalidParameterError,
-                     NodesDisconnectedError, SiglapError)
-from .graph_core import SignedGraph, _components, _edge_blocks, _first_of_runs, component_labels
+                     NodesDisconnectedError)
+from .graph_core import SignedGraph, _components, _edge_blocks, _first_of_runs
 from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
@@ -266,31 +270,6 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     return _pair_resistances(g, [(u, v)])[0]
 
 
-def _block_failure(g_plus: SignedGraph, what: str) -> SiglapError:
-    """The error for a failed connectivity test on the blocks of G.
-
-    With the right block ids such a test fails exactly when G+ is
-    disconnected.  Only here, once a test has failed, are the components of
-    G+ labelled, to tell a disconnected G+ from block ids that contradict
-    the graph.
-    """
-    if component_labels(g_plus).any():
-        return DisconnectedError("positive subgraph is disconnected")
-    return CrossCheckError(f"{what}; the biconnected blocks are inconsistent with the graph")
-
-
-def _component_count(node_count: int, tails: np.ndarray, heads: np.ndarray,
-                     block: np.ndarray) -> int:
-    """Connected components, isolated nodes included, of the graph whose
-    edges join ``tails[k]`` and ``heads[k]``, from its block ids: the blocks
-    of a component with n_c nodes form a tree over its cut vertices, so
-    ``sum_b (n_b - 1) = n_c - 1`` and ``c = n - sum_b (n_b - 1)``."""
-    # Sorting and counting runs: np.unique takes several times longer here.
-    keys = np.sort(np.concatenate([block * node_count + tails, block * node_count + heads]))
-    distinct = keys[_first_of_runs(keys)]
-    return node_count - distinct.size + int(_first_of_runs(distinct // node_count).sum())
-
-
 def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.ndarray,
                   pairs: np.ndarray) -> tuple[SignedGraph, int, np.ndarray, np.ndarray]:
     """The graph of the positive edges in the pairs' blocks, each block on
@@ -301,11 +280,13 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     of its lowest node, is numbered first, so grounding the first copies
     grounds one copy per block.
 
+    ``g_plus`` must be connected; the two tests below then cross-check the
+    block ids (see :func:`resistance_matrix_for_negatives`).
+
     Raises:
-        DisconnectedError, CrossCheckError: a pair's block has no copy of
-            one of its ends, or the copies of a block are not connected.
-            With the right block ids either happens exactly when ``g_plus``
-            is disconnected (see :func:`_block_failure`).
+        CrossCheckError: a pair's block has no copy of one of its ends, or
+            the copies of a block are not connected: the block ids are
+            inconsistent with the graph.
     """
     n = g_plus.node_count
     solved = np.isin(edge_block, pair_block, kind="table")
@@ -330,15 +311,17 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     held[held] = (keys[pair_copy[held]] == pair_keys[held]).all(axis=1)
     if not held.all():
         pair = tuple(pairs[np.argmin(held)].tolist())
-        raise _block_failure(g_plus, f"the positive part of the block of G holding negative "
-                                     f"edge {pair} misses an end of the edge")
+        raise CrossCheckError(f"the positive part of the block of G holding negative edge "
+                              f"{pair} misses an end of the edge; the biconnected blocks "
+                              f"are inconsistent with the graph")
     count, parts = _components(split.node_count, split.tails, split.heads)
     if count != blocks:
         # parts[:blocks] holds each block's part, at its lowest copy.
         apart = parts[renumber] != parts[:blocks][np.cumsum(lowest) - 1]
         k = int(np.flatnonzero(np.isin(pair_block, copy_block[apart]))[0])
-        raise _block_failure(g_plus, f"the positive part of the block of G holding negative "
-                                     f"edge {tuple(pairs[k].tolist())} is not connected")
+        raise CrossCheckError(f"the positive part of the block of G holding negative edge "
+                              f"{tuple(pairs[k].tolist())} is not connected; the "
+                              f"biconnected blocks are inconsistent with the graph")
     copy_node = np.empty(keys.size, dtype=np.intp)
     copy_node[renumber] = keys % n
     return split, blocks, renumber[pair_copy], copy_node
@@ -374,18 +357,16 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     module docstring).  The block ids come from the query's one
     biconnected-block pass over G, made here.
 
-    G+ is connected exactly when G is connected and the positive part of
-    every block holding a pair is connected (blocks without a pair are
-    all positive).  The first is read from the block ids, the second is
-    tested on each block the solve covers; no separate pass labels the
-    components of ``g_plus``.
+    G+ is labelled once, up front: the theorems behind R need it connected.
+    Then the positive part of the block of G holding a pair is connected
+    too, since a simple path between two nodes of a block never leaves it,
+    and the tests on the solved blocks cross-check the block ids.
 
     Raises:
         InvalidParameterError: a non-positive weight or an invalid node pair.
         DisconnectedError: ``g_plus`` is disconnected.
-        CrossCheckError: a connectivity test on the blocks fails although
-            ``g_plus`` is connected (the block ids are wrong), or the
-            grounded solve fails its residual check.
+        CrossCheckError: the block ids are inconsistent with ``g_plus``, or
+            the grounded solve fails its residual check.
 
     Returns:
         ``(matrix, diagonal)``: a ``scipy.sparse.csr_array`` of shape
@@ -400,14 +381,19 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     for u, v in listed:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise InvalidParameterError(f"invalid node pair ({u}, {v})")
+    if _components(n, g_plus.tails, g_plus.heads)[0] != 1:
+        raise DisconnectedError("positive subgraph is disconnected")
+    if not listed:
+        return csr_array((0, 0)), np.zeros(0)
     return _block_solve(g_plus, listed)[:2]
 
 
 def _block_solve(g_plus: SignedGraph, pairs
                  ) -> tuple[csr_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`resistance_matrix_for_negatives` on checked pairs, plus the
-    potentials ``x`` on the node copies (one column per colour), the node of
-    each copy and the block key of each edge of ``g_plus``, then of each pair.
+    """:func:`resistance_matrix_for_negatives` on checked pairs, at least
+    one, over a ``g_plus`` known to be connected, plus the potentials ``x``
+    on the node copies (one column per colour), the node of each copy and
+    the block key of each edge of ``g_plus``, then of each pair.
     """
     n = g_plus.node_count
     # One (low, high) row per pair: E_- has -1 at the low end, +1 at the high.
@@ -417,14 +403,7 @@ def _block_solve(g_plus: SignedGraph, pairs
     heads = np.append(g_plus.heads, pairs[:, 1])
     blocks = _edge_blocks(n, tails, heads)
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
-    # The solved blocks are tested first: their errors name a pair.
-    if m:
-        split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
-    components = _component_count(n, tails, heads, blocks)
-    if components != 1:
-        raise _block_failure(g_plus, f"the block ids give G {components} components")
-    if m == 0:
-        return csr_array((0, 0)), np.zeros(0), np.zeros((0, 1)), np.zeros(0, np.intp), blocks
+    split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
     order, start, colour = _block_runs(pair_block)
     rhs = np.zeros((split.node_count, int(colour.max()) + 1))
     rhs[ends[:, 0], colour] = -1.0

@@ -9,8 +9,10 @@ this module:
   nonsymmetric essential edge Laplacian by similarity, the component count
   after removing edges, the parallel combination of two resistances, the
   decomposition over a caller-chosen spanning forest,
-  ``decompose_with_forest``, and the canonical biconnected block id per
-  edge, ``edge_blocks``, over ``graph_core``'s one lowpoint pass;
+  ``decompose_with_forest``, the canonical biconnected block id per
+  edge, ``edge_blocks``, over ``graph_core``'s one lowpoint pass, and the
+  depth-first search's adjacency built through COO,
+  ``symmetric_adjacency``;
 - re-exported from ``siglap``: ``graph_core.decompose`` (with
   ``ForestDecomposition`` and ``incidence_matrix``) and
   ``laplacians.build_bundle`` (with ``LaplacianBundle``) and
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from siglap.errors import SiglapError, SingularCutGramError
 from siglap.graph_core import (
@@ -58,6 +61,7 @@ __all__ = [
     "laplacian_pseudo_inverse",
     "parallel_combination",
     "signature_of_similar_nonsymmetric",
+    "symmetric_adjacency",
     "weighted_edge_laplacian",
 ]
 
@@ -136,6 +140,18 @@ def edge_blocks(g: SignedGraph) -> np.ndarray:
     one pass in reverse preorder.
     """
     return _first_seen_ids(_edge_blocks(g.node_count, g.tails, g.heads))
+
+
+def symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray):
+    """CSR adjacency listing every edge in both directions, by COO -> CSR
+    conversion, which sums parallel edges into one entry and sorts each
+    row: the oracle for ``graph_core._symmetric_adjacency``, which fills
+    its CSR straight from the edge columns and keeps parallel edges as
+    repeated entries, with the same neighbour order in every row."""
+    rows = np.concatenate([tails, heads])
+    cols = np.concatenate([heads, tails])
+    return coo_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(node_count, node_count)).tocsr()
 
 
 def parallel_combination(r_plus: float, r_minus: float) -> float:

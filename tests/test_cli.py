@@ -413,6 +413,20 @@ def test_hypothesis_violation_exit_code(tmp_path, capsys):
     assert "negative" in err
 
 
+# G+ is the two edges 0-1 and 2-3; the chord joins them in G, or is parallel
+# to 2-3 and leaves G disconnected too.
+@pytest.mark.parametrize("chord", ["1 2 -0.5", "2 3 -0.5"], ids=["joined", "parallel"])
+@pytest.mark.parametrize("command", ["check-psd", "threshold", "resistance"])
+def test_disconnected_positive_subgraph_bytes(tmp_path, capsys, command, chord):
+    path = tmp_path / "graph.txt"
+    path.write_text(f"nodes 4\n0 1 1.0\n2 3 1.0\n{chord}\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"siglap {command}: hypothesis violated: "
+                            "positive subgraph is disconnected\n")
+
+
 def test_threshold_without_negative_edges_is_hypothesis_violation(tmp_path):
     path = graph_file(tmp_path, sl.build_graph(9, CATERPILLAR_TREE))
     assert main(["threshold", path]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from conftest import (
     random_boundary_cycle_graph,
     random_connected_positive,
     random_tree,
+    relabelled,
     triangle_chain_with_chords,
 )
 from siglap import consensus, definiteness, graph_core, resistance
@@ -103,8 +106,8 @@ def test_multi_edge_requires_connected_positive_part():
     "nodes 5\n0 1 1.0\n1 2 1.0\n0 2 -0.2\n3 4 1.0\n",  # G disconnected
 ], ids=["negative-bridge", "g-disconnected"])
 def test_disconnected_positive_part_is_a_hypothesis_violation(text):
-    # the block tests that replace the component labelling of G+ report a
-    # genuine disconnection as DisconnectedError, not as CrossCheckError
+    # G+ is labelled up front, so a disconnection is a DisconnectedError,
+    # never a failed cross-check of the block ids
     g = sl.parse_graph(text)
     for call in (sl.multi_edge_verdict, sl.corollary6_check, sl.negative_edge_report):
         with pytest.raises(sl.DisconnectedError, match="positive subgraph is disconnected"):
@@ -256,18 +259,25 @@ def test_each_query_makes_one_block_pass(monkeypatch, family):
         chords = [(int(u), int(v), -0.05)
                   for u, v in (rng.choice(30, size=2, replace=False) for _ in range(3))]
         g = sl.build_graph(30, list(g_plus.edges) + chords)
-    calls = []
-    original = graph_core._edge_blocks
+    g_plus = g.positive_subgraph()
+    calls, labellings = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(into, original):
+        def counted(*args):
+            into.append(args)
+            return original(*args)
+        return counted
 
     # the pass as graph_core and as the resistance layer bind it; cluster
     # prediction reads the resistance layer's block solve, not a solve or a
     # block pass of its own
+    counted = recorded(calls, graph_core._edge_blocks)
     monkeypatch.setattr(graph_core, "_edge_blocks", counted)
     monkeypatch.setattr(resistance, "_edge_blocks", counted)
+    # the component labelling as the resistance layer binds it: G+ once, up
+    # front, then the split graph of the solved blocks, whose test
+    # cross-checks the block ids
+    monkeypatch.setattr(resistance, "_components", recorded(labellings, resistance._components))
     assert not hasattr(definiteness, "edge_blocks")
     for name in ("_grounded_solve", "edge_blocks", "_edge_blocks"):
         assert not hasattr(consensus, name), name
@@ -275,8 +285,16 @@ def test_each_query_makes_one_block_pass(monkeypatch, family):
                         (sl.negative_edge_report, g),
                         (sl.predict_clusters, caterpillar_with_chord(-0.25))):
         calls.clear()
+        labellings.clear()
         call(graph)
         assert len(calls) == 1, call.__name__
+        if call is sl.predict_clusters:  # it labels G+ itself, among its checks
+            assert len(labellings) == 1
+        else:
+            assert len(labellings) == 2, call.__name__
+            n, tails, heads = labellings[0]
+            assert n == g.node_count
+            assert np.array_equal(tails, g_plus.tails) and np.array_equal(heads, g_plus.heads)
 
 
 def test_disjointness_flag_equals_pairwise_disjoint_path_sets():
@@ -362,6 +380,43 @@ def test_boundary_cycle_verdicts_count_their_margins_at_any_tolerance(seed):
             margins = [e.margin for e in verdict.per_edge]
             assert verdict.sigma.n_minus == sum(m > tol for m in margins)
             assert verdict.sigma.n_zero - 1 == sum(abs(m) <= tol for m in margins)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**63 - 1))
+def test_scaling_every_weight_by_a_power_of_two_scales_only_the_thresholds(seed):
+    # a power of two scales every step of the solve exactly: R by 2**-p, its
+    # threshold 1/R by 2**p, and the dimensionless margins and T not at all
+    g = random_boundary_cycle_graph(np.random.default_rng(seed), 4, 40)
+    verdict = sl.multi_edge_verdict(g)
+    for power in (40, -40):
+        scaled = sl.build_graph(g.node_count, zip(g.tails.tolist(), g.heads.tolist(),
+                                                  np.ldexp(g.weights, power).tolist()))
+        other = sl.multi_edge_verdict(scaled)
+        assert other.classification is verdict.classification
+        assert other.sigma == verdict.sigma
+        for edge, moved in zip(verdict.per_edge, other.per_edge):
+            assert moved.margin.hex() == edge.margin.hex()
+            assert moved.threshold == math.ldexp(edge.threshold, power)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**63 - 1))
+def test_relabelling_keeps_classification_and_sigma(seed):
+    # a boundary tree plus up to three positive chords with weights across
+    # six decades; the eight-decade cycle that relabelling does flip is the
+    # strict xfail in test_cli.py
+    rng = np.random.default_rng(seed)
+    g = random_boundary_cycle_graph(rng, 4, 40)
+    n = g.node_count
+    chords = [(int(u), int(v), float(10.0 ** rng.uniform(-3.0, 3.0)))
+              for u, v in (rng.choice(n, 2, replace=False)
+                           for _ in range(int(rng.integers(0, 4))))]
+    g = sl.build_graph(n, list(g.edges) + chords)
+    verdict = sl.multi_edge_verdict(g)
+    other = sl.multi_edge_verdict(relabelled(g, rng.permutation(n)))
+    assert other.classification is verdict.classification
+    assert other.sigma == verdict.sigma
 
 
 def test_margins_classified_with_the_user_tolerance():

@@ -5,6 +5,8 @@ Parallel edges are kept apart by subdividing every edge k with its own node
 unchanged, and turns each parallel pair into an ordinary 4-cycle.
 """
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import siglap as sl
 from conftest import positive_weight, random_connected_positive
-from paper_constructions import edge_blocks
+from paper_constructions import edge_blocks, symmetric_adjacency
 from siglap import graph_core
 
 
@@ -151,3 +153,24 @@ def test_every_non_tree_edge_of_the_dfs_joins_an_ancestor_and_a_descendant(g):
 
     for u, v, _ in g.edges:
         assert u in ancestors(v) or v in ancestors(u)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(multigraphs())
+def test_search_adjacency_keeps_the_neighbour_order_of_the_coo_oracle(g):
+    # the CSR filled from the columns keeps parallel edges as repeated
+    # entries; the search, its preorder and parents, and the block keys must
+    # be those of the COO-built adjacency, which sums them into one entry
+    args = (g.node_count, g.tails, g.heads)
+    adjacency, oracle = graph_core._symmetric_adjacency(*args), symmetric_adjacency(*args)
+    assert np.array_equal(adjacency.toarray(), oracle.toarray())
+    assert all(np.all(np.diff(adjacency.indices[a:b]) >= 0)
+               for a, b in zip(adjacency.indptr[:-1], adjacency.indptr[1:]))
+    order, parent = graph_core._dfs_tree(*args)
+    blocks = graph_core._edge_blocks(*args)
+    with mock.patch.object(graph_core, "_symmetric_adjacency", symmetric_adjacency):
+        oracle_order, oracle_parent = graph_core._dfs_tree(*args)
+        oracle_blocks = graph_core._edge_blocks(*args)
+    assert np.array_equal(order, oracle_order)
+    assert np.array_equal(parent, oracle_parent)
+    assert np.array_equal(blocks, oracle_blocks)
