@@ -97,14 +97,20 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     :func:`detect_clusters`.
 
     Raises:
-        InvalidParameterError: x0 is not a finite vector over the nodes,
+        InvalidParameterError: x0 is not a finite real vector over the nodes,
             ``t_final`` or ``step`` is not finite and positive,
             ``output_stride < 1``, or more than ``MAX_RECORDED_VALUES``
             values would be recorded.
         InvalidToleranceError: ``cluster_tol`` is negative or NaN.
     """
     n = g.node_count
-    x0 = np.asarray(x0, dtype=float)
+    try:
+        values = np.asarray(x0)
+        x0 = None if np.iscomplexobj(values) else values.astype(float, copy=False)
+    except (TypeError, ValueError):  # ragged, or entries that float() cannot read
+        x0 = None
+    if x0 is None:
+        raise InvalidParameterError("x0 must be a vector of real numbers")
     if x0.shape != (n,):
         raise InvalidParameterError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):

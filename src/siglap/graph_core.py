@@ -227,6 +227,11 @@ def _graph_from_columns(node_count: int, u: np.ndarray, v: np.ndarray,
     return SignedGraph(node_count, np.minimum(u, v), np.maximum(u, v), w)
 
 
+def _is_node_id(x) -> bool:
+    """Whether ``x`` can name a node: a Python or numpy integer, not a bool."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def incidence_matrix(g: SignedGraph) -> np.ndarray:
     """|V| x |E| matrix with -1 at each edge's tail and +1 at its head.
 
@@ -280,11 +285,31 @@ def _adjacency_csr(node_count: int, rows: np.ndarray, cols: np.ndarray) -> csr_m
                       shape=(node_count, node_count))
 
 
+def _without_lower_neighbour(node_count: int, tails: np.ndarray, heads: np.ndarray
+                             ) -> np.ndarray:
+    """Mask of the nodes that have no lower-numbered neighbour in the graph
+    whose edges join ``tails[k]`` and ``heads[k]``.
+
+    A certificate of connectivity: stepping to a lower neighbour until there
+    is none joins every node to a node of the mask, so when the mask holds
+    only the first k nodes, every node is joined to one of them.  A
+    connected graph numbered in order (each node but the first after one of
+    its neighbours, as in any search order) passes it with k = 1; a
+    scrambled numbering usually fails it, and then only a search can tell.
+    """
+    lacking = np.ones(node_count, dtype=bool)
+    lacking[np.maximum(tails, heads)] = False
+    return lacking
+
+
 def _components(node_count: int, tails: np.ndarray, heads: np.ndarray
                 ) -> tuple[int, np.ndarray]:
-    """Component count and csgraph's labels, in no documented order, of the
-    graph whose edges join ``tails[k]`` and ``heads[k]``, from csgraph's
-    undirected search over one entry per edge."""
+    """Component count and labels, in no documented order, of the graph
+    whose edges join ``tails[k]`` and ``heads[k]``: one component, all
+    labels 0, when :func:`_without_lower_neighbour` certifies it, and
+    otherwise from csgraph's undirected search over one entry per edge."""
+    if not _without_lower_neighbour(node_count, tails, heads)[1:].any():
+        return 1, np.zeros(node_count, dtype=np.int32)
     return connected_components(_adjacency_csr(node_count, tails, heads), directed=False)
 
 
@@ -386,26 +411,32 @@ def _symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray
 def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-first preorder and parents of the graph whose edges join
-    ``tails[k]`` and ``heads[k]``, from one ``csgraph.depth_first_order``.
+    ``tails[k]`` and ``heads[k]``, from one ``csgraph.depth_first_order``
+    when the nodes with an edge are connected.
 
-    The search starts at the lowest node that has an edge.  When several
-    components have edges, their lowest nodes are joined in order by virtual
-    edges, so the one search reaches every node with an edge; those edges
-    are bridges of the joined graph, so they merge no blocks.  Returns the
-    nodes with an edge in preorder, and each node's parent (negative at the
-    start and at nodes without an edge).
+    The search starts at the lowest node that has an edge.  When it misses
+    a node with an edge, csgraph labels the graph, the lowest nodes of the
+    components with edges are joined in order by virtual edges, and the
+    search is made again over the joined graph; those edges are bridges of
+    the joined graph, so they merge no blocks.  Returns the nodes with an
+    edge in preorder, and each node's parent (negative at the start and at
+    nodes without an edge).
     """
     if tails.size == 0:
         return np.zeros(0, dtype=np.intp), np.full(node_count, -1, dtype=np.intp)
     adjacency = _symmetric_adjacency(node_count, tails, heads)
+    has_edge = np.diff(adjacency.indptr) > 0
+    order, parent = depth_first_order(adjacency, int(np.argmax(has_edge)), directed=True,
+                                      return_predecessors=True)
+    if order.size == np.count_nonzero(has_edge):
+        return order, parent
     _, labels = connected_components(adjacency, directed=False)
     # Each component's lowest node heads its run in a stable sort of the labels.
     order = np.argsort(labels, kind="stable")
     lowest = order[_first_of_runs(labels[order])]
-    lowest = np.sort(lowest[np.diff(adjacency.indptr)[lowest] > 0])
-    if lowest.size > 1:
-        adjacency = _symmetric_adjacency(node_count, np.concatenate([tails, lowest[:-1]]),
-                                         np.concatenate([heads, lowest[1:]]))
+    lowest = np.sort(lowest[has_edge[lowest]])
+    adjacency = _symmetric_adjacency(node_count, np.concatenate([tails, lowest[:-1]]),
+                                     np.concatenate([heads, lowest[1:]]))
     return depth_first_order(adjacency, lowest[0], directed=True, return_predecessors=True)
 
 
@@ -465,7 +496,7 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
 
     Raises:
         InvalidParameterError: a non-positive weight, or a pair that is not
-            two distinct nodes of ``g_plus``.
+            two distinct nodes of ``g_plus`` given as integers.
         NodesDisconnectedError: if u and v fall in different components.
     """
     if np.any(g_plus.weights <= 0.0):
@@ -473,7 +504,7 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     n, count = g_plus.node_count, g_plus.edge_count
     results = []
     for u, v in negative_edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+        if not (_is_node_id(u) and _is_node_id(v) and 0 <= u < n and 0 <= v < n) or u == v:
             raise InvalidParameterError(f"invalid node pair ({u}, {v})")
         blocks = _edge_blocks(n, np.append(g_plus.tails, u), np.append(g_plus.heads, v))
         path = frozenset(np.flatnonzero(blocks[:count] == blocks[count]).tolist())

@@ -42,13 +42,18 @@ solve of the blocks that hold a negative edge, each on its own node copies
 right-hand-side column ``c`` carries the c-th negative edge of every block.
 The matrix is kept sparse, with only its entries within blocks, so its size
 is the sum of the squared numbers of negative edges per block, not m x m.
-G+ is labelled once, up front, and a disconnected G+ raises
+G+ is tested once, up front, and a disconnected G+ raises
 :class:`DisconnectedError` before any block is formed: the threshold
-theorems need it connected.  The query's one biconnected-block pass is made
-here: the verdict reads the blocks back from R through
-:func:`_diagonal_blocks`, and cluster prediction reads R_uv, the block keys
-and the potentials from :func:`_block_solve`.  The tests on the solved
-blocks cross-check the block ids.
+theorems need it connected.  Connectivity is certified from the node
+numbering when every node but the first has a lower-numbered neighbour (an
+in-order numbering, such as any search order), and labelled by csgraph
+otherwise; the same holds for the copies of the solved blocks, so a
+scrambled order pays a labelling of each.  The block pass's search labels
+nothing when it reaches every node with an edge, as it does whenever G+ is
+connected, in any order.  The query's one biconnected-block pass is made here: the verdict reads the blocks back
+from R through :func:`_diagonal_blocks`, and cluster prediction reads R_uv,
+the block keys and the potentials from :func:`_block_solve`.  The tests on
+the solved blocks cross-check the block ids.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -67,7 +72,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import (CrossCheckError, DisconnectedError, InvalidParameterError,
                      NodesDisconnectedError)
-from .graph_core import SignedGraph, _components, _edge_blocks, _first_of_runs
+from .graph_core import (SignedGraph, _components, _edge_blocks, _first_of_runs,
+                         _is_node_id, _without_lower_neighbour)
 from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
@@ -213,6 +219,8 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     n = g.node_count
     labels = _components(n, g.tails, g.heads)[1]
     for u, v in pairs:
+        if not (_is_node_id(u) and _is_node_id(v)):
+            raise InvalidParameterError(f"node ids must be integers, got ({u!r}, {v!r})")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
         if u == v:
@@ -262,7 +270,8 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     no semidefiniteness meaning there.
 
     Raises:
-        InvalidParameterError: u or v is not a node, or u = v.
+        InvalidParameterError: u or v is not an integer or not a node, or
+            u = v.
         NodesDisconnectedError: u and v lie in different components.
         CrossCheckError: the grounded solve hits a cancelled pivot or fails
             its residual check.
@@ -281,7 +290,10 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     grounds one copy per block.
 
     ``g_plus`` must be connected; the two tests below then cross-check the
-    block ids (see :func:`resistance_matrix_for_negatives`).
+    block ids (see :func:`resistance_matrix_for_negatives`).  The copies of
+    a block are certified connected when every copy after the lowest ones
+    has a lower-numbered neighbour, as when the block's nodes are numbered
+    in order; otherwise csgraph labels the copies.
 
     Raises:
         CrossCheckError: a pair's block has no copy of one of its ends, or
@@ -314,14 +326,19 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
         raise CrossCheckError(f"the positive part of the block of G holding negative edge "
                               f"{pair} misses an end of the edge; the biconnected blocks "
                               f"are inconsistent with the graph")
-    count, parts = _components(split.node_count, split.tails, split.heads)
-    if count != blocks:
-        # parts[:blocks] holds each block's part, at its lowest copy.
-        apart = parts[renumber] != parts[:blocks][np.cumsum(lowest) - 1]
-        k = int(np.flatnonzero(np.isin(pair_block, copy_block[apart]))[0])
-        raise CrossCheckError(f"the positive part of the block of G holding negative edge "
-                              f"{tuple(pairs[k].tolist())} is not connected; the "
-                              f"biconnected blocks are inconsistent with the graph")
+    # The first `blocks` copies are one per block, and copies of different
+    # blocks share no edge: when every other copy has a lower-numbered
+    # neighbour, each block's copies are connected, and only a copy without
+    # one calls for a labelling.
+    if _without_lower_neighbour(split.node_count, split.tails, split.heads)[blocks:].any():
+        count, parts = _components(split.node_count, split.tails, split.heads)
+        if count != blocks:
+            # parts[:blocks] holds each block's part, at its lowest copy.
+            apart = parts[renumber] != parts[:blocks][np.cumsum(lowest) - 1]
+            k = int(np.flatnonzero(np.isin(pair_block, copy_block[apart]))[0])
+            raise CrossCheckError(f"the positive part of the block of G holding negative "
+                                  f"edge {tuple(pairs[k].tolist())} is not connected; the "
+                                  f"biconnected blocks are inconsistent with the graph")
     copy_node = np.empty(keys.size, dtype=np.intp)
     copy_node[renumber] = keys % n
     return split, blocks, renumber[pair_copy], copy_node
@@ -357,13 +374,17 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     module docstring).  The block ids come from the query's one
     biconnected-block pass over G, made here.
 
-    G+ is labelled once, up front: the theorems behind R need it connected.
-    Then the positive part of the block of G holding a pair is connected
-    too, since a simple path between two nodes of a block never leaves it,
-    and the tests on the solved blocks cross-check the block ids.
+    G+ is tested once, up front: the theorems behind R need it connected.
+    The test is certified from the node numbering when every node but the
+    first has a lower-numbered neighbour, and made by a csgraph labelling
+    otherwise, so a scrambled numbering pays one labelling.  Then the
+    positive part of the block of G holding a pair is connected too, since
+    a simple path between two nodes of a block never leaves it, and the
+    tests on the solved blocks cross-check the block ids.
 
     Raises:
-        InvalidParameterError: a non-positive weight or an invalid node pair.
+        InvalidParameterError: a non-positive weight or an invalid node pair
+            (an end that is not an integer or not a node, or equal ends).
         DisconnectedError: ``g_plus`` is disconnected.
         CrossCheckError: the block ids are inconsistent with ``g_plus``, or
             the grounded solve fails its residual check.
@@ -379,7 +400,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     n = g_plus.node_count
     listed = list(negative_edges)
     for u, v in listed:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
+        if not (_is_node_id(u) and _is_node_id(v) and 0 <= u < n and 0 <= v < n) or u == v:
             raise InvalidParameterError(f"invalid node pair ({u}, {v})")
     if _components(n, g_plus.tails, g_plus.heads)[0] != 1:
         raise DisconnectedError("positive subgraph is disconnected")

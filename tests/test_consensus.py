@@ -131,8 +131,10 @@ def test_detect_rejects_growth_from_an_initial_state_whose_norm_overflows():
     {"step": 0.0}, {"step": -1e-3}, {"step": np.nan}, {"t_final": np.nan},
     {"t_final": np.inf}, {"t_final": 0.0}, {"step": 1e-12}, {"output_stride": 0},
     {"x0": [0.0, np.nan, 1.0]}, {"x0": [0.0, 1.0]},
+    {"x0": np.array([0.0, 0.5j, 1.0])}, {"x0": [0.0, 0.5j, 1.0]}, {"x0": ["a", "b", "c"]},
 ], ids=["step-0", "step-neg", "step-nan", "t-final-nan", "t-final-inf", "t-final-0",
-        "step-1e-12", "stride-0", "x0-nan", "x0-short"])
+        "step-1e-12", "stride-0", "x0-nan", "x0-short", "x0-complex-array",
+        "x0-complex-list", "x0-strings"])
 def test_simulate_rejects_bad_parameters(kwargs):
     g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     x0 = kwargs.pop("x0", [0.0, 0.5, 1.0])

@@ -259,13 +259,16 @@ def test_each_query_makes_one_block_pass(monkeypatch, family):
         chords = [(int(u), int(v), -0.05)
                   for u, v in (rng.choice(30, size=2, replace=False) for _ in range(3))]
         g = sl.build_graph(30, list(g_plus.edges) + chords)
-    g_plus = g.positive_subgraph()
-    calls, labellings = [], []
+    # a numbering in which some node of G+ has no lower-numbered neighbour
+    scrambled = relabelled(g, np.random.default_rng(7).permutation(g.node_count))
+    plus = scrambled.positive_subgraph()
+    assert graph_core._without_lower_neighbour(plus.node_count, plus.tails, plus.heads)[1:].any()
+    calls, labellings, searches = [], [], []
 
     def recorded(into, original):
-        def counted(*args):
+        def counted(*args, **kwargs):
             into.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
         return counted
 
     # the pass as graph_core and as the resistance layer bind it; cluster
@@ -274,27 +277,31 @@ def test_each_query_makes_one_block_pass(monkeypatch, family):
     counted = recorded(calls, graph_core._edge_blocks)
     monkeypatch.setattr(graph_core, "_edge_blocks", counted)
     monkeypatch.setattr(resistance, "_edge_blocks", counted)
-    # the component labelling as the resistance layer binds it: G+ once, up
-    # front, then the split graph of the solved blocks, whose test
-    # cross-checks the block ids
-    monkeypatch.setattr(resistance, "_components", recorded(labellings, resistance._components))
+    # csgraph's searches as graph_core binds them: a graph numbered in order
+    # certifies its connectivity without a labelling, so a query labels
+    # nothing and makes only the block pass's one depth-first search
+    monkeypatch.setattr(graph_core, "connected_components",
+                        recorded(labellings, graph_core.connected_components))
+    monkeypatch.setattr(graph_core, "depth_first_order",
+                        recorded(searches, graph_core.depth_first_order))
     assert not hasattr(definiteness, "edge_blocks")
     for name in ("_grounded_solve", "edge_blocks", "_edge_blocks"):
         assert not hasattr(consensus, name), name
     for call, graph in ((sl.multi_edge_verdict, g), (sl.corollary6_check, g),
-                        (sl.negative_edge_report, g),
+                        (sl.negative_edge_report, g), (sl.multi_edge_verdict, scrambled),
+                        (sl.corollary6_check, scrambled), (sl.negative_edge_report, scrambled),
                         (sl.predict_clusters, caterpillar_with_chord(-0.25))):
-        calls.clear()
-        labellings.clear()
+        for into in (calls, labellings, searches):
+            into.clear()
         call(graph)
-        assert len(calls) == 1, call.__name__
-        if call is sl.predict_clusters:  # it labels G+ itself, among its checks
+        assert len(calls) == 1 and len(searches) == 1, call.__name__
+        if call is sl.predict_clusters:  # G without the cycle has five components
             assert len(labellings) == 1
+        elif graph is scrambled:  # the certificate fails: csgraph labels G+ and
+            # perhaps the split graph, but the block search reaches every node
+            assert 1 <= len(labellings) <= 2, call.__name__
         else:
-            assert len(labellings) == 2, call.__name__
-            n, tails, heads = labellings[0]
-            assert n == g.node_count
-            assert np.array_equal(tails, g_plus.tails) and np.array_equal(heads, g_plus.heads)
+            assert not labellings, call.__name__
 
 
 def test_disjointness_flag_equals_pairwise_disjoint_path_sets():

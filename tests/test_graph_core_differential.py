@@ -12,8 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
 import siglap as sl
-from conftest import positive_weight, random_connected_positive
+from conftest import positive_weight, random_connected_positive, relabelled
 from paper_constructions import edge_blocks, symmetric_adjacency
 from siglap import graph_core
 
@@ -74,6 +77,49 @@ def test_component_labels_with_isolated_nodes_and_parallel_edges():
     assert sl.component_labels(g, skip_edges={1}).tolist() == [0, 1, 1, 2, 1, 3, 3]
     assert sl.component_labels(g, skip_edges={1, 2}).tolist() == [0, 1, 2, 3, 1, 4, 4]
     assert sl.component_labels(g, skip_edges={1, 2}).tolist() == nx_component_labels(g, {1, 2})
+
+
+def multigraph_in_order(rng) -> sl.SignedGraph:
+    """1..14 nodes, each after the first joined to a random lower node
+    unless it starts a new component, plus random chords, some of them
+    parallel: connected graphs numbered in order, isolated nodes, n = 1, no
+    edges and several components all come up."""
+    n = int(rng.integers(1, 15))
+    fresh = float(rng.choice([0.0, 0.0, 0.2, 0.6, 1.0]))  # chance to start a component
+    edges = [(int(rng.integers(0, x)), x, 1.0) for x in range(1, n) if rng.random() >= fresh]
+    for _ in range(int(rng.integers(0, n)) if n > 1 else 0):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.append((u, v, -0.5))
+    edges += [edges[int(k)] for k in rng.integers(0, len(edges), size=2)] if edges else []
+    return sl.build_graph(n, [edges[int(k)] for k in rng.permutation(len(edges))])
+
+
+def test_components_equal_csgraph_labelling_on_either_path():
+    # _components answers one component from the lower-neighbour certificate
+    # when it holds and asks csgraph otherwise: count, partition and the
+    # canonical labels must be csgraph's on both paths
+    rng = np.random.default_rng(47)
+    certified = searched = 0
+    for _ in range(300):
+        g = multigraph_in_order(rng)
+        for graph in (g, relabelled(g, rng.permutation(g.node_count))):
+            args = (graph.node_count, graph.tails, graph.heads)
+            adjacency = coo_matrix((np.ones(graph.edge_count), (graph.tails, graph.heads)),
+                                   shape=(graph.node_count, graph.node_count))
+            count, labels = connected_components(adjacency, directed=False)
+            if graph_core._without_lower_neighbour(*args)[1:].any():
+                searched += 1
+            else:
+                certified += 1
+            got_count, got_labels = graph_core._components(*args)
+            assert got_count == count
+            assert ({frozenset(np.flatnonzero(got_labels == c).tolist())
+                     for c in range(got_count)}
+                    == {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)})
+            first_seen = list(dict.fromkeys(labels.tolist()))
+            assert sl.component_labels(graph).tolist() == [first_seen.index(c)
+                                                          for c in labels.tolist()]
+    assert certified > 200 and searched > 200, (certified, searched)
 
 
 def test_path_edge_sets_match_networkx_biconnected_components():

@@ -14,7 +14,7 @@ from conftest import (
     random_connected_positive,
     random_tree,
 )
-from siglap import resistance
+from siglap import graph_core, resistance
 
 
 def test_series_path():
@@ -44,7 +44,10 @@ def test_disconnected_pair_raises():
     assert sl.effective_resistance(g, 0, 1) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("u, v", [(1, 2), (-1, 0), (1, 1)], ids=["beyond", "negative", "same"])
+@pytest.mark.parametrize("u, v", [(1, 2), (-1, 0), (1, 1), (0, 0.5), (0, 1.0),
+                                  (0, np.float64(1.0)), (True, 0)],
+                         ids=["beyond", "negative", "same", "fraction", "float",
+                              "numpy-float", "bool"])
 def test_invalid_node_pair_is_a_siglap_error(u, v):
     g = sl.build_graph(2, [(0, 1, 1.0)])
     with pytest.raises(sl.InvalidParameterError) as err:
@@ -60,8 +63,9 @@ PAIR_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("pair", [(0, 4), (1, 1), (0, 2)],
-                         ids=["out-of-range", "same-node", "disconnected"])
+@pytest.mark.parametrize("pair", [(0, 4), (1, 1), (0, 2), (0, 1.5), (0, 1.0), (True, 0)],
+                         ids=["out-of-range", "same-node", "disconnected", "fraction",
+                              "float", "bool"])
 @pytest.mark.parametrize("query", sorted(PAIR_QUERIES))
 def test_every_pair_query_rejects_a_bad_pair_with_a_siglap_error(query, pair):
     g = sl.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -217,6 +221,24 @@ def test_wrong_block_ids_are_caught(monkeypatch):
     block_pass_returning([0, 1, 1, 1, 0])
     with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) misses an end"):
         sl.resistance_matrix_for_negatives(g_plus, [(0, 2)])
+
+
+def test_consistent_blocks_in_scrambled_order_pass_the_block_tests(monkeypatch):
+    # the 4-cycle 0-2-1-3 with the chord (0, 1): node 1 has no lower-numbered
+    # neighbour, so the certificate on the block's copies fails and the copies
+    # are labelled; the block ids are consistent and nothing is raised
+    g_plus = sl.build_graph(4, [(0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 1)])
+    assert graph_core._without_lower_neighbour(4, g_plus.tails, g_plus.heads)[1:].any()
+    labellings = []
+
+    def counted(*args):
+        labellings.append(args[0])
+        return graph_core._components(*args)
+
+    monkeypatch.setattr(resistance, "_components", counted)
+    matrix, diagonal = sl.resistance_matrix_for_negatives(g_plus, [(0, 1)])
+    assert diagonal.tolist() == pytest.approx([1.0], abs=1e-12)
+    assert labellings == [4, 4]  # G+ up front, then the split graph of its one block
 
 
 def test_cancelling_parallel_edges_still_join_their_nodes():
