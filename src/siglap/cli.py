@@ -24,10 +24,11 @@ from .graphfile import _content_lines, read_graph_file
 from .laplacians import laplacian_matrix
 
 _HYPOTHESIS_ERRORS = (HypothesisViolatedError, DisconnectedError)
+_NUM = "%.12g"  # every printed number: 12 significant digits
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return _NUM % float(x)
 
 
 def _sigma_str(sig: spectra.Signature) -> str:
@@ -150,8 +151,8 @@ def _cmd_simulate(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
     else:
         head.append(f"# clusters: {traj.final_clusters.cluster_count}")
     csv_lines = head + ["t," + ",".join(f"x{i}" for i in range(g.node_count))]
-    for t, row in zip(traj.times, traj.states):
-        csv_lines.append(_fmt(t) + "," + ",".join(_fmt(x) for x in row))
+    row = ",".join([_NUM] * (g.node_count + 1))
+    csv_lines += [row % tuple(x) for x in np.column_stack([traj.times, traj.states]).tolist()]
 
     cluster_lines = list(head)
     cluster_lines.append("node,cluster,value")

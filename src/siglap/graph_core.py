@@ -2,8 +2,9 @@
 
 A :class:`SignedGraph` is immutable: a node count plus three read-only numpy
 columns over the undirected edges, ``tails``, ``heads`` and ``weights``, with
-``tail < head`` and a nonzero weight.  Edge indices -- positions in those
-columns -- are the handles used by every other module, and every graph step
+``tail < head`` (checked on construction) and a nonzero weight.  Edge
+indices -- positions in those columns -- are the handles used by every
+other module, and every graph step
 here and in the other modules reads the columns.  All operations here are
 pure functions.
 
@@ -14,8 +15,9 @@ over those blocks, and at the single-cycle boundary the cycle is the block
 holding the negative edge.  A query makes the pass once, inside the
 resistance layer's block solve, over G+ plus the negative edges; the verdict
 reads the blocks back from the resistance matrix, and cluster prediction
-reads the block keys the solve returns.  The spanning-forest decomposition
-below is a test oracle.
+reads the block keys the solve returns.  The pass makes one depth-first
+search and labels nothing: G+ is tested connected first.  The
+spanning-forest decomposition below is a test oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order
 
 from .errors import (
+    CrossCheckError,
     GraphConstructionError,
     InvalidParameterError,
     NodeOutOfRangeError,
@@ -48,10 +51,11 @@ DEGREE_BOUND = 2.0 ** 1022
 class SignedGraph:
     """Undirected graph with nonzero, possibly negative, edge weights.
 
-    Parallel edges are permitted and kept distinct; self-loops are rejected
-    by :func:`build_graph`, which validates what this constructor only
-    stores.  Each column is copied to its dtype (intp, intp, float64) and
-    made read-only.  Equality and hashing read ``node_count`` and ``edges``.
+    Parallel edges are permitted and kept distinct.  This constructor checks
+    the column shapes and ``tails[k] < heads[k]``; :func:`build_graph`
+    validates the rest and normalizes the orientation.  Each column is
+    copied to its dtype (intp, intp, float64) and made read-only.  Equality
+    and hashing read ``node_count`` and ``edges``.
     """
 
     node_count: int
@@ -67,6 +71,9 @@ class SignedGraph:
         if self.tails.ndim != 1 or not self.tails.shape == self.heads.shape == self.weights.shape:
             raise InvalidParameterError(
                 "tails, heads and weights must be 1-d columns of one length")
+        if np.any(self.tails >= self.heads):
+            k = int(np.argmax(self.tails >= self.heads))
+            raise InvalidParameterError(f"edge {k}: tail {self.tails[k]} >= head {self.heads[k]}")
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -288,7 +295,7 @@ def _adjacency_csr(node_count: int, rows: np.ndarray, cols: np.ndarray) -> csr_m
 def _without_lower_neighbour(node_count: int, tails: np.ndarray, heads: np.ndarray
                              ) -> np.ndarray:
     """Mask of the nodes that have no lower-numbered neighbour in the graph
-    whose edges join ``tails[k]`` and ``heads[k]``.
+    whose edges join ``tails[k] < heads[k]`` (stored edges).
 
     A certificate of connectivity: stepping to a lower neighbour until there
     is none joins every node to a node of the mask, so when the mask holds
@@ -298,7 +305,7 @@ def _without_lower_neighbour(node_count: int, tails: np.ndarray, heads: np.ndarr
     scrambled numbering usually fails it, and then only a search can tell.
     """
     lacking = np.ones(node_count, dtype=bool)
-    lacking[np.maximum(tails, heads)] = False
+    lacking[heads] = False
     return lacking
 
 
@@ -412,15 +419,11 @@ def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-first preorder and parents of the graph whose edges join
     ``tails[k]`` and ``heads[k]``, from one ``csgraph.depth_first_order``
-    when the nodes with an edge are connected.
-
-    The search starts at the lowest node that has an edge.  When it misses
-    a node with an edge, csgraph labels the graph, the lowest nodes of the
-    components with edges are joined in order by virtual edges, and the
-    search is made again over the joined graph; those edges are bridges of
-    the joined graph, so they merge no blocks.  Returns the nodes with an
-    edge in preorder, and each node's parent (negative at the start and at
-    nodes without an edge).
+    started at the lowest node that has an edge: the nodes with an edge in
+    preorder, and each node's parent (negative at the start and at nodes
+    without an edge).  Those nodes must be connected, as they are once G+
+    is tested and in each component :func:`path_edge_sets` passes; a
+    search that misses one raises :class:`CrossCheckError`.
     """
     if tails.size == 0:
         return np.zeros(0, dtype=np.intp), np.full(node_count, -1, dtype=np.intp)
@@ -428,16 +431,10 @@ def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
     has_edge = np.diff(adjacency.indptr) > 0
     order, parent = depth_first_order(adjacency, int(np.argmax(has_edge)), directed=True,
                                       return_predecessors=True)
-    if order.size == np.count_nonzero(has_edge):
-        return order, parent
-    _, labels = connected_components(adjacency, directed=False)
-    # Each component's lowest node heads its run in a stable sort of the labels.
-    order = np.argsort(labels, kind="stable")
-    lowest = order[_first_of_runs(labels[order])]
-    lowest = np.sort(lowest[has_edge[lowest]])
-    adjacency = _symmetric_adjacency(node_count, np.concatenate([tails, lowest[:-1]]),
-                                     np.concatenate([heads, lowest[1:]]))
-    return depth_first_order(adjacency, lowest[0], directed=True, return_predecessors=True)
+    if order.size != np.count_nonzero(has_edge):
+        raise CrossCheckError("the block search missed a node with an edge: the graph "
+                              "handed to it is not connected")
+    return order, parent
 
 
 def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -487,7 +484,8 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     endpoints of negative edges that are *not* part of ``g_plus``).  An edge
     lies on a simple u-v path exactly when it shares a simple cycle, hence a
     biconnected block, with an added u-v edge; the set for a pair is every
-    edge of ``g_plus`` in that edge's block.
+    edge of ``g_plus`` in that edge's block.  ``g_plus`` is labelled once,
+    and each pair's block pass runs on the edges of its own component.
 
     No production route calls it: the verdict reads the disjointness of these
     sets from the blocks of the resistance matrix.  It stays public here as the
@@ -501,14 +499,16 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     """
     if np.any(g_plus.weights <= 0.0):
         raise InvalidParameterError("path_edge_sets requires an all-positive graph")
-    n, count = g_plus.node_count, g_plus.edge_count
+    n = g_plus.node_count
+    labels = _components(n, g_plus.tails, g_plus.heads)[1]
     results = []
     for u, v in negative_edges:
         if not (_is_node_id(u) and _is_node_id(v) and 0 <= u < n and 0 <= v < n) or u == v:
             raise InvalidParameterError(f"invalid node pair ({u}, {v})")
-        blocks = _edge_blocks(n, np.append(g_plus.tails, u), np.append(g_plus.heads, v))
-        path = frozenset(np.flatnonzero(blocks[:count] == blocks[count]).tolist())
-        if not path:  # the added edge is a bridge
+        if labels[u] != labels[v]:
             raise NodesDisconnectedError(f"nodes {u} and {v} are not connected")
-        results.append(path)
+        inside = np.flatnonzero(labels[g_plus.tails] == labels[u])
+        blocks = _edge_blocks(n, np.append(g_plus.tails[inside], u),
+                              np.append(g_plus.heads[inside], v))
+        results.append(frozenset(inside[blocks[:-1] == blocks[-1]].tolist()))
     return results

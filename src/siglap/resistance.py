@@ -48,12 +48,12 @@ theorems need it connected.  Connectivity is certified from the node
 numbering when every node but the first has a lower-numbered neighbour (an
 in-order numbering, such as any search order), and labelled by csgraph
 otherwise; the same holds for the copies of the solved blocks, so a
-scrambled order pays a labelling of each.  The block pass's search labels
-nothing when it reaches every node with an edge, as it does whenever G+ is
-connected, in any order.  The query's one biconnected-block pass is made here: the verdict reads the blocks back
-from R through :func:`_diagonal_blocks`, and cluster prediction reads R_uv,
-the block keys and the potentials from :func:`_block_solve`.  The tests on
-the solved blocks cross-check the block ids.
+scrambled order pays a labelling of each.  The block pass's one search
+labels nothing, as G+ is connected.  The query's one biconnected-block pass
+is made here: the verdict reads the blocks back from R through
+:func:`_diagonal_blocks`, and cluster prediction reads R_uv, the block keys
+and the potentials from :func:`_block_solve`.  The tests on the solved
+blocks cross-check the block ids.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -118,9 +118,8 @@ def _band(g: SignedGraph, grounded: int) -> int | None:
     ``_BAND_RATIO`` times the nonzeros the edges scatter, ``n_f`` on the
     diagonal and two per edge between free nodes (n_f free nodes).
     """
-    low = np.minimum(g.tails, g.heads)
-    inner = low >= grounded
-    width = int(np.max(np.maximum(g.tails, g.heads)[inner] - low[inner], initial=0))
+    inner = g.tails >= grounded
+    width = int(np.max(g.heads[inner] - g.tails[inner], initial=0))
     free = g.node_count - grounded
     return width if free * (width + 1) <= _BAND_RATIO * (free + 2 * int(inner.sum())) else None
 
@@ -132,8 +131,7 @@ def _banded_solve(g: SignedGraph, grounded: int, width: int, b: np.ndarray) -> n
     n, free = g.node_count, g.node_count - grounded
     k = width + 1
     # Free nodes in reverse order, so the highest is eliminated first.
-    first = n - 1 - np.maximum(g.tails, g.heads)
-    second = n - 1 - np.minimum(g.tails, g.heads)
+    first, second = n - 1 - g.heads, n - 1 - g.tails
     inner = second < free
     # Lower band storage in Fortran order: A[i, j] (i >= j) at j * k + i - j.
     ends = np.concatenate([first, second[inner]])
@@ -191,7 +189,7 @@ def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarra
     # rows of grounded nodes are dropped.
     product = _laplacian_product(g, x)[grounded:]
     # |w| on the diagonal at each end, and again off it between free nodes.
-    inner = np.minimum(g.tails, g.heads) >= grounded
+    inner = g.tails >= grounded
     row_abs = np.tile(np.abs(g.weights) * (1.0 + inner), 2)
     norm_l = float(np.bincount(np.concatenate([g.tails, g.heads]), weights=row_abs,
                                minlength=g.node_count)[grounded:].max())

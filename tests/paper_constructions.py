@@ -10,7 +10,8 @@ this module:
   after removing edges, the parallel combination of two resistances, the
   decomposition over a caller-chosen spanning forest,
   ``decompose_with_forest``, the canonical biconnected block id per
-  edge, ``edge_blocks``, over ``graph_core``'s one lowpoint pass, and the
+  edge, ``edge_blocks``, over ``graph_core``'s one lowpoint pass run on
+  each component's edges, ``component_edge_masks``, and the
   depth-first search's adjacency built through COO,
   ``symmetric_adjacency``;
 - re-exported from ``siglap``: ``graph_core.decompose`` (with
@@ -53,6 +54,7 @@ __all__ = [
     "LaplacianBundle",
     "SingularCutGramError",
     "build_bundle",
+    "component_edge_masks",
     "components_after_edge_removal",
     "decompose",
     "decompose_with_forest",
@@ -130,16 +132,28 @@ def components_after_edge_removal(g: SignedGraph, removed) -> int:
     return int(labels.max()) + 1
 
 
+def component_edge_masks(g: SignedGraph) -> list[np.ndarray]:
+    """Per component that has an edge, in label order, the mask of its
+    edges: the block search takes one connected graph at a time."""
+    edge_label = component_labels(g)[g.tails]
+    return [edge_label == c for c in np.unique(edge_label)]
+
+
 def edge_blocks(g: SignedGraph) -> np.ndarray:
     """Biconnected block id per edge, as an int array over the edge indices.
 
     Two edges share a block exactly when some simple cycle passes through
     both (Hopcroft & Tarjan, CACM 1973).  Weight signs are ignored; block
-    ids appear in order of each block's lowest edge index.  One depth-first
-    order from csgraph, lowpoints from the edges by ``np.minimum.at`` and
-    one pass in reverse preorder.
+    ids appear in order of each block's lowest edge index.  Per component,
+    one depth-first order from csgraph, lowpoints from the edges by
+    ``np.minimum.at`` and one pass in reverse preorder.
     """
-    return _first_seen_ids(_edge_blocks(g.node_count, g.tails, g.heads))
+    key = np.empty(g.edge_count, dtype=np.intp)
+    for c, inside in enumerate(component_edge_masks(g)):
+        # One component's keys stay below node_count + edge_count.
+        key[inside] = (_edge_blocks(g.node_count, g.tails[inside], g.heads[inside])
+                       + c * (g.node_count + g.edge_count))
+    return _first_seen_ids(key)
 
 
 def symmetric_adjacency(node_count: int, tails: np.ndarray, heads: np.ndarray):

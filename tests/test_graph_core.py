@@ -185,6 +185,8 @@ def test_signed_graph_columns_follow_subgraphs():
 @pytest.mark.parametrize("call, message", [
     (lambda: sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0]),
      "tails, heads and weights must be 1-d columns of one length"),
+    (lambda: sl.SignedGraph(3, [1], [0], [1.0]), "edge 0: tail 1 >= head 0"),
+    (lambda: sl.SignedGraph(3, [0, 2], [1, 2], [1.0, 1.0]), "edge 1: tail 2 >= head 2"),
     (lambda: sl.build_graph(0, []), "node_count must be >= 1, got 0"),
     (lambda: sl.build_graph(2, [(0, 1)]), "every edge must be a (u, v, w) triple"),
     (lambda: sl.path_edge_sets(sl.build_graph(2, [(0, 1, -1.0)]), [(0, 1)]),
@@ -196,8 +198,8 @@ def test_signed_graph_columns_follow_subgraphs():
     (lambda: sl.resistance_matrix_for_negatives(sl.build_graph(2, [(0, 1, 1.0)]), [(0, 2)]),
      "invalid node pair (0, 2)"),
     (lambda: sl.signature(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
-], ids=["columns", "node-count", "triple", "path-sign", "path-pair", "matrix-sign",
-        "matrix-pair", "square"])
+], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
+        "path-pair", "matrix-sign", "matrix-pair", "square"])
 def test_bad_library_input_raises_invalid_parameter_error(call, message):
     with pytest.raises(sl.InvalidParameterError) as err:
         call()

@@ -9,6 +9,7 @@ from unittest import mock
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 import siglap as sl
 from conftest import positive_weight, random_connected_positive, relabelled
-from paper_constructions import edge_blocks, symmetric_adjacency
+from paper_constructions import component_edge_masks, edge_blocks, symmetric_adjacency
 from siglap import graph_core
 
 
@@ -130,6 +131,23 @@ def test_path_edge_sets_match_networkx_biconnected_components():
                  for _ in range(3)]
         computed = sl.path_edge_sets(g, pairs)
         assert computed == [nx_path_edges(g, u, v) for u, v in pairs]
+    # a disconnected G+: two random connected graphs side by side, each pair
+    # inside one of them, and a pair across them
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        first, second = (random_connected_positive(rng, 3, 20) for _ in range(2))
+        n = first.node_count
+        g = sl.build_graph(n + second.node_count, list(first.edges) + [
+            (u + n, v + n, w) for u, v, w in second.edges])
+        pairs = [tuple(int(x) + offset for x in rng.choice(part.node_count, size=2,
+                                                           replace=False))
+                 for offset, part in ((0, first), (n, second), (n, second), (0, first))]
+        computed = sl.path_edge_sets(g, pairs)
+        assert computed == [nx_path_edges(g, u, v) for u, v in pairs]
+        u, v = int(rng.integers(0, n)), int(rng.integers(n, g.node_count))
+        with pytest.raises(sl.NodesDisconnectedError, match=f"^nodes {u} and {v} are not "
+                                                            "connected$"):
+            sl.path_edge_sets(g, pairs + [(u, v)])
 
 
 @st.composite
@@ -183,22 +201,33 @@ def test_edge_blocks_match_networkx_biconnected_component_edges(g):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(multigraphs())
 def test_every_non_tree_edge_of_the_dfs_joins_an_ancestor_and_a_descendant(g):
-    order, parent = graph_core._dfs_tree(g.node_count, g.tails, g.heads)
-    has_edge = np.zeros(g.node_count, dtype=bool)
-    has_edge[g.tails] = has_edge[g.heads] = True
-    assert sorted(order.tolist()) == np.flatnonzero(has_edge).tolist()
-    preorder = {x: p for p, x in enumerate(order.tolist())}
+    for inside in component_edge_masks(g):
+        part = g.subgraph(inside)
+        order, parent = graph_core._dfs_tree(part.node_count, part.tails, part.heads)
+        has_edge = np.zeros(part.node_count, dtype=bool)
+        has_edge[part.tails] = has_edge[part.heads] = True
+        assert sorted(order.tolist()) == np.flatnonzero(has_edge).tolist()
+        preorder = {x: p for p, x in enumerate(order.tolist())}
 
-    def ancestors(x: int) -> set[int]:
-        seen = set()
-        while parent[x] >= 0:
-            assert preorder[int(parent[x])] < preorder[x]
-            x = int(parent[x])
-            seen.add(x)
-        return seen
+        def ancestors(x: int) -> set[int]:
+            seen = set()
+            while parent[x] >= 0:
+                assert preorder[int(parent[x])] < preorder[x]
+                x = int(parent[x])
+                seen.add(x)
+            return seen
 
-    for u, v, _ in g.edges:
-        assert u in ancestors(v) or v in ancestors(u)
+        for u, v, _ in part.edges:
+            assert u in ancestors(v) or v in ancestors(u)
+
+
+def test_block_search_rejects_a_graph_one_search_cannot_reach():
+    # the search makes one pass; a node with an edge that it misses is an
+    # error, not a component to join by a second search
+    g = sl.build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                           (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
+    with pytest.raises(sl.CrossCheckError):
+        graph_core._dfs_tree(g.node_count, g.tails, g.heads)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -212,11 +241,13 @@ def test_search_adjacency_keeps_the_neighbour_order_of_the_coo_oracle(g):
     assert np.array_equal(adjacency.toarray(), oracle.toarray())
     assert all(np.all(np.diff(adjacency.indices[a:b]) >= 0)
                for a, b in zip(adjacency.indptr[:-1], adjacency.indptr[1:]))
-    order, parent = graph_core._dfs_tree(*args)
-    blocks = graph_core._edge_blocks(*args)
-    with mock.patch.object(graph_core, "_symmetric_adjacency", symmetric_adjacency):
-        oracle_order, oracle_parent = graph_core._dfs_tree(*args)
-        oracle_blocks = graph_core._edge_blocks(*args)
-    assert np.array_equal(order, oracle_order)
-    assert np.array_equal(parent, oracle_parent)
-    assert np.array_equal(blocks, oracle_blocks)
+    for inside in component_edge_masks(g):
+        part = (g.node_count, g.tails[inside], g.heads[inside])
+        order, parent = graph_core._dfs_tree(*part)
+        blocks = graph_core._edge_blocks(*part)
+        with mock.patch.object(graph_core, "_symmetric_adjacency", symmetric_adjacency):
+            oracle_order, oracle_parent = graph_core._dfs_tree(*part)
+            oracle_blocks = graph_core._edge_blocks(*part)
+        assert np.array_equal(order, oracle_order)
+        assert np.array_equal(parent, oracle_parent)
+        assert np.array_equal(blocks, oracle_blocks)
