@@ -25,10 +25,10 @@ from scipy.linalg import eigh
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from .graph_core import SignedGraph, _first_seen_ids, component_labels
+from .graph_core import SignedGraph, _first_seen_ids, _is_integer, component_labels
 from .laplacians import _laplacian_product, laplacian_matrix
 from .resistance import _block_solve
-from .spectra import _check_tolerance, default_zero_tolerance
+from .spectra import _check_tolerance, _is_real, _real_array, default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
@@ -98,17 +98,14 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
 
     Raises:
         InvalidParameterError: x0 is not a finite real vector over the nodes,
-            ``t_final`` or ``step`` is not finite and positive,
-            ``output_stride < 1``, or more than ``MAX_RECORDED_VALUES``
-            values would be recorded.
-        InvalidToleranceError: ``cluster_tol`` is negative or NaN.
+            ``t_final`` or ``step`` is not a finite positive real number,
+            ``output_stride`` is not an integer >= 1 (a bool is not one), or
+            more than ``MAX_RECORDED_VALUES`` values would be recorded.
+        InvalidToleranceError: ``cluster_tol`` is not a real number, or
+            negative or NaN.
     """
     n = g.node_count
-    try:
-        values = np.asarray(x0)
-        x0 = None if np.iscomplexobj(values) else values.astype(float, copy=False)
-    except (TypeError, ValueError):  # ragged, or entries that float() cannot read
-        x0 = None
+    x0 = _real_array(x0)
     if x0 is None:
         raise InvalidParameterError("x0 must be a vector of real numbers")
     if x0.shape != (n,):
@@ -116,10 +113,10 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     if not np.all(np.isfinite(x0)):
         raise InvalidParameterError("x0 must be finite")
     for name, value in (("t_final", t_final), ("step", step)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (_is_real(value) and math.isfinite(value) and value > 0.0):
             raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
-    if output_stride < 1:
-        raise InvalidParameterError(f"output_stride must be >= 1, got {output_stride!r}")
+    if not (_is_integer(output_stride) and output_stride >= 1):
+        raise InvalidParameterError(f"output_stride must be an integer >= 1, got {output_stride!r}")
     _check_tolerance(cluster_tol, "cluster tolerance")
 
     # The cap keeps an absurd (even infinite) step count an int to reject.
@@ -249,7 +246,8 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
         UnboundedError: the final window grew beyond 1e6 x the initial norm,
             or it or the initial state holds an inf or NaN, the footprint of
             an indefinite Laplacian.
-        InvalidToleranceError: ``tol`` is negative or NaN.
+        InvalidToleranceError: ``tol`` is not a real number, or negative or
+            NaN.
     """
     _check_tolerance(tol, "cluster tolerance")
     return _detect(traj.states, tol)
@@ -297,7 +295,7 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     k = neg[0]
     u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
     # G+ is connected here, as the block solve requires.
-    _, diagonal, x, copy_node, blocks = _block_solve(g_plus, [(u, v)])
+    _, diagonal, x, copy_node, blocks = _block_solve(g_plus, np.array([[u, v]]))
     r_uv = float(diagonal[0])
     margin = abs(w) * r_uv - 1.0
     if abs(margin) > BOUNDARY_RTOL:

@@ -53,7 +53,7 @@ from scipy.sparse import csr_array
 from .errors import CrossCheckError, HypothesisViolatedError
 from .graph_core import SignedGraph
 from .resistance import _diagonal_blocks, negative_edge_report
-from .spectra import Signature, signature
+from .spectra import Signature, _check_tolerance, signature
 
 # Default zero tolerance on eig(T).  T's diagonal is -margin_k, where the
 # margin |w| * R - 1 is a negative edge's relative distance from its threshold.
@@ -192,10 +192,13 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     margins are not tested apart from it.
 
     Raises:
+        InvalidToleranceError: ``tol`` is not a real number, or negative or
+            NaN.
         DisconnectedError: the positive subgraph is disconnected.
         HypothesisViolatedError: no negative edges at all.
         CrossCheckError: a resistance, threshold or margin is not finite.
     """
+    _check_tolerance(tol)
     neg = g.negative_edge_indices()
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])

@@ -52,10 +52,14 @@ class SignedGraph:
     """Undirected graph with nonzero, possibly negative, edge weights.
 
     Parallel edges are permitted and kept distinct.  This constructor checks
-    the column shapes and ``tails[k] < heads[k]``; :func:`build_graph`
-    validates the rest and normalizes the orientation.  Each column is
-    copied to its dtype (intp, intp, float64) and made read-only.  Equality
-    and hashing read ``node_count`` and ``edges``.
+    ``node_count`` (an integer >= 0), that the columns hold integers,
+    integers and real numbers, their shapes, and per edge
+    ``tails[k] < heads[k]``, both ends nodes and a finite weight, raising
+    :class:`InvalidParameterError` for the first check that fails, at its
+    first edge; :func:`build_graph` validates the rest and normalizes the
+    orientation.  Each column is copied to its dtype (intp, intp, float64)
+    and made read-only.  Equality and hashing read ``node_count`` and
+    ``edges``.
     """
 
     node_count: int
@@ -64,16 +68,31 @@ class SignedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("tails", np.intp), ("heads", np.intp), ("weights", np.float64)):
-            column = np.array(getattr(self, name), dtype=dtype)
+        n = _checked_node_count(self.node_count, 0)
+        object.__setattr__(self, "node_count", n)
+        for name, dtype, kinds in (("tails", np.intp, "iu"), ("heads", np.intp, "iu"),
+                                   ("weights", np.float64, "iuf")):
+            try:
+                given = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged nesting
+                given = None
+            if given is None or given.size and given.dtype.kind not in kinds:
+                what = "real numbers" if name == "weights" else "integers"
+                raise InvalidParameterError(f"{name} must be a column of {what}")
+            column = given.astype(dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if self.tails.ndim != 1 or not self.tails.shape == self.heads.shape == self.weights.shape:
             raise InvalidParameterError(
                 "tails, heads and weights must be 1-d columns of one length")
-        if np.any(self.tails >= self.heads):
-            k = int(np.argmax(self.tails >= self.heads))
-            raise InvalidParameterError(f"edge {k}: tail {self.tails[k]} >= head {self.heads[k]}")
+        for bad, text in ((self.tails >= self.heads, "tail {t} >= head {h}"),
+                          ((self.tails < 0) | (self.heads >= n),
+                           "endpoint out of range: ({t}, {h}) on {n} nodes"),
+                          (~np.isfinite(self.weights), "non-finite weight {w!r}")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InvalidParameterError(f"edge {k}: " + text.format(
+                    t=self.tails[k], h=self.heads[k], w=float(self.weights[k]), n=n))
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -98,11 +117,26 @@ class SignedGraph:
 
     def subgraph(self, edge_indices) -> "SignedGraph":
         """Graph on the same node set keeping only the given edges, in the
-        given order; a boolean ``edge_indices`` (array or sequence) is a mask."""
+        given order; a boolean ``edge_indices`` (array or sequence) is a mask
+        over every edge.
+
+        Raises:
+            InvalidParameterError: a mask of another length, or an index
+                that is not an integer from 0 to ``edge_count - 1``.
+        """
+        m = self.edge_count
         if not isinstance(edge_indices, np.ndarray):
             edge_indices = np.array(list(edge_indices))
-            if edge_indices.dtype != bool:  # an empty list reads as float
-                edge_indices = edge_indices.astype(np.intp)
+        if edge_indices.dtype == bool:
+            if edge_indices.shape != (m,):
+                raise InvalidParameterError(
+                    f"an edge mask must have shape ({m},), got {edge_indices.shape}")
+        elif edge_indices.size == 0:  # an empty list reads as float
+            edge_indices = np.zeros(0, dtype=np.intp)
+        elif (edge_indices.dtype.kind not in "iu" or edge_indices.ndim != 1
+              or edge_indices.min() < 0 or edge_indices.max() >= m):
+            raise InvalidParameterError(
+                f"edge indices must be integers from 0 to {m - 1}, got {edge_indices.tolist()}")
         return SignedGraph(self.node_count, self.tails[edge_indices],
                            self.heads[edge_indices], self.weights[edge_indices])
 
@@ -173,6 +207,9 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     Gershgorin so is every eigenvalue of L.
 
     Raises:
+        InvalidParameterError: ``node_count`` is not an integer >= 1, or
+            ``edge_list`` is not an iterable of ``(u, v, w)`` triples that
+            ``int`` and ``float`` read.
         NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
         NonFiniteWeightError: naming the offending edge index.
         GraphConstructionError: the first edge whose magnitude is below
@@ -180,16 +217,32 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
             some node's weighted degree to 2**1022 or above, whichever comes
             first in edge order.
     """
-    if node_count < 1:
-        raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")
-    edges = list(edge_list)
-    if edges and set(map(len, edges)) != {3}:
+    node_count = _checked_node_count(node_count)
+    try:
+        edges = list(edge_list)
+        lengths = set(map(len, edges))
+    except TypeError:
+        raise InvalidParameterError("edge_list must be an iterable of (u, v, w) triples") from None
+    if edges and lengths != {3}:
         raise InvalidParameterError("every edge must be a (u, v, w) triple")
-    # Python ints beyond int64 give an object array, still compared exactly.
-    u = np.array(list(map(int, map(itemgetter(0), edges))))
-    v = np.array(list(map(int, map(itemgetter(1), edges))))
-    w = np.array(list(map(float, map(itemgetter(2), edges))), dtype=float)
+    try:
+        # Python ints beyond int64 give an object array, still compared exactly.
+        u = np.array(list(map(int, map(itemgetter(0), edges))))
+        v = np.array(list(map(int, map(itemgetter(1), edges))))
+        w = np.array(list(map(float, map(itemgetter(2), edges))), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError("every edge must be a (u, v, w) triple of numbers") from None
     return _graph_from_columns(node_count, u, v, w)
+
+
+def _checked_node_count(node_count, least: int = 1) -> int:
+    """``node_count`` as an int, once checked to be an integer (a bool is not
+    one) and at least ``least``."""
+    if not _is_integer(node_count):
+        raise InvalidParameterError(f"node_count must be an integer, got {node_count!r}")
+    if node_count < least:
+        raise InvalidParameterError(f"node_count must be >= {least}, got {node_count}")
+    return int(node_count)
 
 
 def _graph_from_columns(node_count: int, u: np.ndarray, v: np.ndarray,
@@ -234,9 +287,38 @@ def _graph_from_columns(node_count: int, u: np.ndarray, v: np.ndarray,
     return SignedGraph(node_count, np.minimum(u, v), np.maximum(u, v), w)
 
 
-def _is_node_id(x) -> bool:
-    """Whether ``x`` can name a node: a Python or numpy integer, not a bool."""
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer, not a bool: a node id, a
+    node count or an output stride.  An exact type test, as the pair check
+    makes two per pair: ``isinstance(x, numbers.Integral)`` took about 15
+    times as long on an int (0.9 against 0.06 us, 2-core Xeon)."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.ndarray:
+    """``pairs`` (an iterable or an array) as one ``(m, 2)`` intp array, each
+    checked in order to be two node ids (:func:`_is_integer`) of distinct
+    nodes, and of one component when ``labels`` gives a component per node.
+    The first bad pair raises :class:`InvalidParameterError`, or
+    :class:`NodesDisconnectedError` when its only fault is the components."""
+    n = node_count
+    ends = []
+    for pair in pairs.tolist() if isinstance(pairs, np.ndarray) else pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"a node pair must be two node ids, got {pair!r}") from None
+        if not (_is_integer(u) and _is_integer(v)):
+            raise InvalidParameterError(f"node ids must be integers, got ({u!r}, {v!r})")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
+        if u == v:
+            raise InvalidParameterError(
+                f"effective resistance needs two distinct nodes, got {u} twice")
+        if labels is not None and labels[u] != labels[v]:
+            raise NodesDisconnectedError(f"nodes {u} and {v} are in different components")
+        ends.append((u, v))
+    return np.array(ends, dtype=np.intp).reshape(-1, 2)
 
 
 def incidence_matrix(g: SignedGraph) -> np.ndarray:
@@ -327,9 +409,16 @@ def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
     Labels are canonical: component ids appear in order of their lowest node.
     csgraph does not document its own label order, so its labels are
     renumbered.
+
+    Raises:
+        InvalidParameterError: an entry of ``skip_edges`` is not an integer
+            (a bool is not one) or does not fit in 64 bits.
     """
     keep = np.ones(g.edge_count, dtype=bool)
-    skip = np.fromiter(skip_edges, dtype=np.intp)
+    skip = np.array(list(skip_edges))
+    if skip.size and skip.dtype.kind not in "iu":
+        raise InvalidParameterError(f"skip_edges must be edge indices, got {skip.tolist()}")
+    skip = skip.astype(np.intp)
     keep[skip[(skip >= 0) & (skip < g.edge_count)]] = False
     return _first_seen_ids(_components(g.node_count, g.tails[keep], g.heads[keep])[1])
 
@@ -493,20 +582,16 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     tracer (``perfbench/tracing.py``) binds it by name.
 
     Raises:
-        InvalidParameterError: a non-positive weight, or a pair that is not
-            two distinct nodes of ``g_plus`` given as integers.
-        NodesDisconnectedError: if u and v fall in different components.
+        InvalidParameterError: a non-positive weight, or a bad pair (see
+            :func:`_node_pairs`).
+        NodesDisconnectedError: u and v lie in different components.
     """
     if np.any(g_plus.weights <= 0.0):
         raise InvalidParameterError("path_edge_sets requires an all-positive graph")
     n = g_plus.node_count
     labels = _components(n, g_plus.tails, g_plus.heads)[1]
     results = []
-    for u, v in negative_edges:
-        if not (_is_node_id(u) and _is_node_id(v) and 0 <= u < n and 0 <= v < n) or u == v:
-            raise InvalidParameterError(f"invalid node pair ({u}, {v})")
-        if labels[u] != labels[v]:
-            raise NodesDisconnectedError(f"nodes {u} and {v} are not connected")
+    for u, v in _node_pairs(n, negative_edges, labels).tolist():
         inside = np.flatnonzero(labels[g_plus.tails] == labels[u])
         blocks = _edge_blocks(n, np.append(g_plus.tails[inside], u),
                               np.append(g_plus.heads[inside], v))

@@ -70,10 +70,9 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
-from .errors import (CrossCheckError, DisconnectedError, InvalidParameterError,
-                     NodesDisconnectedError)
+from .errors import CrossCheckError, DisconnectedError, InvalidParameterError
 from .graph_core import (SignedGraph, _components, _edge_blocks, _first_of_runs,
-                         _is_node_id, _without_lower_neighbour)
+                         _node_pairs, _without_lower_neighbour)
 from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
 
@@ -204,29 +203,28 @@ def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarra
     return x
 
 
+def _pair_solve(g: SignedGraph, grounded: int, ends: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """:func:`_grounded_solve` of the right-hand side whose column
+    ``column[k]`` holds +1 at ``ends[k, 0]`` and -1 at ``ends[k, 1]``, for
+    each pair k; pairs sharing a column share no node."""
+    rhs = np.zeros((g.node_count, int(column.max()) + 1))
+    rhs[ends[:, 0], column] = 1.0
+    rhs[ends[:, 1], column] = -1.0
+    return _grounded_solve(g, grounded, rhs)
+
+
 def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     """``R_uv`` for each ``(u, v)`` of ``pairs``, in order.
 
-    Every pair is checked first, in order, as :func:`effective_resistance`
-    checks one, and the first that fails raises its error before anything
-    is factored.  Then an all-positive graph takes one grounded solve per
-    component holding a pair, with one right-hand-side column per pair; a
-    graph with any negative weight takes one eigendecomposition
-    pseudo-inverse.
+    Every pair is checked first by :func:`_node_pairs`, in order, and the
+    first that fails raises its error before anything is factored.  Then an
+    all-positive graph takes one grounded solve per component holding a
+    pair, with one right-hand-side column per pair; a graph with any
+    negative weight takes one eigendecomposition pseudo-inverse.
     """
     n = g.node_count
     labels = _components(n, g.tails, g.heads)[1]
-    for u, v in pairs:
-        if not (_is_node_id(u) and _is_node_id(v)):
-            raise InvalidParameterError(f"node ids must be integers, got ({u!r}, {v!r})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
-        if u == v:
-            raise InvalidParameterError(
-                f"effective resistance needs two distinct nodes, got {u} twice")
-        if labels[u] != labels[v]:
-            raise NodesDisconnectedError(f"nodes {u} and {v} are in different components")
-    ends = np.array(pairs, dtype=np.intp)
+    ends = _node_pairs(n, pairs, labels)
     if not np.all(g.weights > 0.0):
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
         # Row k is L^+ (e_u - e_v) of pair k.
@@ -237,22 +235,16 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     values = np.empty(len(ends))
     for label in dict.fromkeys(pair_label.tolist()):  # in order of first pair
         mine = np.flatnonzero(pair_label == label)
-        u, v = ends[mine, 0], ends[mine, 1]
-        inside = np.flatnonzero(labels == label)
-        part = g
-        if inside.size < n:  # keep the component, its lowest node first
+        part, mine_ends = g, ends[mine]
+        if np.any(labels != label):  # keep the component, its lowest node first
             kept = labels[g.tails] == label
-            local = np.empty(n, dtype=np.intp)
-            local[inside] = np.arange(inside.size)
-            part = SignedGraph(inside.size, local[g.tails[kept]], local[g.heads[kept]],
+            local = np.cumsum(labels == label) - 1  # at the component's nodes
+            part = SignedGraph(int(local[-1]) + 1, local[g.tails[kept]], local[g.heads[kept]],
                                g.weights[kept])
-            u, v = local[u], local[v]
+            mine_ends = local[mine_ends]
         column = np.arange(mine.size)
-        rhs = np.zeros((part.node_count, mine.size))
-        rhs[u, column] = 1.0
-        rhs[v, column] = -1.0
-        x = _grounded_solve(part, 1, rhs)
-        values[mine] = x[u, column] - x[v, column]
+        x = _pair_solve(part, 1, mine_ends, column)
+        values[mine] = x[mine_ends[:, 0], column] - x[mine_ends[:, 1], column]
     return values.tolist()
 
 
@@ -268,8 +260,8 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     no semidefiniteness meaning there.
 
     Raises:
-        InvalidParameterError: u or v is not an integer or not a node, or
-            u = v.
+        InvalidParameterError: u or v is not an integer (a bool is not one)
+            or not a node, or u = v.
         NodesDisconnectedError: u and v lie in different components.
         CrossCheckError: the grounded solve hits a cancelled pivot or fails
             its residual check.
@@ -359,9 +351,9 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     """Quadratic form E_-^T L^+(G+) E_- and its diagonal.
 
     ``g_plus`` must be connected with all-positive weights; ``negative_edges``
-    is a list of ``(u, v)`` endpoint pairs.  The diagonal always holds the
-    pairwise effective resistances over ``g_plus``; the matrix itself is
-    diagonal exactly when the path-edge sets of the pairs are disjoint.
+    lists ``(u, v)`` endpoint pairs, or is an ``(m, 2)`` array of them.  The
+    diagonal always holds the pairwise effective resistances over ``g_plus``;
+    the matrix is diagonal exactly when the pairs' path-edge sets are disjoint.
 
     The matrix is block-diagonal over the biconnected blocks of G, the graph
     ``g_plus`` plus the pairs as edges: entries between pairs in different
@@ -372,17 +364,13 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     module docstring).  The block ids come from the query's one
     biconnected-block pass over G, made here.
 
-    G+ is tested once, up front: the theorems behind R need it connected.
-    The test is certified from the node numbering when every node but the
-    first has a lower-numbered neighbour, and made by a csgraph labelling
-    otherwise, so a scrambled numbering pays one labelling.  Then the
-    positive part of the block of G holding a pair is connected too, since
-    a simple path between two nodes of a block never leaves it, and the
-    tests on the solved blocks cross-check the block ids.
+    G+ is tested once, up front, after the pairs: the theorems behind R
+    need it connected, and then so is the positive part of each block of G
+    (see the module docstring).
 
     Raises:
-        InvalidParameterError: a non-positive weight or an invalid node pair
-            (an end that is not an integer or not a node, or equal ends).
+        InvalidParameterError: a non-positive weight or a bad pair (see
+            :func:`_node_pairs`).
         DisconnectedError: ``g_plus`` is disconnected.
         CrossCheckError: the block ids are inconsistent with ``g_plus``, or
             the grounded solve fails its residual check.
@@ -396,27 +384,24 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
         raise InvalidParameterError(
             "resistance_matrix_for_negatives requires an all-positive graph")
     n = g_plus.node_count
-    listed = list(negative_edges)
-    for u, v in listed:
-        if not (_is_node_id(u) and _is_node_id(v) and 0 <= u < n and 0 <= v < n) or u == v:
-            raise InvalidParameterError(f"invalid node pair ({u}, {v})")
+    pairs = _node_pairs(n, negative_edges)
     if _components(n, g_plus.tails, g_plus.heads)[0] != 1:
         raise DisconnectedError("positive subgraph is disconnected")
-    if not listed:
+    if not len(pairs):
         return csr_array((0, 0)), np.zeros(0)
-    return _block_solve(g_plus, listed)[:2]
+    return _block_solve(g_plus, pairs)[:2]
 
 
-def _block_solve(g_plus: SignedGraph, pairs
+def _block_solve(g_plus: SignedGraph, pairs: np.ndarray
                  ) -> tuple[csr_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`resistance_matrix_for_negatives` on checked pairs, at least
-    one, over a ``g_plus`` known to be connected, plus the potentials ``x``
+    """:func:`resistance_matrix_for_negatives` on checked pairs, an ``(m, 2)``
+    array with m >= 1, over a connected ``g_plus``, plus the potentials ``x``
     on the node copies (one column per colour), the node of each copy and
     the block key of each edge of ``g_plus``, then of each pair.
     """
     n = g_plus.node_count
     # One (low, high) row per pair: E_- has -1 at the low end, +1 at the high.
-    pairs = np.sort(np.array(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+    pairs = np.sort(pairs, axis=1)
     m = len(pairs)
     tails = np.append(g_plus.tails, pairs[:, 0])
     heads = np.append(g_plus.heads, pairs[:, 1])
@@ -424,10 +409,7 @@ def _block_solve(g_plus: SignedGraph, pairs
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
     split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
     order, start, colour = _block_runs(pair_block)
-    rhs = np.zeros((split.node_count, int(colour.max()) + 1))
-    rhs[ends[:, 0], colour] = -1.0
-    rhs[ends[:, 1], colour] = 1.0
-    x = _grounded_solve(split, grounded, rhs)
+    x = _pair_solve(split, grounded, ends[:, ::-1], colour)
     # potential[j, c] = b_j^T x[:, c]; within a block, column colour(k) is
     # the potential of pair k, so R_jk = potential[j, colour(k)].
     potential = x[ends[:, 1]] - x[ends[:, 0]]
@@ -474,10 +456,10 @@ def negative_edge_report(g: SignedGraph) -> ResistanceReport:
         CrossCheckError: a resistance or ``R_tot`` is not finite (it left the
             double range).
     """
-    neg = g.negative_edge_indices()
-    if not neg:
+    neg = g.weights < 0.0
+    if not neg.any():
         return ResistanceReport((), csr_array((0, 0)), 0.0)
-    pairs = list(zip(g.tails[neg].tolist(), g.heads[neg].tolist()))
+    pairs = np.column_stack([g.tails[neg], g.heads[neg]])
     matrix, diag = resistance_matrix_for_negatives(g.positive_subgraph(), pairs)
     with np.errstate(over="ignore"):
         r_tot = float(diag.sum())
@@ -486,5 +468,4 @@ def negative_edge_report(g: SignedGraph) -> ResistanceReport:
             "a resistance or the total resistance R_tot over the negative edges is not "
             "finite; the weights span more than the double range"
         )
-    return ResistanceReport(tuple((u, v, float(r)) for (u, v), r in zip(pairs, diag)),
-                            matrix, r_tot)
+    return ResistanceReport(tuple(zip(*pairs.T.tolist(), diag.tolist())), matrix, r_tot)

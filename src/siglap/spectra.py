@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidToleranceError, NotSymmetricError
@@ -44,16 +46,32 @@ def default_zero_tolerance(eigenvalues: np.ndarray, dim: int) -> float:
     return dim * eps * scale
 
 
-def _symmetrized(m, stacked: bool = False) -> np.ndarray:
-    """``m`` averaged with its transpose, after checking that it is
-    symmetric to ``SYMMETRY_RTOL`` relative; with ``stacked``, ``m`` is a
-    stack ``(k, s, s)`` and each matrix of it is checked on its own scale."""
-    m = np.asarray(m, dtype=float)
+def _real_array(values) -> np.ndarray | None:
+    """``values`` as a float array, or None when they are ragged or hold a
+    complex number or an entry that ``float()`` cannot read."""
+    try:
+        given = np.asarray(values)
+        return None if np.iscomplexobj(given) else given.astype(float, copy=False)
+    except (TypeError, ValueError):
+        return None
+
+
+def _symmetrized(m, stack_ok: bool = False) -> np.ndarray:
+    """``m`` averaged with its transpose, after checking that it is a finite
+    real matrix, symmetric to ``SYMMETRY_RTOL`` relative; with ``stack_ok``,
+    a 3-d ``m`` is a stack ``(k, s, s)`` and each matrix of it is checked on
+    its own scale."""
+    m = _real_array(m)
+    if m is None:
+        raise InvalidParameterError("expected a matrix of real numbers")
+    stacked = stack_ok and m.ndim == 3
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
         what = "stack of square matrices" if stacked else "square matrix"
         raise InvalidParameterError(f"expected a {what}, got shape {m.shape}")
     if m.size == 0:
         return m
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("matrix entries must be finite")
     mt = np.swapaxes(m, -1, -2)
     asym = np.max(np.abs(m - mt), axis=(-2, -1))
     scale = np.max(np.abs(m), axis=(-2, -1))
@@ -68,8 +86,16 @@ def _symmetrized(m, stacked: bool = False) -> np.ndarray:
     return 0.5 * (m + mt)
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number (Python or numpy), not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_tolerance(tol: float | None, what: str = "zero tolerance") -> None:
-    """Raise :class:`InvalidToleranceError` unless ``tol`` is None or >= 0."""
+    """Raise :class:`InvalidToleranceError` unless ``tol`` is None or a real
+    number >= 0."""
+    if tol is not None and not _is_real(tol):
+        raise InvalidToleranceError(f"{what} must be a real number, got {tol!r}")
     if tol is not None and not tol >= 0.0:
         raise InvalidToleranceError(f"{what} must be >= 0, got {tol!r}")
 
@@ -85,11 +111,14 @@ def signature(m, tol: float | None = None) -> Signature:
     stack.
 
     Raises:
-        InvalidToleranceError: ``tol`` is negative or NaN.
+        InvalidToleranceError: ``tol`` is not a real number, or negative or
+            NaN.
+        InvalidParameterError: ``m`` is not a finite real square matrix or
+            stack of them.
+        NotSymmetricError: ``m`` is not symmetric to 1e-12 relative.
     """
     _check_tolerance(tol)
-    m = np.asarray(m, dtype=float)
-    s = _symmetrized(m, stacked=m.ndim == 3)
+    s = _symmetrized(m, stack_ok=True)
     dim = int(np.prod(s.shape[:-1]))
     if dim == 0:
         return Signature(0, 0, 0, tol if tol is not None else float(np.finfo(float).eps))
@@ -109,6 +138,10 @@ def pseudo_inverse_eig(m) -> np.ndarray:
 
     Eigenvalues with ``|eig| > dim * eps * max|eig|`` (see
     :func:`default_zero_tolerance`) are inverted; the rest are dropped.
+
+    Raises:
+        InvalidParameterError: ``m`` is not a finite real square matrix.
+        NotSymmetricError: ``m`` is not symmetric to 1e-12 relative.
     """
     s = _symmetrized(m)
     if s.size == 0:

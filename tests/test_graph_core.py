@@ -182,6 +182,9 @@ def test_signed_graph_columns_follow_subgraphs():
         sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0])
 
 
+TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0]),
      "tails, heads and weights must be 1-d columns of one length"),
@@ -192,16 +195,65 @@ def test_signed_graph_columns_follow_subgraphs():
     (lambda: sl.path_edge_sets(sl.build_graph(2, [(0, 1, -1.0)]), [(0, 1)]),
      "path_edge_sets requires an all-positive graph"),
     (lambda: sl.path_edge_sets(sl.build_graph(2, [(0, 1, 1.0)]), [(0, 0)]),
-     "invalid node pair (0, 0)"),
+     "effective resistance needs two distinct nodes, got 0 twice"),
     (lambda: sl.resistance_matrix_for_negatives(sl.build_graph(2, [(0, 1, -1.0)]), []),
      "resistance_matrix_for_negatives requires an all-positive graph"),
     (lambda: sl.resistance_matrix_for_negatives(sl.build_graph(2, [(0, 1, 1.0)]), [(0, 2)]),
-     "invalid node pair (0, 2)"),
+     "node out of range: (0, 2) on 2 nodes"),
     (lambda: sl.signature(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: sl.signature([[np.nan]]), "matrix entries must be finite"),
+    (lambda: sl.signature([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+    (lambda: sl.signature(np.array([[1.0, 1j], [-1j, 1.0]])),
+     "expected a matrix of real numbers"),
+    (lambda: sl.pseudo_inverse_eig([[np.nan]]), "matrix entries must be finite"),
+    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final="1"),
+     "t_final must be finite and positive, got '1'"),
+    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride="3"),
+     "output_stride must be an integer >= 1, got '3'"),
+    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride=2.5),
+     "output_stride must be an integer >= 1, got 2.5"),
+    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride=True),
+     "output_stride must be an integer >= 1, got True"),
+    (lambda: sl.build_graph("3", []), "node_count must be an integer, got '3'"),
+    (lambda: sl.build_graph(2.5, []), "node_count must be an integer, got 2.5"),
+    (lambda: sl.build_graph(3, [("a", 1, 1.0)]),
+     "every edge must be a (u, v, w) triple of numbers"),
+    (lambda: sl.build_graph(3, 5), "edge_list must be an iterable of (u, v, w) triples"),
+    (lambda: TRIANGLE.subgraph([True, False]),
+     "an edge mask must have shape (3,), got (2,)"),
+    (lambda: TRIANGLE.subgraph([0, 3]), "edge indices must be integers from 0 to 2, got [0, 3]"),
+    (lambda: TRIANGLE.subgraph([0.5]), "edge indices must be integers from 0 to 2, got [0.5]"),
+    (lambda: sl.component_labels(TRIANGLE, skip_edges=["a"]),
+     "skip_edges must be edge indices, got ['a']"),
+    (lambda: sl.SignedGraph(2, [0], [5], [1.0]),
+     "edge 0: endpoint out of range: (0, 5) on 2 nodes"),
+    (lambda: sl.SignedGraph(3, [0, 1], [1, 2], [1.0, np.nan]), "edge 1: non-finite weight nan"),
+    (lambda: sl.SignedGraph(2, ["a"], [1], [1.0]), "tails must be a column of integers"),
+    (lambda: sl.SignedGraph(3, [0.5], [1.5], [1.0]), "tails must be a column of integers"),
+    (lambda: sl.SignedGraph(2, [0], [1], [1j]), "weights must be a column of real numbers"),
 ], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
-        "path-pair", "matrix-sign", "matrix-pair", "square"])
+        "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
+        "signature-complex", "pinv-nan", "t-final-text", "stride-text", "stride-fraction",
+        "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "edge-list-int",
+        "mask-length", "index-range", "index-fraction", "skip-text", "graph-range",
+        "graph-nan", "graph-text", "graph-fraction", "graph-complex"])
 def test_bad_library_input_raises_invalid_parameter_error(call, message):
     with pytest.raises(sl.InvalidParameterError) as err:
+        call()
+    assert str(err.value) == message
+    assert isinstance(err.value, sl.SiglapError) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sl.multi_edge_verdict(sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.1)]),
+                                   "0.1"),
+     "zero tolerance must be a real number, got '0.1'"),
+    (lambda: sl.detect_clusters(sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final=1.0), "x"),
+     "cluster tolerance must be a real number, got 'x'"),
+    (lambda: sl.signature(np.eye(2), True), "zero tolerance must be a real number, got True"),
+], ids=["verdict-text", "detect-text", "signature-bool"])
+def test_a_tolerance_that_is_not_a_real_number_raises_invalid_tolerance_error(call, message):
+    with pytest.raises(sl.InvalidToleranceError) as err:
         call()
     assert str(err.value) == message
     assert isinstance(err.value, sl.SiglapError) and isinstance(err.value, ValueError)

@@ -145,8 +145,8 @@ def test_path_edge_sets_match_networkx_biconnected_components():
         computed = sl.path_edge_sets(g, pairs)
         assert computed == [nx_path_edges(g, u, v) for u, v in pairs]
         u, v = int(rng.integers(0, n)), int(rng.integers(n, g.node_count))
-        with pytest.raises(sl.NodesDisconnectedError, match=f"^nodes {u} and {v} are not "
-                                                            "connected$"):
+        with pytest.raises(sl.NodesDisconnectedError, match=f"^nodes {u} and {v} are in "
+                                                            "different components$"):
             sl.path_edge_sets(g, pairs + [(u, v)])
 
 

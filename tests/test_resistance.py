@@ -77,6 +77,28 @@ def test_every_pair_query_rejects_a_bad_pair_with_a_siglap_error(query, pair):
         assert isinstance(err.value, sl.InvalidParameterError)
 
 
+@pytest.mark.parametrize("pair, error, message", [
+    ((0, 0), sl.InvalidParameterError,
+     "effective resistance needs two distinct nodes, got 0 twice"),
+    ((0, 99), sl.InvalidParameterError, "node out of range: (0, 99) on 4 nodes"),
+    ((True, 1), sl.InvalidParameterError, "node ids must be integers, got (True, 1)"),
+    ((1,), sl.InvalidParameterError, "a node pair must be two node ids, got (1,)"),
+    ((0, 2), sl.NodesDisconnectedError, "nodes 0 and 2 are in different components"),
+], ids=["same-node", "out-of-range", "bool", "one-end", "across"])
+def test_the_three_pair_entry_points_raise_one_error_per_bad_pair(pair, error, message):
+    g = sl.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    for query in (resistance._pair_resistances, sl.path_edge_sets,
+                  sl.resistance_matrix_for_negatives):
+        expected = (error, message)
+        if query is sl.resistance_matrix_for_negatives and error is sl.NodesDisconnectedError:
+            # The matrix checks its pairs without components, then needs all
+            # of G+ connected: the message the CLI prints for check-psd.
+            expected = (sl.DisconnectedError, "positive subgraph is disconnected")
+        with pytest.raises(expected[0]) as err:
+            query(g, [(2, 3), pair])
+        assert (type(err.value), str(err.value)) == expected
+
+
 def test_resistance_on_signed_graph_is_defined():
     g = sl.build_graph(2, [(0, 1, 1.0), (0, 1, -0.25)])
     # parallel 1 ohm with -4 ohm: 1*(-4)/(1-4) = 4/3
