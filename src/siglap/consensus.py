@@ -134,7 +134,7 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     if tail:
         times = np.append(times, n_steps * step if exact_end else t_final)
 
-    # L is finite by construction (build_graph rejects non-finite weights) and
+    # L is finite by construction (SignedGraph bounds weights and degrees) and
     # freshly built, so LAPACK may overwrite it unchecked.
     lam, V = eigh(laplacian_matrix(g), driver="evd", overwrite_a=True, check_finite=False)
     zero_tol = default_zero_tolerance(lam, n)

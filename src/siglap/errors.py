@@ -5,30 +5,6 @@ class SiglapError(Exception):
     """Base class for every error raised by this package."""
 
 
-class GraphConstructionError(SiglapError, ValueError):
-    """Invalid edge data; ``edge_index`` points at the offending edge."""
-
-    def __init__(self, edge_index: int, message: str):
-        super().__init__(message)
-        self.edge_index = edge_index
-
-
-class ZeroWeightError(GraphConstructionError):
-    """An edge carries weight exactly zero."""
-
-
-class NonFiniteWeightError(GraphConstructionError):
-    """An edge carries a NaN or infinite weight."""
-
-
-class SelfLoopError(GraphConstructionError):
-    """An edge joins a node to itself."""
-
-
-class NodeOutOfRangeError(GraphConstructionError):
-    """An edge endpoint is not a valid node index."""
-
-
 class GraphParseError(SiglapError, ValueError):
     """A graph file could not be parsed; ``line`` is the 1-based line number."""
 
@@ -55,6 +31,30 @@ class InvalidToleranceError(SiglapError, ValueError):
 
 class InvalidParameterError(SiglapError, ValueError):
     """A parameter is out of range: not finite, not positive, or too large."""
+
+
+class GraphConstructionError(InvalidParameterError):
+    """Invalid edge data; ``edge_index`` points at the offending edge."""
+
+    def __init__(self, edge_index: int, message: str):
+        super().__init__(message)
+        self.edge_index = edge_index
+
+
+class ZeroWeightError(GraphConstructionError):
+    """An edge carries weight exactly zero."""
+
+
+class NonFiniteWeightError(GraphConstructionError):
+    """An edge carries a NaN or infinite weight."""
+
+
+class SelfLoopError(GraphConstructionError):
+    """An edge joins a node to itself."""
+
+
+class NodeOutOfRangeError(GraphConstructionError):
+    """An edge endpoint is not a valid node index."""
 
 
 class SingularCutGramError(SiglapError):

@@ -51,15 +51,23 @@ DEGREE_BOUND = 2.0 ** 1022
 class SignedGraph:
     """Undirected graph with nonzero, possibly negative, edge weights.
 
-    Parallel edges are permitted and kept distinct.  This constructor checks
-    ``node_count`` (an integer >= 0), that the columns hold integers,
-    integers and real numbers, their shapes, and per edge
-    ``tails[k] < heads[k]``, both ends nodes and a finite weight, raising
-    :class:`InvalidParameterError` for the first check that fails, at its
-    first edge; :func:`build_graph` validates the rest and normalizes the
-    orientation.  Each column is copied to its dtype (intp, intp, float64)
-    and made read-only.  Equality and hashing read ``node_count`` and
-    ``edges``.
+    Parallel edges are permitted and kept distinct.  The constructor is the
+    one check of the invariant every graph holds: integer, integer and real
+    columns of one length; per edge ``tails[k] < heads[k]``, both ends
+    nodes and a finite weight of magnitude at least 2**-1022; and weighted
+    degrees (sums of |w|) below 2**1022, which keeps every entry of
+    ``L + L^T``, and by Gershgorin every eigenvalue of L, finite.  Each
+    column is copied to its dtype (intp, intp, float64) and made read-only.
+    Equality and hashing read ``node_count`` and ``edges``.
+
+    Raises:
+        InvalidParameterError: a wrong type or shape, or the first edge
+            with ``tails[k] > heads[k]``.
+        NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
+        NonFiniteWeightError, GraphConstructionError (a magnitude below
+            2**-1022): the first fault of the first edge that has one, in
+            this order; else GraphConstructionError for the first edge at a
+            node whose weighted degree reaches 2**1022.
     """
 
     node_count: int
@@ -68,31 +76,24 @@ class SignedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        n = _checked_node_count(self.node_count, 0)
-        object.__setattr__(self, "node_count", n)
-        for name, dtype, kinds in (("tails", np.intp, "iu"), ("heads", np.intp, "iu"),
-                                   ("weights", np.float64, "iuf")):
-            try:
-                given = np.asarray(getattr(self, name))
-            except ValueError:  # a ragged nesting
-                given = None
-            if given is None or given.size and given.dtype.kind not in kinds:
-                what = "real numbers" if name == "weights" else "integers"
-                raise InvalidParameterError(f"{name} must be a column of {what}")
-            column = given.astype(dtype)
+        self._hold(*_check_columns(self.node_count, self.tails, self.heads, self.weights))
+
+    def _hold(self, node_count: int, *columns: np.ndarray) -> None:
+        """Store the fields, the columns (intp, intp, float64) made read-only."""
+        object.__setattr__(self, "node_count", node_count)
+        for name, column in zip(("tails", "heads", "weights"), columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if self.tails.ndim != 1 or not self.tails.shape == self.heads.shape == self.weights.shape:
-            raise InvalidParameterError(
-                "tails, heads and weights must be 1-d columns of one length")
-        for bad, text in ((self.tails >= self.heads, "tail {t} >= head {h}"),
-                          ((self.tails < 0) | (self.heads >= n),
-                           "endpoint out of range: ({t}, {h}) on {n} nodes"),
-                          (~np.isfinite(self.weights), "non-finite weight {w!r}")):
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise InvalidParameterError(f"edge {k}: " + text.format(
-                    t=self.tails[k], h=self.heads[k], w=float(self.weights[k]), n=n))
+
+    @classmethod
+    def _derived(cls, node_count: int, *columns: np.ndarray) -> "SignedGraph":
+        """A graph of fresh intp, intp and float64 columns taken from a
+        checked graph, not checked again.  The caller keeps the invariant:
+        it only drops edges, so degrees only fall, copies weights, and
+        renumbers nodes keeping their order, so ``tail < head`` holds."""
+        g = object.__new__(cls)
+        g._hold(node_count, *columns)
+        return g
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -121,8 +122,9 @@ class SignedGraph:
         over every edge.
 
         Raises:
-            InvalidParameterError: a mask of another length, or an index
-                that is not an integer from 0 to ``edge_count - 1``.
+            InvalidParameterError: a mask of another length, an index that
+                is not an integer from 0 to ``edge_count - 1``, or an index
+                given twice.
         """
         m = self.edge_count
         if not isinstance(edge_indices, np.ndarray):
@@ -137,8 +139,11 @@ class SignedGraph:
               or edge_indices.min() < 0 or edge_indices.max() >= m):
             raise InvalidParameterError(
                 f"edge indices must be integers from 0 to {m - 1}, got {edge_indices.tolist()}")
-        return SignedGraph(self.node_count, self.tails[edge_indices],
-                           self.heads[edge_indices], self.weights[edge_indices])
+        elif np.bincount(edge_indices).max() > 1:  # a repeat could lift a degree
+            raise InvalidParameterError(f"edge indices must be distinct, got "
+                                        f"{edge_indices.tolist()}")
+        return SignedGraph._derived(self.node_count, self.tails[edge_indices],
+                                    self.heads[edge_indices], self.weights[edge_indices])
 
     def positive_subgraph(self) -> "SignedGraph":
         return self.subgraph(self.weights > 0.0)
@@ -170,52 +175,21 @@ class ForestDecomposition:
         return self.forest_edges + self.cycle_edges
 
 
-def _first_degree_overflow(ends: np.ndarray, steps: np.ndarray,
-                           hot: np.ndarray) -> tuple[int, float]:
-    """Earliest visit at which a running weighted degree reaches DEGREE_BOUND.
-
-    ``ends`` lists the nodes visited edge by edge (tail as given, then head),
-    ``steps`` the |w| added at each visit, and ``hot`` the nodes whose total
-    reaches the bound.  Each hot node's degree is re-accumulated in visit
-    order, as the sums of a per-edge loop would be.  Returns the visit index
-    and the degree it reaches.
-    """
-    order = np.argsort(ends, kind="stable")
-    grouped = ends[order]
-    best = (ends.size, 0.0)
-    for start, stop in zip(np.searchsorted(grouped, hot, side="left"),
-                           np.searchsorted(grouped, hot, side="right")):
-        with np.errstate(over="ignore"):
-            running = np.cumsum(steps[order[start:stop]])
-        over = np.flatnonzero(running >= DEGREE_BOUND)
-        if over.size and order[start + over[0]] < best[0]:
-            best = (int(order[start + over[0]]), float(running[over[0]]))
-    return best
-
-
 def build_graph(node_count: int, edge_list) -> SignedGraph:
-    """Validate an edge list and normalize it into a :class:`SignedGraph`.
-
-    Edge orientation is normalized to ``tail = min(u, v)``; the input edge
-    order is preserved and defines the edge indices.  Every entry of
-    ``edge_list`` is a ``(u, v, w)`` triple, read as ``int(u), int(v),
-    float(w)``.
-
-    Every weight magnitude must be at least 2**-1022, the smallest normal
-    double, and every node's weighted degree (the sum of its |w|) must stay
-    below 2**1022.  Every entry of ``L + L^T`` is then finite, and by
-    Gershgorin so is every eigenvalue of L.
+    """The :class:`SignedGraph` of an edge list, each edge oriented
+    ``tail = min(u, v)``; the input edge order is preserved and defines the
+    edge indices.  Every entry of ``edge_list`` is a ``(u, v, w)`` triple of
+    two node ids and a weight read by ``float``.  A node id is a Python or
+    numpy integer: a bool, or a float even when its value is whole (``2.0``),
+    is refused, as by the node-pair check and the graph-file reader.
 
     Raises:
-        InvalidParameterError: ``node_count`` is not an integer >= 1, or
-            ``edge_list`` is not an iterable of ``(u, v, w)`` triples that
-            ``int`` and ``float`` read.
-        NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
-        NonFiniteWeightError: naming the offending edge index.
-        GraphConstructionError: the first edge whose magnitude is below
-            2**-1022 (after the zero and non-finite checks), or that lifts
-            some node's weighted degree to 2**1022 or above, whichever comes
-            first in edge order.
+        InvalidParameterError: ``node_count`` is not an integer >= 1,
+            ``edge_list`` is not an iterable of ``(u, v, w)`` triples, a
+            node id is not an integer (naming the first such edge), or a
+            weight is not read by ``float``.
+        GraphConstructionError: the graph breaks the invariant of
+            :class:`SignedGraph`, at the edge ``edge_index``.
     """
     node_count = _checked_node_count(node_count)
     try:
@@ -225,14 +199,19 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
         raise InvalidParameterError("edge_list must be an iterable of (u, v, w) triples") from None
     if edges and lengths != {3}:
         raise InvalidParameterError("every edge must be a (u, v, w) triple")
+    u, v, w = (list(map(itemgetter(i), edges)) for i in range(3))
+    if not all(map(_is_integer, u + v)):
+        k = next(k for k, ends in enumerate(zip(u, v)) if not all(map(_is_integer, ends)))
+        raise InvalidParameterError(f"edge {k}: node ids must be integers, got ({u[k]!r}, {v[k]!r})")
     try:
-        # Python ints beyond int64 give an object array, still compared exactly.
-        u = np.array(list(map(int, map(itemgetter(0), edges))))
-        v = np.array(list(map(int, map(itemgetter(1), edges))))
-        w = np.array(list(map(float, map(itemgetter(2), edges))), dtype=float)
+        w = np.array(list(map(float, w)), dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError("every edge must be a (u, v, w) triple of numbers") from None
-    return _graph_from_columns(node_count, u, v, w)
+    try:
+        ends = np.array([u, v], dtype=np.intp)
+    except OverflowError:  # an id beyond 64 bits, left for the range check
+        ends = np.array([u, v], dtype=object)
+    return SignedGraph(node_count, ends.min(axis=0), ends.max(axis=0), w)
 
 
 def _checked_node_count(node_count, least: int = 1) -> int:
@@ -245,46 +224,60 @@ def _checked_node_count(node_count, least: int = 1) -> int:
     return int(node_count)
 
 
-def _graph_from_columns(node_count: int, u: np.ndarray, v: np.ndarray,
-                        w: np.ndarray) -> SignedGraph:
-    """:func:`build_graph` on its three columns: ``u`` and ``v`` integer
-    arrays (object arrays for ints beyond int64), ``w`` a float64 array."""
-    m = w.size
-
-    # Per-edge checks, in the order they apply to one edge.
-    checks = (
-        ((u < 0) | (u >= node_count) | (v < 0) | (v >= node_count),
-         NodeOutOfRangeError, "endpoint out of range: ({u}, {v})"),
-        (u == v, SelfLoopError, "self-loop at node {u}"),
-        (w == 0.0, ZeroWeightError, "zero weight on ({u}, {v})"),
-        (~np.isfinite(w), NonFiniteWeightError, "non-finite weight {w!r} on ({u}, {v})"),
-        (np.abs(w) < WEIGHT_FLOOR, GraphConstructionError,
-         "weight {w!r} on ({u}, {v}) is below 2**-1022 in magnitude"),
+def _check_columns(node_count, tails, heads, weights
+                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The fields of a :class:`SignedGraph`, checked as its docstring says:
+    ``node_count`` as an int and fresh intp, intp and float64 columns."""
+    n = _checked_node_count(node_count, 0)
+    given = []
+    for name, column in (("tails", tails), ("heads", heads), ("weights", weights)):
+        try:
+            column = np.asarray(column)
+        except ValueError:  # a ragged nesting
+            column = np.array(None)
+        kind = column.dtype.kind
+        # Objects pass as integers when all are (ids beyond 64 bits, no node's).
+        if kind == "O" and name != "weights" and all(map(_is_integer, column.ravel().tolist())):
+            kind = "i"
+        if column.size and kind not in ("iuf" if name == "weights" else "iu"):
+            what = "real numbers" if name == "weights" else "integers"
+            raise InvalidParameterError(f"{name} must be a column of {what}")
+        given.append(column)
+    t, h, w = given
+    if t.ndim != 1 or not t.shape == h.shape == w.shape:
+        raise InvalidParameterError("tails, heads and weights must be 1-d columns of one length")
+    reversed_ends = t > h
+    if reversed_ends.any():
+        k = int(np.argmax(reversed_ends))
+        raise InvalidParameterError(f"edge {k}: tail {t[k]} >= head {h[k]}")
+    w = w.astype(np.float64)
+    size = np.abs(w)
+    # Per-edge faults, in their precedence on one edge.
+    faults = (
+        ((t < 0) | (h >= n), NodeOutOfRangeError, "endpoint out of range: ({t}, {h})"),
+        (t == h, SelfLoopError, "self-loop at node {t}"),
+        (w == 0.0, ZeroWeightError, "zero weight on ({t}, {h})"),
+        (~np.isfinite(w), NonFiniteWeightError, "non-finite weight {w!r} on ({t}, {h})"),
+        (size < WEIGHT_FLOOR, GraphConstructionError,
+         "weight {w!r} on ({t}, {h}) is below 2**-1022 in magnitude"),
     )
-    bad = np.zeros(m, dtype=bool)
-    for mask, _, _ in checks:
-        bad |= np.asarray(mask, dtype=bool)
-    first_bad = int(np.argmax(bad)) if bad.any() else m
-
-    # Every edge before the first bad one is valid; degrees accumulate in
-    # edge order, tail as given first, as a per-edge loop would add them.
-    ends = np.stack([u[:first_bad], v[:first_bad]], axis=1).ravel().astype(np.intp)
-    steps = np.repeat(np.abs(w[:first_bad]), 2)
-    degree = np.bincount(ends, weights=steps, minlength=node_count)
-    hot = np.flatnonzero(degree >= DEGREE_BOUND)
-    if hot.size:
-        visit, reached = _first_degree_overflow(ends, steps, hot)
-        k, x = visit // 2, int(ends[visit])
+    bad = np.logical_or.reduce([mask for mask, _, _ in faults])
+    if bad.any():
+        k = int(np.argmax(bad))
+        error, text = next((error, text) for mask, error, text in faults if mask[k])
+        raise error(k, f"edge {k}: " + text.format(t=t[k], h=h[k], w=float(w[k])))
+    t, h = t.astype(np.intp), h.astype(np.intp)
+    # Each node's degree sums its |w| in edge order, as a per-edge loop would.
+    degree = np.bincount(np.stack([t, h], axis=1).ravel(), weights=np.repeat(size, 2),
+                         minlength=n)
+    hot = degree >= DEGREE_BOUND
+    if hot.any():
+        k = int(np.argmax(hot[t] | hot[h]))
+        x = int(t[k] if hot[t[k]] else h[k])
         raise GraphConstructionError(
-            k, f"edge {k}: weight {float(w[k])!r} on ({int(u[k])}, {int(v[k])}) lifts the "
-               f"weighted degree of node {x} to {reached!r}, at or above 2**1022")
-    if first_bad < m:
-        k = first_bad
-        for mask, error, message in checks:
-            if mask[k]:
-                text = message.format(u=int(u[k]), v=int(v[k]), w=float(w[k]))
-                raise error(k, f"edge {k}: {text}")
-    return SignedGraph(node_count, np.minimum(u, v), np.maximum(u, v), w)
+            k, f"edge {k}: node {x} of ({t[k]}, {h[k]}) has weighted degree "
+               f"{float(degree[x])!r}, at or above 2**1022")
+    return n, t, h, w
 
 
 def _is_integer(x) -> bool:

@@ -1,9 +1,10 @@
 """Plain-text graph files.
 
 Format: the first non-comment line is ``nodes N``; every following line is
-``u v w`` with 0-based node indices and a finite decimal weight of
-magnitude at least 2**-1022 (see :func:`siglap.graph_core.build_graph`).
-``#`` starts a comment.  Edge order in the file defines the edge indices.
+``u v w``, two 0-based node indices that ``int`` reads (not ``2.0``) and a
+decimal weight.  ``#`` starts a comment.  Edge order in the file defines
+the edge indices.  :class:`siglap.graph_core.SignedGraph` checks the graph;
+its errors come as a :class:`GraphParseError` naming the edge's line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .errors import GraphConstructionError, GraphParseError
-from .graph_core import SignedGraph, _graph_from_columns, build_graph
+from .graph_core import SignedGraph, build_graph
 
 _EDGE_COLUMNS = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -70,10 +71,11 @@ def parse_graph(text: str) -> SignedGraph:
     The edge lines are read in one C pass by ``np.loadtxt`` straight into
     the graph's columns.  Wherever that reader refuses a line (a token that
     ``int`` or ``float`` reads but it does not, such as ``1_0`` or Unicode
-    digits, an int beyond int64, a wrong column count) or the graph fails
-    validation, the lines are read again one by one, which gives the same
-    graph or the error with its line number.  The lines are split by
-    ``str.splitlines`` for both readers, so they agree on every line break.
+    digits, an int beyond int64, a wrong column count) or the constructor
+    refuses the graph, the lines are read again one by one into
+    :func:`build_graph`, which gives the same graph or the error with its
+    line number.  The lines are split by ``str.splitlines`` for both
+    readers, so they agree on every line break.
     """
     raw_lines = text.splitlines()
     header = next(_content_lines(raw_lines), None)
@@ -88,7 +90,8 @@ def parse_graph(text: str) -> SignedGraph:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             columns = np.loadtxt(body, dtype=_EDGE_COLUMNS, comments="#", ndmin=1)
-        return _graph_from_columns(node_count, columns["u"], columns["v"], columns["w"])
+        u, v = columns["u"], columns["v"]
+        return SignedGraph(node_count, np.minimum(u, v), np.maximum(u, v), columns["w"])
     except (ValueError, Warning):  # GraphConstructionError is a ValueError
         return _parse_edge_lines(node_count, body, lineno + 1)
 

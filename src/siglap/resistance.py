@@ -239,8 +239,8 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
         if np.any(labels != label):  # keep the component, its lowest node first
             kept = labels[g.tails] == label
             local = np.cumsum(labels == label) - 1  # at the component's nodes
-            part = SignedGraph(int(local[-1]) + 1, local[g.tails[kept]], local[g.heads[kept]],
-                               g.weights[kept])
+            part = SignedGraph._derived(int(local[-1]) + 1, local[g.tails[kept]],
+                                        local[g.heads[kept]], g.weights[kept])
             mine_ends = local[mine_ends]
         column = np.arange(mine.size)
         x = _pair_solve(part, 1, mine_ends, column)
@@ -305,7 +305,9 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     renumber = np.empty(keys.size, dtype=np.intp)
     renumber[np.argsort(~lowest, kind="stable")] = np.arange(keys.size)
     end_copy = renumber[end_copy].reshape(2, -1)
-    split = SignedGraph(keys.size, end_copy[0], end_copy[1], g_plus.weights[solved])
+    # Copies of a block keep its node order, its lowest copy moved below the
+    # rest, so tail < head holds and the split graph needs no check.
+    split = SignedGraph._derived(keys.size, end_copy[0], end_copy[1], g_plus.weights[solved])
 
     pair_keys = pair_block[:, None] * n + pairs
     pair_copy = np.searchsorted(keys, pair_keys)

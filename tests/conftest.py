@@ -57,15 +57,16 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
 
 
 def loop_build_graph(node_count: int, edge_list) -> SignedGraph:
-    """``build_graph`` as a per-edge loop: the checks run edge by edge in
-    input order and the weighted degrees accumulate in plain floats, so the
-    first error names the first offending edge by construction."""
+    """``build_graph`` as per-edge loops: the per-edge checks run edge by edge
+    in input order, each edge's ends taken smaller first, so the first error
+    names the first offending edge by construction; then the weighted
+    degrees accumulate in plain floats, and the first edge at a node whose
+    total reaches 2**1022 (its smaller such end) is named."""
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
     tails, heads, weights = [], [], []
-    degree = [0.0] * node_count
     for k, (u, v, w) in enumerate(edge_list):
-        u, v, w = int(u), int(v), float(w)
+        u, v, w = min(u, v), max(u, v), float(w)
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise NodeOutOfRangeError(k, f"edge {k}: endpoint out of range: ({u}, {v})")
         if u == v:
@@ -77,15 +78,19 @@ def loop_build_graph(node_count: int, edge_list) -> SignedGraph:
         if abs(w) < 2.0 ** -1022:
             raise GraphConstructionError(
                 k, f"edge {k}: weight {w!r} on ({u}, {v}) is below 2**-1022 in magnitude")
+        tails.append(u)
+        heads.append(v)
+        weights.append(w)
+    degree = [0.0] * node_count
+    for u, v, w in zip(tails, heads, weights):
+        degree[u] += abs(w)
+        degree[v] += abs(w)
+    for k, (u, v) in enumerate(zip(tails, heads)):
         for x in (u, v):
-            degree[x] += abs(w)
             if degree[x] >= 2.0 ** 1022:
                 raise GraphConstructionError(
-                    k, f"edge {k}: weight {w!r} on ({u}, {v}) lifts the weighted degree "
-                       f"of node {x} to {degree[x]!r}, at or above 2**1022")
-        tails.append(min(u, v))
-        heads.append(max(u, v))
-        weights.append(w)
+                    k, f"edge {k}: node {x} of ({u}, {v}) has weighted degree "
+                       f"{degree[x]!r}, at or above 2**1022")
     return SignedGraph(node_count, tails, heads, weights)
 
 

@@ -60,12 +60,18 @@ def test_build_graph_non_finite_weight_names_edge(weight):
     assert isinstance(err.value, GraphConstructionError)
 
 
-def test_build_graph_names_first_edge_lifting_a_degree_to_2_pow_1022():
+def test_build_graph_degree_error_names_the_first_edge_at_a_node_of_degree_2_pow_1022():
     half = 2.0 ** 1021
     with pytest.raises(GraphConstructionError) as err:
-        sl.build_graph(3, [(0, 1, half), (1, 2, 1.0), (0, 2, -half)])
+        sl.build_graph(3, [(1, 2, 1.0), (0, 1, half), (2, 0, -half)])
+    # node 0 reaches the bound only at edge 2, but edge 1 is its first edge
+    assert err.value.edge_index == 1
+    assert str(err.value) == ("edge 1: node 0 of (0, 1) has weighted degree "
+                              "4.49423283715579e+307, at or above 2**1022")
+    # every per-edge fault comes first, even at a later edge
+    with pytest.raises(sl.ZeroWeightError) as err:
+        sl.build_graph(3, [(0, 1, half), (0, 2, half), (1, 2, 0.0)])
     assert err.value.edge_index == 2
-    assert "node 0" in str(err.value)
     # a degree one ulp below the bound keeps the spectrum of L finite
     g = sl.build_graph(3, [(0, 1, half), (0, 2, half - 2.0 ** 969)])
     sig = sl.signature(sl.laplacian_matrix(g))
@@ -102,14 +108,16 @@ def _random_edge(rng, n: int, big: float):
         w = float(rng.choice([np.nan, np.inf, -np.inf]))
     elif kind < 0.15:
         w = float(rng.choice([1e-320, -5e-324, 2.0 ** -1023, -1e-310]))
-    elif kind < 0.30:
+    elif kind < 0.17:  # an edge that reaches the degree bound on its own
+        w = float(rng.choice([2.0 ** 1022, -1.5 * 2.0 ** 1022]))
+    elif kind < 0.32:
         w = big * float(rng.choice([1.0, -1.0]))
     return u, v, w
 
 
-def _fails_alone(n: int, edge) -> bool:
+def _fails(n: int, edges) -> bool:
     try:
-        loop_build_graph(n, [edge])
+        loop_build_graph(n, edges)
     except GraphConstructionError:
         return True
     return False
@@ -131,10 +139,10 @@ def test_build_graph_matches_the_per_edge_loop():
             assert str(err.value) == str(exc)
             assert err.value.edge_index == exc.edge_index
             kind = type(exc).__name__
-            if "lifts" in str(exc):
-                later = edges[exc.edge_index + 1:]
-                kind += " degree" + (" before a bad edge" if any(
-                    _fails_alone(n, e) for e in later) else "")
+            if "weighted degree" in str(exc):
+                # the edges up to the named one may not reach the bound yet
+                kind += " degree" + ("" if _fails(n, edges[:exc.edge_index + 1])
+                                     else " before the bound is reached")
             outcomes.add(kind)
             continue
         g = sl.build_graph(n, edges)
@@ -148,12 +156,12 @@ def test_build_graph_matches_the_per_edge_loop():
             with pytest.raises(ValueError):
                 column[:1] = 0
         outcomes.add("valid")
-    # every error kind came up, and the degree bound fired both with and
-    # without a later edge that fails a check of its own
+    # every error kind came up, and the degree error named both the edge
+    # that reaches the bound and an earlier edge at the same node
     assert outcomes == {"valid", "NodeOutOfRangeError", "SelfLoopError", "ZeroWeightError",
                         "NonFiniteWeightError", "GraphConstructionError",
                         "GraphConstructionError degree",
-                        "GraphConstructionError degree before a bad edge"}
+                        "GraphConstructionError degree before the bound is reached"}
 
 
 def test_signed_graph_columns_follow_subgraphs():
@@ -189,7 +197,7 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0]),
      "tails, heads and weights must be 1-d columns of one length"),
     (lambda: sl.SignedGraph(3, [1], [0], [1.0]), "edge 0: tail 1 >= head 0"),
-    (lambda: sl.SignedGraph(3, [0, 2], [1, 2], [1.0, 1.0]), "edge 1: tail 2 >= head 2"),
+    (lambda: sl.SignedGraph(3, [0, 2], [1, 2], [1.0, 1.0]), "edge 1: self-loop at node 2"),
     (lambda: sl.build_graph(0, []), "node_count must be >= 1, got 0"),
     (lambda: sl.build_graph(2, [(0, 1)]), "every edge must be a (u, v, w) triple"),
     (lambda: sl.path_edge_sets(sl.build_graph(2, [(0, 1, -1.0)]), [(0, 1)]),
@@ -217,31 +225,61 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: sl.build_graph("3", []), "node_count must be an integer, got '3'"),
     (lambda: sl.build_graph(2.5, []), "node_count must be an integer, got 2.5"),
     (lambda: sl.build_graph(3, [("a", 1, 1.0)]),
-     "every edge must be a (u, v, w) triple of numbers"),
+     "edge 0: node ids must be integers, got ('a', 1)"),
+    (lambda: sl.build_graph(3, [(0, 1, "x")]), "every edge must be a (u, v, w) triple of numbers"),
+    (lambda: sl.build_graph(3, [(0, 1, 1.0), (0.5, np.float64(2.7), 1.0)]),
+     "edge 1: node ids must be integers, got (0.5, np.float64(2.7))"),
+    (lambda: sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (True, 2, 1.0)]),
+     "edge 2: node ids must be integers, got (True, 2)"),
+    (lambda: sl.build_graph(3, [(0, 2.0, 1.0)]), "edge 0: node ids must be integers, got (0, 2.0)"),
     (lambda: sl.build_graph(3, 5), "edge_list must be an iterable of (u, v, w) triples"),
     (lambda: TRIANGLE.subgraph([True, False]),
      "an edge mask must have shape (3,), got (2,)"),
     (lambda: TRIANGLE.subgraph([0, 3]), "edge indices must be integers from 0 to 2, got [0, 3]"),
     (lambda: TRIANGLE.subgraph([0.5]), "edge indices must be integers from 0 to 2, got [0.5]"),
+    (lambda: TRIANGLE.subgraph([1, 0, 1]), "edge indices must be distinct, got [1, 0, 1]"),
     (lambda: sl.component_labels(TRIANGLE, skip_edges=["a"]),
      "skip_edges must be edge indices, got ['a']"),
     (lambda: sl.SignedGraph(2, [0], [5], [1.0]),
-     "edge 0: endpoint out of range: (0, 5) on 2 nodes"),
-    (lambda: sl.SignedGraph(3, [0, 1], [1, 2], [1.0, np.nan]), "edge 1: non-finite weight nan"),
+     "edge 0: endpoint out of range: (0, 5)"),
+    (lambda: sl.SignedGraph(3, [0, 1], [1, 2], [1.0, np.nan]),
+     "edge 1: non-finite weight nan on (1, 2)"),
     (lambda: sl.SignedGraph(2, ["a"], [1], [1.0]), "tails must be a column of integers"),
     (lambda: sl.SignedGraph(3, [0.5], [1.5], [1.0]), "tails must be a column of integers"),
     (lambda: sl.SignedGraph(2, [0], [1], [1j]), "weights must be a column of real numbers"),
 ], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
         "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
         "signature-complex", "pinv-nan", "t-final-text", "stride-text", "stride-fraction",
-        "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "edge-list-int",
-        "mask-length", "index-range", "index-fraction", "skip-text", "graph-range",
+        "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "weight-text",
+        "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
+        "index-range", "index-fraction", "index-repeat", "skip-text", "graph-range",
         "graph-nan", "graph-text", "graph-fraction", "graph-complex"])
 def test_bad_library_input_raises_invalid_parameter_error(call, message):
     with pytest.raises(sl.InvalidParameterError) as err:
         call()
     assert str(err.value) == message
     assert isinstance(err.value, sl.SiglapError) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("columns, error, message", [
+    ((3, [0, 1, 0], [1, 2, 2], [1.0, 0.0, -0.2]), sl.ZeroWeightError,
+     "edge 1: zero weight on (1, 2)"),
+    ((2, [0, 0], [1, 1], [1e-320, -1e-320]), GraphConstructionError,
+     "edge 0: weight 1e-320 on (0, 1) is below 2**-1022 in magnitude"),
+    ((3, [0, 0, 1, 0], [1, 1, 2, 2], [1e308, 1e308, 1.0, -0.1]), GraphConstructionError,
+     "edge 0: node 0 of (0, 1) has weighted degree inf, at or above 2**1022"),
+    ((3, [0, 0], [1, 3], [1e308, 1e308]), sl.NodeOutOfRangeError,
+     "edge 1: endpoint out of range: (0, 3)"),
+], ids=["zero", "subnormal", "degree", "range-before-degree"])
+def test_a_directly_built_graph_gets_the_same_graph_error_as_build_graph(columns, error, message):
+    n, tails, heads, weights = columns
+    for call in (lambda: sl.SignedGraph(*columns),
+                 lambda: sl.build_graph(n, list(zip(heads, tails, weights)))):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message
+        assert err.value.edge_index == int(message.split(":")[0].split()[1])
+        assert isinstance(err.value, sl.InvalidParameterError)
 
 
 @pytest.mark.parametrize("call, message", [
