@@ -57,8 +57,9 @@ class SignedGraph:
     nodes and a finite weight of magnitude at least 2**-1022; and weighted
     degrees (sums of |w|) below 2**1022, which keeps every entry of
     ``L + L^T``, and by Gershgorin every eigenvalue of L, finite.  Each
-    column is copied to its dtype (intp, intp, float64) and made read-only.
-    Equality and hashing read ``node_count`` and ``edges``.
+    column is copied to its dtype (intp, intp, float64) and held as a
+    read-only view that cannot be made writeable.  Equality, hashing,
+    pickling and copying read ``node_count`` and the columns alone.
 
     Raises:
         InvalidParameterError: a wrong type or shape, or the first edge
@@ -79,11 +80,25 @@ class SignedGraph:
         self._hold(*_check_columns(self.node_count, self.tails, self.heads, self.weights))
 
     def _hold(self, node_count: int, *columns: np.ndarray) -> None:
-        """Store the fields, the columns (intp, intp, float64) made read-only."""
+        """Store the fields, each column (intp, intp, float64) as a read-only
+        view of a read-only array that owns its data: numpy refuses to make
+        such a view writeable again.  A column that is itself a view is
+        copied first, as its base could be writeable."""
         object.__setattr__(self, "node_count", node_count)
         for name, column in zip(("tails", "heads", "weights"), columns):
+            if column.base is not None:
+                column = column.copy()
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, column.view())
+
+    def __getstate__(self):
+        """The four fields only: what other modules keep on the graph (the
+        resistance layer's pair factorizations) is neither pickled nor
+        copied."""
+        return self.node_count, self.tails, self.heads, self.weights
+
+    def __setstate__(self, state):
+        self._hold(*state)
 
     @classmethod
     def _derived(cls, node_count: int, *columns: np.ndarray) -> "SignedGraph":
@@ -181,13 +196,15 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     edge indices.  Every entry of ``edge_list`` is a ``(u, v, w)`` triple of
     two node ids and a weight read by ``float``.  A node id is a Python or
     numpy integer: a bool, or a float even when its value is whole (``2.0``),
-    is refused, as by the node-pair check and the graph-file reader.
+    is refused, as by the node-pair check and the graph-file reader.  A
+    weight that is text (``"1.5"``, ``b"1"``) or a bool is refused too,
+    although ``float`` reads it.
 
     Raises:
         InvalidParameterError: ``node_count`` is not an integer >= 1,
             ``edge_list`` is not an iterable of ``(u, v, w)`` triples, a
-            node id is not an integer (naming the first such edge), or a
-            weight is not read by ``float``.
+            node id is not an integer, or a weight is text, a bool or not
+            read by ``float`` (each naming the first such edge).
         GraphConstructionError: the graph breaks the invariant of
             :class:`SignedGraph`, at the edge ``edge_index``.
     """
@@ -204,14 +221,35 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
         k = next(k for k, ends in enumerate(zip(u, v)) if not all(map(_is_integer, ends)))
         raise InvalidParameterError(f"edge {k}: node ids must be integers, got ({u[k]!r}, {v[k]!r})")
     try:
+        # One type test per distinct type of weight, not one per weight.
+        if any(issubclass(kind, _NOT_WEIGHTS) for kind in set(map(type, w))):
+            raise TypeError
         w = np.array(list(map(float, w)), dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError("every edge must be a (u, v, w) triple of numbers") from None
+        k = next(k for k, x in enumerate(w) if not _is_weight(x))
+        raise InvalidParameterError(
+            f"edge {k}: weight must be a real number, got {w[k]!r}") from None
     try:
         ends = np.array([u, v], dtype=np.intp)
     except OverflowError:  # an id beyond 64 bits, left for the range check
         ends = np.array([u, v], dtype=object)
     return SignedGraph(node_count, ends.min(axis=0), ends.max(axis=0), w)
+
+
+# Values that ``float`` reads but that are not weights: text and bools.
+_NOT_WEIGHTS = (str, bytes, bytearray, bool, np.bool_)
+
+
+def _is_weight(x) -> bool:
+    """Whether ``x`` is a weight of an edge list: a value that ``float``
+    reads and that is neither text nor a bool."""
+    if isinstance(x, _NOT_WEIGHTS):
+        return False
+    try:
+        float(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
 
 
 def _checked_node_count(node_count, least: int = 1) -> int:

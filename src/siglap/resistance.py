@@ -31,8 +31,20 @@ stops only on a pivot that is not positive, so that route also raises
 ``c_jj**2 <= eps * A_jj``.
 
 Pairs are all checked before any solve; then they take one solve per
-component holding one, with one right-hand-side column per pair.  The
-resistance matrix of the negative edges is block-diagonal over the
+component holding one, with one right-hand-side column per pair.  Pair
+queries factor each component once per graph: the first query on a
+component factors its grounded Laplacian, and the factor, with the graph's
+component labels, is kept in a private record on the graph
+(:class:`_PairFactors`) that every later pair query on it reuses, so a later
+call makes only the triangular solves and its own residual check, and gives
+the same bits.  The record holds one factor per queried component (about
+0.38 MB for a 36x36 grid on the band), lives as long as the graph, and is
+dropped when the graph is pickled or copied; a factorization that fails
+keeps nothing.  The block solve below, behind the verdict, ``check-psd``
+and cluster prediction, factors on every call and keeps nothing, and a
+signed graph pays its dense route on every call.
+
+The resistance matrix of the negative edges is block-diagonal over the
 biconnected blocks of G (G+ plus the negative edges): a simple u-v path
 never leaves the block of the u-v edge, so the current between the ends of
 a negative edge flows only through the positive edges of that edge's block,
@@ -123,10 +135,23 @@ def _band(g: SignedGraph, grounded: int) -> int | None:
     return width if free * (width + 1) <= _BAND_RATIO * (free + 2 * int(inner.sum())) else None
 
 
-def _banded_solve(g: SignedGraph, grounded: int, width: int, b: np.ndarray) -> np.ndarray:
-    """The solution y of ``A y = b`` by LAPACK banded Cholesky (``dpbtrf``,
-    ``dpbtrs``) of the grounded matrix A, its band assembled straight from
-    the edge columns."""
+@dataclass(frozen=True, eq=False)
+class _GroundedFactor:
+    """``g``'s Laplacian without its first ``grounded`` rows and columns,
+    factored once: ``width`` is its bandwidth on the banded route and None
+    on the ``splu`` route, ``factor`` the read-only ``dpbtrf`` band or the
+    ``SuperLU`` object, and ``norm`` its ``||A||_inf``, the residual scale."""
+
+    g: SignedGraph
+    grounded: int
+    width: int | None
+    factor: object
+    norm: float
+
+
+def _band_factor(g: SignedGraph, grounded: int, width: int) -> np.ndarray:
+    """The LAPACK banded Cholesky factor (``dpbtrf``) of the grounded matrix,
+    its band assembled straight from the edge columns, made read-only."""
     n, free = g.node_count, g.node_count - grounded
     k = width + 1
     # Free nodes in reverse order, so the highest is eliminated first.
@@ -142,12 +167,13 @@ def _banded_solve(g: SignedGraph, grounded: int, width: int, b: np.ndarray) -> n
     if info != 0 or np.any(factor[0] ** 2 <= _PIVOT_EPS * diagonal):
         raise CrossCheckError("grounded Laplacian factorization failed: a banded Cholesky "
                               "pivot cancelled to rounding level")
-    return dpbtrs(factor, b[::-1], lower=1)[0][::-1]
+    factor.flags.writeable = False
+    return factor
 
 
-def _splu_solve(g: SignedGraph, grounded: int, b: np.ndarray) -> np.ndarray:
-    """The solution y of ``A y = b`` by SuperLU of the grounded matrix A,
-    sliced from the CSC Laplacian."""
+def _splu_factor(g: SignedGraph, grounded: int):
+    """The SuperLU factorization of the grounded matrix, sliced from the CSC
+    Laplacian."""
     free = sparse_laplacian(g)[grounded:, grounded:]
     # The grounded matrix is symmetric positive definite, so a symmetric fill
     # ordering with diagonal pivots is stable; on a 1200-node random tree
@@ -158,42 +184,56 @@ def _splu_solve(g: SignedGraph, grounded: int, b: np.ndarray) -> np.ndarray:
     # 2.29 -> 1.88 ms on the blocks of that tree plus chords, 0.20 -> 0.17 ms
     # on the blocks of a chain of 90 15-cycles.
     try:
-        lu = splu(free, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  relax=1, panel_size=1, options={"SymmetricMode": True})
+        return splu(free, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError as exc:  # a pivot cancelled to exactly zero
         raise CrossCheckError(f"grounded Laplacian factorization failed: {exc}") from exc
-    return lu.solve(b)
 
 
-def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L x = rhs`` with ``x = 0`` at the first ``grounded`` nodes.
+def _grounded_factor(g: SignedGraph, grounded: int) -> _GroundedFactor:
+    """The factorization of ``L`` with its first ``grounded`` rows and
+    columns removed, banded Cholesky or ``splu`` as :func:`_band` decides.
 
     ``g`` is an all-positive graph each of whose components holds exactly
-    one of the first ``grounded`` nodes, and every column of ``rhs`` (shape
-    ``(n, c)``) sums to zero over each component, so the grounded system is
-    nonsingular and its solution also satisfies the dropped rows.  The
-    factorization is banded Cholesky or ``splu``, as :func:`_band` decides.
+    one of the first ``grounded`` nodes, so that matrix is nonsingular.
 
     Raises:
         CrossCheckError: a pivot cancels (exactly, or to rounding level on
-            the banded route), or the relative residual of some column
-            exceeds ``CROSS_CHECK_RTOL``.
+            the banded route).
     """
-    b = rhs[grounded:]
     width = _band(g, grounded)
-    x = np.zeros_like(rhs)
-    x[grounded:] = (_splu_solve(g, grounded, b) if width is None
-                    else _banded_solve(g, grounded, width, b))
-    # L x and ||A||_inf from the edge columns, whichever route solved; the
-    # rows of grounded nodes are dropped.
-    product = _laplacian_product(g, x)[grounded:]
-    # |w| on the diagonal at each end, and again off it between free nodes.
+    factor = (_splu_factor(g, grounded) if width is None
+              else _band_factor(g, grounded, width))
+    # |w| on the diagonal at each end, and again off it between free nodes;
+    # the rows of grounded nodes are dropped.
     inner = g.tails >= grounded
     row_abs = np.tile(np.abs(g.weights) * (1.0 + inner), 2)
-    norm_l = float(np.bincount(np.concatenate([g.tails, g.heads]), weights=row_abs,
-                               minlength=g.node_count)[grounded:].max())
+    norm = float(np.bincount(np.concatenate([g.tails, g.heads]), weights=row_abs,
+                             minlength=g.node_count)[grounded:].max())
+    return _GroundedFactor(g, grounded, width, factor, norm)
+
+
+def _grounded_solve(f: _GroundedFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L x = rhs`` with ``x = 0`` at the first ``f.grounded`` nodes,
+    by the factorization ``f``, and check the residual.
+
+    Every column of ``rhs`` (shape ``(n, c)``) sums to zero over each
+    component of ``f.g``, so the solution also satisfies the dropped rows.
+
+    Raises:
+        CrossCheckError: the relative residual of some column exceeds
+            ``CROSS_CHECK_RTOL``.
+    """
+    grounded = f.grounded
+    b = rhs[grounded:]
+    x = np.zeros_like(rhs)
+    x[grounded:] = (f.factor.solve(b) if f.width is None
+                    else dpbtrs(f.factor, b[::-1], lower=1)[0][::-1])
+    # L x from the edge columns, whichever route solved; the rows of grounded
+    # nodes are dropped.
+    product = _laplacian_product(f.g, x)[grounded:]
     residual = np.max(np.abs(product - b), axis=0)
-    scale = norm_l * np.max(np.abs(x[grounded:]), axis=0) + np.max(np.abs(b), axis=0)
+    scale = f.norm * np.max(np.abs(x[grounded:]), axis=0) + np.max(np.abs(b), axis=0)
     if not np.all(residual <= CROSS_CHECK_RTOL * scale):
         worst = float(np.max(residual / scale))
         raise CrossCheckError(
@@ -203,14 +243,45 @@ def _grounded_solve(g: SignedGraph, grounded: int, rhs: np.ndarray) -> np.ndarra
     return x
 
 
-def _pair_solve(g: SignedGraph, grounded: int, ends: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """:func:`_grounded_solve` of the right-hand side whose column
+def _pair_solve(f: _GroundedFactor, ends: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """:func:`_grounded_solve` by ``f`` of the right-hand side whose column
     ``column[k]`` holds +1 at ``ends[k, 0]`` and -1 at ``ends[k, 1]``, for
     each pair k; pairs sharing a column share no node."""
-    rhs = np.zeros((g.node_count, int(column.max()) + 1))
+    rhs = np.zeros((f.g.node_count, int(column.max()) + 1))
     rhs[ends[:, 0], column] = 1.0
     rhs[ends[:, 1], column] = -1.0
-    return _grounded_solve(g, grounded, rhs)
+    return _grounded_solve(f, rhs)
+
+
+@dataclass(eq=False)
+class _PairFactors:
+    """What pair queries on one graph reuse, kept on the graph as
+    ``_pair_factors``: its component labels; each node's rank within its
+    component, None when the graph is connected; and, by label, the grounded
+    factorization of each component a pair has queried, stored only once it
+    has succeeded.  Pickling and copying a graph drop it."""
+
+    labels: np.ndarray
+    local: np.ndarray | None
+    factors: dict[int, _GroundedFactor]
+
+
+def _pair_factors(g: SignedGraph) -> _PairFactors:
+    """``g``'s :class:`_PairFactors`, made and kept on ``g`` by its first
+    pair query.  Two threads racing on it may both make one, which is
+    harmless: the graph is immutable."""
+    record = getattr(g, "_pair_factors", None)
+    if record is None:
+        count, labels = _components(g.node_count, g.tails, g.heads)
+        local = None
+        if count > 1:  # a node's rank among its component's nodes, in order
+            order = np.argsort(labels, kind="stable")
+            ranked = labels[order]
+            local = np.empty(labels.size, dtype=np.intp)
+            local[order] = np.arange(labels.size) - np.searchsorted(ranked, ranked)
+        record = _PairFactors(labels, local, {})
+        object.__setattr__(g, "_pair_factors", record)
+    return record
 
 
 def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
@@ -219,11 +290,14 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     Every pair is checked first by :func:`_node_pairs`, in order, and the
     first that fails raises its error before anything is factored.  Then an
     all-positive graph takes one grounded solve per component holding a
-    pair, with one right-hand-side column per pair; a graph with any
-    negative weight takes one eigendecomposition pseudo-inverse.
+    pair, with one right-hand-side column per pair, by that component's
+    factorization, made by the first query that needs it and then kept in
+    ``g``'s :class:`_PairFactors`; a graph with any negative weight takes one
+    eigendecomposition pseudo-inverse.
     """
     n = g.node_count
-    labels = _components(n, g.tails, g.heads)[1]
+    record = _pair_factors(g)
+    labels = record.labels
     ends = _node_pairs(n, pairs, labels)
     if not np.all(g.weights > 0.0):
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
@@ -235,15 +309,18 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     values = np.empty(len(ends))
     for label in dict.fromkeys(pair_label.tolist()):  # in order of first pair
         mine = np.flatnonzero(pair_label == label)
-        part, mine_ends = g, ends[mine]
-        if np.any(labels != label):  # keep the component, its lowest node first
-            kept = labels[g.tails] == label
-            local = np.cumsum(labels == label) - 1  # at the component's nodes
-            part = SignedGraph._derived(int(local[-1]) + 1, local[g.tails[kept]],
-                                        local[g.heads[kept]], g.weights[kept])
-            mine_ends = local[mine_ends]
+        mine_ends = ends[mine] if record.local is None else record.local[ends[mine]]
+        factor = record.factors.get(label)
+        if factor is None:
+            part = g
+            if record.local is not None:  # keep the component, its lowest node first
+                kept = labels[g.tails] == label
+                part = SignedGraph._derived(int(np.count_nonzero(labels == label)),
+                                            record.local[g.tails[kept]],
+                                            record.local[g.heads[kept]], g.weights[kept])
+            factor = record.factors[label] = _grounded_factor(part, 1)
         column = np.arange(mine.size)
-        x = _pair_solve(part, 1, mine_ends, column)
+        x = _pair_solve(factor, mine_ends, column)
         values[mine] = x[mine_ends[:, 0], column] - x[mine_ends[:, 1], column]
     return values.tolist()
 
@@ -411,7 +488,7 @@ def _block_solve(g_plus: SignedGraph, pairs: np.ndarray
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
     split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
     order, start, colour = _block_runs(pair_block)
-    x = _pair_solve(split, grounded, ends[:, ::-1], colour)
+    x = _pair_solve(_grounded_factor(split, grounded), ends[:, ::-1], colour)
     # potential[j, c] = b_j^T x[:, c]; within a block, column colour(k) is
     # the potential of pair k, so R_jk = potential[j, colour(k)].
     potential = x[ends[:, 1]] - x[ends[:, 0]]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,22 @@ def test_signed_graph_columns_follow_subgraphs():
         sl.SignedGraph(5, [0, 1], [1], [1.0, 2.0])
 
 
+
+def test_graph_columns_cannot_be_made_writeable():
+    g = sl.build_graph(5, [(3, 1, 2.0), (0, 4, -1.0), (2, 4, 0.5), (4, 2, -3.0)])
+    ends = np.array([[0, 1], [1, 3]])  # rows are views of a writeable array
+    derived = sl.SignedGraph._derived(4, ends[0], ends[1], np.array([1.0, 2.0]))
+    ends[0, 0] = 2
+    assert derived.tails.tolist() == [0, 1]
+    for graph in (g, g.subgraph([3, 0]), g.positive_subgraph(), derived,
+                  pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        for column in (graph.tails, graph.heads, graph.weights):
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+            with pytest.raises(ValueError):
+                column[:1] = 5
+    assert g.weights.tolist() == [2.0, -1.0, 0.5, -3.0]
+
 TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
 
@@ -226,7 +245,14 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: sl.build_graph(2.5, []), "node_count must be an integer, got 2.5"),
     (lambda: sl.build_graph(3, [("a", 1, 1.0)]),
      "edge 0: node ids must be integers, got ('a', 1)"),
-    (lambda: sl.build_graph(3, [(0, 1, "x")]), "every edge must be a (u, v, w) triple of numbers"),
+    (lambda: sl.build_graph(3, [(0, 1, "x")]), "edge 0: weight must be a real number, got 'x'"),
+    (lambda: sl.build_graph(3, [(0, 1, 1.0), (1, 2, "1.5")]),
+     "edge 1: weight must be a real number, got '1.5'"),
+    (lambda: sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, b"1")]),
+     "edge 2: weight must be a real number, got b'1'"),
+    (lambda: sl.build_graph(3, [(0, 1, True)]), "edge 0: weight must be a real number, got True"),
+    (lambda: sl.build_graph(3, [(0, 1, 1.0), (1, 2, None)]),
+     "edge 1: weight must be a real number, got None"),
     (lambda: sl.build_graph(3, [(0, 1, 1.0), (0.5, np.float64(2.7), 1.0)]),
      "edge 1: node ids must be integers, got (0.5, np.float64(2.7))"),
     (lambda: sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (True, 2, 1.0)]),
@@ -251,6 +277,7 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
         "signature-complex", "pinv-nan", "t-final-text", "stride-text", "stride-fraction",
         "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "weight-text",
+        "weight-number-text", "weight-bytes", "weight-bool", "weight-none",
         "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
         "index-range", "index-fraction", "index-repeat", "skip-text", "graph-range",
         "graph-nan", "graph-text", "graph-fraction", "graph-complex"])

@@ -6,6 +6,10 @@ graph, needs parallel edges merged by summing their conductances.  A dense
 pseudo-inverse is the oracle for the whole resistance matrix.
 """
 
+import pickle
+import sys
+import threading
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -251,14 +255,13 @@ def two_grids_interleaved(rng):
 def solve_spy(monkeypatch) -> list[tuple[str, int]]:
     """Record (route, right-hand-side columns) of every grounded solve."""
     calls = []
-    for name in ("_banded_solve", "_splu_solve"):
-        real = getattr(resistance_module, name)
+    real = resistance_module._grounded_solve
 
-        def spy(g, grounded, *rest, real=real, name=name):
-            calls.append((name, rest[-1].shape[1]))
-            return real(g, grounded, *rest)
+    def spy(f, rhs):
+        calls.append(("splu" if f.width is None else "band", rhs.shape[1]))
+        return real(f, rhs)
 
-        monkeypatch.setattr(resistance_module, name, spy)
+    monkeypatch.setattr(resistance_module, "_grounded_solve", spy)
     return calls
 
 
@@ -267,7 +270,7 @@ def test_pairs_of_two_components_take_one_solve_each(monkeypatch):
     one_by_one = [sl.effective_resistance(g, u, v) for u, v in pairs]
     calls = solve_spy(monkeypatch)
     assert resistance_module._pair_resistances(g, pairs) == one_by_one
-    assert calls == [("_banded_solve", 3), ("_splu_solve", 2)]
+    assert calls == [("band", 3), ("splu", 2)]
     pinv = np.linalg.pinv(dense_laplacian(g.node_count, g.edges))
     expected = [pinv[u, u] + pinv[v, v] - 2.0 * pinv[u, v] for u, v in pairs]
     assert np.allclose(one_by_one, expected, rtol=1e-10, atol=0.0)
@@ -307,6 +310,109 @@ def test_an_invalid_pair_raises_before_any_solve(monkeypatch):
             resistance_module._pair_resistances(g, [valid])
         with pytest.raises(sl.InvalidParameterError, match="node out of range"):
             resistance_module._pair_resistances(g, [valid, (0, 400)])
+
+
+def pair_query_cases(rng):
+    """Graphs with pair sequences that repeat, reverse and interleave their
+    pairs: a 16x16 grid numbered row by row (the banded route), the same
+    grid renamed by i -> 97 i mod 256 (``splu``; the renaming fixes every
+    multiple of 8), and two grids as the components of one graph, one on
+    each route, with pairs alternating between them."""
+    grid = sl.build_graph(256, grid_edges(rng, 16, 16))
+    pairs = [(0, 248), (8, 136), (248, 0), (40, 200), (0, 248), (136, 8), (200, 40)]
+    two, alternating = two_grids_interleaved(rng)
+    alternating += [(v, u) for u, v in alternating]
+    return [(grid, pairs), (relabelled(grid, 97 * np.arange(256) % 256), pairs),
+            (two, alternating)]
+
+
+def fresh_resistances(g: sl.SignedGraph, pairs) -> list[float]:
+    """R of each pair, each on a fresh graph with the edges of ``g``."""
+    return [sl.effective_resistance(sl.SignedGraph(g.node_count, g.tails, g.heads, g.weights),
+                                    u, v) for u, v in pairs]
+
+
+def factor_spy(monkeypatch) -> tuple[list[str], list[int]]:
+    """Record the route of every factorization and the columns of every
+    residual check."""
+    factorizations, products = [], []
+    for name, real in (("dpbtrf", resistance_module.dpbtrf), ("splu", resistance_module.splu)):
+        monkeypatch.setattr(resistance_module, name, lambda *args, real=real, name=name, **kw:
+                            factorizations.append(name) or real(*args, **kw))
+    real_product = resistance_module._laplacian_product
+    monkeypatch.setattr(resistance_module, "_laplacian_product", lambda g, x:
+                        products.append(x.shape[1]) or real_product(g, x))
+    return factorizations, products
+
+
+def test_pair_queries_factor_each_component_once_and_repeat_the_bits(monkeypatch):
+    for k, (g, pairs) in enumerate(pair_query_cases(np.random.default_rng(151))):
+        fresh = fresh_resistances(g, pairs)
+        with monkeypatch.context() as patch:
+            factorizations, products = factor_spy(patch)
+            assert [sl.effective_resistance(g, u, v) for u, v in pairs] == fresh
+            assert len(products) == len(pairs)  # one residual check per call
+            assert resistance_module._pair_resistances(g, pairs) == fresh
+        routes = [["dpbtrf"], ["splu"], ["dpbtrf", "splu"]][k]
+        assert factorizations == routes  # once per component, on its route
+        assert len(resistance_module._pair_factors(g).factors) == len(routes)
+        values = dict(zip(pairs, fresh))  # a reversed pair gives the same bits
+        assert all(values[u, v] == values[v, u] for u, v in pairs)
+
+
+def test_threads_sharing_a_graph_get_the_bits_of_a_fresh_graph():
+    # Four threads on two cores race on one graph's first pair queries: each
+    # may factor a component, and every value must still be the fresh one.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for g, pairs in pair_query_cases(np.random.default_rng(163)):
+            fresh = fresh_resistances(g, pairs)
+            results = []
+
+            def query(g=g, pairs=pairs, results=results):
+                for _ in range(5):
+                    results.append([sl.effective_resistance(g, u, v) for u, v in pairs])
+
+            threads = [threading.Thread(target=query) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [fresh] * 20
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failed_factorization_is_not_kept():
+    # The graphs of the two numerically singular tests above: the band's
+    # pivot guard and splu's exact zero pivot.
+    perm = np.random.default_rng(127).permutation(np.arange(1, 202))
+    ring = [0, *perm[:199].tolist()]
+    light, heavy = perm[199:].tolist()
+    edges = [(ring[i], ring[(i + 1) % 200], 1.0) for i in range(200)]
+    hung = sl.build_graph(202, edges + [(0, light, 1e-300), (light, heavy, 1e300)])
+    for g, u, v in ((sl.build_graph(3, [(0, 1, 1e-300), (1, 2, 1e300)]), 0, 2),
+                    (hung, ring[100], heavy)):
+        for _ in range(2):
+            with pytest.raises(sl.CrossCheckError, match="factorization failed"):
+                sl.effective_resistance(g, u, v)
+        assert resistance_module._pair_factors(g).factors == {}
+
+
+def test_derived_and_unpickled_graphs_carry_no_factors():
+    rng = np.random.default_rng(157)
+    grid = sl.build_graph(256, grid_edges(rng, 16, 16))
+    g = relabelled(grid, 97 * np.arange(256) % 256)  # the splu route
+    pairs = [(0, 248), (8, 136), (40, 200)]
+    values = [sl.effective_resistance(g, u, v) for u, v in pairs]
+    assert resistance_module._band(g, 1) is None and "_pair_factors" in vars(g)
+    assert "_pair_factors" not in vars(g.positive_subgraph())
+    assert "_pair_factors" not in vars(g.subgraph([0, 1, 2]))
+    copied = pickle.loads(pickle.dumps(g))
+    assert copied == g and "_pair_factors" not in vars(copied)
+    assert [sl.effective_resistance(copied, u, v) for u, v in pairs] == values
 
 
 def test_signed_effective_resistance_matches_pinv():
