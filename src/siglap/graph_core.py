@@ -80,21 +80,18 @@ class SignedGraph:
         self._hold(*_check_columns(self.node_count, self.tails, self.heads, self.weights))
 
     def _hold(self, node_count: int, *columns: np.ndarray) -> None:
-        """Store the fields, each column (intp, intp, float64) as a read-only
-        view of a read-only array that owns its data: numpy refuses to make
-        such a view writeable again.  A column that is itself a view is
-        copied first, as its base could be writeable."""
+        """Store the fields, each column (intp, intp, float64) copied onto
+        an immutable ``bytes`` buffer: numpy refuses to make an array on such
+        a buffer writeable, and the buffer itself has no flag to flip."""
         object.__setattr__(self, "node_count", node_count)
         for name, column in zip(("tails", "heads", "weights"), columns):
-            if column.base is not None:
-                column = column.copy()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column.view())
+            object.__setattr__(self, name, np.frombuffer(column.tobytes(), dtype=column.dtype))
 
     def __getstate__(self):
-        """The four fields only: what other modules keep on the graph (the
-        resistance layer's pair factorizations) is neither pickled nor
-        copied."""
+        """The four fields only.  Unpickled columns would be writeable, so
+        :meth:`__setstate__` holds them again; and what other modules keep
+        on the graph (the resistance layer's pair factorizations) is neither
+        pickled nor copied."""
         return self.node_count, self.tails, self.heads, self.weights
 
     def __setstate__(self, state):
@@ -220,15 +217,11 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     if not all(map(_is_integer, u + v)):
         k = next(k for k, ends in enumerate(zip(u, v)) if not all(map(_is_integer, ends)))
         raise InvalidParameterError(f"edge {k}: node ids must be integers, got ({u[k]!r}, {v[k]!r})")
-    try:
-        # One type test per distinct type of weight, not one per weight.
-        if any(issubclass(kind, _NOT_WEIGHTS) for kind in set(map(type, w))):
-            raise TypeError
-        w = np.array(list(map(float, w)), dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        k = next(k for k, x in enumerate(w) if not _is_weight(x))
-        raise InvalidParameterError(
-            f"edge {k}: weight must be a real number, got {w[k]!r}") from None
+    weights = list(map(_weight, w))
+    if None in weights:
+        k = weights.index(None)
+        raise InvalidParameterError(f"edge {k}: weight must be a real number, got {w[k]!r}")
+    w = np.array(weights, dtype=float)
     try:
         ends = np.array([u, v], dtype=np.intp)
     except OverflowError:  # an id beyond 64 bits, left for the range check
@@ -240,16 +233,15 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
 _NOT_WEIGHTS = (str, bytes, bytearray, bool, np.bool_)
 
 
-def _is_weight(x) -> bool:
-    """Whether ``x`` is a weight of an edge list: a value that ``float``
-    reads and that is neither text nor a bool."""
+def _weight(x) -> float | None:
+    """``x`` read by ``float`` as a weight of an edge list, or None when it
+    is not one: text or a bool, or a value that ``float`` cannot read."""
     if isinstance(x, _NOT_WEIGHTS):
-        return False
+        return None
     try:
-        float(x)
+        return float(x)
     except (TypeError, ValueError, OverflowError):
-        return False
-    return True
+        return None
 
 
 def _checked_node_count(node_count, least: int = 1) -> int:

@@ -37,7 +37,10 @@ component factors its grounded Laplacian, and the factor, with the graph's
 component labels, is kept in a private record on the graph
 (:class:`_PairFactors`) that every later pair query on it reuses, so a later
 call makes only the triangular solves and its own residual check, and gives
-the same bits.  The record holds one factor per queried component (about
+the same bits.  That pays only when one graph object is asked for pairs
+more than once, as when the thresholds ``1/R_uv`` of several candidate
+negative edges are read on one positive graph; a first query factors as
+before.  The record holds one factor per queried component (about
 0.38 MB for a 36x36 grid on the band), lives as long as the graph, and is
 dropped when the graph is pickled or copied; a factorization that fails
 keeps nothing.  The block solve below, behind the verdict, ``check-psd``
@@ -312,8 +315,11 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
         mine_ends = ends[mine] if record.local is None else record.local[ends[mine]]
         factor = record.factors.get(label)
         if factor is None:
-            part = g
-            if record.local is not None:  # keep the component, its lowest node first
+            # The component as a graph of its own, its lowest node first; a
+            # copy even when it is all of g, since a record on g that held g
+            # would be a cycle that only the cycle collector frees.
+            part = SignedGraph._derived(n, g.tails, g.heads, g.weights)
+            if record.local is not None:
                 kept = labels[g.tails] == label
                 part = SignedGraph._derived(int(np.count_nonzero(labels == label)),
                                             record.local[g.tails[kept]],

@@ -6,9 +6,11 @@ graph, needs parallel edges merged by summing their conductances.  A dense
 pseudo-inverse is the oracle for the whole resistance matrix.
 """
 
+import gc
 import pickle
 import sys
 import threading
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -413,6 +415,22 @@ def test_derived_and_unpickled_graphs_carry_no_factors():
     copied = pickle.loads(pickle.dumps(g))
     assert copied == g and "_pair_factors" not in vars(copied)
     assert [sl.effective_resistance(copied, u, v) for u, v in pairs] == values
+
+
+def test_a_queried_graph_is_freed_with_its_last_reference():
+    # The record kept on a graph holds no reference back to it, so dropping
+    # the graph frees it and its factors at once, with no cycle collection.
+    cases = pair_query_cases(np.random.default_rng(167))
+    while cases:
+        g, pairs = cases.pop()
+        sl.effective_resistance(g, *pairs[0])
+        alive = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def test_signed_effective_resistance_matches_pinv():
