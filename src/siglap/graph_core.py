@@ -57,8 +57,8 @@ class SignedGraph:
     nodes and a finite weight of magnitude at least 2**-1022; and weighted
     degrees (sums of |w|) below 2**1022, which keeps every entry of
     ``L + L^T``, and by Gershgorin every eigenvalue of L, finite.  Each
-    column is copied to its dtype (intp, intp, float64) and held as a
-    read-only view that cannot be made writeable.  Equality, hashing,
+    column is copied to its dtype (intp, intp, float64) and held on an
+    immutable buffer, so it cannot be made writeable.  Equality, hashing,
     pickling and copying read ``node_count`` and the columns alone.
 
     Raises:
