@@ -20,7 +20,7 @@ import numpy as np
 from . import consensus, definiteness, resistance, spectra
 from .errors import DisconnectedError, HypothesisViolatedError, InvalidParameterError, SiglapError
 from .graph_core import SignedGraph, component_labels
-from .graphfile import _content_lines, read_graph_file
+from .graphfile import _content_lines, _read_text, read_graph_file
 from .laplacians import laplacian_matrix
 
 _HYPOTHESIS_ERRORS = (HypothesisViolatedError, DisconnectedError)
@@ -50,19 +50,21 @@ def _header(args: argparse.Namespace, extra: list[str] | None = None) -> list[st
 
 def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list[str]]:
     if args.x0 is not None:
+        def error(lineno: int, message: str) -> InvalidParameterError:
+            return InvalidParameterError(f"x0 file {args.x0}: line {lineno}: {message}")
+
         values = []
-        with open(args.x0, "r", encoding="utf-8") as fh:
-            for lineno, line in _content_lines(fh):
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise InvalidParameterError(
-                        f"x0 file {args.x0}: line {lineno}: bad x0 value: {line!r}"
-                    ) from None
+        for lineno, line in _content_lines(_read_text(args.x0, error).splitlines()):
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise error(lineno, f"bad x0 value: {line!r}") from None
         if len(values) != g.node_count:
             raise InvalidParameterError(
                 f"x0 file {args.x0}: expected {g.node_count} values, got {len(values)}")
         return np.array(values), [f"# x0: {args.x0}"]
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     return rng.uniform(0.0, 1.0, g.node_count), [f"# seed: {args.seed}"]
 

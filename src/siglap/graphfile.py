@@ -4,7 +4,9 @@ Format: the first non-comment line is ``nodes N``; every following line is
 ``u v w``, two 0-based node indices that ``int`` reads (not ``2.0``) and a
 decimal weight.  ``#`` starts a comment.  Edge order in the file defines
 the edge indices.  :class:`siglap.graph_core.SignedGraph` checks the graph;
-its errors come as a :class:`GraphParseError` naming the edge's line.
+its errors come as a :class:`GraphParseError` naming the edge's line.  A
+file is read as UTF-8, and a byte that is not UTF-8 also raises
+:class:`GraphParseError`, naming the line that holds the first one.
 """
 
 from __future__ import annotations
@@ -104,9 +106,24 @@ def format_graph(g: SignedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path, error) -> str:
+    """The file at ``path`` decoded as UTF-8.  A byte sequence that is not
+    UTF-8 raises ``error(line, message)``, ``line`` being the 1-based number,
+    by ``str.splitlines``, of the line that holds the first one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode; a character after them
+        # makes splitlines count the line that holds it.
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise error(line, f"not UTF-8 text: byte {data[exc.start]:#04x} "
+                          f"({exc.reason})") from None
+
+
 def read_graph_file(path) -> SignedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path, GraphParseError))
 
 
 def write_graph_file(g: SignedGraph, path) -> None:

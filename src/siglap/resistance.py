@@ -32,20 +32,22 @@ stops only on a pivot that is not positive, so that route also raises
 
 Pairs are all checked before any solve; then they take one solve per
 component holding one, with one right-hand-side column per pair.  Pair
-queries factor each component once per graph: the first query on a
-component factors its grounded Laplacian, and the factor, with the graph's
-component labels, is kept in a private record on the graph
-(:class:`_PairFactors`) that every later pair query on it reuses, so a later
-call makes only the triangular solves and its own residual check, and gives
-the same bits.  That pays only when one graph object is asked for pairs
-more than once, as when the thresholds ``1/R_uv`` of several candidate
-negative edges are read on one positive graph; a first query factors as
-before.  The record holds one factor per queried component (about
-0.38 MB for a 36x36 grid on the band), lives as long as the graph, and is
-dropped when the graph is pickled or copied; a factorization that fails
-keeps nothing.  The block solve below, behind the verdict, ``check-psd``
-and cluster prediction, factors on every call and keeps nothing, and a
-signed graph pays its dense route on every call.
+queries factor each component once per graph, a connected graph's one
+component alike: the first query on a component factors the grounded
+Laplacian of its edges, their ends renumbered by each node's rank within
+the component, and the factor, with the graph's component labels and
+ranks, is kept in a private record on the graph (:class:`_PairFactors`)
+that every later pair query on it reuses, so a later call makes only the
+triangular solves and its own residual check, and gives the same bits.
+That pays only when one graph object is asked for pairs more than once, as
+when the thresholds ``1/R_uv`` of several candidate negative edges are read
+on one positive graph; a first query factors as before.  The record holds
+one factor per queried component (about 0.38 MB for a 36x36 grid on the
+band), lives as long as the graph, and is dropped when the graph is pickled
+or copied; a factorization that fails keeps nothing.  The block solve
+below, behind the verdict, ``check-psd`` and cluster prediction, factors on
+every call and keeps nothing, and a signed graph pays its dense route on
+every call.
 
 The resistance matrix of the negative edges is block-diagonal over the
 biconnected blocks of G (G+ plus the negative edges): a simple u-v path
@@ -260,12 +262,12 @@ def _pair_solve(f: _GroundedFactor, ends: np.ndarray, column: np.ndarray) -> np.
 class _PairFactors:
     """What pair queries on one graph reuse, kept on the graph as
     ``_pair_factors``: its component labels; each node's rank within its
-    component, None when the graph is connected; and, by label, the grounded
+    component (``0..n-1`` on a connected graph); and, by label, the grounded
     factorization of each component a pair has queried, stored only once it
     has succeeded.  Pickling and copying a graph drop it."""
 
     labels: np.ndarray
-    local: np.ndarray | None
+    local: np.ndarray
     factors: dict[int, _GroundedFactor]
 
 
@@ -275,14 +277,8 @@ def _pair_factors(g: SignedGraph) -> _PairFactors:
     harmless: the graph is immutable."""
     record = getattr(g, "_pair_factors", None)
     if record is None:
-        count, labels = _components(g.node_count, g.tails, g.heads)
-        local = None
-        if count > 1:  # a node's rank among its component's nodes, in order
-            order = np.argsort(labels, kind="stable")
-            ranked = labels[order]
-            local = np.empty(labels.size, dtype=np.intp)
-            local[order] = np.arange(labels.size) - np.searchsorted(ranked, ranked)
-        record = _PairFactors(labels, local, {})
+        labels = _components(g.node_count, g.tails, g.heads)[1]
+        record = _PairFactors(labels, _runs(labels)[2], {})
         object.__setattr__(g, "_pair_factors", record)
     return record
 
@@ -298,10 +294,9 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     ``g``'s :class:`_PairFactors`; a graph with any negative weight takes one
     eigendecomposition pseudo-inverse.
     """
-    n = g.node_count
     record = _pair_factors(g)
     labels = record.labels
-    ends = _node_pairs(n, pairs, labels)
+    ends = _node_pairs(g.node_count, pairs, labels)
     if not np.all(g.weights > 0.0):
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
         # Row k is L^+ (e_u - e_v) of pair k.
@@ -312,18 +307,16 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     values = np.empty(len(ends))
     for label in dict.fromkeys(pair_label.tolist()):  # in order of first pair
         mine = np.flatnonzero(pair_label == label)
-        mine_ends = ends[mine] if record.local is None else record.local[ends[mine]]
+        mine_ends = record.local[ends[mine]]
         factor = record.factors.get(label)
         if factor is None:
             # The component as a graph of its own, its lowest node first; a
             # copy even when it is all of g, since a record on g that held g
             # would be a cycle that only the cycle collector frees.
-            part = SignedGraph._derived(n, g.tails, g.heads, g.weights)
-            if record.local is not None:
-                kept = labels[g.tails] == label
-                part = SignedGraph._derived(int(np.count_nonzero(labels == label)),
-                                            record.local[g.tails[kept]],
-                                            record.local[g.heads[kept]], g.weights[kept])
+            kept = labels[g.tails] == label
+            part = SignedGraph._derived(int(np.count_nonzero(labels == label)),
+                                        record.local[g.tails[kept]],
+                                        record.local[g.heads[kept]], g.weights[kept])
             factor = record.factors[label] = _grounded_factor(part, 1)
         column = np.arange(mine.size)
         x = _pair_solve(factor, mine_ends, column)
@@ -419,17 +412,18 @@ def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.nd
     return split, blocks, renumber[pair_copy], copy_node
 
 
-def _block_runs(pair_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs grouped by block: ``order`` lists them block by block, in
-    pair order within a block; per pair, the start in ``order`` of its
-    block's run and its colour, its rank among the pairs of its block."""
-    order = np.argsort(pair_block, kind="stable")
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The items grouped by key: ``order`` lists them key by key, in item
+    order within a key; per item, the start in ``order`` of its key's run
+    and its rank among the items of its key (a pair's colour in its block,
+    a node's number within its component)."""
+    order = np.argsort(keys, kind="stable")
     run_start = np.maximum.accumulate(
-        np.where(_first_of_runs(pair_block[order]), np.arange(order.size), 0))
-    start, colour = np.empty_like(order), np.empty_like(order)
+        np.where(_first_of_runs(keys[order]), np.arange(order.size), 0))
+    start, rank = np.empty_like(order), np.empty_like(order)
     start[order] = run_start
-    colour[order] = np.arange(order.size) - run_start
-    return order, start, colour
+    rank[order] = np.arange(order.size) - run_start
+    return order, start, rank
 
 
 def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
@@ -493,7 +487,7 @@ def _block_solve(g_plus: SignedGraph, pairs: np.ndarray
     blocks = _edge_blocks(n, tails, heads)
     edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
     split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
-    order, start, colour = _block_runs(pair_block)
+    order, start, colour = _runs(pair_block)
     x = _pair_solve(_grounded_factor(split, grounded), ends[:, ::-1], colour)
     # potential[j, c] = b_j^T x[:, c]; within a block, column colour(k) is
     # the potential of pair k, so R_jk = potential[j, colour(k)].

@@ -159,6 +159,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("data, line, fault", [
+    (b"nodes 2\n0 1 1.0\xff\n", 2, "byte 0xff (invalid start byte)"),
+    (b"# caf\xc3\xa9\r\nnodes 2\r0 1 1.0\n\n\xc3(\n", 5,
+     "byte 0xc3 (invalid continuation byte)"),
+    (b"nodes 2\n0 1 1.0 # \xe2\x82", 2, "byte 0xe2 (unexpected end of data)"),
+], ids=["start-byte", "continuation-after-crlf-cr-and-blank", "truncated-at-end"])
+def test_graph_file_that_is_not_utf8_names_the_line_of_the_first_bad_byte(
+        tmp_path, capsys, data, line, fault):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(sl.GraphParseError) as err:
+        sl.read_graph_file(path)
+    assert err.value.line == line
+    assert main(["check-psd", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"siglap check-psd: line {line}: not UTF-8 text: {fault}\n"
+    assert captured.out == ""
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["signature", str(tmp_path / "nope.txt")]) == 1
 
@@ -521,6 +540,33 @@ def test_bad_x0_value_names_the_x0_file(tmp_path, capsys):
     assert code == 1
     assert captured.err == f"siglap simulate: x0 file {x0_path}: line 2: bad x0 value: 'zz'\n"
     assert captured.out == ""
+
+
+def test_x0_file_that_is_not_utf8_names_the_file_and_the_line(tmp_path, capsys):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    x0_path = tmp_path / "x0.txt"
+    x0_path.write_bytes(b"# initial state\n0.5\n\xff0.5\n")
+    code = main(["simulate", path, "--x0", str(x0_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"siglap simulate: x0 file {x0_path}: line 3: "
+                            f"not UTF-8 text: byte 0xff (invalid start byte)\n")
+    assert captured.out == ""
+
+
+def test_negative_seed_is_refused_unless_x0_is_given(tmp_path, capsys):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    code = main(["simulate", path, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "siglap simulate: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    x0_path = tmp_path / "x0.txt"
+    x0_path.write_text("0.5\n" * 9)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", path, "--seed", "-1", "--x0", str(x0_path), "--t-final", "1.0",
+                 "--out", str(out)]) == 0
+    assert f"# x0: {x0_path}" in out.read_text()
 
 
 @pytest.mark.parametrize("args", [

@@ -362,6 +362,37 @@ def test_pair_queries_factor_each_component_once_and_repeat_the_bits(monkeypatch
         assert all(values[u, v] == values[v, u] for u, v in pairs)
 
 
+def test_the_pair_record_numbers_each_component_by_rank_and_keeps_its_bits():
+    # Isolated nodes (node 0 among them, so no component starts at 0), a
+    # one-edge component, a triangle and a 16x16 grid, their nodes mixed
+    # at random: every pair's R has the bits of that pair on its component
+    # built alone, and the record numbers each node by its rank within its
+    # component, 0..n-1 on each connected graph.
+    rng = np.random.default_rng(173)
+    parts = [[(0, 1, 2.5)], [(0, 1, 1.0), (1, 2, 3.0), (0, 2, 0.5)], grid_edges(rng, 16, 16)]
+    sizes = [2, 3, 256]
+    n = 4 + sum(sizes)
+    # Node 0 and the last three nodes of the shuffled rest stay isolated.
+    groups = np.split(1 + rng.permutation(n - 1), np.cumsum(sizes))
+    members = [np.sort(group) for group in groups[:len(parts)]]
+    g = sl.build_graph(n, [
+        (int(nodes[u]), int(nodes[v]), w) for nodes, part in zip(members, parts)
+        for u, v, w in part])
+    expected_local = np.zeros(n, dtype=np.intp)
+    for nodes, part, size in zip(members, parts, sizes):
+        alone = sl.build_graph(size, part)
+        pairs = [(0, 1), (1, 0)] + [tuple(int(x) for x in rng.choice(size, 2, replace=False))
+                                    for _ in range(4)]
+        values = [sl.effective_resistance(alone, u, v) for u, v in pairs]
+        embedded = [(int(nodes[u]), int(nodes[v])) for u, v in pairs]
+        assert [sl.effective_resistance(g, u, v) for u, v in embedded] == values
+        assert resistance_module._pair_resistances(g, embedded) == values
+        assert np.array_equal(resistance_module._pair_factors(alone).local, np.arange(size))
+        expected_local[nodes] = np.arange(size)
+    assert np.array_equal(resistance_module._pair_factors(g).local, expected_local)
+    assert len(resistance_module._pair_factors(g).factors) == len(parts)
+
+
 def test_threads_sharing_a_graph_get_the_bits_of_a_fresh_graph():
     # Four threads on two cores race on one graph's first pair queries: each
     # may factor a component, and every value must still be the fresh one.
