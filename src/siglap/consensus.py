@@ -12,6 +12,17 @@ clusters are the components left once the cycle -- the biconnected block
 holding the negative edge -- is removed, and the extra null vector of L is
 that edge's grounded potential on the cycle, from the resistance layer's
 block solve (the one the verdict reads), scattered over the clusters.
+
+The eigendecomposition is made the first time a graph object is simulated
+and kept on it in a private record (:class:`_Modes`), read-only, so that
+every later ``simulate`` on that object skips assembling L and ``eigh`` and
+gives the same bits.  That pays when one graph object is simulated more
+than once, as from many ``x0`` or with several ``t_final`` or ``step``
+values on one network; a first call, and the CLI's one call per process,
+decomposes as before.  The record holds ``n**2 + n`` doubles (0.75 MB at
+n = 307), less than the first call's own peak of L, V and the ``dsyevd``
+workspace, for as long as the graph lives; it is stored only once ``eigh``
+has succeeded, and pickling, copying and derived graphs drop it.
 """
 
 from __future__ import annotations
@@ -25,7 +36,8 @@ from scipy.linalg import eigh
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from .graph_core import SignedGraph, _first_seen_ids, _is_integer, component_labels
+from .graph_core import (SignedGraph, _first_seen_ids, _immutable, _is_integer, _kept,
+                         component_labels)
 from .laplacians import _laplacian_product, laplacian_matrix
 from .resistance import _block_solve
 from .spectra import _check_tolerance, _is_real, _real_array, default_zero_tolerance
@@ -82,6 +94,24 @@ class ClusterPrediction:
     component_map: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class _Modes:
+    """The eigendecomposition ``L = V diag(lam) V^T`` of one graph's
+    Laplacian, kept on the graph as ``_modes``, each array on an immutable
+    buffer; ``vectors`` is column-major, as LAPACK returns V."""
+
+    lam: np.ndarray
+    vectors: np.ndarray
+
+
+def _new_modes(g: SignedGraph) -> _Modes:
+    """``g``'s :class:`_Modes`, from one ``eigh`` (``dsyevd``) of L."""
+    # L is finite by construction (SignedGraph bounds weights and degrees) and
+    # freshly built, so LAPACK may overwrite it unchecked.
+    lam, V = eigh(laplacian_matrix(g), driver="evd", overwrite_a=True, check_finite=False)
+    return _Modes(_immutable(lam), _immutable(V))
+
+
 def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
              step: float = DEFAULT_STEP, output_stride: int = DEFAULT_OUTPUT_STRIDE,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Trajectory:
@@ -89,15 +119,18 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     ``output_stride`` steps of size ``step``, and ``t_final``.
 
     Each sample is ``V exp(-t Lambda) V^T x0`` from one eigendecomposition
-    of L.  Divergence (possible when L is indefinite) is legitimate: the
-    trajectory is returned with ``final_clusters = None``.  The run has
-    diverged when x0 excites a mode whose eigenvalue is below minus
-    ``default_zero_tolerance`` of the spectrum, however little that mode has
-    grown by ``t_final``, or when the final window fails the norm test of
-    :func:`detect_clusters`.
+    of L, made by the first call on ``g`` and kept on it for later calls
+    (see the module docstring).  Divergence (possible when L is indefinite)
+    is legitimate: the trajectory is returned with ``final_clusters =
+    None``.  The run has diverged when x0 excites a mode whose eigenvalue is
+    below minus ``default_zero_tolerance`` of the spectrum, however little
+    that mode has grown by ``t_final``, or when the final window fails the
+    norm test of :func:`detect_clusters`.  A graph of no nodes gives states
+    of shape ``(samples, 0)`` and no clusters.
 
     Raises:
-        InvalidParameterError: x0 is not a finite real vector over the nodes,
+        InvalidParameterError: x0 is not a finite real vector over the nodes
+            (text and bools are not real numbers),
             ``t_final`` or ``step`` is not a finite positive real number,
             ``output_stride`` is not an integer >= 1 (a bool is not one), or
             more than ``MAX_RECORDED_VALUES`` values would be recorded.
@@ -134,9 +167,8 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     if tail:
         times = np.append(times, n_steps * step if exact_end else t_final)
 
-    # L is finite by construction (SignedGraph bounds weights and degrees) and
-    # freshly built, so LAPACK may overwrite it unchecked.
-    lam, V = eigh(laplacian_matrix(g), driver="evd", overwrite_a=True, check_finite=False)
+    record = _kept(g, "_modes", _new_modes)
+    lam, V = record.lam, record.vectors
     zero_tol = default_zero_tolerance(lam, n)
     # V^T x0 on a row-major copy of V, the layout numpy.linalg.eigh returns: on
     # LAPACK's column-major V the product runs another BLAS kernel, which
@@ -173,6 +205,8 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
 
 def _detect(states: np.ndarray, tol: float) -> ClusterAssignment:
     m, n = states.shape
+    if n == 0:
+        return ClusterAssignment((), ())
     start = int(np.floor(0.9 * (m - 1)))
     window = states[start:]
 
@@ -253,6 +287,11 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
     return _detect(traj.states, tol)
 
 
+def _connected(g: SignedGraph) -> bool:
+    """Whether ``g`` has one component; a graph of no nodes has none."""
+    return g.node_count > 0 and not component_labels(g).any()
+
+
 def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     """Cluster count and null-space vector for the single-cycle boundary case.
 
@@ -275,10 +314,10 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     """
     n = g.node_count
     g_plus = g.positive_subgraph()
-    plus_connected = int(component_labels(g_plus).max()) == 0
+    plus_connected = _connected(g_plus)
     failures = []
     # A connected G+ spans every node, so G is connected too.
-    if not plus_connected and int(component_labels(g).max()) != 0:
+    if not plus_connected and not _connected(g):
         failures.append("graph must be connected")
     if g.edge_count != n:
         failures.append(

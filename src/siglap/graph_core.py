@@ -85,13 +85,14 @@ class SignedGraph:
         a buffer writeable, and the buffer itself has no flag to flip."""
         object.__setattr__(self, "node_count", node_count)
         for name, column in zip(("tails", "heads", "weights"), columns):
-            object.__setattr__(self, name, np.frombuffer(column.tobytes(), dtype=column.dtype))
+            object.__setattr__(self, name, _immutable(column))
 
     def __getstate__(self):
         """The four fields only.  Unpickled columns would be writeable, so
-        :meth:`__setstate__` holds them again; and what other modules keep
-        on the graph (the resistance layer's pair factorizations) is neither
-        pickled nor copied."""
+        :meth:`__setstate__` holds them again; and the records that other
+        modules keep on the graph through :func:`_kept` (the resistance
+        layer's pair factorizations, the consensus layer's
+        eigendecomposition) are neither pickled nor copied."""
         return self.node_count, self.tails, self.heads, self.weights
 
     def __setstate__(self, state):
@@ -159,6 +160,32 @@ class SignedGraph:
 
     def positive_subgraph(self) -> "SignedGraph":
         return self.subgraph(self.weights > 0.0)
+
+
+def _immutable(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` on an immutable ``bytes`` buffer, in the same
+    memory order (column-major stays column-major): numpy refuses to make an
+    array on such a buffer writeable, and the buffer has no flag to flip."""
+    order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+    return np.frombuffer(array.tobytes(order=order), dtype=array.dtype).reshape(
+        array.shape, order=order)
+
+
+def _kept(g: SignedGraph, name: str, make):
+    """The record kept on ``g`` under the private attribute ``name``, made
+    by ``make(g)`` when ``g`` has none, the one rule for every record that a
+    module keeps on a graph.  The record is stored only once ``make`` has
+    returned, so a call that fails keeps nothing.  It must hold no reference
+    back to ``g``: that would be a cycle that only the cycle collector
+    frees.  Pickling and copying ``g`` drop it (:meth:`SignedGraph.__getstate__`),
+    and so does every graph derived from ``g``.  Two threads racing on it
+    may both make one, and the last stored wins; that is harmless, as ``g``
+    is immutable and ``make`` gives the same record every time."""
+    record = vars(g).get(name)
+    if record is None:
+        record = make(g)
+        object.__setattr__(g, name, record)
+    return record
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ Format: the first non-comment line is ``nodes N``; every following line is
 decimal weight.  ``#`` starts a comment.  Edge order in the file defines
 the edge indices.  :class:`siglap.graph_core.SignedGraph` checks the graph;
 its errors come as a :class:`GraphParseError` naming the edge's line.  A
-file is read as UTF-8, and a byte that is not UTF-8 also raises
-:class:`GraphParseError`, naming the line that holds the first one.
+file is read as UTF-8, less a leading byte-order mark, and a byte that is
+not UTF-8 also raises :class:`GraphParseError`, naming the line that holds
+the first one.
 """
 
 from __future__ import annotations
 
+import codecs
 import warnings
 from collections.abc import Iterable, Iterator
 
@@ -107,11 +109,14 @@ def format_graph(g: SignedGraph) -> str:
 
 
 def _read_text(path, error) -> str:
-    """The file at ``path`` decoded as UTF-8.  A byte sequence that is not
-    UTF-8 raises ``error(line, message)``, ``line`` being the 1-based number,
-    by ``str.splitlines``, of the line that holds the first one."""
+    """The file at ``path`` decoded as UTF-8, less a leading byte-order mark
+    (as ``utf-8-sig`` decodes).  A byte sequence that is not UTF-8 raises
+    ``error(line, message)``, ``line`` being the 1-based number, by
+    ``str.splitlines``, of the line that holds the first one."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # The mark is cut off before decoding, so that the offset of a bad
+        # byte and the line counted from it are those of the text.
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -88,7 +88,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from .errors import CrossCheckError, DisconnectedError, InvalidParameterError
-from .graph_core import (SignedGraph, _components, _edge_blocks, _first_of_runs,
+from .graph_core import (SignedGraph, _components, _edge_blocks, _first_of_runs, _kept,
                          _node_pairs, _without_lower_neighbour)
 from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
@@ -271,16 +271,16 @@ class _PairFactors:
     factors: dict[int, _GroundedFactor]
 
 
+def _new_pair_factors(g: SignedGraph) -> _PairFactors:
+    """A :class:`_PairFactors` of ``g`` that holds no factorization yet."""
+    labels = _components(g.node_count, g.tails, g.heads)[1]
+    return _PairFactors(labels, _runs(labels)[2], {})
+
+
 def _pair_factors(g: SignedGraph) -> _PairFactors:
-    """``g``'s :class:`_PairFactors`, made and kept on ``g`` by its first
-    pair query.  Two threads racing on it may both make one, which is
-    harmless: the graph is immutable."""
-    record = getattr(g, "_pair_factors", None)
-    if record is None:
-        labels = _components(g.node_count, g.tails, g.heads)[1]
-        record = _PairFactors(labels, _runs(labels)[2], {})
-        object.__setattr__(g, "_pair_factors", record)
-    return record
+    """``g``'s :class:`_PairFactors`, made by its first pair query and kept
+    on ``g`` by :func:`~siglap.graph_core._kept`."""
+    return _kept(g, "_pair_factors", _new_pair_factors)
 
 
 def _pair_resistances(g: SignedGraph, pairs) -> list[float]:

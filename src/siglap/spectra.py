@@ -15,6 +15,7 @@ import numbers
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidToleranceError, NotSymmetricError
+from .graph_core import _weight
 
 SYMMETRY_RTOL = 1e-12
 
@@ -47,11 +48,21 @@ def default_zero_tolerance(eigenvalues: np.ndarray, dim: int) -> float:
 
 
 def _real_array(values) -> np.ndarray | None:
-    """``values`` as a float array, or None when they are ragged or hold a
-    complex number or an entry that ``float()`` cannot read."""
+    """``values`` as a float array, or None when they are ragged or hold an
+    entry that is not a real number by the rule of graph weights
+    (:func:`~siglap.graph_core._weight`): text, a bool, or an entry that
+    ``float()`` cannot read, such as a complex number or None.  A numeric
+    array is judged by its dtype, anything else entry by entry, since numpy
+    reads ``[True, 0.5]`` as floats."""
     try:
         given = np.asarray(values)
-        return None if np.iscomplexobj(given) else given.astype(float, copy=False)
+        if given.dtype.kind not in "iufO":
+            return None
+        if given.dtype.kind == "O" or not isinstance(values, np.ndarray):
+            entries = np.asarray(values, dtype=object).ravel().tolist()
+            if None in map(_weight, entries):
+                return None
+        return given.astype(float, copy=False)
     except (TypeError, ValueError):
         return None
 

@@ -164,7 +164,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     (b"# caf\xc3\xa9\r\nnodes 2\r0 1 1.0\n\n\xc3(\n", 5,
      "byte 0xc3 (invalid continuation byte)"),
     (b"nodes 2\n0 1 1.0 # \xe2\x82", 2, "byte 0xe2 (unexpected end of data)"),
-], ids=["start-byte", "continuation-after-crlf-cr-and-blank", "truncated-at-end"])
+    (b"\xef\xbb\xbfnodes 2\n0 1 1.0\xff\n", 2, "byte 0xff (invalid start byte)"),
+], ids=["start-byte", "continuation-after-crlf-cr-and-blank", "truncated-at-end",
+        "start-byte-after-byte-order-mark"])
 def test_graph_file_that_is_not_utf8_names_the_line_of_the_first_bad_byte(
         tmp_path, capsys, data, line, fault):
     path = tmp_path / "bad.txt"
@@ -306,6 +308,21 @@ nodes 9
 4 8 1.0
 0 4 -0.25
 """
+
+
+def test_graph_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    reports = []
+    for name, data in (("graph.txt", README_GRAPH.encode()),
+                       ("graph-bom.txt", b"\xef\xbb\xbf" + README_GRAPH.encode())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert sl.read_graph_file(path) == sl.parse_graph(README_GRAPH)
+        assert main(["check-psd", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(captured.out.replace(f"# input: {path}\n", ""))
+    assert reports[0] == reports[1]
+    assert "PSD (boundary), sigma=(7,0,2)" in reports[0]
 
 
 def test_check_psd_process_on_the_readme_graph(tmp_path):
@@ -511,6 +528,21 @@ def test_simulate_with_x0_file(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["simulate", path, "--x0", str(x0_path), "--out", str(out)]) == 0
     assert f"x0: {x0_path}" in out.read_text()
+
+
+def test_x0_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # As some Windows editors save UTF-8: the mark is not part of line 1.
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    text = "".join(f"{v}\n" for v in np.linspace(0.0, 1.0, 9))
+    reports = []
+    for name, data in (("x0.txt", text.encode()), ("x0-bom.txt", b"\xef\xbb\xbf" + text.encode())):
+        x0_path = tmp_path / name
+        x0_path.write_bytes(data)
+        assert main(["simulate", path, "--x0", str(x0_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(captured.out.replace(f"# x0: {x0_path}\n", ""))
+    assert reports[0] == reports[1]
 
 
 def test_simulate_with_wrong_x0_length(tmp_path):

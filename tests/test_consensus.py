@@ -1,3 +1,10 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -499,3 +506,204 @@ def test_predict_clusters_labels_g_only_when_g_plus_is_disconnected(monkeypatch)
         "exactly one negative edge required, found 2",
         "positive subgraph must be connected",
     )
+
+
+def test_simulate_on_the_empty_graph_records_no_node():
+    g0 = sl.SignedGraph(0, [], [], [])
+    traj = sl.simulate(g0, [], t_final=2.0)
+    assert np.array_equal(traj.times, sl.simulate(sl.SignedGraph(1, [], [], []), [0.5],
+                                                  t_final=2.0).times)
+    assert traj.states.shape == (traj.times.size, 0)
+    assert traj.final_clusters == sl.ClusterAssignment((), ())
+    assert sl.detect_clusters(traj) == sl.ClusterAssignment((), ())
+
+
+def test_predict_clusters_on_the_empty_graph_lists_its_failures():
+    with pytest.raises(sl.HypothesisViolatedError) as err:
+        sl.predict_clusters(sl.SignedGraph(0, [], [], []))
+    assert err.value.failures == (
+        "graph must be connected",
+        "exactly one negative edge required, found 0",
+        "positive subgraph must be connected",
+    )
+
+
+# ---------------------------------------------------------------------------
+# The eigendecomposition kept on a simulated graph
+# ---------------------------------------------------------------------------
+
+# Varied runs on one graph: grids that end on and off the step, strides, and
+# tolerances that part or join clusters.
+SIMULATE_ARGS = (
+    {},
+    {"t_final": 3.0, "step": 0.01},
+    {"t_final": 2.5, "output_stride": 7},
+    {"t_final": 5.0, "cluster_tol": 1e-3},
+    {"t_final": 0.4, "step": 1e-3, "output_stride": 1, "cluster_tol": 0.0},
+    {"t_final": 20.0, "step": 0.0137, "output_stride": 3},
+)
+
+
+def record_cases(rng) -> list[tuple[sl.SignedGraph, list[np.ndarray]]]:
+    """Graphs with the initial states they are simulated from: a boundary
+    caterpillar, an indefinite one (diverged runs), a boundary cycle graph,
+    two components, and a 307-node hub tree; each x0 list holds a state
+    that misses modes (constant, or zero on one component)."""
+    two = sl.build_graph(7, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.5),
+                             (4, 5, 1.0), (5, 6, 0.25)])
+    hubs = [(0, h, float(rng.uniform(50.0, 100.0))) for h in range(1, 7)]
+    leaves = [(1 + (v - 7) // 50, v, float(rng.uniform(1.0, 2.0))) for v in range(7, 307)]
+    graphs = [caterpillar_with_chord(-0.25), caterpillar_with_chord(-0.5),
+              random_boundary_cycle_graph(rng, 20, 40), two, sl.build_graph(307, hubs + leaves)]
+    cases = []
+    for g in graphs:
+        n = g.node_count
+        x0s = [rng.uniform(0.0, 1.0, n), np.full(n, 0.25), rng.normal(size=n)]
+        if g is two:
+            x0s.append(np.concatenate([np.zeros(3), rng.uniform(0.0, 1.0, 4)]))
+        cases.append((g, x0s))
+    return cases
+
+
+def fresh_graph(g: sl.SignedGraph) -> sl.SignedGraph:
+    return sl.SignedGraph(g.node_count, g.tails, g.heads, g.weights)
+
+
+def trajectory_bits(traj: sl.Trajectory) -> tuple:
+    return traj.times.tobytes(), traj.states.tobytes(), traj.step_size, traj.final_clusters
+
+
+def test_repeated_simulate_calls_give_the_bits_of_a_fresh_graph():
+    for g, x0s in record_cases(np.random.default_rng(173)):
+        for x0 in x0s:
+            for kwargs in SIMULATE_ARGS:
+                expected = trajectory_bits(sl.simulate(fresh_graph(g), x0, **kwargs))
+                assert trajectory_bits(sl.simulate(g, x0, **kwargs)) == expected
+                assert trajectory_bits(sl.simulate(g, list(x0), **kwargs)) == expected
+
+
+def eigh_spy(monkeypatch) -> list[int]:
+    """Record the order of every matrix that ``simulate`` decomposes."""
+    calls = []
+    real = consensus.eigh
+    monkeypatch.setattr(consensus, "eigh", lambda a, *args, **kw:
+                        calls.append(a.shape[0]) or real(a, *args, **kw))
+    return calls
+
+
+def test_a_graph_is_decomposed_once(monkeypatch):
+    calls = eigh_spy(monkeypatch)
+    cases = record_cases(np.random.default_rng(179))
+    for g, x0s in cases:
+        for x0 in x0s:
+            for kwargs in SIMULATE_ARGS:
+                sl.simulate(g, x0, **kwargs)
+    assert calls == [g.node_count for g, _ in cases]
+    # An equal graph is another object and decomposes its own Laplacian.
+    g = cases[0][0]
+    sl.simulate(fresh_graph(g), cases[0][1][0])
+    assert calls[-1] == g.node_count and len(calls) == len(cases) + 1
+
+
+def test_the_kept_decomposition_cannot_be_made_writeable():
+    g = caterpillar_with_chord(-0.25)
+    x0 = np.linspace(0.0, 1.0, 9)
+    before = trajectory_bits(sl.simulate(g, x0))
+    record = vars(g)["_modes"]
+    assert record.lam.shape == (9,) and record.vectors.shape == (9, 9)
+    for kept in (record.lam, record.vectors):
+        with pytest.raises(ValueError):
+            kept[:1] = 5.0
+        owner = kept  # nor may any array it is a view of
+        while isinstance(owner, np.ndarray):
+            with pytest.raises(ValueError):
+                owner.flags.writeable = True
+            owner = owner.base
+    assert trajectory_bits(sl.simulate(g, x0)) == before
+
+
+def test_a_refused_simulate_call_keeps_nothing(monkeypatch):
+    calls = eigh_spy(monkeypatch)
+    g = sl.build_graph(100, [(v - 1, v, 1.0) for v in range(1, 100)])
+    x0 = np.linspace(0.0, 1.0, 100)
+    refused = [
+        lambda: sl.simulate(g, x0[:-1]),
+        lambda: sl.simulate(g, ["0.5"] * 100),
+        lambda: sl.simulate(g, np.full(100, np.nan)),
+        lambda: sl.simulate(g, x0, t_final=-1.0),
+        lambda: sl.simulate(g, x0, output_stride=0),
+        lambda: sl.simulate(g, x0, t_final=1e5, step=1.0, output_stride=1),
+    ]
+    for call in refused:
+        with pytest.raises(sl.InvalidParameterError):
+            call()
+    with pytest.raises(sl.InvalidToleranceError):
+        sl.simulate(g, x0, cluster_tol=-1.0)
+    assert calls == [] and "_modes" not in vars(g)
+
+    # A decomposition that fails is not kept either: the next call makes one.
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    real = consensus.eigh
+    monkeypatch.setattr(consensus, "eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        sl.simulate(g, x0)
+    assert "_modes" not in vars(g)
+    monkeypatch.setattr(consensus, "eigh", real)
+    assert trajectory_bits(sl.simulate(g, x0)) == trajectory_bits(sl.simulate(fresh_graph(g), x0))
+    assert "_modes" in vars(g)
+
+
+def test_copied_and_derived_graphs_carry_no_decomposition():
+    g = caterpillar_with_chord(-0.25)
+    x0 = np.linspace(0.0, 1.0, 9)
+    expected = trajectory_bits(sl.simulate(g, x0))
+    assert "_modes" in vars(g)
+    for other in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert other == g and "_modes" not in vars(other)
+        assert trajectory_bits(sl.simulate(other, x0)) == expected
+    for derived in (g.positive_subgraph(), g.subgraph(range(g.edge_count))):
+        assert "_modes" not in vars(derived)
+
+
+def test_a_simulated_graph_is_freed_with_its_last_reference():
+    # The record holds no reference back to the graph, so dropping the graph
+    # frees it and its decomposition at once, with no cycle collection.
+    cases = record_cases(np.random.default_rng(181))
+    while cases:
+        g, x0s = cases.pop()
+        sl.simulate(g, x0s[0], t_final=1.0)
+        alive = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+def test_threads_sharing_a_graph_get_the_bits_of_a_fresh_graph():
+    # Four threads race on one graph's first simulate: each may decompose it,
+    # and every trajectory must still be the fresh graph's.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for g, x0s in record_cases(np.random.default_rng(191)):
+            fresh = [trajectory_bits(sl.simulate(fresh_graph(g), x0, t_final=2.0)) for x0 in x0s]
+            results = []
+
+            def run(g=g, x0s=x0s, results=results):
+                for _ in range(3):
+                    results.append([trajectory_bits(sl.simulate(g, x0, t_final=2.0))
+                                    for x0 in x0s])
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [fresh] * 12
+    finally:
+        sys.setswitchinterval(interval)

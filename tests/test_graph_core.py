@@ -235,7 +235,14 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: sl.signature([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
     (lambda: sl.signature(np.array([[1.0, 1j], [-1j, 1.0]])),
      "expected a matrix of real numbers"),
+    (lambda: sl.signature([[True, False], [False, True]]), "expected a matrix of real numbers"),
+    (lambda: sl.signature([["1", "0"], ["0", "1"]]), "expected a matrix of real numbers"),
     (lambda: sl.pseudo_inverse_eig([[np.nan]]), "matrix entries must be finite"),
+    (lambda: sl.simulate(TRIANGLE, ["0.5", "0.1", "0.2"]), "x0 must be a vector of real numbers"),
+    (lambda: sl.simulate(TRIANGLE, [True, False, True]), "x0 must be a vector of real numbers"),
+    (lambda: sl.simulate(TRIANGLE, [0.5, True, 0.2]), "x0 must be a vector of real numbers"),
+    (lambda: sl.simulate(TRIANGLE, np.array([0.5, True, 0.2], dtype=object)),
+     "x0 must be a vector of real numbers"),
     (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final="1"),
      "t_final must be finite and positive, got '1'"),
     (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride="3"),
@@ -278,7 +285,8 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: sl.SignedGraph(2, [0], [1], [1j]), "weights must be a column of real numbers"),
 ], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
         "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
-        "signature-complex", "pinv-nan", "t-final-text", "stride-text", "stride-fraction",
+        "signature-complex", "signature-bool", "signature-text", "pinv-nan", "x0-text",
+        "x0-bool", "x0-mixed-bool", "x0-object-bool", "t-final-text", "stride-text", "stride-fraction",
         "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "weight-text",
         "weight-number-text", "weight-bytes", "weight-bool", "weight-none",
         "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
