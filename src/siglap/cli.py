@@ -184,7 +184,8 @@ def _cmd_predict_clusters(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
 def run(args: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        spectra._check_tolerance(args.tol)
+        if args.tol is not None:
+            spectra._check_tolerance(args.tol)
         g = read_graph_file(args.graph)
         # Files first and stdout last, so a failed write leaves stdout empty.
         for path, lines in sorted(args.handler(args, g), key=lambda out: out[0] is None):

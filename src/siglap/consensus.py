@@ -40,7 +40,7 @@ from .graph_core import (SignedGraph, _first_seen_ids, _immutable, _is_integer, 
                          component_labels)
 from .laplacians import _laplacian_product, laplacian_matrix
 from .resistance import _block_solve
-from .spectra import _check_tolerance, _is_real, _real_array, default_zero_tolerance
+from .spectra import _check_tolerance, _real, _real_array, default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
@@ -134,8 +134,10 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
             ``t_final`` or ``step`` is not a finite positive real number,
             ``output_stride`` is not an integer >= 1 (a bool is not one), or
             more than ``MAX_RECORDED_VALUES`` values would be recorded.
-        InvalidToleranceError: ``cluster_tol`` is not a real number, or
-            negative or NaN.
+            ``t_final`` and ``step`` are read as floats once checked, so a
+            ``Fraction`` runs as its float and ``10**400`` is not finite.
+        InvalidToleranceError: ``cluster_tol`` is not a real number (None is
+            not one), or negative or NaN.
     """
     n = g.node_count
     x0 = _real_array(x0)
@@ -145,15 +147,19 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
         raise InvalidParameterError(f"x0 must have shape ({n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise InvalidParameterError("x0 must be finite")
-    for name, value in (("t_final", t_final), ("step", step)):
-        if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+    reals = [_real(t_final), _real(step)]
+    for name, value, x in zip(("t_final", "step"), (t_final, step), reals):
+        if not (x is not None and 0.0 < x < math.inf):
             raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
+    t_final, step = reals
     if not (_is_integer(output_stride) and output_stride >= 1):
         raise InvalidParameterError(f"output_stride must be an integer >= 1, got {output_stride!r}")
-    _check_tolerance(cluster_tol, "cluster tolerance")
+    cluster_tol = _check_tolerance(cluster_tol, "cluster tolerance")
 
     # The cap keeps an absurd (even infinite) step count an int to reject.
     n_steps = math.floor(min(t_final / step + 1e-9, 2.0 ** 62))
+    # A stride past the last step samples as this one does, and fits an int64.
+    output_stride = min(int(output_stride), n_steps + 1)
     remainder = t_final - n_steps * step
     exact_end = remainder <= 1e-12 * max(1.0, t_final)
     tail = not exact_end or n_steps % output_stride != 0
@@ -280,11 +286,10 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
         UnboundedError: the final window grew beyond 1e6 x the initial norm,
             or it or the initial state holds an inf or NaN, the footprint of
             an indefinite Laplacian.
-        InvalidToleranceError: ``tol`` is not a real number, or negative or
-            NaN.
+        InvalidToleranceError: ``tol`` is not a real number (None is not
+            one), or negative or NaN.
     """
-    _check_tolerance(tol, "cluster tolerance")
-    return _detect(traj.states, tol)
+    return _detect(traj.states, _check_tolerance(tol, "cluster tolerance"))
 
 
 def _connected(g: SignedGraph) -> bool:

@@ -170,7 +170,7 @@ def _schur_signature(n: int, stacks: list[tuple[np.ndarray, np.ndarray]],
         t[:, k, k] = diag[members]
         parts.append(signature(t, tol))
     inner = Signature(sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
-                      sum(p.n_zero for p in parts), float(tol),
+                      sum(p.n_zero for p in parts), tol,
                       any(p.near_singular for p in parts))
     return _lift_schur_inertia(n, inner)
 
@@ -198,7 +198,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
         HypothesisViolatedError: no negative edges at all.
         CrossCheckError: a resistance, threshold or margin is not finite.
     """
-    _check_tolerance(tol)
+    tol = BOUNDARY_RTOL if tol is None else _check_tolerance(tol)
     neg = g.negative_edge_indices()
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])
@@ -206,8 +206,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
     per_edge, c6, matrix = _resistance_terms(g, neg)
     stacks = _diagonal_blocks(matrix)
     disjoint = all(members.shape[1] == 1 for members, _ in stacks)
-    sigma = _schur_signature(g.node_count, stacks, per_edge,
-                             BOUNDARY_RTOL if tol is None else tol)
+    sigma = _schur_signature(g.node_count, stacks, per_edge, tol)
     if sigma.n_minus > 0:
         classification = Classification.INDEFINITE
     elif sigma.n_zero > 1:

@@ -45,6 +45,9 @@ from .errors import (
 # every node's weighted degree must stay below DEGREE_BOUND.
 WEIGHT_FLOOR = 2.0 ** -1022
 DEGREE_BOUND = 2.0 ** 1022
+# The most nodes a graph may have: numpy must be able to address one double
+# per node (beyond that it raises ValueError, not MemoryError).
+MAX_NODE_COUNT = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +65,8 @@ class SignedGraph:
     pickling and copying read ``node_count`` and the columns alone.
 
     Raises:
-        InvalidParameterError: a wrong type or shape, or the first edge
-            with ``tails[k] > heads[k]``.
+        InvalidParameterError: a wrong type or shape, a node count above
+            ``MAX_NODE_COUNT``, or the first edge with ``tails[k] > heads[k]``.
         NodeOutOfRangeError, SelfLoopError, ZeroWeightError,
         NonFiniteWeightError, GraphConstructionError (a magnitude below
             2**-1022): the first fault of the first edge that has one, in
@@ -225,10 +228,11 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     although ``float`` reads it.
 
     Raises:
-        InvalidParameterError: ``node_count`` is not an integer >= 1,
-            ``edge_list`` is not an iterable of ``(u, v, w)`` triples, a
-            node id is not an integer, or a weight is text, a bool or not
-            read by ``float`` (each naming the first such edge).
+        InvalidParameterError: ``node_count`` is not an integer from 1 to
+            ``MAX_NODE_COUNT``, ``edge_list`` is not an iterable of
+            ``(u, v, w)`` triples, a node id is not an integer, or a weight
+            is text, a bool or not read by ``float`` (each naming the first
+            such edge).
         GraphConstructionError: the graph breaks the invariant of
             :class:`SignedGraph`, at the edge ``edge_index``.
     """
@@ -273,11 +277,13 @@ def _weight(x) -> float | None:
 
 def _checked_node_count(node_count, least: int = 1) -> int:
     """``node_count`` as an int, once checked to be an integer (a bool is not
-    one) and at least ``least``."""
+    one) from ``least`` to ``MAX_NODE_COUNT``."""
     if not _is_integer(node_count):
         raise InvalidParameterError(f"node_count must be an integer, got {node_count!r}")
     if node_count < least:
         raise InvalidParameterError(f"node_count must be >= {least}, got {node_count}")
+    if node_count > MAX_NODE_COUNT:
+        raise InvalidParameterError(f"node_count must be <= {MAX_NODE_COUNT}, got {node_count}")
     return int(node_count)
 
 
@@ -350,10 +356,16 @@ def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.
     checked in order to be two node ids (:func:`_is_integer`) of distinct
     nodes, and of one component when ``labels`` gives a component per node.
     The first bad pair raises :class:`InvalidParameterError`, or
-    :class:`NodesDisconnectedError` when its only fault is the components."""
+    :class:`NodesDisconnectedError` when its only fault is the components;
+    ``pairs`` that are not iterable raise :class:`InvalidParameterError`."""
     n = node_count
+    try:
+        pairs = iter(pairs.tolist() if isinstance(pairs, np.ndarray) else pairs)
+    except TypeError:
+        raise InvalidParameterError(f"node pairs must be an iterable of (u, v) pairs, "
+                                    f"got {pairs!r}") from None
     ends = []
-    for pair in pairs.tolist() if isinstance(pairs, np.ndarray) else pairs:
+    for pair in pairs:
         try:
             u, v = pair
         except (TypeError, ValueError):
@@ -383,28 +395,12 @@ def incidence_matrix(g: SignedGraph) -> np.ndarray:
     return E
 
 
-def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor.
-
-    Sorting and counting runs stands in for ``np.unique``, which takes
-    several times longer on the small integer arrays of the block route.
-    """
-    first = np.ones(sorted_keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
-
-
 def _first_seen_ids(raw: np.ndarray) -> np.ndarray:
     """``raw`` renumbered 0, 1, 2, ... in order of each id's first occurrence."""
-    order = np.argsort(raw, kind="stable")
-    first = _first_of_runs(raw[order])
-    run = np.cumsum(first) - 1
-    # A stable sort puts each id's first occurrence at the head of its run.
-    rank = np.empty(int(first.sum()), dtype=np.intp)
-    rank[np.argsort(order[first])] = np.arange(rank.size)
-    ids = np.empty(raw.size, dtype=np.intp)
-    ids[order] = rank[run]
-    return ids
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def _adjacency_csr(node_count: int, rows: np.ndarray, cols: np.ndarray) -> csr_matrix:

@@ -18,8 +18,8 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import GraphConstructionError, GraphParseError
-from .graph_core import SignedGraph, build_graph
+from .errors import GraphConstructionError, GraphParseError, InvalidParameterError
+from .graph_core import MAX_NODE_COUNT, SignedGraph, build_graph
 
 _EDGE_COLUMNS = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -45,6 +45,8 @@ def _node_count(lineno: int, line: str) -> int:
         raise GraphParseError(lineno, f"node count is not an integer: {parts[1]!r}") from None
     if node_count < 1:
         raise GraphParseError(lineno, f"node count must be >= 1, got {node_count}")
+    if node_count > MAX_NODE_COUNT:
+        raise GraphParseError(lineno, f"node count must be <= {MAX_NODE_COUNT}, got {node_count}")
     return node_count
 
 
@@ -80,7 +82,13 @@ def parse_graph(text: str) -> SignedGraph:
     :func:`build_graph`, which gives the same graph or the error with its
     line number.  The lines are split by ``str.splitlines`` for both
     readers, so they agree on every line break.
+
+    Raises:
+        InvalidParameterError: ``text`` is not a ``str`` (bytes are not).
+        GraphParseError: the text is not a graph file of a valid graph.
     """
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"graph text must be a str, got {type(text).__name__}")
     raw_lines = text.splitlines()
     header = next(_content_lines(raw_lines), None)
     if header is None:

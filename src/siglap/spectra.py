@@ -8,9 +8,9 @@ tolerance set the ``near_singular`` flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class Signature:
 def default_zero_tolerance(eigenvalues: np.ndarray, dim: int) -> float:
     """dim * machine epsilon * max |eigenvalue|, or epsilon if all vanish."""
     eps = float(np.finfo(float).eps)
-    scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+    scale = float(np.max(np.abs(eigenvalues), initial=0.0))
     if scale == 0.0:
         return eps
     return dim * eps * scale
@@ -79,13 +79,11 @@ def _symmetrized(m, stack_ok: bool = False) -> np.ndarray:
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
         what = "stack of square matrices" if stacked else "square matrix"
         raise InvalidParameterError(f"expected a {what}, got shape {m.shape}")
-    if m.size == 0:
-        return m
     if not np.isfinite(m).all():
         raise InvalidParameterError("matrix entries must be finite")
     mt = np.swapaxes(m, -1, -2)
-    asym = np.max(np.abs(m - mt), axis=(-2, -1))
-    scale = np.max(np.abs(m), axis=(-2, -1))
+    asym = np.max(np.abs(m - mt), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
     bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
     if bad.size:
         k = bad[0]
@@ -97,18 +95,32 @@ def _symmetrized(m, stack_ok: bool = False) -> np.ndarray:
     return 0.5 * (m + mt)
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a real number (Python or numpy), not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _real(x) -> float | None:
+    """``x`` as a float when it is a real number (Python or numpy, not a
+    bool), else None.  A real too large for a double (``10**400``) reads as
+    the infinity of its sign, which orders the same against every double."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
-def _check_tolerance(tol: float | None, what: str = "zero tolerance") -> None:
-    """Raise :class:`InvalidToleranceError` unless ``tol`` is None or a real
-    number >= 0."""
-    if tol is not None and not _is_real(tol):
+def _check_tolerance(tol, what: str = "zero tolerance") -> float:
+    """``tol`` as a float, once checked to be a real number >= 0; None, which
+    callers with a default read first, is refused like any non-number.
+
+    Raises:
+        InvalidToleranceError: ``tol`` is not a real number, or negative or
+            NaN.
+    """
+    value = _real(tol)
+    if value is None:
         raise InvalidToleranceError(f"{what} must be a real number, got {tol!r}")
-    if tol is not None and not tol >= 0.0:
+    if not value >= 0.0:
         raise InvalidToleranceError(f"{what} must be >= 0, got {tol!r}")
+    return value
 
 
 def signature(m, tol: float | None = None) -> Signature:
@@ -128,11 +140,10 @@ def signature(m, tol: float | None = None) -> Signature:
             stack of them.
         NotSymmetricError: ``m`` is not symmetric to 1e-12 relative.
     """
-    _check_tolerance(tol)
+    if tol is not None:
+        tol = _check_tolerance(tol)
     s = _symmetrized(m, stack_ok=True)
     dim = int(np.prod(s.shape[:-1]))
-    if dim == 0:
-        return Signature(0, 0, 0, tol if tol is not None else float(np.finfo(float).eps))
     eigs = np.linalg.eigvalsh(s)
     if tol is None:
         tol = default_zero_tolerance(eigs, dim)
@@ -141,7 +152,7 @@ def signature(m, tol: float | None = None) -> Signature:
     n_plus = int(np.count_nonzero(eigs > tol))
     n_minus = dim - n_zero - n_plus
     near = bool(tol > 0.0 and np.any((mags > 0.1 * tol) & (mags <= 10.0 * tol)))
-    return Signature(n_plus, n_minus, n_zero, float(tol), near)
+    return Signature(n_plus, n_minus, n_zero, tol, near)
 
 
 def pseudo_inverse_eig(m) -> np.ndarray:
@@ -155,8 +166,6 @@ def pseudo_inverse_eig(m) -> np.ndarray:
         NotSymmetricError: ``m`` is not symmetric to 1e-12 relative.
     """
     s = _symmetrized(m)
-    if s.size == 0:
-        return s.copy()
     lam, V = np.linalg.eigh(s)
     tol = default_zero_tolerance(lam, s.shape[0])
     keep = np.abs(lam) > tol

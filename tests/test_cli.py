@@ -296,6 +296,22 @@ def test_out_of_memory_exit_code(tmp_path, command):
     assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("count", [2**70, 2**63 - 1, 2**60])
+def test_a_node_count_numpy_cannot_address_names_the_header_line(tmp_path, capsys, count):
+    # one double per node must be addressable; a larger count is refused at
+    # its header line before any array is made, not in numpy's bincount
+    path = tmp_path / "huge.txt"
+    path.write_text(f"# a huge graph\nnodes {count}\n0 1 1.0\n")
+    with pytest.raises(sl.GraphParseError) as err:
+        sl.read_graph_file(path)
+    assert err.value.line == 2
+    assert main(["check-psd", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"siglap check-psd: line 2: node count must be <= "
+                            f"{2**60 - 1}, got {count}\n")
+    assert captured.out == ""
+
+
 README_GRAPH = """# comments start with '#'
 nodes 9
 0 1 1.0

@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,9 +140,10 @@ def test_detect_rejects_growth_from_an_initial_state_whose_norm_overflows():
     {"t_final": np.inf}, {"t_final": 0.0}, {"step": 1e-12}, {"output_stride": 0},
     {"x0": [0.0, np.nan, 1.0]}, {"x0": [0.0, 1.0]},
     {"x0": np.array([0.0, 0.5j, 1.0])}, {"x0": [0.0, 0.5j, 1.0]}, {"x0": ["a", "b", "c"]},
+    {"t_final": 10**400}, {"step": Fraction(10**400, 3)},
 ], ids=["step-0", "step-neg", "step-nan", "t-final-nan", "t-final-inf", "t-final-0",
         "step-1e-12", "stride-0", "x0-nan", "x0-short", "x0-complex-array",
-        "x0-complex-list", "x0-strings"])
+        "x0-complex-list", "x0-strings", "t-final-beyond-doubles", "step-beyond-doubles"])
 def test_simulate_rejects_bad_parameters(kwargs):
     g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     x0 = kwargs.pop("x0", [0.0, 0.5, 1.0])
@@ -164,6 +166,34 @@ def test_cluster_tolerance_rejected(tol):
     traj = sl.simulate(g, [0.0, 0.5, 1.0], t_final=1.0)
     with pytest.raises(sl.InvalidToleranceError):
         sl.detect_clusters(traj, tol=tol)
+
+
+@pytest.mark.parametrize("given, read", [
+    ({"t_final": Fraction(1, 3)}, {"t_final": 1 / 3}),
+    ({"step": Fraction(1, 100)}, {"step": 0.01}),
+    ({"cluster_tol": Fraction(1, 3)}, {"cluster_tol": 1 / 3}),
+    ({"step": 2**70}, {"step": 2.0**70}),
+    ({"output_stride": 2**70}, {"output_stride": 10**6}),
+], ids=["t-final-fraction", "step-fraction", "cluster-tol-fraction", "step-beyond-int64",
+        "stride-beyond-int64"])
+def test_a_real_scalar_is_read_once_as_its_float(given, read):
+    # a Fraction or an int beyond int64 passes its check, so it must run as
+    # the float it reads as, not reach numpy as itself
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    args = {"t_final": 2.0, "step": 1e-3, "output_stride": 10, "cluster_tol": 1e-5}
+    got = sl.simulate(g, [0.0, 0.5, 1.0], **(args | given))
+    expected = sl.simulate(g, [0.0, 0.5, 1.0], **(args | read))
+    assert np.array_equal(got.times, expected.times)
+    assert np.array_equal(got.states, expected.states)
+    assert got.final_clusters == expected.final_clusters
+    assert type(got.step_size) is float and got.step_size == expected.step_size
+
+
+def test_detect_clusters_reads_a_fraction_tolerance_as_its_float():
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    traj = sl.simulate(g, [0.0, 0.5, 1.0], t_final=1.0)
+    assert sl.detect_clusters(traj, Fraction(1, 3)) == sl.detect_clusters(traj, 1 / 3)
+    assert sl.detect_clusters(traj, Fraction(1, 3)).cluster_count == 1
 
 
 def test_synchronization_with_weak_negative_edge():

@@ -283,6 +283,16 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: sl.SignedGraph(2, ["a"], [1], [1.0]), "tails must be a column of integers"),
     (lambda: sl.SignedGraph(3, [0.5], [1.5], [1.0]), "tails must be a column of integers"),
     (lambda: sl.SignedGraph(2, [0], [1], [1j]), "weights must be a column of real numbers"),
+    (lambda: sl.SignedGraph(2**70, [], [], []),
+     "node_count must be <= 1152921504606846975, got 1180591620717411303424"),
+    (lambda: sl.build_graph(2**70, []),
+     "node_count must be <= 1152921504606846975, got 1180591620717411303424"),
+    (lambda: sl.resistance_matrix_for_negatives(TRIANGLE, 5),
+     "node pairs must be an iterable of (u, v) pairs, got 5"),
+    (lambda: sl.path_edge_sets(TRIANGLE, None),
+     "node pairs must be an iterable of (u, v) pairs, got None"),
+    (lambda: sl.parse_graph(None), "graph text must be a str, got NoneType"),
+    (lambda: sl.parse_graph(b"nodes 2"), "graph text must be a str, got bytes"),
 ], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
         "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
         "signature-complex", "signature-bool", "signature-text", "pinv-nan", "x0-text",
@@ -291,7 +301,9 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         "weight-number-text", "weight-bytes", "weight-bool", "weight-none",
         "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
         "index-range", "index-fraction", "index-repeat", "skip-text", "graph-range",
-        "graph-nan", "graph-text", "graph-fraction", "graph-complex"])
+        "graph-nan", "graph-text", "graph-fraction", "graph-complex", "graph-huge-count",
+        "edge-list-huge-count", "matrix-pairs-int", "path-pairs-none", "parse-none",
+        "parse-bytes"])
 def test_bad_library_input_raises_invalid_parameter_error(call, message):
     with pytest.raises(sl.InvalidParameterError) as err:
         call()
@@ -327,7 +339,11 @@ def test_a_directly_built_graph_gets_the_same_graph_error_as_build_graph(columns
     (lambda: sl.detect_clusters(sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final=1.0), "x"),
      "cluster tolerance must be a real number, got 'x'"),
     (lambda: sl.signature(np.eye(2), True), "zero tolerance must be a real number, got True"),
-], ids=["verdict-text", "detect-text", "signature-bool"])
+    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final=1.0, cluster_tol=None),
+     "cluster tolerance must be a real number, got None"),
+    (lambda: sl.detect_clusters(sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final=1.0), None),
+     "cluster tolerance must be a real number, got None"),
+], ids=["verdict-text", "detect-text", "signature-bool", "simulate-none", "detect-none"])
 def test_a_tolerance_that_is_not_a_real_number_raises_invalid_tolerance_error(call, message):
     with pytest.raises(sl.InvalidToleranceError) as err:
         call()

@@ -10,7 +10,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scipy.sparse import coo_matrix
@@ -251,3 +251,22 @@ def test_search_adjacency_keeps_the_neighbour_order_of_the_coo_oracle(g):
         assert np.array_equal(order, oracle_order)
         assert np.array_equal(parent, oracle_parent)
         assert np.array_equal(blocks, oracle_blocks)
+
+
+def first_seen_reference(raw: list[int]) -> list[int]:
+    """Each id numbered in order of its first occurrence, by a dict."""
+    numbers: dict[int, int] = {}
+    return [numbers.setdefault(x, len(numbers)) for x in raw]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=60)
+       | st.lists(st.integers(-2**31, 2**31 - 1), unique=True, max_size=60))
+@example([])
+@example([7])
+@example(list(range(40, 0, -1)))
+def test_first_seen_ids_match_a_dict_numbering(raw):
+    # int32 as csgraph labels components, intp as the cluster roots are
+    for dtype in (np.int32, np.intp):
+        ids = graph_core._first_seen_ids(np.array(raw, dtype=dtype))
+        assert ids.dtype == np.intp and ids.tolist() == first_seen_reference(raw)

@@ -15,11 +15,12 @@ import weakref
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import siglap as sl
 import siglap.resistance as resistance_module
+from siglap import graph_core
 from conftest import (
     blocks_glued_at_cut_vertices,
     caterpillar_tree,
@@ -526,3 +527,72 @@ def test_block_route_matches_dense_pseudo_inverse(case):
     pair_block = edge_blocks(g)[g_plus.edge_count:]
     across = pair_block[:, None] != pair_block[None, :]
     assert np.all(matrix[across] == 0.0)
+
+
+def copy_numbering_reference(g_plus, edge_block, pair_block):
+    """The node copies of the blocks that hold a pair, numbered by a dict:
+    a copy per (block, node) at an end of a solved edge, each block's lowest
+    copy first, block by block, then the others in (block, node) order.
+    Returns the number of each copy, the copies in number order and the
+    count of blocks."""
+    solved = set(pair_block.tolist())
+    copies = sorted({(b, x) for b, t, h in zip(edge_block.tolist(), g_plus.tails.tolist(),
+                                               g_plus.heads.tolist())
+                     if b in solved for x in (t, h)})
+    lowest: dict[int, tuple[int, int]] = {}
+    for b, x in copies:
+        lowest.setdefault(b, (b, x))
+    firsts = set(lowest.values())
+    order = list(lowest.values()) + [c for c in copies if c not in firsts]
+    return {c: i for i, c in enumerate(order)}, order, len(lowest)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(glued_blocks_with_pairs())
+def test_split_graph_copies_match_a_dict_numbering(case):
+    g_plus, pairs = case
+    pairs = np.sort(np.array(pairs), axis=1)
+    blocks = graph_core._edge_blocks(g_plus.node_count, np.append(g_plus.tails, pairs[:, 0]),
+                                     np.append(g_plus.heads, pairs[:, 1]))
+    edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
+    split, grounded, ends, copy_node = resistance_module._split_blocks(
+        g_plus, edge_block, pair_block, pairs)
+    number, order, block_count = copy_numbering_reference(g_plus, edge_block, pair_block)
+    solved = np.isin(edge_block, pair_block)
+    assert grounded == block_count and split.node_count == len(order)
+    assert copy_node.tolist() == [x for _, x in order]
+    for column, split_column in ((g_plus.tails, split.tails), (g_plus.heads, split.heads)):
+        assert split_column.tolist() == [number[b, x] for b, x in
+                                         zip(edge_block[solved].tolist(), column[solved].tolist())]
+    assert np.array_equal(split.weights, g_plus.weights[solved])
+    assert ends.tolist() == [[number[b, u], number[b, v]]
+                             for b, (u, v) in zip(pair_block.tolist(), pairs.tolist())]
+
+
+TWO_TRIANGLES = sl.build_graph(5, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0),
+                                   (2, 3, 1.0), (3, 4, 2.0), (2, 4, 3.0)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(glued_blocks_with_pairs())
+@example((TWO_TRIANGLES, []))
+@example((TWO_TRIANGLES, [(0, 1)]))
+@example((TWO_TRIANGLES, [(0, 1), (3, 4)]))
+@example((TWO_TRIANGLES, [(0, 1), (3, 4), (1, 2)]))
+def test_diagonal_blocks_match_a_dict_grouping(case):
+    # R's blocks grouped by a dict of each pair's block in G, blocks in
+    # order of their first pair, stacked by size ascending
+    g_plus, pairs = case
+    matrix, _ = sl.resistance_matrix_for_negatives(g_plus, pairs)
+    g = sl.build_graph(g_plus.node_count, list(g_plus.edges) + [(u, v, -1.0) for u, v in pairs])
+    groups: dict[int, list[int]] = {}
+    for j, b in enumerate(edge_blocks(g)[g_plus.edge_count:].tolist()):
+        groups.setdefault(b, []).append(j)
+    by_size: dict[int, list[list[int]]] = {}
+    for members in groups.values():
+        by_size.setdefault(len(members), []).append(members)
+    stacks = resistance_module._diagonal_blocks(matrix)
+    assert [members.tolist() for members, _ in stacks] == [by_size[s] for s in sorted(by_size)]
+    dense = matrix.toarray()
+    for members, entries in stacks:
+        assert np.array_equal(entries, [dense[np.ix_(row, row)] for row in members.tolist()])

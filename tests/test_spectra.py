@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -171,6 +174,27 @@ def test_congruence_preserves_signature():
             if abs(np.linalg.det(s)) > 1e-3:
                 break
         assert sl.signature(s.T @ m @ s).as_tuple() == sl.signature(m).as_tuple()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
+@pytest.mark.parametrize("tol", [None, 0, Fraction(1, 3), np.float32(1e-3)],
+                         ids=["default", "int", "fraction", "float32"])
+def test_an_empty_matrix_or_stack_has_the_empty_signature(shape, tol):
+    sig = sl.signature(np.zeros(shape), tol)
+    assert sig.as_tuple() == (0, 0, 0) and not sig.near_singular
+    assert type(sig.tolerance_used) is float
+    assert sig.tolerance_used == (np.finfo(float).eps if tol is None else float(tol))
+    if len(shape) == 2:
+        inverse = sl.pseudo_inverse_eig(np.zeros(shape))
+        assert inverse.shape == shape and inverse.dtype == np.float64
+    else:
+        with pytest.raises(sl.InvalidParameterError, match="expected a square matrix"):
+            sl.pseudo_inverse_eig(np.zeros(shape))
+
+
+def test_a_tolerance_beyond_the_double_range_reads_as_infinity():
+    sig = sl.signature(np.diag([1.0, -2.0]), 10**400)
+    assert sig.as_tuple() == (0, 0, 2) and sig.tolerance_used == math.inf
 
 
 def test_pseudo_inverse_eig_identity():
