@@ -1,4 +1,9 @@
-"""Command-line front end: edge-list files in, deterministic text reports out.
+"""Command-line front end: edge-list files in, text reports out, deterministic
+for a fixed input, configuration and seed on one BLAS library and thread
+count.  ``simulate``'s numbers depend on the BLAS thread count, under which
+``eigh`` and the block products round differently; the other commands' reports
+on the benchmark's seed-0 graphs were the same bytes under 1 and 2 OpenBLAS
+threads.
 
 Exit codes: 0 success, 1 I/O, parse, numerical or out-of-memory errors, 2
 theorem-hypothesis violations (the message names the failed precondition), so

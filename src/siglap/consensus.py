@@ -13,6 +13,16 @@ holding the negative edge -- is removed, and the extra null vector of L is
 that edge's grounded potential on the cycle, from the resistance layer's
 block solve (the one the verdict reads), scattered over the clusters.
 
+The samples ``t_k = k * output_stride * step`` are evenly spaced, so
+``exp(-t lam)`` is evaluated once per call for the offsets ``t_j`` inside a
+block of ``_SAMPLE_BLOCK`` samples, and once per block for its first time
+``t_s``.  Row ``s + j`` is ``V (exp(-t_j lam) * exp(-t_s lam) * V^T x0)``,
+the modal solution at ``t_s + t_j``.  That equals the recorded time
+``t_{s+j}`` up to one rounding: both are within one rounding of
+``(s + j) * output_stride * step``.  A last sample off that grid, at
+``t_final``, is evaluated at its own time.  Each block of rows is then one
+matrix product with ``V^T``.
+
 The eigendecomposition is made the first time a graph object is simulated
 and kept on it in a private record (:class:`_Modes`), read-only, so that
 every later ``simulate`` on that object skips assembling L and ``eigh`` and
@@ -48,10 +58,12 @@ DEFAULT_OUTPUT_STRIDE = 10
 DEFAULT_CLUSTER_TOL = 1e-5
 UNBOUNDED_FACTOR = 1e6
 MAX_RECORDED_VALUES = 10**7  # samples x nodes; 80 MB of float64 states
-# Time samples per matrix product in ``simulate``; each block's
-# ``exp(-t lam) * modes`` is computed in place in one reused _SAMPLE_BLOCK x n
-# buffer.  On a 307-node graph sampled 2001 times, 256 ran faster than 64 and
-# than one product over the whole grid, whose buffer is as large as the states.
+# Time samples per matrix product in ``simulate``, and the rows of its one
+# table of ``exp(-t_j lam)`` over the in-block offsets; each block's rows are
+# that table times its first sample's ``exp(-t_s lam) * modes``, written into
+# one reused _SAMPLE_BLOCK x n buffer.  On a 307-node graph sampled 2001 times,
+# 256 ran faster than 64 and 128, as fast as 512, and faster than one product
+# over the whole grid, whose buffer is as large as the states.
 _SAMPLE_BLOCK = 256
 # Final-window rows gathered in rank order at a time by cluster detection, so
 # that it never holds a second copy of the whole window.
@@ -119,14 +131,20 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     ``output_stride`` steps of size ``step``, and ``t_final``.
 
     Each sample is ``V exp(-t Lambda) V^T x0`` from one eigendecomposition
-    of L, made by the first call on ``g`` and kept on it for later calls
-    (see the module docstring).  Divergence (possible when L is indefinite)
-    is legitimate: the trajectory is returned with ``final_clusters =
-    None``.  The run has diverged when x0 excites a mode whose eigenvalue is
-    below minus ``default_zero_tolerance`` of the spectrum, however little
-    that mode has grown by ``t_final``, or when the final window fails the
-    norm test of :func:`detect_clusters`.  A graph of no nodes gives states
-    of shape ``(samples, 0)`` and no clusters.
+    of L, made by the first call on ``g`` and kept on it for later calls.
+    On the sample grid, ``exp(-t Lambda)`` is a table over one block's
+    offsets times one row per block, so row ``s + j`` is the modal solution
+    at ``t_s + t_j``, which equals the recorded ``times[s + j]`` up to one
+    rounding (see the module docstring).  The last bits of the states
+    depend on the BLAS library and its thread count, under which ``eigh``
+    and the block products round.  Divergence (possible when L is
+    indefinite) is legitimate: the trajectory is returned with
+    ``final_clusters = None``.  The run has diverged when x0 excites a mode
+    whose eigenvalue is below minus ``default_zero_tolerance`` of the
+    spectrum, however little that mode has grown by ``t_final``, or when
+    the final window fails the norm test of :func:`detect_clusters`.  A
+    graph of no nodes gives states of shape ``(samples, 0)`` and no
+    clusters.
 
     Raises:
         InvalidParameterError: x0 is not a finite real vector over the nodes
@@ -176,11 +194,7 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     record = _kept(g, "_modes", _new_modes)
     lam, V = record.lam, record.vectors
     zero_tol = default_zero_tolerance(lam, n)
-    # V^T x0 on a row-major copy of V, the layout numpy.linalg.eigh returns: on
-    # LAPACK's column-major V the product runs another BLAS kernel, which
-    # rounds differently and would move the recorded states in their last
-    # bits.  The block products below keep V column-major, as V[:, active] is.
-    modes = np.ascontiguousarray(V).T @ x0
+    modes = V.T @ x0
     # A mode that x0 misses exactly stays zero even where exp(-t lam) overflows.
     active = modes != 0.0
     if not active.all():
@@ -188,17 +202,24 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     # Any excited mode with a negative eigenvalue grows without bound.
     diverged = bool(np.any(lam < -zero_tol))
     states = np.empty((times.size, n))
+    # Row s + j of the block that starts at sample s is exp(-t_j lam) *
+    # (exp(-t_s lam) * modes), from one table over the in-block offsets t_j;
+    # the tail sample, off the grid, is last and gets its own row.
+    on_grid = times.size - tail
     block = np.empty((min(_SAMPLE_BLOCK, times.size), lam.size))
     # An indefinite L overflows exp(-t lam) to inf, and (... inf ...) @ V^T can
-    # give NaN; both are reported as divergence below.
+    # give NaN; both are reported as divergence below.  The factors of one
+    # column share its eigenvalue, so they are all <= 1 or all >= 1: never
+    # 0 * inf.
     with np.errstate(over="ignore", invalid="ignore"):
+        table = np.exp(np.multiply(-times[:min(_SAMPLE_BLOCK, on_grid), None], lam))
         for s in range(0, times.size, _SAMPLE_BLOCK):
-            t_blk = times[s:s + _SAMPLE_BLOCK]
-            blk = block[:t_blk.size]
-            np.multiply(-t_blk[:, None], lam, out=blk)
-            np.exp(blk, out=blk)
-            blk *= modes
-            np.matmul(blk, V.T, out=states[s:s + t_blk.size])
+            blk = block[:min(_SAMPLE_BLOCK, times.size - s)]
+            rows = min(_SAMPLE_BLOCK, on_grid - s)
+            np.multiply(table[:rows], np.exp(-times[s] * lam) * modes, out=blk[:rows])
+            if rows < blk.shape[0]:
+                np.multiply(np.exp(-times[-1] * lam), modes, out=blk[-1])
+            np.matmul(blk, V.T, out=states[s:s + blk.shape[0]])
     states[0] = x0
     clusters = None
     if not diverged:

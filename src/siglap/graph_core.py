@@ -22,6 +22,7 @@ spanning-forest decomposition below is a test oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -138,13 +139,14 @@ class SignedGraph:
         over every edge.
 
         Raises:
-            InvalidParameterError: a mask of another length, an index that
-                is not an integer from 0 to ``edge_count - 1``, or an index
-                given twice.
+            InvalidParameterError: ``edge_indices`` that are not iterable,
+                a mask of another length, an index that is not an integer
+                from 0 to ``edge_count - 1``, or an index given twice.
         """
         m = self.edge_count
         if not isinstance(edge_indices, np.ndarray):
-            edge_indices = np.array(list(edge_indices))
+            edge_indices = np.array(list(_iterator(edge_indices,
+                                                   "edge indices must be an iterable")))
         if edge_indices.dtype == bool:
             if edge_indices.shape != (m,):
                 raise InvalidParameterError(
@@ -351,6 +353,15 @@ def _is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _iterator(items, message: str) -> Iterator:
+    """An iterator over ``items``; ``items`` that are not iterable raise
+    :class:`InvalidParameterError` with ``message`` and the value."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise InvalidParameterError(f"{message}, got {items!r}") from None
+
+
 def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.ndarray:
     """``pairs`` (an iterable or an array) as one ``(m, 2)`` intp array, each
     checked in order to be two node ids (:func:`_is_integer`) of distinct
@@ -359,13 +370,10 @@ def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.
     :class:`NodesDisconnectedError` when its only fault is the components;
     ``pairs`` that are not iterable raise :class:`InvalidParameterError`."""
     n = node_count
-    try:
-        pairs = iter(pairs.tolist() if isinstance(pairs, np.ndarray) else pairs)
-    except TypeError:
-        raise InvalidParameterError(f"node pairs must be an iterable of (u, v) pairs, "
-                                    f"got {pairs!r}") from None
+    if isinstance(pairs, np.ndarray):
+        pairs = pairs.tolist()
     ends = []
-    for pair in pairs:
+    for pair in _iterator(pairs, "node pairs must be an iterable of (u, v) pairs"):
         try:
             u, v = pair
         except (TypeError, ValueError):
@@ -457,11 +465,12 @@ def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
     renumbered.
 
     Raises:
-        InvalidParameterError: an entry of ``skip_edges`` is not an integer
-            (a bool is not one) or does not fit in 64 bits.
+        InvalidParameterError: ``skip_edges`` is not iterable, or an entry
+            of it is not an integer (a bool is not one) or does not fit in
+            64 bits.
     """
     keep = np.ones(g.edge_count, dtype=bool)
-    skip = np.array(list(skip_edges))
+    skip = np.array(list(_iterator(skip_edges, "skip_edges must be an iterable of edge indices")))
     if skip.size and skip.dtype.kind not in "iu":
         raise InvalidParameterError(f"skip_edges must be edge indices, got {skip.tolist()}")
     skip = skip.astype(np.intp)

@@ -13,6 +13,7 @@ the first one.
 from __future__ import annotations
 
 import codecs
+import os
 import warnings
 from collections.abc import Iterable, Iterator
 
@@ -135,10 +136,34 @@ def _read_text(path, error) -> str:
                           f"({exc.reason})") from None
 
 
+def _checked_path(path):
+    """``path`` if it is a ``str`` or an ``os.PathLike``.  ``open`` would take
+    an int (or a bool) as a file descriptor and close it when done."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidParameterError(
+            f"a graph file path must be a str or os.PathLike, got {type(path).__name__}")
+    return path
+
+
 def read_graph_file(path) -> SignedGraph:
-    return parse_graph(_read_text(path, GraphParseError))
+    """The graph in the file at ``path``.
+
+    Raises:
+        InvalidParameterError: ``path`` is not a ``str`` or ``os.PathLike``
+            (bytes and file descriptors are not).
+        GraphParseError: the file is not a graph file of a valid graph.
+        OSError: the file cannot be read.
+    """
+    return parse_graph(_read_text(_checked_path(path), GraphParseError))
 
 
 def write_graph_file(g: SignedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``g`` in the canonical format to the file at ``path``.
+
+    Raises:
+        InvalidParameterError: ``path`` is not a ``str`` or ``os.PathLike``
+            (bytes and file descriptors are not).
+        OSError: the file cannot be written.
+    """
+    with open(_checked_path(path), "w", encoding="utf-8") as fh:
         fh.write(format_graph(g))

@@ -341,6 +341,35 @@ def test_graph_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
     assert "PSD (boundary), sigma=(7,0,2)" in reports[0]
 
 
+def test_a_file_descriptor_is_not_a_graph_file_path(tmp_path):
+    # open() would read or write a descriptor given as an int, and close it
+    g = sl.parse_graph(README_GRAPH)
+    message = "a graph file path must be a str or os.PathLike, got {}"
+    r, w = os.pipe()
+    with os.fdopen(r, encoding="utf-8") as reader, os.fdopen(w, "w", encoding="utf-8") as writer:
+        writer.write(README_GRAPH)
+        writer.flush()
+        for call in (lambda: sl.read_graph_file(r), lambda: sl.write_graph_file(g, w)):
+            with pytest.raises(sl.InvalidParameterError) as err:
+                call()
+            assert str(err.value) == message.format("int")
+        os.fstat(w)
+        writer.close()
+        assert reader.read() == README_GRAPH
+    with pytest.raises(sl.InvalidParameterError) as err:
+        sl.read_graph_file(graph_file(tmp_path, g).encode())
+    assert str(err.value) == message.format("bytes")
+    # True is descriptor 1: a child process keeps its stdout only if refused
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = ("import siglap as sl\ntry:\n    sl.read_graph_file(True)\n"
+              "except sl.InvalidParameterError as exc:\n    print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (message.format("bool") + "\n").encode()
+
+
 def test_check_psd_process_on_the_readme_graph(tmp_path):
     # the whole process: interpreter start, the module's entry point, exit
     # status and stdout bytes

@@ -490,15 +490,32 @@ def test_detect_clusters_at_workload_scale_matches_pairwise_closure():
     assert clusters.labels[a] == clusters.labels[c] != clusters.labels[b]
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, consensus._SAMPLE_BLOCK + 1])
-def test_simulate_rows_match_modal_oracle_around_the_sample_block(extra):
-    # stride 1 and an exact end: n_steps + 1 samples
+@pytest.mark.parametrize("extra, step, past_grid, stiff", [
+    (-1, 0.0625, 0.0, False),
+    (0, 0.0625, 0.0, False),
+    (1, 0.0625, 0.0, False),
+    (consensus._SAMPLE_BLOCK + 1, 0.0625, 0.0, False),
+    # t_s + t_j is not exactly the recorded time t_{s+j}
+    (consensus._SAMPLE_BLOCK + 1, 0.013, 0.0, False),
+    # an off-grid t_final: its own row, alone in the last block
+    (0, 0.013, 0.0052, False),
+    # weights 10**U(-1, 3); the tail row shares the last block
+    (consensus._SAMPLE_BLOCK + 1, 0.013, 0.0052, True),
+], ids=["one-short", "one-block", "one-over", "two-blocks", "non-dyadic", "off-grid-end",
+        "stiff"])
+def test_simulate_rows_match_modal_oracle_around_the_sample_block(extra, step, past_grid,
+                                                                  stiff):
+    # stride 1: samples on-grid samples, and one more at t_final past the grid
     samples = consensus._SAMPLE_BLOCK + extra
+    rng = np.random.default_rng(13)
+    x0 = rng.uniform(0.0, 1.0, 9)
     g = caterpillar_with_chord(-0.25)
-    x0 = np.random.default_rng(13).uniform(0.0, 1.0, 9)
-    traj = sl.simulate(g, x0, t_final=(samples - 1) * 0.0625, step=0.0625,
-                       output_stride=1)
-    assert traj.states.shape == (samples, 9)
+    if stiff:
+        g = sl.build_graph(9, [(u, v, float(10 ** rng.uniform(-1.0, 3.0))) for u, v, _ in g.edges])
+    t_final = (samples - 1) * step + past_grid
+    traj = sl.simulate(g, x0, t_final=t_final, step=step, output_stride=1)
+    assert traj.states.shape == (samples + (past_grid > 0), 9)
+    assert traj.times[-1] == t_final
     assert np.array_equal(traj.states[0], x0)
     expected = modal_states(dense_laplacian(9, g.edges), x0, traj.times)
     scale = np.maximum(1.0, np.max(np.abs(traj.states), axis=1))

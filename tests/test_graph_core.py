@@ -276,6 +276,9 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: TRIANGLE.subgraph([1, 0, 1]), "edge indices must be distinct, got [1, 0, 1]"),
     (lambda: sl.component_labels(TRIANGLE, skip_edges=["a"]),
      "skip_edges must be edge indices, got ['a']"),
+    (lambda: TRIANGLE.subgraph(5), "edge indices must be an iterable, got 5"),
+    (lambda: sl.component_labels(TRIANGLE, skip_edges=5),
+     "skip_edges must be an iterable of edge indices, got 5"),
     (lambda: sl.SignedGraph(2, [0], [5], [1.0]),
      "edge 0: endpoint out of range: (0, 5)"),
     (lambda: sl.SignedGraph(3, [0, 1], [1, 2], [1.0, np.nan]),
@@ -300,7 +303,8 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "weight-text",
         "weight-number-text", "weight-bytes", "weight-bool", "weight-none",
         "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
-        "index-range", "index-fraction", "index-repeat", "skip-text", "graph-range",
+        "index-range", "index-fraction", "index-repeat", "skip-text", "index-int", "skip-int",
+        "graph-range",
         "graph-nan", "graph-text", "graph-fraction", "graph-complex", "graph-huge-count",
         "edge-list-huge-count", "matrix-pairs-int", "path-pairs-none", "parse-none",
         "parse-bytes"])
