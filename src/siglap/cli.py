@@ -6,8 +6,10 @@ on the benchmark's seed-0 graphs were the same bytes under 1 and 2 OpenBLAS
 threads.
 
 Exit codes: 0 success, 1 I/O, parse, numerical or out-of-memory errors, 2
-theorem-hypothesis violations (the message names the failed precondition), so
-scripted sweeps can bin outcomes.  All floating-point output is fixed at 12
+theorem-hypothesis violations (the message names the failed precondition)
+and argparse refusals (a flag value argparse cannot read, such as ``--seed
+1.5``, or a missing argument; stderr starts with a ``usage: siglap`` line),
+so scripted sweeps can bin outcomes.  All floating-point output is fixed at 12
 significant digits.  Every run echoes the settings its answer depends on:
 ``--tol`` for ``signature`` and ``check-psd``, the seed and simulation
 settings for ``simulate``.  Every command validates ``--tol``, but the others
@@ -18,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
 
 from . import consensus, definiteness, resistance, spectra
+from ._inputs import _check_tolerance
 from .errors import DisconnectedError, HypothesisViolatedError, InvalidParameterError, SiglapError
 from .graph_core import SignedGraph, component_labels
 from .graphfile import _content_lines, _read_text, read_graph_file
@@ -61,9 +65,12 @@ def _load_x0(args: argparse.Namespace, g: SignedGraph) -> tuple[np.ndarray, list
         values = []
         for lineno, line in _content_lines(_read_text(args.x0, error).splitlines()):
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise error(lineno, f"bad x0 value: {line!r}") from None
+            if not math.isfinite(value):
+                raise error(lineno, f"non-finite x0 value: {line!r}")
+            values.append(value)
         if len(values) != g.node_count:
             raise InvalidParameterError(
                 f"x0 file {args.x0}: expected {g.node_count} values, got {len(values)}")
@@ -190,7 +197,7 @@ def run(args: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
         if args.tol is not None:
-            spectra._check_tolerance(args.tol)
+            _check_tolerance(args.tol)
         g = read_graph_file(args.graph)
         # Files first and stdout last, so a failed write leaves stdout empty.
         for path, lines in sorted(args.handler(args, g), key=lambda out: out[0] is None):

@@ -46,11 +46,12 @@ from scipy.linalg import eigh
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from .graph_core import (SignedGraph, _first_seen_ids, _immutable, _is_integer, _kept,
+from ._inputs import _check_tolerance, _is_integer, _real, _real_array
+from .graph_core import (SignedGraph, _checked_graph, _first_seen_ids, _immutable, _kept,
                          component_labels)
 from .laplacians import _laplacian_product, laplacian_matrix
 from .resistance import _block_solve
-from .spectra import _check_tolerance, _real, _real_array, default_zero_tolerance
+from .spectra import default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
@@ -147,17 +148,16 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
     clusters.
 
     Raises:
-        InvalidParameterError: x0 is not a finite real vector over the nodes
-            (text and bools are not real numbers),
-            ``t_final`` or ``step`` is not a finite positive real number,
-            ``output_stride`` is not an integer >= 1 (a bool is not one), or
-            more than ``MAX_RECORDED_VALUES`` values would be recorded.
-            ``t_final`` and ``step`` are read as floats once checked, so a
-            ``Fraction`` runs as its float and ``10**400`` is not finite.
+        InvalidParameterError: x0 is not a finite real vector over the
+            nodes, ``t_final`` or ``step`` is not a finite positive real
+            number (each real by :func:`~siglap._inputs._real`, and run as
+            the float it reads as), ``output_stride`` is not an integer >= 1
+            (a bool is not one), or more than ``MAX_RECORDED_VALUES`` values
+            would be recorded.
         InvalidToleranceError: ``cluster_tol`` is not a real number (None is
             not one), or negative or NaN.
     """
-    n = g.node_count
+    n = _checked_graph(g).node_count
     x0 = _real_array(x0)
     if x0 is None:
         raise InvalidParameterError("x0 must be a vector of real numbers")
@@ -304,13 +304,21 @@ def detect_clusters(traj: Trajectory, tol: float = DEFAULT_CLUSTER_TOL) -> Clust
     throughout the window (transitively closed).
 
     Raises:
+        InvalidParameterError: ``traj`` is not a :class:`Trajectory` whose
+            states are a 2-d array of real numbers with at least one row.
         UnboundedError: the final window grew beyond 1e6 x the initial norm,
             or it or the initial state holds an inf or NaN, the footprint of
             an indefinite Laplacian.
         InvalidToleranceError: ``tol`` is not a real number (None is not
             one), or negative or NaN.
     """
-    return _detect(traj.states, _check_tolerance(tol, "cluster tolerance"))
+    if not isinstance(traj, Trajectory):
+        raise InvalidParameterError(f"expected a Trajectory, got {type(traj).__name__}")
+    states = _real_array(traj.states)
+    if states is None or states.ndim != 2 or not len(states):
+        raise InvalidParameterError(
+            "trajectory states must be a 2-d array of real numbers with at least one row")
+    return _detect(states, _check_tolerance(tol, "cluster tolerance"))
 
 
 def _connected(g: SignedGraph) -> bool:
@@ -338,7 +346,7 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
         HypothesisViolatedError: listing every precondition that failed.
         CrossCheckError: ``max|L z|`` exceeds 1e-8.
     """
-    n = g.node_count
+    n = _checked_graph(g).node_count
     g_plus = g.positive_subgraph()
     plus_connected = _connected(g_plus)
     failures = []

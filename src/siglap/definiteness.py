@@ -50,10 +50,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_array
 
+from ._inputs import _check_tolerance
 from .errors import CrossCheckError, HypothesisViolatedError
-from .graph_core import SignedGraph
+from .graph_core import SignedGraph, _checked_graph
 from .resistance import _diagonal_blocks, negative_edge_report
-from .spectra import Signature, _check_tolerance, signature
+from .spectra import Signature, signature
 
 # Default zero tolerance on eig(T).  T's diagonal is -margin_k, where the
 # margin |w| * R - 1 is a negative edge's relative distance from its threshold.
@@ -199,7 +200,7 @@ def multi_edge_verdict(g: SignedGraph, tol: float | None = None) -> Definiteness
         CrossCheckError: a resistance, threshold or margin is not finite.
     """
     tol = BOUNDARY_RTOL if tol is None else _check_tolerance(tol)
-    neg = g.negative_edge_indices()
+    neg = _checked_graph(g).negative_edge_indices()
     if not neg:
         raise HypothesisViolatedError(["at least one negative edge required"])
     # Raises DisconnectedError when the positive subgraph is disconnected.
@@ -229,4 +230,4 @@ def corollary6_check(g: SignedGraph) -> Corollary6Result:
         DisconnectedError: the positive subgraph is disconnected.
         CrossCheckError: a resistance or one of the two sums is not finite.
     """
-    return _resistance_terms(g, g.negative_edge_indices())[1]
+    return _resistance_terms(g, _checked_graph(g).negative_edge_indices())[1]

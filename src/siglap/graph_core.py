@@ -22,7 +22,6 @@ spanning-forest decomposition below is a test oracle.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -31,24 +30,15 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order
 
-from .errors import (
-    CrossCheckError,
-    GraphConstructionError,
-    InvalidParameterError,
-    NodeOutOfRangeError,
-    NodesDisconnectedError,
-    NonFiniteWeightError,
-    SelfLoopError,
-    ZeroWeightError,
-)
+from ._inputs import (MAX_NODE_COUNT, _checked_node_count, _is_integer, _iterator,
+                      _node_pairs, _real, _real_array)
+from .errors import (CrossCheckError, GraphConstructionError, InvalidParameterError,
+                     NodeOutOfRangeError, NonFiniteWeightError, SelfLoopError, ZeroWeightError)
 
 # Every weight magnitude must be at least the smallest normal double, and
 # every node's weighted degree must stay below DEGREE_BOUND.
 WEIGHT_FLOOR = 2.0 ** -1022
 DEGREE_BOUND = 2.0 ** 1022
-# The most nodes a graph may have: numpy must be able to address one double
-# per node (beyond that it raises ValueError, not MemoryError).
-MAX_NODE_COUNT = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +157,15 @@ class SignedGraph:
         return self.subgraph(self.weights > 0.0)
 
 
+def _checked_graph(g) -> SignedGraph:
+    """``g`` if it is a :class:`SignedGraph`, the reader of every graph
+    argument.  It sits here, not with the other readers in
+    :mod:`siglap._inputs`, because this module imports that one."""
+    if not isinstance(g, SignedGraph):
+        raise InvalidParameterError(f"expected a SignedGraph, got {type(g).__name__}")
+    return g
+
+
 def _immutable(array: np.ndarray) -> np.ndarray:
     """A copy of ``array`` on an immutable ``bytes`` buffer, in the same
     memory order (column-major stays column-major): numpy refuses to make an
@@ -223,18 +222,18 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     """The :class:`SignedGraph` of an edge list, each edge oriented
     ``tail = min(u, v)``; the input edge order is preserved and defines the
     edge indices.  Every entry of ``edge_list`` is a ``(u, v, w)`` triple of
-    two node ids and a weight read by ``float``.  A node id is a Python or
-    numpy integer: a bool, or a float even when its value is whole (``2.0``),
-    is refused, as by the node-pair check and the graph-file reader.  A
-    weight that is text (``"1.5"``, ``b"1"``) or a bool is refused too,
-    although ``float`` reads it.
+    two node ids and a weight.  A node id is a Python or numpy integer: a
+    bool, or a float even when its value is whole (``2.0``), is refused, as
+    by the node-pair check and the graph-file reader.  A weight is a real
+    number by the package's one rule (:func:`~siglap._inputs._real`): text
+    (``"1.5"``, ``b"1"``), a bool and a complex number are not, and
+    ``10**400`` reads as infinity, which the graph check refuses.
 
     Raises:
         InvalidParameterError: ``node_count`` is not an integer from 1 to
             ``MAX_NODE_COUNT``, ``edge_list`` is not an iterable of
             ``(u, v, w)`` triples, a node id is not an integer, or a weight
-            is text, a bool or not read by ``float`` (each naming the first
-            such edge).
+            is not a real number (each naming the first such edge).
         GraphConstructionError: the graph breaks the invariant of
             :class:`SignedGraph`, at the edge ``edge_index``.
     """
@@ -250,7 +249,7 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     if not all(map(_is_integer, u + v)):
         k = next(k for k, ends in enumerate(zip(u, v)) if not all(map(_is_integer, ends)))
         raise InvalidParameterError(f"edge {k}: node ids must be integers, got ({u[k]!r}, {v[k]!r})")
-    weights = list(map(_weight, w))
+    weights = list(map(_real, w))
     if None in weights:
         k = weights.index(None)
         raise InvalidParameterError(f"edge {k}: weight must be a real number, got {w[k]!r}")
@@ -262,60 +261,34 @@ def build_graph(node_count: int, edge_list) -> SignedGraph:
     return SignedGraph(node_count, ends.min(axis=0), ends.max(axis=0), w)
 
 
-# Values that ``float`` reads but that are not weights: text and bools.
-_NOT_WEIGHTS = (str, bytes, bytearray, bool, np.bool_)
-
-
-def _weight(x) -> float | None:
-    """``x`` read by ``float`` as a weight of an edge list, or None when it
-    is not one: text or a bool, or a value that ``float`` cannot read."""
-    if isinstance(x, _NOT_WEIGHTS):
-        return None
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
-def _checked_node_count(node_count, least: int = 1) -> int:
-    """``node_count`` as an int, once checked to be an integer (a bool is not
-    one) from ``least`` to ``MAX_NODE_COUNT``."""
-    if not _is_integer(node_count):
-        raise InvalidParameterError(f"node_count must be an integer, got {node_count!r}")
-    if node_count < least:
-        raise InvalidParameterError(f"node_count must be >= {least}, got {node_count}")
-    if node_count > MAX_NODE_COUNT:
-        raise InvalidParameterError(f"node_count must be <= {MAX_NODE_COUNT}, got {node_count}")
-    return int(node_count)
-
-
 def _check_columns(node_count, tails, heads, weights
                    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The fields of a :class:`SignedGraph`, checked as its docstring says:
     ``node_count`` as an int and fresh intp, intp and float64 columns."""
     n = _checked_node_count(node_count, 0)
     given = []
-    for name, column in (("tails", tails), ("heads", heads), ("weights", weights)):
+    for name, column in (("tails", tails), ("heads", heads)):
         try:
             column = np.asarray(column)
         except ValueError:  # a ragged nesting
             column = np.array(None)
         kind = column.dtype.kind
         # Objects pass as integers when all are (ids beyond 64 bits, no node's).
-        if kind == "O" and name != "weights" and all(map(_is_integer, column.ravel().tolist())):
+        if kind == "O" and all(map(_is_integer, column.ravel().tolist())):
             kind = "i"
-        if column.size and kind not in ("iuf" if name == "weights" else "iu"):
-            what = "real numbers" if name == "weights" else "integers"
-            raise InvalidParameterError(f"{name} must be a column of {what}")
+        if column.size and kind not in "iu":
+            raise InvalidParameterError(f"{name} must be a column of integers")
         given.append(column)
-    t, h, w = given
+    t, h = given
+    w = _real_array(weights)
+    if w is None:
+        raise InvalidParameterError("weights must be a column of real numbers")
     if t.ndim != 1 or not t.shape == h.shape == w.shape:
         raise InvalidParameterError("tails, heads and weights must be 1-d columns of one length")
     reversed_ends = t > h
     if reversed_ends.any():
         k = int(np.argmax(reversed_ends))
         raise InvalidParameterError(f"edge {k}: tail {t[k]} >= head {h[k]}")
-    w = w.astype(np.float64)
     size = np.abs(w)
     # Per-edge faults, in their precedence on one edge.
     faults = (
@@ -343,52 +316,6 @@ def _check_columns(node_count, tails, heads, weights
             k, f"edge {k}: node {x} of ({t[k]}, {h[k]}) has weighted degree "
                f"{float(degree[x])!r}, at or above 2**1022")
     return n, t, h, w
-
-
-def _is_integer(x) -> bool:
-    """Whether ``x`` is a Python or numpy integer, not a bool: a node id, a
-    node count or an output stride.  An exact type test, as the pair check
-    makes two per pair: ``isinstance(x, numbers.Integral)`` took about 15
-    times as long on an int (0.9 against 0.06 us, 2-core Xeon)."""
-    return type(x) is int or isinstance(x, np.integer)
-
-
-def _iterator(items, message: str) -> Iterator:
-    """An iterator over ``items``; ``items`` that are not iterable raise
-    :class:`InvalidParameterError` with ``message`` and the value."""
-    try:
-        return iter(items)
-    except TypeError:
-        raise InvalidParameterError(f"{message}, got {items!r}") from None
-
-
-def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.ndarray:
-    """``pairs`` (an iterable or an array) as one ``(m, 2)`` intp array, each
-    checked in order to be two node ids (:func:`_is_integer`) of distinct
-    nodes, and of one component when ``labels`` gives a component per node.
-    The first bad pair raises :class:`InvalidParameterError`, or
-    :class:`NodesDisconnectedError` when its only fault is the components;
-    ``pairs`` that are not iterable raise :class:`InvalidParameterError`."""
-    n = node_count
-    if isinstance(pairs, np.ndarray):
-        pairs = pairs.tolist()
-    ends = []
-    for pair in _iterator(pairs, "node pairs must be an iterable of (u, v) pairs"):
-        try:
-            u, v = pair
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"a node pair must be two node ids, got {pair!r}") from None
-        if not (_is_integer(u) and _is_integer(v)):
-            raise InvalidParameterError(f"node ids must be integers, got ({u!r}, {v!r})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(f"node out of range: ({u}, {v}) on {n} nodes")
-        if u == v:
-            raise InvalidParameterError(
-                f"effective resistance needs two distinct nodes, got {u} twice")
-        if labels is not None and labels[u] != labels[v]:
-            raise NodesDisconnectedError(f"nodes {u} and {v} are in different components")
-        ends.append((u, v))
-    return np.array(ends, dtype=np.intp).reshape(-1, 2)
 
 
 def incidence_matrix(g: SignedGraph) -> np.ndarray:
@@ -469,7 +396,7 @@ def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
             of it is not an integer (a bool is not one) or does not fit in
             64 bits.
     """
-    keep = np.ones(g.edge_count, dtype=bool)
+    keep = np.ones(_checked_graph(g).edge_count, dtype=bool)
     skip = np.array(list(_iterator(skip_edges, "skip_edges must be an iterable of edge indices")))
     if skip.size and skip.dtype.kind not in "iu":
         raise InvalidParameterError(f"skip_edges must be edge indices, got {skip.tolist()}")
@@ -641,7 +568,7 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
             :func:`_node_pairs`).
         NodesDisconnectedError: u and v lie in different components.
     """
-    if np.any(g_plus.weights <= 0.0):
+    if np.any(_checked_graph(g_plus).weights <= 0.0):
         raise InvalidParameterError("path_edge_sets requires an all-positive graph")
     n = g_plus.node_count
     labels = _components(n, g_plus.tails, g_plus.heads)[1]

@@ -13,14 +13,14 @@ the first one.
 from __future__ import annotations
 
 import codecs
-import os
 import warnings
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from ._inputs import _checked_path
 from .errors import GraphConstructionError, GraphParseError, InvalidParameterError
-from .graph_core import MAX_NODE_COUNT, SignedGraph, build_graph
+from .graph_core import MAX_NODE_COUNT, SignedGraph, _checked_graph, build_graph
 
 _EDGE_COLUMNS = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -111,7 +111,7 @@ def parse_graph(text: str) -> SignedGraph:
 
 def format_graph(g: SignedGraph) -> str:
     """Canonical writer; weights round-trip at 17 significant digits."""
-    lines = [f"nodes {g.node_count}"]
+    lines = [f"nodes {_checked_graph(g).node_count}"]
     for u, v, w in g.edges:
         lines.append(f"{u} {v} {w:.17g}")
     return "\n".join(lines) + "\n"
@@ -136,15 +136,6 @@ def _read_text(path, error) -> str:
                           f"({exc.reason})") from None
 
 
-def _checked_path(path):
-    """``path`` if it is a ``str`` or an ``os.PathLike``.  ``open`` would take
-    an int (or a bool) as a file descriptor and close it when done."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise InvalidParameterError(
-            f"a graph file path must be a str or os.PathLike, got {type(path).__name__}")
-    return path
-
-
 def read_graph_file(path) -> SignedGraph:
     """The graph in the file at ``path``.
 
@@ -165,5 +156,6 @@ def write_graph_file(g: SignedGraph, path) -> None:
             (bytes and file descriptors are not).
         OSError: the file cannot be written.
     """
+    text = format_graph(g)  # before the file is opened, which empties it
     with open(_checked_path(path), "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
+        fh.write(text)

@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_matrix, csc_matrix
 
 from .errors import DisconnectedError, SingularCutGramError
-from .graph_core import ForestDecomposition, SignedGraph
+from .graph_core import ForestDecomposition, SignedGraph, _checked_graph
 from .spectra import default_zero_tolerance
 
 
@@ -59,7 +59,7 @@ def _laplacian_entries(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def laplacian_matrix(g: SignedGraph) -> np.ndarray:
     """The weighted node Laplacian E W E^T (symmetric, zero row sums), dense."""
-    rows, cols, vals = _laplacian_entries(g)
+    rows, cols, vals = _laplacian_entries(_checked_graph(g))
     L = np.zeros((g.node_count, g.node_count))
     np.add.at(L, (rows, cols), vals)
     return L

@@ -88,7 +88,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import splu
 
 from .errors import CrossCheckError, DisconnectedError, InvalidParameterError
-from .graph_core import (SignedGraph, _components, _edge_blocks, _kept, _node_pairs,
+from ._inputs import _node_pairs
+from .graph_core import (SignedGraph, _checked_graph, _components, _edge_blocks, _kept,
                          _without_lower_neighbour)
 from .laplacians import _laplacian_product, laplacian_matrix, sparse_laplacian
 from .spectra import pseudo_inverse_eig
@@ -342,7 +343,7 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
         CrossCheckError: the grounded solve hits a cancelled pivot or fails
             its residual check.
     """
-    return _pair_resistances(g, [(u, v)])[0]
+    return _pair_resistances(_checked_graph(g), [(u, v)])[0]
 
 
 def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.ndarray,
@@ -467,7 +468,7 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
         ``(m, m)`` whose row j stores the entries of the pairs in j's block,
         in pair order, and an array of shape ``(m,)``.
     """
-    if np.any(g_plus.weights <= 0.0):
+    if np.any(_checked_graph(g_plus).weights <= 0.0):
         raise InvalidParameterError(
             "resistance_matrix_for_negatives requires an all-positive graph")
     n = g_plus.node_count
@@ -542,7 +543,7 @@ def negative_edge_report(g: SignedGraph) -> ResistanceReport:
         CrossCheckError: a resistance or ``R_tot`` is not finite (it left the
             double range).
     """
-    neg = g.weights < 0.0
+    neg = _checked_graph(g).weights < 0.0
     if not neg.any():
         return ResistanceReport((), csr_array((0, 0)), 0.0)
     pairs = np.column_stack([g.tails[neg], g.heads[neg]])

@@ -8,14 +8,12 @@ tolerance set the ``near_singular`` flag.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidToleranceError, NotSymmetricError
-from .graph_core import _weight
+from ._inputs import MAX_NODE_COUNT, _check_tolerance, _is_integer, _real_array
+from .errors import InvalidParameterError, NotSymmetricError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -39,32 +37,23 @@ class Signature:
 
 
 def default_zero_tolerance(eigenvalues: np.ndarray, dim: int) -> float:
-    """dim * machine epsilon * max |eigenvalue|, or epsilon if all vanish."""
+    """dim * machine epsilon * max |eigenvalue|, or epsilon if all vanish.
+
+    Raises:
+        InvalidParameterError: ``eigenvalues`` are not finite real numbers,
+            or ``dim`` is not an integer from 0 to ``MAX_NODE_COUNT``.
+    """
+    eigenvalues = _real_array(eigenvalues)
+    if eigenvalues is None or not np.isfinite(eigenvalues).all():
+        raise InvalidParameterError("eigenvalues must be finite real numbers")
+    if not (_is_integer(dim) and 0 <= dim <= MAX_NODE_COUNT):
+        raise InvalidParameterError(f"dim must be an integer from 0 to {MAX_NODE_COUNT}, "
+                                    f"got {dim!r}")
     eps = float(np.finfo(float).eps)
     scale = float(np.max(np.abs(eigenvalues), initial=0.0))
     if scale == 0.0:
         return eps
     return dim * eps * scale
-
-
-def _real_array(values) -> np.ndarray | None:
-    """``values`` as a float array, or None when they are ragged or hold an
-    entry that is not a real number by the rule of graph weights
-    (:func:`~siglap.graph_core._weight`): text, a bool, or an entry that
-    ``float()`` cannot read, such as a complex number or None.  A numeric
-    array is judged by its dtype, anything else entry by entry, since numpy
-    reads ``[True, 0.5]`` as floats."""
-    try:
-        given = np.asarray(values)
-        if given.dtype.kind not in "iufO":
-            return None
-        if given.dtype.kind == "O" or not isinstance(values, np.ndarray):
-            entries = np.asarray(values, dtype=object).ravel().tolist()
-            if None in map(_weight, entries):
-                return None
-        return given.astype(float, copy=False)
-    except (TypeError, ValueError):
-        return None
 
 
 def _symmetrized(m, stack_ok: bool = False) -> np.ndarray:
@@ -93,34 +82,6 @@ def _symmetrized(m, stack_ok: bool = False) -> np.ndarray:
             f"over scale {float(scale.flat[k]):.3e}"
         )
     return 0.5 * (m + mt)
-
-
-def _real(x) -> float | None:
-    """``x`` as a float when it is a real number (Python or numpy, not a
-    bool), else None.  A real too large for a double (``10**400``) reads as
-    the infinity of its sign, which orders the same against every double."""
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        return None
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _check_tolerance(tol, what: str = "zero tolerance") -> float:
-    """``tol`` as a float, once checked to be a real number >= 0; None, which
-    callers with a default read first, is refused like any non-number.
-
-    Raises:
-        InvalidToleranceError: ``tol`` is not a real number, or negative or
-            NaN.
-    """
-    value = _real(tol)
-    if value is None:
-        raise InvalidToleranceError(f"{what} must be a real number, got {tol!r}")
-    if not value >= 0.0:
-        raise InvalidToleranceError(f"{what} must be >= 0, got {tol!r}")
-    return value
 
 
 def signature(m, tol: float | None = None) -> Signature:

@@ -370,6 +370,16 @@ def test_a_file_descriptor_is_not_a_graph_file_path(tmp_path):
     assert done.stdout == (message.format("bool") + "\n").encode()
 
 
+def test_a_failed_write_keeps_the_file(tmp_path):
+    # the graph is formatted before the file is opened, which would empty it
+    path = tmp_path / "graph.txt"
+    path.write_text(README_GRAPH)
+    for graph in (None, 5, sl.parse_graph(README_GRAPH).edges):
+        with pytest.raises(sl.InvalidParameterError):
+            sl.write_graph_file(graph, path)
+        assert path.read_text() == README_GRAPH
+
+
 def test_check_psd_process_on_the_readme_graph(tmp_path):
     # the whole process: interpreter start, the module's entry point, exit
     # status and stdout bytes
@@ -484,6 +494,42 @@ def test_invalid_tolerance_rejected_by_every_command(tmp_path, capsys, command, 
     assert "tolerance" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+COMMANDS = ["signature", "resistance", "threshold", "check-psd", "simulate", "predict-clusters"]
+HOSTILE_FLAGS = [
+    *(["--tol", value] for value in ["nan", "inf", "-inf", "1e400", "-0", "x", "", "0x1p3"]),
+    *(["--t-final", value] for value in ["nan", "inf", "-1", "0", "1e-300", "1e400", "x"]),
+    *(["--step", value] for value in ["0", "-1e-3", "nan", "inf", "1e-300", "1e400", "x"]),
+    *(["--seed", value] for value in ["-1", "1.5", "x", str(2**70), "-0", "١"]),
+    *(["--cluster-tol", value] for value in ["nan", "-1", "inf", "1e400", "x"]),
+    *(["--pair", *pair] for pair in [("0", "0"), ("0", "99"), ("-1", "2"), ("a", "b"),
+                                     ("0", str(2**70)), ("1.5", "2"), ("0",)]),
+]
+
+
+def test_hostile_arguments_exit_cleanly(tmp_path, capsys):
+    # every run either answers (exit 0) or refuses in one stderr line (exit
+    # 1), or argparse refuses the flag (exit 2, a usage line first)
+    graph = tmp_path / "graph.txt"
+    graph.write_text(README_GRAPH)
+    (tmp_path / "empty.txt").write_text("")
+    runs = [[command, str(graph), *flag] for command in COMMANDS for flag in HOSTILE_FLAGS]
+    runs += [[command, source] for command in COMMANDS
+             for source in (str(tmp_path), str(tmp_path / "empty.txt"), os.devnull)]
+    for argv in runs:
+        try:
+            code = main(argv + ["--out", str(tmp_path / "out.txt")])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        if code == 2:
+            assert captured.err.startswith("usage: siglap"), (argv, captured.err)
+        else:
+            assert code in (0, 1), (argv, code)
+            assert captured.err.count("\n") == (code == 1), (argv, captured.err)
+            assert "Traceback" not in captured.err, argv
 
 
 def test_hypothesis_violation_exit_code(tmp_path, capsys):
@@ -608,14 +654,18 @@ def test_wrong_x0_length_names_the_x0_file(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_bad_x0_value_names_the_x0_file(tmp_path, capsys):
+@pytest.mark.parametrize("value, fault", [
+    ("zz", "bad x0 value"), ("nan", "non-finite x0 value"), ("inf", "non-finite x0 value"),
+    ("-Infinity", "non-finite x0 value"), ("1e400", "non-finite x0 value"),
+], ids=["text", "nan", "inf", "-inf", "beyond-doubles"])
+def test_bad_x0_value_names_the_x0_file(tmp_path, capsys, value, fault):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
     x0_path = tmp_path / "x0.txt"
-    x0_path.write_text("1.0\nzz\n")
+    x0_path.write_text(f"1.0\n{value}\n")
     code = main(["simulate", path, "--x0", str(x0_path)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"siglap simulate: x0 file {x0_path}: line 2: bad x0 value: 'zz'\n"
+    assert captured.err == f"siglap simulate: x0 file {x0_path}: line 2: {fault}: {value!r}\n"
     assert captured.out == ""
 
 

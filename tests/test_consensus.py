@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -174,8 +175,11 @@ def test_cluster_tolerance_rejected(tol):
     ({"cluster_tol": Fraction(1, 3)}, {"cluster_tol": 1 / 3}),
     ({"step": 2**70}, {"step": 2.0**70}),
     ({"output_stride": 2**70}, {"output_stride": 10**6}),
+    ({"t_final": Decimal("1.5")}, {"t_final": 1.5}),
+    ({"step": Decimal("0.01")}, {"step": 0.01}),
+    ({"cluster_tol": Decimal("1e-3")}, {"cluster_tol": 1e-3}),
 ], ids=["t-final-fraction", "step-fraction", "cluster-tol-fraction", "step-beyond-int64",
-        "stride-beyond-int64"])
+        "stride-beyond-int64", "t-final-decimal", "step-decimal", "cluster-tol-decimal"])
 def test_a_real_scalar_is_read_once_as_its_float(given, read):
     # a Fraction or an int beyond int64 passes its check, so it must run as
     # the float it reads as, not reach numpy as itself
@@ -353,6 +357,12 @@ def test_cycle_projection_eigenvalue_equals_resistance():
 
 def trajectory_of(states: np.ndarray) -> sl.Trajectory:
     return sl.Trajectory(np.arange(len(states), dtype=float), states, 1.0, None)
+
+
+def test_detect_clusters_reads_states_given_as_lists():
+    listed = sl.Trajectory(np.arange(2.0), [[0.0, 1.0]] * 2, 1.0, None)
+    assert sl.detect_clusters(listed) == sl.detect_clusters(trajectory_of(np.array(listed.states)))
+    assert sl.detect_clusters(listed).cluster_count == 2
 
 
 def test_detect_clusters_matches_pairwise_closure():

@@ -296,6 +296,34 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
      "node pairs must be an iterable of (u, v) pairs, got None"),
     (lambda: sl.parse_graph(None), "graph text must be a str, got NoneType"),
     (lambda: sl.parse_graph(b"nodes 2"), "graph text must be a str, got bytes"),
+    (lambda: sl.build_graph(2, [(0, 1, np.complex128(1 + 2j))]),
+     "edge 0: weight must be a real number, got np.complex128(1+2j)"),
+    (lambda: sl.build_graph(2, [(0, 1, 1.0), (0, 1, np.complex64(1))]),
+     "edge 1: weight must be a real number, got np.complex64(1+0j)"),
+    (lambda: sl.SignedGraph(3, [0, 0], [1, 2], [True, 0.5]),
+     "weights must be a column of real numbers"),
+    (lambda: sl.simulate(TRIANGLE, [0.5, 10**400, 0.2]), "x0 must be finite"),
+    (lambda: sl.signature([[1.0, 0.0], [0.0, -10**400]]), "matrix entries must be finite"),
+    (lambda: sl.effective_resistance(None, 0, 1), "expected a SignedGraph, got NoneType"),
+    (lambda: sl.resistance_matrix_for_negatives(5, [(0, 1)]), "expected a SignedGraph, got int"),
+    (lambda: sl.negative_edge_report("g"), "expected a SignedGraph, got str"),
+    (lambda: sl.multi_edge_verdict(None), "expected a SignedGraph, got NoneType"),
+    (lambda: sl.corollary6_check(5), "expected a SignedGraph, got int"),
+    (lambda: sl.simulate("g", [0.0, 1.0]), "expected a SignedGraph, got str"),
+    (lambda: sl.predict_clusters(None), "expected a SignedGraph, got NoneType"),
+    (lambda: sl.component_labels(5), "expected a SignedGraph, got int"),
+    (lambda: sl.path_edge_sets("g", [(0, 1)]), "expected a SignedGraph, got str"),
+    (lambda: sl.laplacian_matrix(None), "expected a SignedGraph, got NoneType"),
+    (lambda: sl.format_graph(TRIANGLE.edges), "expected a SignedGraph, got tuple"),
+    (lambda: sl.write_graph_file(None, "missing/unwritten.txt"),
+     "expected a SignedGraph, got NoneType"),
+    (lambda: sl.detect_clusters(None), "expected a Trajectory, got NoneType"),
+    (lambda: sl.detect_clusters(sl.Trajectory(np.arange(2.0), [0.0, 1.0], 1.0, None)),
+     "trajectory states must be a 2-d array of real numbers with at least one row"),
+    (lambda: sl.detect_clusters(sl.Trajectory(np.arange(2.0), [["0", "1"]] * 2, 1.0, None)),
+     "trajectory states must be a 2-d array of real numbers with at least one row"),
+    (lambda: sl.detect_clusters(sl.Trajectory(np.zeros(0), np.zeros((0, 3)), 1.0, None)),
+     "trajectory states must be a 2-d array of real numbers with at least one row"),
 ], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
         "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
         "signature-complex", "signature-bool", "signature-text", "pinv-nan", "x0-text",
@@ -307,7 +335,11 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         "graph-range",
         "graph-nan", "graph-text", "graph-fraction", "graph-complex", "graph-huge-count",
         "edge-list-huge-count", "matrix-pairs-int", "path-pairs-none", "parse-none",
-        "parse-bytes"])
+        "parse-bytes", "weight-complex128", "weight-complex64", "graph-bool-weight",
+        "x0-beyond-doubles", "matrix-beyond-doubles", "resistance-graph", "matrix-graph",
+        "report-graph", "verdict-graph", "corollary6-graph", "simulate-graph", "predict-graph",
+        "labels-graph", "path-graph", "laplacian-graph", "format-graph", "write-graph",
+        "detect-trajectory", "detect-states-1d", "detect-states-text", "detect-states-no-row"])
 def test_bad_library_input_raises_invalid_parameter_error(call, message):
     with pytest.raises(sl.InvalidParameterError) as err:
         call()
@@ -324,7 +356,9 @@ def test_bad_library_input_raises_invalid_parameter_error(call, message):
      "edge 0: node 0 of (0, 1) has weighted degree inf, at or above 2**1022"),
     ((3, [0, 0], [1, 3], [1e308, 1e308]), sl.NodeOutOfRangeError,
      "edge 1: endpoint out of range: (0, 3)"),
-], ids=["zero", "subnormal", "degree", "range-before-degree"])
+    ((3, [0, 1], [1, 2], [1.0, -10**400]), sl.NonFiniteWeightError,
+     "edge 1: non-finite weight -inf on (1, 2)"),
+], ids=["zero", "subnormal", "degree", "range-before-degree", "beyond-doubles"])
 def test_a_directly_built_graph_gets_the_same_graph_error_as_build_graph(columns, error, message):
     n, tails, heads, weights = columns
     for call in (lambda: sl.SignedGraph(*columns),

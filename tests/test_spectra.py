@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -177,8 +178,8 @@ def test_congruence_preserves_signature():
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 2, 2)])
-@pytest.mark.parametrize("tol", [None, 0, Fraction(1, 3), np.float32(1e-3)],
-                         ids=["default", "int", "fraction", "float32"])
+@pytest.mark.parametrize("tol", [None, 0, Fraction(1, 3), np.float32(1e-3), Decimal("0.1")],
+                         ids=["default", "int", "fraction", "float32", "decimal"])
 def test_an_empty_matrix_or_stack_has_the_empty_signature(shape, tol):
     sig = sl.signature(np.zeros(shape), tol)
     assert sig.as_tuple() == (0, 0, 0) and not sig.near_singular
