@@ -105,9 +105,20 @@ def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.
     nodes, and of one component when ``labels`` gives a component per node.
     The first bad pair raises :class:`InvalidParameterError`, or
     :class:`NodesDisconnectedError` when its only fault is the components;
-    ``pairs`` that are not iterable raise :class:`InvalidParameterError`."""
+    ``pairs`` that are not iterable raise :class:`InvalidParameterError`.
+
+    An ``(m, 2)`` integer array, as the verdict passes its negative edges,
+    is checked in one numpy pass; only when some pair fails is it walked in
+    order, like any other ``pairs``, to raise the first failure."""
     n = node_count
     if isinstance(pairs, np.ndarray):
+        if pairs.dtype.kind in "iu" and pairs.ndim == 2 and pairs.shape[1] == 2:
+            u, v = pairs.T
+            good = (u >= 0) & (u < n) & (v >= 0) & (v < n) & (u != v)
+            if labels is not None:
+                good[good] = labels[u[good]] == labels[v[good]]
+            if np.logical_and.reduce(good):
+                return pairs.astype(np.intp)
         pairs = pairs.tolist()
     ends = []
     for pair in _iterator(pairs, "node pairs must be an iterable of (u, v) pairs"):

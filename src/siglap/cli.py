@@ -266,8 +266,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags whose value argparse reads with float.
+_FLOAT_FLAGS = frozenset({"--tol", "--t-final", "--step", "--cluster-tol"})
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _negative_values_joined(argv: list[str]) -> list[str]:
+    """``argv`` with each negative value that ``float`` reads joined to its
+    float flag (``--step -1e-3`` becomes ``--step=-1e-3``), up to a ``--``.
+    argparse takes a value such as ``-1e-3`` or ``-inf`` for an option and
+    refuses the run; joined, it reaches the flag's own check."""
+    args, k = list(argv), 0
+    while k + 1 < len(args) and args[k] != "--":
+        value = args[k + 1]
+        if args[k] in _FLOAT_FLAGS and value.startswith("-") and _reads_as_float(value):
+            args[k:k + 2] = [f"{args[k]}={value}"]
+        k += 1
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_negative_values_joined(argv))
     return run(args)
 
 

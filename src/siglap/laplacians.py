@@ -67,16 +67,23 @@ def laplacian_matrix(g: SignedGraph) -> np.ndarray:
 
 def _laplacian_product(g: SignedGraph, x: np.ndarray) -> np.ndarray:
     """``L x`` for ``x`` of shape ``(n, c)``, from the edge columns: each
-    edge's current in each column, scattered to both ends by one bincount
-    over (column, node) keys."""
+    edge's current ``w (x_tail - x_head)`` in each column, gathered once per
+    edge end, then scattered to the tails by one bincount and from the heads
+    by another.  Column j is row j of ``x.T`` and its keys are shifted by
+    ``j n``; one column needs neither a copy nor a shift."""
     n, columns = x.shape
-    # The rows of x.T are gathered: gathering rows of the narrow x is slower.
     potential = np.ascontiguousarray(x.T)
-    current = g.weights * (np.take(potential, g.tails, axis=1)
-                           - np.take(potential, g.heads, axis=1))
-    keys = np.concatenate([g.tails, g.heads]) + n * np.arange(columns)[:, None]
-    return np.bincount(keys.ravel(), weights=np.concatenate([current, -current], axis=1).ravel(),
-                       minlength=n * columns).reshape(columns, n).T
+    current = potential.take(g.tails, axis=1)
+    current -= potential.take(g.heads, axis=1)
+    current *= g.weights
+    tails, heads = g.tails, g.heads
+    if columns != 1:
+        shift = n * np.arange(columns)[:, None]
+        tails, heads = (tails + shift).ravel(), (heads + shift).ravel()
+    current = current.ravel()
+    product = np.bincount(tails, weights=current, minlength=n * columns)
+    product -= np.bincount(heads, weights=current, minlength=n * columns)
+    return product.reshape(columns, n).T
 
 
 def sparse_laplacian(g: SignedGraph) -> csc_matrix:

@@ -36,9 +36,10 @@ queries factor each component once per graph, a connected graph's one
 component alike: the first query on a component factors the grounded
 Laplacian of its edges, their ends renumbered by each node's rank within
 the component, and the factor, with the graph's component labels and
-ranks, is kept in a private record on the graph (:class:`_PairFactors`)
-that every later pair query on it reuses, so a later call makes only the
-triangular solves and its own residual check, and gives the same bits.
+ranks and whether every weight is positive, is kept in a private record on
+the graph (:class:`_PairFactors`) that every later pair query on it reuses.
+A later call then costs two triangular solves on the kept factor plus one
+O(|E|) residual product, and gives the same bits.
 That pays only when one graph object is asked for pairs more than once, as
 when the thresholds ``1/R_uv`` of several candidate negative edges are read
 on one positive graph; a first query factors as before.  The record holds
@@ -237,11 +238,13 @@ def _grounded_solve(f: _GroundedFactor, rhs: np.ndarray) -> np.ndarray:
                     else dpbtrs(f.factor, b[::-1], lower=1)[0][::-1])
     # L x from the edge columns, whichever route solved; the rows of grounded
     # nodes are dropped.
-    product = _laplacian_product(f.g, x)[grounded:]
-    residual = np.max(np.abs(product - b), axis=0)
-    scale = f.norm * np.max(np.abs(x[grounded:]), axis=0) + np.max(np.abs(b), axis=0)
-    if not np.all(residual <= CROSS_CHECK_RTOL * scale):
-        worst = float(np.max(residual / scale))
+    residual = _laplacian_product(f.g, x)[grounded:]
+    residual -= b
+    residual = np.maximum.reduce(np.abs(residual, out=residual), axis=0)
+    scale = (f.norm * np.maximum.reduce(np.abs(x[grounded:]), axis=0)
+             + np.maximum.reduce(np.abs(b), axis=0))
+    if not np.logical_and.reduce(residual <= CROSS_CHECK_RTOL * scale):
+        worst = float(np.maximum.reduce(residual / scale))
         raise CrossCheckError(
             f"grounded Laplacian solve failed its residual check: relative "
             f"residual {worst!r} exceeds {CROSS_CHECK_RTOL!r}"
@@ -253,7 +256,10 @@ def _pair_solve(f: _GroundedFactor, ends: np.ndarray, column: np.ndarray) -> np.
     """:func:`_grounded_solve` by ``f`` of the right-hand side whose column
     ``column[k]`` holds +1 at ``ends[k, 0]`` and -1 at ``ends[k, 1]``, for
     each pair k; pairs sharing a column share no node."""
-    rhs = np.zeros((f.g.node_count, int(column.max()) + 1))
+    # Column-major, as the solvers return x: the residual check's reductions
+    # over each column of a row-major (n, c) array took 36 against 4.6 us
+    # (n = 1295, c = 3; 2-core Xeon).
+    rhs = np.zeros((f.g.node_count, int(np.maximum.reduce(column)) + 1), order="F")
     rhs[ends[:, 0], column] = 1.0
     rhs[ends[:, 1], column] = -1.0
     return _grounded_solve(f, rhs)
@@ -263,19 +269,21 @@ def _pair_solve(f: _GroundedFactor, ends: np.ndarray, column: np.ndarray) -> np.
 class _PairFactors:
     """What pair queries on one graph reuse, kept on the graph as
     ``_pair_factors``: its component labels; each node's rank within its
-    component (``0..n-1`` on a connected graph); and, by label, the grounded
+    component (``0..n-1`` on a connected graph); whether every weight is
+    positive, which picks the route; and, by label, the grounded
     factorization of each component a pair has queried, stored only once it
     has succeeded.  Pickling and copying a graph drop it."""
 
     labels: np.ndarray
     local: np.ndarray
+    positive: bool
     factors: dict[int, _GroundedFactor]
 
 
 def _new_pair_factors(g: SignedGraph) -> _PairFactors:
     """A :class:`_PairFactors` of ``g`` that holds no factorization yet."""
     labels = _components(g.node_count, g.tails, g.heads)[1]
-    return _PairFactors(labels, _runs(labels)[2], {})
+    return _PairFactors(labels, _runs(labels)[2], bool(np.all(g.weights > 0.0)), {})
 
 
 def _pair_factors(g: SignedGraph) -> _PairFactors:
@@ -292,22 +300,24 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
     all-positive graph takes one grounded solve per component holding a
     pair, with one right-hand-side column per pair, by that component's
     factorization, made by the first query that needs it and then kept in
-    ``g``'s :class:`_PairFactors`; a graph with any negative weight takes one
+    ``g``'s :class:`_PairFactors`; pairs that all lie in one component skip
+    the grouping.  A graph with any negative weight takes one
     eigendecomposition pseudo-inverse.
     """
     record = _pair_factors(g)
     labels = record.labels
     ends = _node_pairs(g.node_count, pairs, labels)
-    if not np.all(g.weights > 0.0):
+    if not record.positive:
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
         # Row k is L^+ (e_u - e_v) of pair k.
         potential = inverse[ends[:, 0]] - inverse[ends[:, 1]]
         column = np.arange(len(ends))
         return (potential[column, ends[:, 0]] - potential[column, ends[:, 1]]).tolist()
     pair_label = labels[ends[:, 0]]
+    components = dict.fromkeys(pair_label.tolist())  # in order of first pair
     values = np.empty(len(ends))
-    for label in dict.fromkeys(pair_label.tolist()):  # in order of first pair
-        mine = np.flatnonzero(pair_label == label)
+    for label in components:
+        mine = slice(None) if len(components) == 1 else np.flatnonzero(pair_label == label)
         mine_ends = record.local[ends[mine]]
         factor = record.factors.get(label)
         if factor is None:
@@ -319,7 +329,7 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
                                         record.local[g.tails[kept]],
                                         record.local[g.heads[kept]], g.weights[kept])
             factor = record.factors[label] = _grounded_factor(part, 1)
-        column = np.arange(mine.size)
+        column = np.arange(len(mine_ends))
         x = _pair_solve(factor, mine_ends, column)
         values[mine] = x[mine_ends[:, 0], column] - x[mine_ends[:, 1], column]
     return values.tolist()

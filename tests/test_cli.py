@@ -481,6 +481,35 @@ def test_negative_tolerance_exit_code(tmp_path, capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--step", "-1e-3", "step must be finite and positive, got -0.001"),
+    ("simulate", "--t-final", "-1e3", "t_final must be finite and positive, got -1000.0"),
+    ("simulate", "--cluster-tol", "-1E-9", "cluster tolerance must be >= 0, got -1e-09"),
+    ("check-psd", "--tol", "-inf", "zero tolerance must be >= 0, got -inf"),
+    ("signature", "--tol", "-1e-3", "zero tolerance must be >= 0, got -0.001"),
+])
+def test_a_negative_float_flag_value_in_exponent_or_word_form_reaches_its_check(
+        tmp_path, capsys, command, flag, value, message):
+    # argparse alone would take these values for options and exit 2
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    assert main([command, path, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"siglap {command}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-psd", "{path}", "--tol", "-x"],  # not a number: still argparse's
+    ["simulate", "{path}", "--seed", "-1e3"],  # not a float flag
+    ["check-psd", "{path}", "--", "--tol", "-1e-3"],  # after --, not a flag
+])
+def test_other_option_like_values_are_still_refused_by_argparse(tmp_path, capsys, argv):
+    path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: siglap")
+
+
 @pytest.mark.parametrize("command", [
     "signature", "resistance", "threshold", "simulate", "predict-clusters",
 ])

@@ -14,7 +14,7 @@ from conftest import (
     random_connected_positive,
     random_tree,
 )
-from siglap import graph_core, resistance
+from siglap import _inputs as inputs, graph_core, resistance
 
 
 def test_series_path():
@@ -97,6 +97,37 @@ def test_the_three_pair_entry_points_raise_one_error_per_bad_pair(pair, error, m
         with pytest.raises(expected[0]) as err:
             query(g, [(2, 3), pair])
         assert (type(err.value), str(err.value)) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.int32, np.int8, np.uint64])
+@pytest.mark.parametrize("bad", [None, (0, 0), (0, 99), (3, 1), (0, 2)],
+                         ids=["none", "same-node", "out-of-range", "reversed", "across"])
+def test_an_integer_pair_array_is_checked_as_its_list_is(monkeypatch, dtype, bad):
+    # The array is checked in one numpy pass; a bad pair, after a good one,
+    # still raises the error of the list walk, and good pairs give its bits.
+    two_parts = sl.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    joined = sl.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 3, 2.0)])
+    pairs = [(2, 3), (1, 0)] + ([bad] if bad else [])
+    for g, query in ((two_parts, resistance._pair_resistances),
+                     (joined, sl.resistance_matrix_for_negatives)):
+        try:
+            expected = query(g, pairs)
+        except sl.SiglapError as exc:
+            with pytest.raises(type(exc)) as err:
+                query(g, np.array(pairs, dtype=dtype))
+            assert str(err.value) == str(exc)
+            continue
+        got = query(g, np.array(pairs, dtype=dtype))
+        if query is resistance._pair_resistances:
+            assert got == expected
+        else:
+            assert got[0].toarray().tobytes() == expected[0].toarray().tobytes()
+    if bad is None:  # good pairs are not walked one by one
+        calls = []
+        real = inputs._is_integer
+        monkeypatch.setattr(inputs, "_is_integer", lambda x: calls.append(x) or real(x))
+        inputs._node_pairs(4, np.array(pairs, dtype=dtype), np.array([0, 0, 1, 1]))
+        assert calls == []
 
 
 def test_resistance_on_signed_graph_is_defined():

@@ -148,6 +148,23 @@ def test_perturbed_grounded_solve_raises_cross_check(monkeypatch):
             sl.resistance_matrix_for_negatives(g, [(0, 4)])
 
 
+def test_perturbed_block_solve_of_three_columns_raises_cross_check(monkeypatch):
+    # Three pairs in one block take one solve of three columns: a scrambled
+    # 16x16 grid by splu, and the first cycle of a cycle chain on the band.
+    rng = np.random.default_rng(179)
+    scrambled_grid = relabelled(sl.build_graph(256, grid_edges(rng, 16, 16)),
+                                rng.permutation(256))
+    chain = cycle_chain_at_threshold([1.0] * 3).positive_subgraph()
+    calls = solve_spy(monkeypatch)
+    perturb_both_solvers(monkeypatch)
+    for g, pairs, route in ((scrambled_grid, [(0, 100), (7, 200), (31, 255)], "splu"),
+                            (chain, [(0, 3), (2, 9), (5, 12)], "band")):
+        calls.clear()
+        with pytest.raises(sl.CrossCheckError, match="residual check"):
+            sl.resistance_matrix_for_negatives(g, pairs)
+        assert calls == [(route, 3)]
+
+
 def test_numerically_singular_grounded_matrix_raises_cross_check():
     # 1e-300 vanishes next to 1e300 on node 1's diagonal, so the grounded
     # matrix is exactly singular in floating point although R = 1e300 is not
@@ -335,30 +352,60 @@ def fresh_resistances(g: sl.SignedGraph, pairs) -> list[float]:
                                     u, v) for u, v in pairs]
 
 
-def factor_spy(monkeypatch) -> tuple[list[str], list[int]]:
-    """Record the route of every factorization and the columns of every
-    residual check."""
-    factorizations, products = [], []
-    for name, real in (("dpbtrf", resistance_module.dpbtrf), ("splu", resistance_module.splu)):
-        monkeypatch.setattr(resistance_module, name, lambda *args, real=real, name=name, **kw:
-                            factorizations.append(name) or real(*args, **kw))
+def factor_spy(monkeypatch) -> dict[str, list]:
+    """Record, by kind, the route of every factorization (``dpbtrf`` or
+    ``splu``) and of every triangular solve (``dpbtrs`` or
+    ``SuperLU.solve``), the columns of every residual product, and every
+    dense Laplacian or pseudo-inverse the resistance layer asks for."""
+    calls = {"factor": [], "solve": [], "product": [], "dense": []}
+
+    class SolveSpy:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            calls["solve"].append("SuperLU.solve")
+            return self.lu.solve(b)
+
+    real_dpbtrf, real_splu = resistance_module.dpbtrf, resistance_module.splu
+    real_dpbtrs = resistance_module.dpbtrs
+    monkeypatch.setattr(resistance_module, "dpbtrf", lambda *args, **kw:
+                        calls["factor"].append("dpbtrf") or real_dpbtrf(*args, **kw))
+    monkeypatch.setattr(resistance_module, "splu", lambda *args, **kw:
+                        calls["factor"].append("splu") or SolveSpy(real_splu(*args, **kw)))
+    monkeypatch.setattr(resistance_module, "dpbtrs", lambda *args, **kw:
+                        calls["solve"].append("dpbtrs") or real_dpbtrs(*args, **kw))
     real_product = resistance_module._laplacian_product
     monkeypatch.setattr(resistance_module, "_laplacian_product", lambda g, x:
-                        products.append(x.shape[1]) or real_product(g, x))
-    return factorizations, products
+                        calls["product"].append(x.shape[1]) or real_product(g, x))
+    for name in ("laplacian_matrix", "pseudo_inverse_eig"):
+        real = getattr(resistance_module, name)
+        monkeypatch.setattr(resistance_module, name, lambda *args, real=real, name=name:
+                            calls["dense"].append(name) or real(*args))
+    return calls
 
 
 def test_pair_queries_factor_each_component_once_and_repeat_the_bits(monkeypatch):
     for k, (g, pairs) in enumerate(pair_query_cases(np.random.default_rng(151))):
         fresh = fresh_resistances(g, pairs)
         with monkeypatch.context() as patch:
-            factorizations, products = factor_spy(patch)
+            calls = factor_spy(patch)
             assert [sl.effective_resistance(g, u, v) for u, v in pairs] == fresh
-            assert len(products) == len(pairs)  # one residual check per call
+            assert len(calls["product"]) == len(pairs)  # one residual check per call
             assert resistance_module._pair_resistances(g, pairs) == fresh
-        routes = [["dpbtrf"], ["splu"], ["dpbtrf", "splu"]][k]
-        assert factorizations == routes  # once per component, on its route
-        assert len(resistance_module._pair_factors(g).factors) == len(routes)
+            routes = [["dpbtrf"], ["splu"], ["dpbtrf", "splu"]][k]
+            assert calls["factor"] == routes  # once per component, on its route
+            # A warm query costs one triangular-solve call, one one-column
+            # residual product and nothing dense, and keeps its bits.
+            record = resistance_module._pair_factors(g)
+            for (u, v), r in zip(pairs, fresh):
+                for kind in calls.values():
+                    kind.clear()
+                assert sl.effective_resistance(g, u, v) == r
+                factor = record.factors[int(record.labels[u])]
+                solve = "SuperLU.solve" if factor.width is None else "dpbtrs"
+                assert calls == {"factor": [], "solve": [solve], "product": [1], "dense": []}
+        assert len(record.factors) == len(routes)
         values = dict(zip(pairs, fresh))  # a reversed pair gives the same bits
         assert all(values[u, v] == values[v, u] for u, v in pairs)
 
