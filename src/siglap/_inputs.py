@@ -78,15 +78,16 @@ def _is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
-def _checked_node_count(node_count, least: int = 1) -> int:
+def _checked_node_count(node_count, least: int = 1, what: str = "node_count") -> int:
     """``node_count`` as an int, once checked to be an integer (a bool is not
-    one) from ``least`` to ``MAX_NODE_COUNT``."""
+    one) from ``least`` to ``MAX_NODE_COUNT``; ``what`` names it in the
+    error."""
     if not _is_integer(node_count):
-        raise InvalidParameterError(f"node_count must be an integer, got {node_count!r}")
+        raise InvalidParameterError(f"{what} must be an integer, got {node_count!r}")
     if node_count < least:
-        raise InvalidParameterError(f"node_count must be >= {least}, got {node_count}")
+        raise InvalidParameterError(f"{what} must be >= {least}, got {node_count}")
     if node_count > MAX_NODE_COUNT:
-        raise InvalidParameterError(f"node_count must be <= {MAX_NODE_COUNT}, got {node_count}")
+        raise InvalidParameterError(f"{what} must be <= {MAX_NODE_COUNT}, got {node_count}")
     return int(node_count)
 
 

@@ -7,13 +7,13 @@ threads.
 
 Exit codes: 0 success, 1 I/O, parse, numerical or out-of-memory errors, 2
 theorem-hypothesis violations (the message names the failed precondition)
-and argparse refusals (a flag value argparse cannot read, such as ``--seed
-1.5``, or a missing argument; stderr starts with a ``usage: siglap`` line),
+and argparse refusals (a flag the command does not take, a flag value
+argparse cannot read, such as ``--seed 1.5``, or a missing argument; stderr
+starts with a ``usage: siglap`` line),
 so scripted sweeps can bin outcomes.  All floating-point output is fixed at 12
 significant digits.  Every run echoes the settings its answer depends on:
-``--tol`` for ``signature`` and ``check-psd``, the seed and simulation
-settings for ``simulate``.  Every command validates ``--tol``, but the others
-ignore it.
+``--tol`` for ``signature`` and ``check-psd``, the only commands that take
+it, and the seed and simulation settings for ``simulate``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _Outputs = list[tuple[str | None, list[str]]]
 
 def _header(args: argparse.Namespace, extra: list[str] | None = None) -> list[str]:
     lines = [f"# siglap {args.command}", f"# input: {args.graph}"]
-    if args.echo_tol:
+    if "tol" in args:
         lines.append(f"# tol: {'default' if args.tol is None else _fmt(args.tol)}")
     if extra:
         lines.extend(extra)
@@ -196,7 +196,9 @@ def _cmd_predict_clusters(args: argparse.Namespace, g: SignedGraph) -> _Outputs:
 def run(args: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        if args.tol is not None:
+        # Before the file is read, as check-psd on an all-positive graph
+        # never reaches the verdict's own check.
+        if getattr(args, "tol", None) is not None:
             _check_tolerance(args.tol)
         g = read_graph_file(args.graph)
         # Files first and stdout last, so a failed write leaves stdout empty.
@@ -225,31 +227,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, handler, summary, echo_tol=False) -> argparse.ArgumentParser:
-        """One subcommand; only the commands whose answer depends on --tol echo it."""
+    def add_command(name, handler, summary) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, echo_tol=echo_tol)
+        p.set_defaults(handler=handler)
         p.add_argument("graph", help="edge-list graph file")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="zero tolerance (>= 0) for eigenvalue counts, used by "
-                            "signature and check-psd only: signature tests the spectrum "
-                            "of L (default dim*eps*max|eig|), check-psd tests eig(T), "
-                            "T = I - D^1/2 R D^1/2 over the negative edges, whose "
-                            "diagonal is minus the printed margins "
-                            f"(default {definiteness.BOUNDARY_RTOL:g})")
         return p
 
-    add_command("signature", _cmd_signature, "signature of the weighted Laplacian",
-                echo_tol=True)
+    signature = add_command("signature", _cmd_signature, "signature of the weighted Laplacian")
 
     p = add_command("resistance", _cmd_resistance,
-                    "effective resistances over the positive subgraph")
+                    "effective resistances over the positive subgraph, or with --pair "
+                    "over the whole signed Laplacian")
     p.add_argument("--pair", nargs=2, type=int, action="append", metavar=("U", "V"),
                    default=None, help="resistance for this node pair (repeatable)")
 
     add_command("threshold", _cmd_threshold, "admissible negative magnitude per edge")
-    add_command("check-psd", _cmd_check_psd, "semidefiniteness verdict", echo_tol=True)
+    check_psd = add_command("check-psd", _cmd_check_psd, "semidefiniteness verdict")
+    for p in (signature, check_psd):
+        p.add_argument("--tol", type=float, default=None,
+                       help="zero tolerance (>= 0) for eigenvalue counts: signature tests "
+                            "the spectrum of L (default dim*eps*max|eig|), check-psd tests "
+                            "eig(T), T = I - D^1/2 R D^1/2 over the negative edges, whose "
+                            "diagonal is minus the printed margins "
+                            f"(default {definiteness.BOUNDARY_RTOL:g})")
 
     p = add_command("simulate", _cmd_simulate, "integrate the consensus protocol")
     p.add_argument("--t-final", type=float, default=consensus.DEFAULT_T_FINAL)

@@ -376,9 +376,8 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
             [f"negative weight must equal the threshold 1/{r_uv:.12g}; margin {margin:.3e}"]
         )
 
-    # G+ is G without edge k, so its edges are G's others in order.
-    on_cycle = np.flatnonzero(g.weights > 0.0)[blocks[:-1] == blocks[-1]]
-    labels = component_labels(g, skip_edges=[*on_cycle.tolist(), k])
+    # G without the cycle: G+ less the edges of the negative edge's block.
+    labels = component_labels(g_plus.subgraph(blocks[:-1] != blocks[-1]))
     potential = np.empty(n)
     potential[labels[copy_node]] = x[:, 0]
     z = potential[labels]

@@ -135,8 +135,14 @@ class SignedGraph:
         """
         m = self.edge_count
         if not isinstance(edge_indices, np.ndarray):
-            edge_indices = np.array(list(_iterator(edge_indices,
-                                                   "edge indices must be an iterable")))
+            items = list(_iterator(edge_indices, "edge indices must be an iterable"))
+            # All bools are a mask; else every entry must be an integer, and
+            # a bool is not one.
+            if not (all(isinstance(x, (bool, np.bool_)) for x in items)
+                    or all(map(_is_integer, items))):
+                raise InvalidParameterError(
+                    f"edge indices must be integers from 0 to {m - 1}, got {items}")
+            edge_indices = np.array(items)
         if edge_indices.dtype == bool:
             if edge_indices.shape != (m,):
                 raise InvalidParameterError(
@@ -383,26 +389,15 @@ def _components(node_count: int, tails: np.ndarray, heads: np.ndarray
     return connected_components(_adjacency_csr(node_count, tails, heads), directed=False)
 
 
-def component_labels(g: SignedGraph, skip_edges=()) -> np.ndarray:
-    """Connected-component label per node, ignoring ``skip_edges`` (edge
-    indices; any that name no edge are ignored).
+def component_labels(g: SignedGraph) -> np.ndarray:
+    """Connected-component label per node.
 
     Labels are canonical: component ids appear in order of their lowest node.
     csgraph does not document its own label order, so its labels are
     renumbered.
-
-    Raises:
-        InvalidParameterError: ``skip_edges`` is not iterable, or an entry
-            of it is not an integer (a bool is not one) or does not fit in
-            64 bits.
     """
-    keep = np.ones(_checked_graph(g).edge_count, dtype=bool)
-    skip = np.array(list(_iterator(skip_edges, "skip_edges must be an iterable of edge indices")))
-    if skip.size and skip.dtype.kind not in "iu":
-        raise InvalidParameterError(f"skip_edges must be edge indices, got {skip.tolist()}")
-    skip = skip.astype(np.intp)
-    keep[skip[(skip >= 0) & (skip < g.edge_count)]] = False
-    return _first_seen_ids(_components(g.node_count, g.tails[keep], g.heads[keep])[1])
+    _checked_graph(g)
+    return _first_seen_ids(_components(g.node_count, g.tails, g.heads)[1])
 
 
 def _adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:

@@ -18,9 +18,9 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from ._inputs import _checked_path
+from ._inputs import _checked_node_count, _checked_path
 from .errors import GraphConstructionError, GraphParseError, InvalidParameterError
-from .graph_core import MAX_NODE_COUNT, SignedGraph, _checked_graph, build_graph
+from .graph_core import SignedGraph, _checked_graph, build_graph
 
 _EDGE_COLUMNS = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -44,11 +44,10 @@ def _node_count(lineno: int, line: str) -> int:
         node_count = int(parts[1])
     except ValueError:
         raise GraphParseError(lineno, f"node count is not an integer: {parts[1]!r}") from None
-    if node_count < 1:
-        raise GraphParseError(lineno, f"node count must be >= 1, got {node_count}")
-    if node_count > MAX_NODE_COUNT:
-        raise GraphParseError(lineno, f"node count must be <= {MAX_NODE_COUNT}, got {node_count}")
-    return node_count
+    try:
+        return _checked_node_count(node_count, what="node count")
+    except InvalidParameterError as exc:
+        raise GraphParseError(lineno, str(exc)) from None
 
 
 def _parse_edge_lines(node_count: int, body: list[str], start: int) -> SignedGraph:

@@ -128,7 +128,7 @@ def signature_of_similar_nonsymmetric(pd_factor, symmetric_factor,
 def components_after_edge_removal(g: SignedGraph, removed) -> int:
     """Number of connected components once the given edges are removed
     (isolated nodes count)."""
-    labels = component_labels(g, skip_edges=removed)
+    labels = component_labels(g.subgraph([k for k in range(g.edge_count) if k not in removed]))
     return int(labels.max()) + 1
 
 

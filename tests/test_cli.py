@@ -497,6 +497,17 @@ def test_a_negative_float_flag_value_in_exponent_or_word_form_reaches_its_check(
     assert (captured.out, captured.err) == ("", f"siglap {command}: {message}\n")
 
 
+def argparse_refusal(capsys, argv) -> str:
+    """The stderr of ``main(argv)``, once checked to be argparse's refusal:
+    exit 2 with a usage line first."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: siglap")
+    return err
+
+
 @pytest.mark.parametrize("argv", [
     ["check-psd", "{path}", "--tol", "-x"],  # not a number: still argparse's
     ["simulate", "{path}", "--seed", "-1e3"],  # not a float flag
@@ -504,10 +515,7 @@ def test_a_negative_float_flag_value_in_exponent_or_word_form_reaches_its_check(
 ])
 def test_other_option_like_values_are_still_refused_by_argparse(tmp_path, capsys, argv):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
-    with pytest.raises(SystemExit) as exc:
-        main([arg.format(path=path) for arg in argv])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: siglap")
+    argparse_refusal(capsys, [arg.format(path=path) for arg in argv])
 
 
 @pytest.mark.parametrize("command", [
@@ -517,11 +525,15 @@ def test_other_option_like_values_are_still_refused_by_argparse(tmp_path, capsys
 def test_invalid_tolerance_rejected_by_every_command(tmp_path, capsys, command, tol):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
     out = tmp_path / "report.txt"
-    assert main([command, path, "--tol", tol, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1
-    assert "tolerance" in captured.err
-    assert captured.out == ""
+    argv = [command, path, "--tol", tol, "--out", str(out)]
+    if command == "signature":  # the others do not take --tol
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "tolerance" in captured.err
+        assert captured.out == ""
+    else:
+        assert "unrecognized arguments: --tol" in argparse_refusal(capsys, argv)
     assert not out.exists()
 
 
@@ -802,9 +814,16 @@ def test_check_psd_classifies_margins_with_the_user_tolerance(tmp_path, capsys):
     ("signature", True), ("check-psd", True), ("resistance", False),
     ("threshold", False), ("simulate", False), ("predict-clusters", False),
 ])
-def test_tolerance_echoed_only_where_it_is_used(tmp_path, command, echoed):
+def test_tolerance_echoed_only_where_it_is_used(tmp_path, capsys, command, echoed):
     path = graph_file(tmp_path, caterpillar_with_chord(-0.25))
     out = tmp_path / "report.txt"
-    assert main([command, path, "--tol", "5", "--out", str(out)]) == 0
+    argv = [command, path, "--tol", "5", "--out", str(out)]
+    if echoed:
+        assert main(argv) == 0
+    else:
+        # a command that does not use --tol does not take it
+        err = argparse_refusal(capsys, argv)
+        assert "unrecognized arguments: --tol 5" in err
+        assert main(argv[:2] + argv[4:]) == 0
     tol_lines = [line for line in out.read_text().splitlines() if line.startswith("# tol:")]
     assert tol_lines == (["# tol: 5"] if echoed else [])

@@ -398,7 +398,9 @@ def test_predict_clusters_matches_edge_difference_construction():
         cycle = {positive[e] for e in path} | {k}
         kept = [(a, b) for e, (a, b, _) in enumerate(g.edges) if e not in cycle]
         assert prediction.q == bfs_component_count(g.node_count, kept)
-        assert prediction.component_map == tuple(sl.component_labels(g, cycle).tolist())
+        labels = sl.component_labels(g.subgraph([e for e in range(g.edge_count)
+                                                 if e not in cycle]))
+        assert prediction.component_map == tuple(labels.tolist())
 
 
 def test_slowly_growing_indefinite_run_is_diverged():
@@ -535,14 +537,15 @@ def test_simulate_rows_match_modal_oracle_around_the_sample_block(extra, step, p
 def test_predict_clusters_labels_g_only_when_g_plus_is_disconnected(monkeypatch):
     calls = []
 
-    def counting(g, skip_edges=()):
+    def counting(g):
         calls.append(g.edge_count)
-        return sl.component_labels(g, skip_edges)
+        return sl.component_labels(g)
 
     monkeypatch.setattr(consensus, "component_labels", counting)
     assert sl.predict_clusters(caterpillar_with_chord(-0.25)).q == 5
-    # G+, then G without the cycle; G itself is not labelled
-    assert calls == [8, 9]
+    # G+ (8 edges), then G without its five cycle edges; G itself (9 edges)
+    # is not labelled
+    assert calls == [8, 4]
 
     # G+ disconnected: G is labelled to report whether it is connected too,
     # and the failures keep their order

@@ -274,11 +274,11 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     (lambda: TRIANGLE.subgraph([0, 3]), "edge indices must be integers from 0 to 2, got [0, 3]"),
     (lambda: TRIANGLE.subgraph([0.5]), "edge indices must be integers from 0 to 2, got [0.5]"),
     (lambda: TRIANGLE.subgraph([1, 0, 1]), "edge indices must be distinct, got [1, 0, 1]"),
-    (lambda: sl.component_labels(TRIANGLE, skip_edges=["a"]),
-     "skip_edges must be edge indices, got ['a']"),
+    (lambda: TRIANGLE.subgraph([[0], [1, 2]]),
+     "edge indices must be integers from 0 to 2, got [[0], [1, 2]]"),
+    (lambda: TRIANGLE.subgraph([0, True]),
+     "edge indices must be integers from 0 to 2, got [0, True]"),
     (lambda: TRIANGLE.subgraph(5), "edge indices must be an iterable, got 5"),
-    (lambda: sl.component_labels(TRIANGLE, skip_edges=5),
-     "skip_edges must be an iterable of edge indices, got 5"),
     (lambda: sl.SignedGraph(2, [0], [5], [1.0]),
      "edge 0: endpoint out of range: (0, 5)"),
     (lambda: sl.SignedGraph(3, [0, 1], [1, 2], [1.0, np.nan]),
@@ -331,7 +331,7 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "weight-text",
         "weight-number-text", "weight-bytes", "weight-bool", "weight-none",
         "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
-        "index-range", "index-fraction", "index-repeat", "skip-text", "index-int", "skip-int",
+        "index-range", "index-fraction", "index-repeat", "index-ragged", "index-bool", "index-int",
         "graph-range",
         "graph-nan", "graph-text", "graph-fraction", "graph-complex", "graph-huge-count",
         "edge-list-huge-count", "matrix-pairs-int", "path-pairs-none", "parse-none",

@@ -38,7 +38,6 @@ POSITIONS = {
     "SignedGraph.weight": lambda x: sl.SignedGraph(3, [0], [1], [x]),
     "SignedGraph.subgraph": lambda x: G.subgraph(x),
     "component_labels.g": lambda x: sl.component_labels(x),
-    "component_labels.skip_edges": lambda x: sl.component_labels(G, x),
     "path_edge_sets.g_plus": lambda x: sl.path_edge_sets(x, [(0, 2)]),
     "path_edge_sets.negative_edges": lambda x: sl.path_edge_sets(PLUS, x),
     "parse_graph.text": sl.parse_graph,
@@ -105,6 +104,8 @@ HOSTILE = {
     "set": lambda: {0, 1},
     "dict": lambda: {0: 1},
     "iterator": lambda: iter([0, 1]),
+    "ragged": lambda: [[0], [1, 2]],
+    "bool-among-ints": lambda: [0, True],
     "object": object,
 }
 
