@@ -72,7 +72,7 @@ def _check_tolerance(tol, what: str = "zero tolerance") -> float:
 
 def _is_integer(x) -> bool:
     """Whether ``x`` is a Python or numpy integer, not a bool: a node id, a
-    node count or an output stride.  An exact type test, as the pair check
+    node count or a matrix order.  An exact type test, as the pair check
     makes two per pair: ``isinstance(x, numbers.Integral)`` took about 15
     times as long on an int (0.9 against 0.06 us, 2-core Xeon)."""
     return type(x) is int or isinstance(x, np.integer)
@@ -107,19 +107,9 @@ def _node_pairs(node_count: int, pairs, labels: np.ndarray | None = None) -> np.
     The first bad pair raises :class:`InvalidParameterError`, or
     :class:`NodesDisconnectedError` when its only fault is the components;
     ``pairs`` that are not iterable raise :class:`InvalidParameterError`.
-
-    An ``(m, 2)`` integer array, as the verdict passes its negative edges,
-    is checked in one numpy pass; only when some pair fails is it walked in
-    order, like any other ``pairs``, to raise the first failure."""
+    An array is walked as its list, so its errors read as the list's."""
     n = node_count
     if isinstance(pairs, np.ndarray):
-        if pairs.dtype.kind in "iu" and pairs.ndim == 2 and pairs.shape[1] == 2:
-            u, v = pairs.T
-            good = (u >= 0) & (u < n) & (v >= 0) & (v < n) & (u != v)
-            if labels is not None:
-                good[good] = labels[u[good]] == labels[v[good]]
-            if np.logical_and.reduce(good):
-                return pairs.astype(np.intp)
         pairs = pairs.tolist()
     ends = []
     for pair in _iterator(pairs, "node pairs must be an iterable of (u, v) pairs"):

@@ -253,8 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(default {definiteness.BOUNDARY_RTOL:g})")
 
     p = add_command("simulate", _cmd_simulate, "integrate the consensus protocol")
-    p.add_argument("--t-final", type=float, default=consensus.DEFAULT_T_FINAL)
-    p.add_argument("--step", type=float, default=consensus.DEFAULT_STEP)
+    p.add_argument("--t-final", type=float, default=consensus.DEFAULT_T_FINAL,
+                   help="time to run to, the time of the CSV's last row")
+    p.add_argument("--step", type=float, default=consensus.DEFAULT_STEP,
+                   help=f"step size: the CSV holds t = 0, every {consensus.OUTPUT_STRIDE} "
+                        "steps, and --t-final")
     p.add_argument("--cluster-tol", type=float, default=consensus.DEFAULT_CLUSTER_TOL)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random initial state (ignored with --x0)")

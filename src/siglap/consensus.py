@@ -13,13 +13,14 @@ holding the negative edge -- is removed, and the extra null vector of L is
 that edge's grounded potential on the cycle, from the resistance layer's
 block solve (the one the verdict reads), scattered over the clusters.
 
-The samples ``t_k = k * output_stride * step`` are evenly spaced, so
-``exp(-t lam)`` is evaluated once per call for the offsets ``t_j`` inside a
-block of ``_SAMPLE_BLOCK`` samples, and once per block for its first time
-``t_s``.  Row ``s + j`` is ``V (exp(-t_j lam) * exp(-t_s lam) * V^T x0)``,
-the modal solution at ``t_s + t_j``.  That equals the recorded time
-``t_{s+j}`` up to one rounding: both are within one rounding of
-``(s + j) * output_stride * step``.  A last sample off that grid, at
+The samples ``t_k = k * OUTPUT_STRIDE * step``, one every ``OUTPUT_STRIDE``
+(10) steps of size ``step``, are evenly spaced, so ``exp(-t lam)`` is
+evaluated once per call for the offsets ``t_j`` inside a block of
+``_SAMPLE_BLOCK`` samples, and once per block for its first time ``t_s``.
+Row ``s + j`` is ``V (exp(-t_j lam) * exp(-t_s lam) * V^T x0)``, the modal
+solution at ``t_s + t_j``.  That equals the recorded time ``t_{s+j}`` up to
+one rounding: both are within one rounding of
+``(s + j) * OUTPUT_STRIDE * step``.  A last sample off that grid, at
 ``t_final``, is evaluated at its own time.  Each block of rows is then one
 matrix product with ``V^T``.
 
@@ -46,7 +47,7 @@ from scipy.linalg import eigh
 from .definiteness import BOUNDARY_RTOL
 from .errors import (CrossCheckError, HypothesisViolatedError, InvalidParameterError,
                      UnboundedError)
-from ._inputs import _check_tolerance, _is_integer, _real, _real_array
+from ._inputs import _check_tolerance, _real, _real_array
 from .graph_core import (SignedGraph, _checked_graph, _first_seen_ids, _immutable, _kept,
                          component_labels)
 from .laplacians import _laplacian_product, laplacian_matrix
@@ -55,7 +56,7 @@ from .spectra import default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
 DEFAULT_STEP = 1e-3
-DEFAULT_OUTPUT_STRIDE = 10
+OUTPUT_STRIDE = 10  # steps per sample
 DEFAULT_CLUSTER_TOL = 1e-5
 UNBOUNDED_FACTOR = 1e6
 MAX_RECORDED_VALUES = 10**7  # samples x nodes; 80 MB of float64 states
@@ -126,10 +127,11 @@ def _new_modes(g: SignedGraph) -> _Modes:
 
 
 def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
-             step: float = DEFAULT_STEP, output_stride: int = DEFAULT_OUTPUT_STRIDE,
+             step: float = DEFAULT_STEP, *,
              cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Trajectory:
     """Exact solution of x' = -L x from x0, sampled at t = 0, every
-    ``output_stride`` steps of size ``step``, and ``t_final``.
+    ``OUTPUT_STRIDE`` (10) steps of size ``step``, and ``t_final``; the
+    sample spacing is set by ``step``.  ``cluster_tol`` is keyword-only.
 
     Each sample is ``V exp(-t Lambda) V^T x0`` from one eigendecomposition
     of L, made by the first call on ``g`` and kept on it for later calls.
@@ -151,9 +153,8 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
         InvalidParameterError: x0 is not a finite real vector over the
             nodes, ``t_final`` or ``step`` is not a finite positive real
             number (each real by :func:`~siglap._inputs._real`, and run as
-            the float it reads as), ``output_stride`` is not an integer >= 1
-            (a bool is not one), or more than ``MAX_RECORDED_VALUES`` values
-            would be recorded.
+            the float it reads as), or more than ``MAX_RECORDED_VALUES``
+            values would be recorded.
         InvalidToleranceError: ``cluster_tol`` is not a real number (None is
             not one), or negative or NaN.
     """
@@ -170,24 +171,20 @@ def simulate(g: SignedGraph, x0, t_final: float = DEFAULT_T_FINAL,
         if not (x is not None and 0.0 < x < math.inf):
             raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
     t_final, step = reals
-    if not (_is_integer(output_stride) and output_stride >= 1):
-        raise InvalidParameterError(f"output_stride must be an integer >= 1, got {output_stride!r}")
     cluster_tol = _check_tolerance(cluster_tol, "cluster tolerance")
 
     # The cap keeps an absurd (even infinite) step count an int to reject.
     n_steps = math.floor(min(t_final / step + 1e-9, 2.0 ** 62))
-    # A stride past the last step samples as this one does, and fits an int64.
-    output_stride = min(int(output_stride), n_steps + 1)
     remainder = t_final - n_steps * step
     exact_end = remainder <= 1e-12 * max(1.0, t_final)
-    tail = not exact_end or n_steps % output_stride != 0
-    samples = n_steps // output_stride + 1 + tail
+    tail = not exact_end or n_steps % OUTPUT_STRIDE != 0
+    samples = n_steps // OUTPUT_STRIDE + 1 + tail
     if samples * n > MAX_RECORDED_VALUES:
         raise InvalidParameterError(
             f"{samples} samples of {n} nodes exceed the {MAX_RECORDED_VALUES} recorded "
             "values allowed; increase step or decrease t_final"
         )
-    times = np.arange(0, n_steps + 1, output_stride) * step
+    times = np.arange(0, n_steps + 1, OUTPUT_STRIDE) * step
     if tail:
         times = np.append(times, n_steps * step if exact_end else t_final)
 

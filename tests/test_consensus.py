@@ -89,20 +89,21 @@ def test_simulate_rows_match_modal_oracle():
     graphs += [random_boundary_cycle_graph(rng) for _ in range(5)]
     for g in graphs:
         x0 = rng.uniform(0.0, 1.0, g.node_count)
-        traj = sl.simulate(g, x0, t_final=20.0, step=1e-2, output_stride=3)
+        traj = sl.simulate(g, x0, t_final=20.0, step=3e-3)
         assert np.array_equal(traj.states[0], x0)
         expected = modal_states(dense_laplacian(g.node_count, g.edges), x0, traj.times)
         for row, exp in zip(traj.states, expected):
             assert np.max(np.abs(row - exp)) <= 1e-12 * max(1.0, float(np.max(np.abs(row))))
 
 
-@pytest.mark.parametrize("t_final,output_stride", [(20.0, 10), (2.0153, 7), (0.5, 1)])
-def test_simulate_matches_rk4_oracle_on_the_same_grid(t_final, output_stride):
+# The default grid, an off-grid t_final, and exact ends off and on the sample grid.
+@pytest.mark.parametrize("t_final,step", [(20.0, 1e-3), (2.0153, 1e-3), (0.507, 1e-3),
+                                          (0.5, 1e-4)])
+def test_simulate_matches_rk4_oracle_on_the_same_grid(t_final, step):
     g = caterpillar_with_chord(-0.25)
     x0 = np.random.default_rng(5).uniform(0.0, 1.0, 9)
-    traj = sl.simulate(g, x0, t_final=t_final, step=1e-3, output_stride=output_stride)
-    times, states = rk4_trajectory(dense_laplacian(9, g.edges), x0, t_final, 1e-3,
-                                   output_stride)
+    traj = sl.simulate(g, x0, t_final=t_final, step=step)
+    times, states = rk4_trajectory(dense_laplacian(9, g.edges), x0, t_final, step)
     assert np.array_equal(traj.times, times)
     assert np.max(np.abs(traj.states - states)) <= 1e-9
 
@@ -117,6 +118,21 @@ def test_non_finite_runs_are_reported_as_diverged():
         states[-1, 1] = bad
         with pytest.raises(sl.UnboundedError):
             sl.detect_clusters(trajectory_of(states))
+
+
+def test_growth_from_an_eigenvalue_inside_the_zero_tolerance_is_divergence():
+    # A 50-node cycle whose chord is 3e-12 past its threshold 1/49: L has one
+    # negative eigenvalue, inside the zero tolerance, so only the norm test of
+    # cluster detection sees the growth by t_final.
+    n = 50
+    g = sl.build_graph(n, [(v, v + 1, 1.0) for v in range(n - 1)]
+                       + [(0, n - 1, -(1 + 3e-12) / (n - 1))])
+    assert sl.multi_edge_verdict(g).classification is sl.Classification.BOUNDARY
+    traj = sl.simulate(g, np.linspace(0.0, 1.0, n), t_final=1e16, step=1e13)
+    lam = vars(g)["_modes"].lam
+    rounding = np.finfo(float).eps * np.max(np.abs(lam))
+    assert 10 * rounding < -lam.min() < sl.default_zero_tolerance(lam, n)
+    assert traj.times.size == 101 and traj.diverged
 
 
 def test_detect_rejects_an_inf_among_states_whose_norms_overflow():
@@ -138,12 +154,12 @@ def test_detect_rejects_growth_from_an_initial_state_whose_norm_overflows():
 
 @pytest.mark.parametrize("kwargs", [
     {"step": 0.0}, {"step": -1e-3}, {"step": np.nan}, {"t_final": np.nan},
-    {"t_final": np.inf}, {"t_final": 0.0}, {"step": 1e-12}, {"output_stride": 0},
+    {"t_final": np.inf}, {"t_final": 0.0}, {"step": 1e-12},
     {"x0": [0.0, np.nan, 1.0]}, {"x0": [0.0, 1.0]},
     {"x0": np.array([0.0, 0.5j, 1.0])}, {"x0": [0.0, 0.5j, 1.0]}, {"x0": ["a", "b", "c"]},
     {"t_final": 10**400}, {"step": Fraction(10**400, 3)},
 ], ids=["step-0", "step-neg", "step-nan", "t-final-nan", "t-final-inf", "t-final-0",
-        "step-1e-12", "stride-0", "x0-nan", "x0-short", "x0-complex-array",
+        "step-1e-12", "x0-nan", "x0-short", "x0-complex-array",
         "x0-complex-list", "x0-strings", "t-final-beyond-doubles", "step-beyond-doubles"])
 def test_simulate_rejects_bad_parameters(kwargs):
     g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -152,11 +168,18 @@ def test_simulate_rejects_bad_parameters(kwargs):
         sl.simulate(g, x0, **kwargs)
 
 
+def test_cluster_tol_is_keyword_only():
+    # a fifth positional argument is refused, not read as a cluster tolerance
+    g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(TypeError):
+        sl.simulate(g, [0.0, 0.5, 1.0], 2.0, 1e-3, 10)
+
+
 def test_recorded_values_bound_counts_samples_times_nodes():
     # 10**5 + 1 samples (t = 0 included) of 100 nodes: one sample over the bound
     g = sl.build_graph(100, [(v - 1, v, 1.0) for v in range(1, 100)])
     with pytest.raises(sl.InvalidParameterError, match="100001 samples of 100 nodes"):
-        sl.simulate(g, np.zeros(100), t_final=1e5, step=1.0, output_stride=1)
+        sl.simulate(g, np.zeros(100), t_final=1e6, step=1.0)
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan])
@@ -174,17 +197,16 @@ def test_cluster_tolerance_rejected(tol):
     ({"step": Fraction(1, 100)}, {"step": 0.01}),
     ({"cluster_tol": Fraction(1, 3)}, {"cluster_tol": 1 / 3}),
     ({"step": 2**70}, {"step": 2.0**70}),
-    ({"output_stride": 2**70}, {"output_stride": 10**6}),
     ({"t_final": Decimal("1.5")}, {"t_final": 1.5}),
     ({"step": Decimal("0.01")}, {"step": 0.01}),
     ({"cluster_tol": Decimal("1e-3")}, {"cluster_tol": 1e-3}),
 ], ids=["t-final-fraction", "step-fraction", "cluster-tol-fraction", "step-beyond-int64",
-        "stride-beyond-int64", "t-final-decimal", "step-decimal", "cluster-tol-decimal"])
+        "t-final-decimal", "step-decimal", "cluster-tol-decimal"])
 def test_a_real_scalar_is_read_once_as_its_float(given, read):
     # a Fraction or an int beyond int64 passes its check, so it must run as
     # the float it reads as, not reach numpy as itself
     g = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    args = {"t_final": 2.0, "step": 1e-3, "output_stride": 10, "cluster_tol": 1e-5}
+    args = {"t_final": 2.0, "step": 1e-3, "cluster_tol": 1e-5}
     got = sl.simulate(g, [0.0, 0.5, 1.0], **(args | given))
     expected = sl.simulate(g, [0.0, 0.5, 1.0], **(args | read))
     assert np.array_equal(got.times, expected.times)
@@ -517,15 +539,16 @@ def test_detect_clusters_at_workload_scale_matches_pairwise_closure():
         "stiff"])
 def test_simulate_rows_match_modal_oracle_around_the_sample_block(extra, step, past_grid,
                                                                   stiff):
-    # stride 1: samples on-grid samples, and one more at t_final past the grid
+    # samples on-grid samples, one every OUTPUT_STRIDE steps, and one more at
+    # t_final past the grid
     samples = consensus._SAMPLE_BLOCK + extra
     rng = np.random.default_rng(13)
     x0 = rng.uniform(0.0, 1.0, 9)
     g = caterpillar_with_chord(-0.25)
     if stiff:
         g = sl.build_graph(9, [(u, v, float(10 ** rng.uniform(-1.0, 3.0))) for u, v, _ in g.edges])
-    t_final = (samples - 1) * step + past_grid
-    traj = sl.simulate(g, x0, t_final=t_final, step=step, output_stride=1)
+    t_final = (samples - 1) * consensus.OUTPUT_STRIDE * step + past_grid
+    traj = sl.simulate(g, x0, t_final=t_final, step=step)
     assert traj.states.shape == (samples + (past_grid > 0), 9)
     assert traj.times[-1] == t_final
     assert np.array_equal(traj.states[0], x0)
@@ -592,15 +615,15 @@ def test_predict_clusters_on_the_empty_graph_lists_its_failures():
 # The eigendecomposition kept on a simulated graph
 # ---------------------------------------------------------------------------
 
-# Varied runs on one graph: grids that end on and off the step, strides, and
-# tolerances that part or join clusters.
+# Varied runs on one graph: grids that end on and off the step and the sample
+# grid, sample spacings, and tolerances that part or join clusters.
 SIMULATE_ARGS = (
     {},
     {"t_final": 3.0, "step": 0.01},
-    {"t_final": 2.5, "output_stride": 7},
+    {"t_final": 2.5, "step": 7e-3},
     {"t_final": 5.0, "cluster_tol": 1e-3},
-    {"t_final": 0.4, "step": 1e-3, "output_stride": 1, "cluster_tol": 0.0},
-    {"t_final": 20.0, "step": 0.0137, "output_stride": 3},
+    {"t_final": 0.4, "step": 1e-4, "cluster_tol": 0.0},
+    {"t_final": 20.0, "step": 0.00411},
 )
 
 
@@ -691,8 +714,7 @@ def test_a_refused_simulate_call_keeps_nothing(monkeypatch):
         lambda: sl.simulate(g, ["0.5"] * 100),
         lambda: sl.simulate(g, np.full(100, np.nan)),
         lambda: sl.simulate(g, x0, t_final=-1.0),
-        lambda: sl.simulate(g, x0, output_stride=0),
-        lambda: sl.simulate(g, x0, t_final=1e5, step=1.0, output_stride=1),
+        lambda: sl.simulate(g, x0, t_final=1e6, step=1.0),
     ]
     for call in refused:
         with pytest.raises(sl.InvalidParameterError):

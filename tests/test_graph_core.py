@@ -167,6 +167,12 @@ def test_build_graph_matches_the_per_edge_loop():
                         "GraphConstructionError degree before the bound is reached"}
 
 
+def test_a_graph_is_not_equal_to_a_non_graph():
+    g = sl.build_graph(2, [(0, 1, 1.0)])
+    assert g.__eq__(5) is NotImplemented
+    assert g != 5 and g != g.edges
+
+
 def test_signed_graph_columns_follow_subgraphs():
     g = sl.build_graph(5, [(3, 1, 2.0), (0, 4, -1.0), (2, 4, 0.5), (4, 2, -3.0)])
     plus = g.positive_subgraph()
@@ -245,12 +251,6 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
      "x0 must be a vector of real numbers"),
     (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], t_final="1"),
      "t_final must be finite and positive, got '1'"),
-    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride="3"),
-     "output_stride must be an integer >= 1, got '3'"),
-    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride=2.5),
-     "output_stride must be an integer >= 1, got 2.5"),
-    (lambda: sl.simulate(TRIANGLE, [0.0, 0.5, 1.0], output_stride=True),
-     "output_stride must be an integer >= 1, got True"),
     (lambda: sl.build_graph("3", []), "node_count must be an integer, got '3'"),
     (lambda: sl.build_graph(2.5, []), "node_count must be an integer, got 2.5"),
     (lambda: sl.build_graph(3, [("a", 1, 1.0)]),
@@ -327,8 +327,8 @@ TRIANGLE = sl.build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 ], ids=["columns", "reversed-edge", "loop-edge", "node-count", "triple", "path-sign",
         "path-pair", "matrix-sign", "matrix-pair", "square", "signature-nan", "signature-inf",
         "signature-complex", "signature-bool", "signature-text", "pinv-nan", "x0-text",
-        "x0-bool", "x0-mixed-bool", "x0-object-bool", "t-final-text", "stride-text", "stride-fraction",
-        "stride-bool", "node-count-text", "node-count-fraction", "edge-text", "weight-text",
+        "x0-bool", "x0-mixed-bool", "x0-object-bool", "t-final-text", "node-count-text",
+        "node-count-fraction", "edge-text", "weight-text",
         "weight-number-text", "weight-bytes", "weight-bool", "weight-none",
         "edge-fraction", "edge-bool", "edge-whole-float", "edge-list-int", "mask-length",
         "index-range", "index-fraction", "index-repeat", "index-ragged", "index-bool", "index-int",

@@ -68,7 +68,6 @@ POSITIONS = {
     "simulate.x0_entry": lambda x: sl.simulate(G, [0.0, x, 1.0, 0.5], **SAMPLED),
     "simulate.t_final": lambda x: sl.simulate(G, X0, t_final=x, step=0.01),
     "simulate.step": lambda x: sl.simulate(G, X0, t_final=0.1, step=x),
-    "simulate.output_stride": lambda x: sl.simulate(G, X0, output_stride=x, **SAMPLED),
     "simulate.cluster_tol": lambda x: sl.simulate(G, X0, cluster_tol=x, **SAMPLED),
     "predict_clusters.g": sl.predict_clusters,
     "detect_clusters.traj": sl.detect_clusters,

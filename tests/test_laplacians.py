@@ -92,6 +92,14 @@ def test_pseudo_inverse_single_edge():
     assert np.allclose(out, 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
+def test_pseudo_inverse_of_one_node_is_zero():
+    # one node has no forest edge, so no cut form to invert
+    g = sl.SignedGraph(1, [], [], [])
+    d = pc.decompose(g)
+    out = pc.laplacian_pseudo_inverse(pc.build_bundle(g, d), d)
+    assert out.shape == (1, 1) and not out.any()
+
+
 def test_pseudo_inverse_triangle():
     g = sl.build_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     d = pc.decompose(g)
