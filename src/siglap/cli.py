@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "diagonal is minus the printed margins "
                             f"(default {definiteness.BOUNDARY_RTOL:g})")
 
-    p = add_command("simulate", _cmd_simulate, "integrate the consensus protocol")
+    p = add_command("simulate", _cmd_simulate, "sample the consensus protocol's exact solution")
     p.add_argument("--t-final", type=float, default=consensus.DEFAULT_T_FINAL,
                    help="time to run to, the time of the CSV's last row")
     p.add_argument("--step", type=float, default=consensus.DEFAULT_STEP,

@@ -10,8 +10,10 @@ node whose near neighbours reach past its run is compared with them one by
 one.  At the boundary ``|w| = 1/R_uv`` of a single negative edge, the
 clusters are the components left once the cycle -- the biconnected block
 holding the negative edge -- is removed, and the extra null vector of L is
-that edge's grounded potential on the cycle, from the resistance layer's
-block solve (the one the verdict reads), scattered over the clusters.
+that edge's unit-current potential, from the resistance layer's split-graph
+solve over the blocks of G+ (the one the verdict reads): each node's
+potential from its block's top node, summed down the depth-first tree of G+,
+so that every node of a cluster takes the value of its cycle node.
 
 The samples ``t_k = k * OUTPUT_STRIDE * step``, one every ``OUTPUT_STRIDE``
 (10) steps of size ``step``, are evenly spaced, so ``exp(-t lam)`` is
@@ -51,7 +53,7 @@ from ._inputs import _check_tolerance, _real, _real_array
 from .graph_core import (SignedGraph, _checked_graph, _first_seen_ids, _immutable, _kept,
                          component_labels)
 from .laplacians import _laplacian_product, laplacian_matrix
-from .resistance import _block_solve
+from .resistance import _block_solve, _node_potential
 from .spectra import default_zero_tolerance
 
 DEFAULT_T_FINAL = 20.0
@@ -332,9 +334,9 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     sitting at the threshold 1/R_uv within ``BOUNDARY_RTOL``.
 
     The verdict's block solve gives R_uv (so this accepts exactly when
-    :func:`~siglap.definiteness.multi_edge_verdict` says BOUNDARY), the cycle,
-    the negative edge's biconnected block of G, and the potential ``z`` on
-    it, with ``z_v - z_u = R_uv``.  q is the number of components of G
+    :func:`~siglap.definiteness.multi_edge_verdict` says BOUNDARY), the
+    blocks of G+ on the negative edge's path, which with the edge make the
+    cycle, and the potential ``z`` on every node, with ``z_v - z_u = R_uv``.  q is the number of components of G
     without the cycle, each holding one cycle node; with each node at its
     cycle node's potential, ``L z = -margin (e_v - e_u)``, in the kernel of
     L at the boundary.  It is returned orthogonal to the all-ones vector.
@@ -365,7 +367,7 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
     k = neg[0]
     u, v, w = int(g.tails[k]), int(g.heads[k]), float(g.weights[k])
     # G+ is connected here, as the block solve requires.
-    _, diagonal, x, copy_node, blocks = _block_solve(g_plus, np.array([[u, v]]))
+    _, diagonal, x, split = _block_solve(g_plus, np.array([[u, v]]))
     r_uv = float(diagonal[0])
     margin = abs(w) * r_uv - 1.0
     if abs(margin) > BOUNDARY_RTOL:
@@ -373,11 +375,9 @@ def predict_clusters(g: SignedGraph) -> ClusterPrediction:
             [f"negative weight must equal the threshold 1/{r_uv:.12g}; margin {margin:.3e}"]
         )
 
-    # G without the cycle: G+ less the edges of the negative edge's block.
-    labels = component_labels(g_plus.subgraph(blocks[:-1] != blocks[-1]))
-    potential = np.empty(n)
-    potential[labels[copy_node]] = x[:, 0]
-    z = potential[labels]
+    # G without the cycle: G+ less the edges of the blocks on the path.
+    labels = component_labels(g_plus.subgraph(~np.isin(split.tree[0], split.keys // n)))
+    z = _node_potential(n, split, x[:, 0])
     null_vector = z - z.mean()
     residual = float(np.max(np.abs(_laplacian_product(g, null_vector[:, None]))))
     if residual > 1e-8:

@@ -36,9 +36,12 @@ have to come back through the same one.  So the positive part of the block
 holding f_k = (u, v) is connected whenever G+ is, the unit current from u to
 v, a sum of simple u-v paths, flows only through it, and ``R_jk = 0``
 exactly when f_j and f_k lie in different blocks.  The resistance layer makes
-the query's one block pass and solves only the blocks holding a negative
-edge; the verdict reads those blocks back from R's diagonal blocks, so the
-path sets are disjoint exactly when every block of R has size 1.
+the query's one block pass, over G+ alone, and solves only the blocks of G+
+on the negative edges' paths.  Two negative edges couple in R when their
+paths share a block of G+, and so do the edges coupled to either: those
+groups are the negative edges of each block of G, and R's layout holds one
+diagonal block per group.  The verdict reads those blocks back from R, so
+the path sets are disjoint exactly when every block of R has size 1.
 """
 
 from __future__ import annotations

@@ -13,10 +13,12 @@ path-edge sets of the negative edges are pairwise disjoint exactly when those
 edges lie in distinct blocks of G, their resistance matrix is block-diagonal
 over those blocks, and at the single-cycle boundary the cycle is the block
 holding the negative edge.  A query makes the pass once, inside the
-resistance layer's block solve, over G+ plus the negative edges; the verdict
-reads the blocks back from the resistance matrix, and cluster prediction
-reads the block keys the solve returns.  The pass makes one depth-first
-search and labels nothing: G+ is tested connected first.  The
+resistance layer's block solve, over G+ alone, without the negative edges:
+a block of G is the union of the blocks of G+ that its negative edges'
+paths cross, and the solve groups them from those paths.  The verdict reads
+the groups back from the resistance matrix, and cluster prediction reads
+the blocks the solve used.  The pass makes one depth-first search and
+labels nothing: G+ is tested connected first.  The
 spanning-forest decomposition below is a test oracle.
 """
 
@@ -503,9 +505,20 @@ def _dfs_tree(node_count: int, tails: np.ndarray, heads: np.ndarray
     return order, parent
 
 
-def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Biconnected block key per edge (equal keys, same block) of the graph
-    whose edges join ``tails[k]`` and ``heads[k]``."""
+def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The biconnected blocks of the connected graph whose edges, at least
+    one, join ``tails[k]`` and ``heads[k]`` (nodes without an edge aside), on
+    its depth-first tree: ``(key, order, position, up, block, size)``.
+
+    ``key`` is each edge's block key (equal keys, same block): the preorder
+    position of the block's head, the child end of the block's one tree edge
+    at its top node.  ``position`` is each node's preorder position (0 at a
+    node without an edge).  Per preorder position: ``order`` is its node,
+    ``up`` its parent's position and ``block`` the key of its tree edge (both
+    -1 at the root), and ``size`` the size of its subtree, the positions
+    ``p`` to ``p + size[p] - 1``.  The search leaves out the edges at leaves,
+    and each leaf follows its neighbour in preorder.
+    """
     n = node_count
     degree = np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n)
     # An edge at a node of degree one is a bridge, a block of its own.  The
@@ -513,13 +526,23 @@ def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.nd
     # neighbour list each time it returns there, quadratic at a hub of leaves.
     inner = (degree[tails] > 1) & (degree[heads] > 1)
     order, parent = _dfs_tree(n, tails[inner], heads[inner])
+    if not order.size and tails.size:  # a star or one edge, rooted at its hub
+        order = np.argmax(degree)[None]
+    # A leaf, a node of degree one other than the root, hangs from its
+    # anchor and follows it in preorder, as if the search had met it first.
+    t, h = tails[~inner], heads[~inner]
+    hung = (degree[h] == 1) & (h != order[:1])
+    leaf = np.where(hung, h, t)
+    parent[leaf] = np.where(hung, t, h)
     # Work in preorder positions: an ancestor sits before its descendants.
+    position = np.zeros(n, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    order = np.insert(order, position[parent[leaf]] + 1, leaf)
     reached = order.size
-    position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(reached)
     up = np.full(reached, -1, dtype=np.intp)
     up[1:] = position[parent[order[1:]]]
-    a, b = position[tails[inner]], position[heads[inner]]
+    a, b = position[tails], position[heads]
     deep = np.maximum(a, b)
     # Every edge joins an ancestor and a descendant.  Each offers its
     # shallower end to its deeper end's lowpoint: a back edge as usual, and
@@ -527,20 +550,22 @@ def _edge_blocks(node_count: int, tails: np.ndarray, heads: np.ndarray) -> np.nd
     # decides the strict test below.
     low = np.arange(reached)
     np.minimum.at(low, deep, np.minimum(a, b))
-    low, up = low.tolist(), up.tolist()
+    low, parents, size = low.tolist(), up.tolist(), [1] * reached
     for p in range(reached - 1, 0, -1):
-        if low[p] < low[up[p]]:
-            low[up[p]] = low[p]
+        q = parents[p]
+        size[q] += size[p]
+        if low[p] < low[q]:
+            low[q] = low[p]
     # A tree edge whose child reaches above its parent continues the
     # parent's block; every other tree edge heads a block of its own.  Each
     # edge lies in the block of the tree edge entering its deeper end.
     block = list(range(reached))
+    block[:1] = [-1]
     for p in range(1, reached):
-        if low[p] < up[p]:
-            block[p] = block[up[p]]
-    key = np.arange(tails.size) + n  # a bridge at a leaf: its own block
-    key[inner] = np.array(block, dtype=np.intp)[deep]
-    return key
+        if low[p] < parents[p]:
+            block[p] = block[parents[p]]
+    block = np.array(block, dtype=np.intp)
+    return block[deep], order, position, up, block, np.array(size, dtype=np.intp)
 
 
 def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
@@ -571,6 +596,6 @@ def path_edge_sets(g_plus: SignedGraph, negative_edges) -> list[frozenset[int]]:
     for u, v in _node_pairs(n, negative_edges, labels).tolist():
         inside = np.flatnonzero(labels[g_plus.tails] == labels[u])
         blocks = _edge_blocks(n, np.append(g_plus.tails[inside], u),
-                              np.append(g_plus.heads[inside], v))
+                              np.append(g_plus.heads[inside], v))[0]
         results.append(frozenset(inside[blocks[:-1] == blocks[-1]].tolist()))
     return results

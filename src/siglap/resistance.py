@@ -30,48 +30,72 @@ stops only on a pivot that is not positive, so that route also raises
 :class:`CrossCheckError` when a pivot has cancelled to rounding level,
 ``c_jj**2 <= eps * A_jj``.
 
-Pairs are all checked before any solve; then they take one solve per
-component holding one, with one right-hand-side column per pair.  Pair
-queries factor each component once per graph, a connected graph's one
-component alike: the first query on a component factors the grounded
-Laplacian of its edges, their ends renumbered by each node's rank within
-the component, and the factor, with the graph's component labels and
-ranks and whether every weight is positive, is kept in a private record on
-the graph (:class:`_PairFactors`) that every later pair query on it reuses.
-A later call then costs two triangular solves on the kept factor plus one
-O(|E|) residual product, and gives the same bits.
-That pays only when one graph object is asked for pairs more than once, as
-when the thresholds ``1/R_uv`` of several candidate negative edges are read
-on one positive graph; a first query factors as before.  The record holds
-one factor per queried component (about 0.38 MB for a 36x36 grid on the
-band), lives as long as the graph, and is dropped when the graph is pickled
-or copied; a factorization that fails keeps nothing.  The block solve
-below, behind the verdict, ``check-psd`` and cluster prediction, factors on
-every call and keeps nothing, and a signed graph pays its dense route on
-every call.
+Every all-positive resistance is a series sum over the biconnected blocks
+of G+ (Klein & Randic, "Resistance distance", 1993): a unit current from u
+to v enters and leaves each block on their block-cut path at its cut
+vertices and crosses no other block, so ``R_uv`` is the sum of each path
+block's resistance between those two nodes.  One lowpoint pass over G+
+alone gives the blocks on its depth-first tree, each headed by the child end
+of its one tree edge at its top node, and each node's preorder position,
+parent and subtree size.  The blocks are solved together on node copies,
+one copy per (block, node), each block grounded at its lowest copy, so a
+light block beside a heavy one keeps its own scale.  Pair (u, v)'s
+right-hand side is +1 at u's copy in u's block and -1 at v's in v's, and,
+for each head whose subtree, the preorder interval ``[c, c + size(c))``,
+holds exactly one of u and v (``s`` = +1 when it holds u), ``-s`` at its
+top node's copy in its block and ``+s`` at the top node's copy in the top
+node's own block (none at the root): the current entering and leaving each
+path block, or, equally, each potential measured from its block's top node.
+One interval test of the heads against the pairs finds these entries, with
+no walk per pair, and ``R_uv`` is the right-hand side's inner product with
+the potentials.
 
-The resistance matrix of the negative edges is block-diagonal over the
-biconnected blocks of G (G+ plus the negative edges): a simple u-v path
-never leaves the block of the u-v edge, so the current between the ends of
-a negative edge flows only through the positive edges of that edge's block,
-and two negative edges in different blocks do not couple.  It takes one
-solve of the blocks that hold a negative edge, each on its own node copies
-(a cut vertex gets one copy per block) and grounded at its lowest copy;
-right-hand-side column ``c`` carries the c-th negative edge of every block.
-The matrix is kept sparse, with only its entries within blocks, so its size
-is the sum of the squared numbers of negative edges per block, not m x m.
-G+ is tested once, up front, and a disconnected G+ raises
+Pairs are all checked before any solve; then they take one split-graph
+solve per component holding one, with one right-hand-side column per pair.
+Pair queries factor each component once per graph, a connected graph's one
+component alike: the first query on a component makes its block pass,
+factors all its blocks on their copies and looks up, per node and per head,
+the copies its right-hand sides touch; that record (:class:`_Series`), with
+the graph's component labels and whether every weight is positive, is kept
+in a private record on the graph (:class:`_PairFactors`) that every later
+pair query on it reuses.  A later call then tests every head against its
+pairs, builds the columns, and costs two triangular solves on the kept
+factor plus one O(|E|) residual product, and gives the same bits.  On a
+graph of one block the copies are its nodes in their order, so the bits are
+those of one grounded solve of the whole graph.  That pays only when one
+graph object is asked for pairs more than once, as when the thresholds
+``1/R_uv`` of several candidate negative edges are read on one positive
+graph; a first query factors as before.  The record holds one factor per
+queried component (about 0.38 MB for a 36x36 grid on the band), lives as
+long as the graph, and is dropped when the graph is pickled or copied; a
+factorization that fails keeps nothing.  The block solve below, behind the
+verdict, ``check-psd`` and cluster prediction, factors on every call and
+keeps nothing, and lists each pair's entries from the same interval test,
+a slice of pairs at a time; a signed graph pays its dense route on every
+call.
+
+The resistance matrix of the negative edges couples two of them only when
+their right-hand sides have entries in a common block of G+, and then, in
+turn, every pair coupled to either: each such group lies in one
+biconnected block of G (G+ plus the negative edges), the entries between
+groups are exactly zero, and R keeps the layout of those blocks of G.  It
+takes one solve of the blocks of G+ that hold an entry, each on its own
+node copies; right-hand-side column ``c`` carries the c-th negative edge of
+every group.  The matrix is kept sparse, with only its entries within
+groups, so its size is the sum of the squared group sizes, not m x m.  G+
+is tested once, up front, and a disconnected G+ raises
 :class:`DisconnectedError` before any block is formed: the threshold
 theorems need it connected.  Connectivity is certified from the node
 numbering when every node but the first has a lower-numbered neighbour (an
 in-order numbering, such as any search order), and labelled by csgraph
 otherwise; the same holds for the copies of the solved blocks, so a
 scrambled order pays a labelling of each.  The block pass's one search
-labels nothing, as G+ is connected.  The query's one biconnected-block pass
-is made here: the verdict reads the blocks back from R through
-:func:`_diagonal_blocks`, and cluster prediction reads R_uv, the block keys
-and the potentials from :func:`_block_solve`.  The tests on the solved
-blocks cross-check the block ids.
+labels nothing, as G+ is connected.  The query's one block pass is made
+here: the verdict reads the groups back from R through
+:func:`_diagonal_blocks`, and cluster prediction reads R_uv, the solved
+blocks and the potentials from :func:`_block_solve`.  Each solved block's
+copies must be connected and hold every entry's copy, which cross-checks
+the block pass.
 
 A graph with any negative weight takes one dense route instead: the
 eigendecomposition pseudo-inverse of the full Laplacian.  A signed grounded
@@ -82,6 +106,7 @@ so it cannot be solved there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -240,9 +265,11 @@ def _grounded_solve(f: _GroundedFactor, rhs: np.ndarray) -> np.ndarray:
     # nodes are dropped.
     residual = _laplacian_product(f.g, x)[grounded:]
     residual -= b
-    residual = np.maximum.reduce(np.abs(residual, out=residual), axis=0)
-    scale = (f.norm * np.maximum.reduce(np.abs(x[grounded:]), axis=0)
-             + np.maximum.reduce(np.abs(b), axis=0))
+    residual = np.maximum.reduce(np.abs(residual, out=residual), axis=0) / f.norm
+    # Both sides over ||A||: blocks of far apart scales in one system can
+    # take ||A|| ||x|| out of the double range.
+    scale = (np.maximum.reduce(np.abs(x[grounded:]), axis=0)
+             + np.maximum.reduce(np.abs(b), axis=0) / f.norm)
     if not np.logical_and.reduce(residual <= CROSS_CHECK_RTOL * scale):
         worst = float(np.maximum.reduce(residual / scale))
         raise CrossCheckError(
@@ -252,44 +279,160 @@ def _grounded_solve(f: _GroundedFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pair_solve(f: _GroundedFactor, ends: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """:func:`_grounded_solve` by ``f`` of the right-hand side whose column
-    ``column[k]`` holds +1 at ``ends[k, 0]`` and -1 at ``ends[k, 1]``, for
-    each pair k; pairs sharing a column share no node."""
-    # Column-major, as the solvers return x: the residual check's reductions
-    # over each column of a row-major (n, c) array took 36 against 4.6 us
-    # (n = 1295, c = 3; 2-core Xeon).
-    rhs = np.zeros((f.g.node_count, int(np.maximum.reduce(column)) + 1), order="F")
-    rhs[ends[:, 0], column] = 1.0
-    rhs[ends[:, 1], column] = -1.0
-    return _grounded_solve(f, rhs)
+def _entries(tree: tuple[np.ndarray, ...], pairs: np.ndarray, n: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The right-hand sides of ``pairs``, an ``(m, 2)`` array of nodes of the
+    connected graph on n nodes whose block pass is ``tree``, as entries
+    sorted by pair and then by copy key ``block * n + node``: per entry its
+    pair, key and value.
+
+    Pair ``(u, v)`` sends a unit current from u to v, which enters and
+    leaves each block on its path at a cut vertex: +1 at u's copy in u's
+    block (that of its tree edge) and -1 at v's; and for each head whose
+    subtree holds exactly one of u and v, with ``s`` = +1 when it holds u
+    and -1 when it holds v, ``-s`` at its top node's copy in its block and
+    ``+s`` at the top node's copy in the top node's own block.  The root has
+    no block of its own, so its entries drop out, and so do entries that
+    cancel.
+    """
+    _, order, position, up, block, size = tree
+    at = position[pairs.T]
+    m = len(pairs)
+    heads = np.flatnonzero(block == np.arange(block.size))
+    stops = (heads + size[heads])[:, None]
+    # The heads x pairs interval test, a slice of pairs at a time so that
+    # each table stays below 2**22 cells.
+    step, found = 1 + 2 ** 22 // heads.size, []
+    for k in range(0, m, step):
+        holds = [(heads[:, None] <= x) & (x < stops) for x in at[:, k:k + step]]
+        head, pair = np.nonzero(holds[0] != holds[1])
+        found.append((head, pair + k, holds[0][head, pair]))
+    head, pair, holds_u = (np.concatenate(x) for x in zip(*found))
+    sign = np.where(holds_u, 1.0, -1.0)
+    top = up[heads[head]]
+    pair = np.concatenate([np.arange(2 * m) % m, pair, pair])
+    block = np.concatenate([block[at.ravel()], heads[head], block[top]])
+    where = block * n + np.concatenate([pairs.T.ravel(), order[top], order[top]])
+    value = np.where(block < 0, 0.0, np.concatenate([np.repeat([1.0, -1.0], m), -sign, sign]))
+    # Entries at one copy for one pair are summed, and those that cancel drop.
+    order = np.lexsort((where, pair))
+    pair, where = pair[order], where[order]
+    first = np.flatnonzero(np.diff(pair, prepend=-1) | np.diff(where, prepend=-1))
+    value = np.add.reduceat(value[order], first)
+    kept = first[value != 0.0]
+    return pair[kept], where[kept], value[value != 0.0]
+
+
+class _Split(NamedTuple):
+    """Blocks of one connected all-positive graph, each on its own node
+    copies: the graph's block pass ``tree``, the sorted copy keys ``block *
+    n + node``, the copy that each key numbers, and ``factor``, the grounded
+    factorization of the graph of the copies."""
+
+    tree: tuple[np.ndarray, ...]
+    keys: np.ndarray
+    copies: np.ndarray
+    factor: _GroundedFactor
+
+
+def _split_blocks(g_plus: SignedGraph, tree: tuple[np.ndarray, ...], solved: np.ndarray
+                  ) -> _Split:
+    """The :class:`_Split` of the blocks ``solved`` of the connected
+    ``g_plus``, whose block pass is ``tree``.
+
+    A copy stands for one (block, node).  Each block's lowest copy, the copy
+    of its lowest node, is numbered first, so grounding the first copies
+    grounds one copy per block.  The copies of a block are certified
+    connected when every copy after the lowest ones has a lower-numbered
+    neighbour, as when the block's nodes are numbered in order; otherwise
+    csgraph labels the copies.
+
+    Raises:
+        CrossCheckError: the copies of a solved block are not connected (the
+            block pass is inconsistent with the graph), or the factorization
+            fails.
+    """
+    n = g_plus.node_count
+    mask = np.isin(tree[0], solved, kind="table")
+    ends = np.concatenate([g_plus.tails[mask], g_plus.heads[mask]])
+    keys, end_copy = np.unique(np.tile(tree[0][mask], 2) * n + ends, return_inverse=True)
+    lowest = np.diff(keys // n, prepend=-1) != 0
+    blocks = int(lowest.sum())
+    copies = np.empty(keys.size, dtype=np.intp)
+    copies[np.argsort(~lowest, kind="stable")] = np.arange(keys.size)
+    end_copy = copies[end_copy].reshape(2, -1)
+    # Copies of a block keep its node order, its lowest copy moved below the
+    # rest, so tail < head holds and the split graph needs no check.
+    split = SignedGraph._derived(keys.size, end_copy[0], end_copy[1], g_plus.weights[mask])
+    # The first `blocks` copies are one per block, and copies of different
+    # blocks share no edge: when every other copy has a lower-numbered
+    # neighbour, each block's copies are connected, and only a copy without
+    # one calls for a labelling.
+    if _without_lower_neighbour(split.node_count, split.tails, split.heads)[blocks:].any():
+        if _components(split.node_count, split.tails, split.heads)[0] != blocks:
+            raise CrossCheckError("the copies of a block of G+ are not connected; the "
+                                  "biconnected blocks are inconsistent with the graph")
+    return _Split(tree, keys, copies, _grounded_factor(split, blocks))
+
+
+class _Series(NamedTuple):
+    """The split of all the blocks of one connected graph, ready for any
+    pair: per preorder position its node's copy in its own block; per head
+    (``heads``, ascending) the first position past its subtree (``stops``),
+    its top node's copy in its block (``down``) and in the top node's own
+    block (``above``), the root's being grounded copy 0; and the
+    factorization of the copies."""
+
+    position: np.ndarray
+    heads: np.ndarray
+    stops: np.ndarray
+    own: np.ndarray
+    down: np.ndarray
+    above: np.ndarray
+    factor: _GroundedFactor
+
+
+def _series(split: _Split, n: int) -> _Series:
+    """The :class:`_Series` of ``split``, a split of every block of its graph
+    on n nodes.
+
+    Raises:
+        CrossCheckError: a block misses a copy of its top node or of a node
+            of its tree edges (the block pass is inconsistent with the graph).
+    """
+    _, order, position, up, block, size = split.tree
+    heads = np.flatnonzero(block == np.arange(block.size))
+    top = up[heads]
+    at = np.concatenate([block, heads, block[top]])
+    key = at * n + np.concatenate([order, order[top], order[top]])
+    found = np.minimum(np.searchsorted(split.keys, key), split.keys.size - 1)
+    if not np.all((split.keys[found] == key) | (at < 0)):
+        raise CrossCheckError("a block of G+ misses a copy of one of its nodes; the "
+                              "biconnected blocks are inconsistent with the graph")
+    own, down, above = np.split(np.where(at < 0, 0, split.copies[found]),
+                                [block.size, block.size + heads.size])
+    return _Series(position, heads[:, None], (heads + size[heads])[:, None], own, down, above,
+                   split.factor)
 
 
 @dataclass(eq=False)
 class _PairFactors:
     """What pair queries on one graph reuse, kept on the graph as
-    ``_pair_factors``: its component labels; each node's rank within its
-    component (``0..n-1`` on a connected graph); whether every weight is
-    positive, which picks the route; and, by label, the grounded
-    factorization of each component a pair has queried, stored only once it
-    has succeeded.  Pickling and copying a graph drop it."""
+    ``_pair_factors``: its component labels; whether every weight is
+    positive, which picks the route; and, by label, the :class:`_Series` of
+    all the blocks of each component a pair has queried, stored only once
+    its factorization has succeeded.  Pickling and copying a graph drop it."""
 
     labels: np.ndarray
-    local: np.ndarray
     positive: bool
-    factors: dict[int, _GroundedFactor]
-
-
-def _new_pair_factors(g: SignedGraph) -> _PairFactors:
-    """A :class:`_PairFactors` of ``g`` that holds no factorization yet."""
-    labels = _components(g.node_count, g.tails, g.heads)[1]
-    return _PairFactors(labels, _runs(labels)[2], bool(np.all(g.weights > 0.0)), {})
+    factors: dict[int, _Series]
 
 
 def _pair_factors(g: SignedGraph) -> _PairFactors:
-    """``g``'s :class:`_PairFactors`, made by its first pair query and kept
-    on ``g`` by :func:`~siglap.graph_core._kept`."""
-    return _kept(g, "_pair_factors", _new_pair_factors)
+    """``g``'s :class:`_PairFactors`, made by its first pair query, with no
+    factorization yet, and kept on ``g`` by :func:`~siglap.graph_core._kept`."""
+    return _kept(g, "_pair_factors", lambda g: _PairFactors(
+        _components(g.node_count, g.tails, g.heads)[1], bool(np.all(g.weights > 0.0)), {}))
 
 
 def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
@@ -297,41 +440,49 @@ def _pair_resistances(g: SignedGraph, pairs) -> list[float]:
 
     Every pair is checked first by :func:`_node_pairs`, in order, and the
     first that fails raises its error before anything is factored.  Then an
-    all-positive graph takes one grounded solve per component holding a
-    pair, with one right-hand-side column per pair, by that component's
-    factorization, made by the first query that needs it and then kept in
-    ``g``'s :class:`_PairFactors`; pairs that all lie in one component skip
-    the grouping.  A graph with any negative weight takes one
-    eigendecomposition pseudo-inverse.
+    all-positive graph takes one split-graph solve per component holding a
+    pair, with one right-hand-side column per pair, by the factorization of
+    all that component's blocks, made by the first query that needs it and
+    then kept in ``g``'s :class:`_PairFactors`.  A graph with any negative
+    weight takes one eigendecomposition pseudo-inverse.
     """
+    n = g.node_count
     record = _pair_factors(g)
-    labels = record.labels
-    ends = _node_pairs(g.node_count, pairs, labels)
+    ends = _node_pairs(n, pairs, record.labels)
     if not record.positive:
         inverse = pseudo_inverse_eig(laplacian_matrix(g))
         # Row k is L^+ (e_u - e_v) of pair k.
         potential = inverse[ends[:, 0]] - inverse[ends[:, 1]]
         column = np.arange(len(ends))
         return (potential[column, ends[:, 0]] - potential[column, ends[:, 1]]).tolist()
-    pair_label = labels[ends[:, 0]]
+    pair_label = record.labels[ends[:, 0]]
     components = dict.fromkeys(pair_label.tolist())  # in order of first pair
     values = np.empty(len(ends))
     for label in components:
         mine = slice(None) if len(components) == 1 else np.flatnonzero(pair_label == label)
-        mine_ends = record.local[ends[mine]]
-        factor = record.factors.get(label)
-        if factor is None:
-            # The component as a graph of its own, its lowest node first; a
-            # copy even when it is all of g, since a record on g that held g
-            # would be a cycle that only the cycle collector frees.
-            kept = labels[g.tails] == label
-            part = SignedGraph._derived(int(np.count_nonzero(labels == label)),
-                                        record.local[g.tails[kept]],
-                                        record.local[g.heads[kept]], g.weights[kept])
-            factor = record.factors[label] = _grounded_factor(part, 1)
-        column = np.arange(len(mine_ends))
-        x = _pair_solve(factor, mine_ends, column)
-        values[mine] = x[mine_ends[:, 0], column] - x[mine_ends[:, 1], column]
+        series = record.factors.get(label)
+        if series is None:
+            # The component's edges on g's nodes: a new graph even when it is
+            # all of g, since a record on g that held g would be a cycle that
+            # only the cycle collector frees.
+            part = g.subgraph(record.labels[g.tails] == label)
+            tree = _edge_blocks(n, part.tails, part.heads)
+            series = record.factors[label] = _series(_split_blocks(part, tree, tree[0]), n)
+        # Column j: +1 at u's own copy and -1 at v's; per head, S = +1 when
+        # its subtree, an interval of preorder, holds u alone and -1 when it
+        # holds v alone, from one heads x pairs test, and -S at the top
+        # node's copy in its block and +S in the top node's own block.  A
+        # reversed pair negates the column and its solution: the same bits.
+        at = series.position[ends[mine]]
+        column = np.arange(len(at))
+        rhs = np.zeros((series.factor.g.node_count, len(at)), order="F")
+        rhs[series.own[at[:, 0]], column], rhs[series.own[at[:, 1]], column] = 1.0, -1.0
+        ends_at = at.T[:, None]
+        inside = ((series.heads <= ends_at) & (ends_at < series.stops)).astype(float)
+        below = inside[0] - inside[1]
+        rhs[series.down] -= below
+        np.add.at(rhs, series.above, below)
+        values[mine] = np.einsum("ij,ij->j", rhs, _grounded_solve(series.factor, rhs))
     return values.tolist()
 
 
@@ -339,12 +490,12 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     """(e_u - e_v)^T L^+ (e_u - e_v).
 
     The route depends on the weight signs.  An all-positive graph takes one
-    grounded sparse solve on the component holding u and v, with its
-    residual checked (see the module docstring).  A graph with any negative
-    weight takes the eigendecomposition pseudo-inverse of its Laplacian.
-    The resistance-threshold theorems only speak about all-positive graphs;
-    the value is still defined (and computed) for signed weights, but carries
-    no semidefiniteness meaning there.
+    grounded sparse solve over the blocks of the component holding u and v,
+    with its residual checked (see the module docstring).  A graph with any
+    negative weight takes the eigendecomposition pseudo-inverse of its
+    Laplacian.  The resistance-threshold theorems only speak about
+    all-positive graphs; the value is still defined (and computed) for
+    signed weights, but carries no semidefiniteness meaning there.
 
     Raises:
         InvalidParameterError: u or v is not an integer (a bool is not one)
@@ -356,95 +507,6 @@ def effective_resistance(g: SignedGraph, u: int, v: int) -> float:
     return _pair_resistances(_checked_graph(g), [(u, v)])[0]
 
 
-def _split_blocks(g_plus: SignedGraph, edge_block: np.ndarray, pair_block: np.ndarray,
-                  pairs: np.ndarray) -> tuple[SignedGraph, int, np.ndarray, np.ndarray]:
-    """The graph of the positive edges in the pairs' blocks, each block on
-    its own node copies, the number of blocks, the copies of the pairs'
-    ends (shape ``(m, 2)``) and the node of each copy.
-
-    A copy stands for one (block, node).  Each block's lowest copy, the copy
-    of its lowest node, is numbered first, so grounding the first copies
-    grounds one copy per block.
-
-    ``g_plus`` must be connected; the two tests below then cross-check the
-    block ids (see :func:`resistance_matrix_for_negatives`).  The copies of
-    a block are certified connected when every copy after the lowest ones
-    has a lower-numbered neighbour, as when the block's nodes are numbered
-    in order; otherwise csgraph labels the copies.
-
-    Raises:
-        CrossCheckError: a pair's block has no copy of one of its ends, or
-            the copies of a block are not connected: the block ids are
-            inconsistent with the graph.
-    """
-    n = g_plus.node_count
-    solved = np.isin(edge_block, pair_block, kind="table")
-    ends = np.concatenate([g_plus.tails[solved], g_plus.heads[solved]])
-    end_keys = np.tile(edge_block[solved], 2) * n + ends
-    keys, end_copy = np.unique(end_keys, return_inverse=True)
-    copy_block = keys // n
-    lowest = _first_of_runs(copy_block)
-    blocks = int(lowest.sum())
-    renumber = np.empty(keys.size, dtype=np.intp)
-    renumber[np.argsort(~lowest, kind="stable")] = np.arange(keys.size)
-    end_copy = renumber[end_copy].reshape(2, -1)
-    # Copies of a block keep its node order, its lowest copy moved below the
-    # rest, so tail < head holds and the split graph needs no check.
-    split = SignedGraph._derived(keys.size, end_copy[0], end_copy[1], g_plus.weights[solved])
-
-    pair_keys = pair_block[:, None] * n + pairs
-    pair_copy = np.searchsorted(keys, pair_keys)
-    held = (pair_copy < keys.size).all(axis=1)
-    held[held] = (keys[pair_copy[held]] == pair_keys[held]).all(axis=1)
-    if not held.all():
-        pair = tuple(pairs[np.argmin(held)].tolist())
-        raise CrossCheckError(f"the positive part of the block of G holding negative edge "
-                              f"{pair} misses an end of the edge; the biconnected blocks "
-                              f"are inconsistent with the graph")
-    # The first `blocks` copies are one per block, and copies of different
-    # blocks share no edge: when every other copy has a lower-numbered
-    # neighbour, each block's copies are connected, and only a copy without
-    # one calls for a labelling.
-    if _without_lower_neighbour(split.node_count, split.tails, split.heads)[blocks:].any():
-        count, parts = _components(split.node_count, split.tails, split.heads)
-        if count != blocks:
-            # parts[:blocks] holds each block's part, at its lowest copy.
-            apart = parts[renumber] != parts[:blocks][np.cumsum(lowest) - 1]
-            k = int(np.flatnonzero(np.isin(pair_block, copy_block[apart]))[0])
-            raise CrossCheckError(f"the positive part of the block of G holding negative "
-                                  f"edge {tuple(pairs[k].tolist())} is not connected; the "
-                                  f"biconnected blocks are inconsistent with the graph")
-    copy_node = np.empty(keys.size, dtype=np.intp)
-    copy_node[renumber] = keys % n
-    return split, blocks, renumber[pair_copy], copy_node
-
-
-def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor.
-
-    ``np.unique`` groups unsorted keys as fast; this stays for keys already
-    sorted (each copy's block in :func:`_split_blocks`) or few (the pairs of
-    :func:`_runs`), where ``np.unique`` took 2-3 times as long (numpy 2.4.6).
-    """
-    first = np.ones(sorted_keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The items grouped by key: ``order`` lists them key by key, in item
-    order within a key; per item, the start in ``order`` of its key's run
-    and its rank among the items of its key (a pair's colour in its block,
-    a node's number within its component)."""
-    order = np.argsort(keys, kind="stable")
-    run_start = np.maximum.accumulate(
-        np.where(_first_of_runs(keys[order]), np.arange(order.size), 0))
-    start, rank = np.empty_like(order), np.empty_like(order)
-    start[order] = run_start
-    rank[order] = np.arange(order.size) - run_start
-    return order, start, rank
-
-
 def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     """Quadratic form E_-^T L^+(G+) E_- and its diagonal.
 
@@ -453,29 +515,29 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     diagonal always holds the pairwise effective resistances over ``g_plus``;
     the matrix is diagonal exactly when the pairs' path-edge sets are disjoint.
 
-    The matrix is block-diagonal over the biconnected blocks of G, the graph
-    ``g_plus`` plus the pairs as edges: entries between pairs in different
-    blocks are exactly zero and are not stored.  One grounded sparse solve
-    covers every block that holds a pair, each on its own node copies;
-    column ``c`` of the right-hand side carries the c-th pair of every block,
-    so there are as many columns as the most pairs in one block (see the
-    module docstring).  The block ids come from the query's one
-    biconnected-block pass over G, made here.
+    Pairs couple when their right-hand sides have entries in a common block
+    of ``g_plus``, and so, in turn, do the pairs coupled to either: each
+    group lies in one block of G, the graph ``g_plus`` plus the pairs as
+    edges, and entries between pairs in different groups are exactly zero
+    and are not stored.  One grounded sparse solve covers the blocks of
+    ``g_plus`` that hold an entry, each on its own node copies; column ``c``
+    of the right-hand side carries the c-th pair of every group, so there
+    are as many columns as the most pairs in one group (see the module
+    docstring).  The query's one block pass over ``g_plus`` is made here.
 
     G+ is tested once, up front, after the pairs: the theorems behind R
-    need it connected, and then so is the positive part of each block of G
-    (see the module docstring).
+    need it connected.
 
     Raises:
         InvalidParameterError: a non-positive weight or a bad pair (see
             :func:`_node_pairs`).
         DisconnectedError: ``g_plus`` is disconnected.
-        CrossCheckError: the block ids are inconsistent with ``g_plus``, or
+        CrossCheckError: the block pass is inconsistent with ``g_plus``, or
             the grounded solve fails its residual check.
 
     Returns:
         ``(matrix, diagonal)``: a ``scipy.sparse.csr_array`` of shape
-        ``(m, m)`` whose row j stores the entries of the pairs in j's block,
+        ``(m, m)`` whose row j stores the entries of the pairs in j's group,
         in pair order, and an array of shape ``(m,)``.
     """
     if np.any(_checked_graph(g_plus).weights <= 0.0):
@@ -490,39 +552,89 @@ def resistance_matrix_for_negatives(g_plus: SignedGraph, negative_edges):
     return _block_solve(g_plus, pairs)[:2]
 
 
+def _groups(pair: np.ndarray, block: np.ndarray, m: int) -> np.ndarray:
+    """Per pair of the m, the lowest pair it couples to, when the entries
+    ``pair`` lie in the blocks ``block`` (numbered from 0): each round, each
+    block takes its pairs' lowest label and each pair its blocks' lowest."""
+    group, low = np.arange(m), np.full(block.size, m)
+    while True:
+        np.minimum.at(low, block, group[pair])
+        joined = group.copy()
+        np.minimum.at(joined, pair, low[block])
+        if np.array_equal(joined[joined], group):
+            return group
+        group = joined[joined]
+
+
 def _block_solve(g_plus: SignedGraph, pairs: np.ndarray
-                 ) -> tuple[csr_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[csr_array, np.ndarray, np.ndarray, _Split]:
     """:func:`resistance_matrix_for_negatives` on checked pairs, an ``(m, 2)``
     array with m >= 1, over a connected ``g_plus``, plus the potentials ``x``
-    on the node copies (one column per colour), the node of each copy and
-    the block key of each edge of ``g_plus``, then of each pair.
+    on the copies (one column per colour) and the :class:`_Split` solved.
     """
     n = g_plus.node_count
-    # One (low, high) row per pair: E_- has -1 at the low end, +1 at the high.
-    pairs = np.sort(pairs, axis=1)
+    # One (high, low) row per pair: E_- has -1 at the low end, +1 at the high.
+    pairs = np.sort(pairs, axis=1)[:, ::-1]
     m = len(pairs)
-    tails = np.append(g_plus.tails, pairs[:, 0])
-    heads = np.append(g_plus.heads, pairs[:, 1])
-    blocks = _edge_blocks(n, tails, heads)
-    edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
-    split, grounded, ends, copy_node = _split_blocks(g_plus, edge_block, pair_block, pairs)
-    order, start, colour = _runs(pair_block)
-    x = _pair_solve(_grounded_factor(split, grounded), ends[:, ::-1], colour)
-    # potential[j, c] = b_j^T x[:, c]; within a block, column colour(k) is
-    # the potential of pair k, so R_jk = potential[j, colour(k)].
-    potential = x[ends[:, 1]] - x[ends[:, 0]]
-    # Row j lists the pairs of its block, order[start(j) + i] for i below
-    # the block's size.
-    size = np.bincount(start, minlength=m)[start]
+    tree = _edge_blocks(n, g_plus.tails, g_plus.heads)
+    pair, where, value = _entries(tree, pairs, n)
+    solved, block = np.unique(where // n, return_inverse=True)
+    split = _split_blocks(g_plus, tree, solved)
+    found = np.minimum(np.searchsorted(split.keys, where), split.keys.size - 1)
+    if not np.all(split.keys[found] == where):
+        edge = tuple(pairs[pair[np.argmin(split.keys[found] == where)], ::-1].tolist())
+        raise CrossCheckError(f"a block of G+ on the path of negative edge {edge} misses an end "
+                              f"of the edge; the blocks are inconsistent with the graph")
+    copy = split.copies[found]
+    # Pairs with entries in a common block couple, and so do the pairs
+    # coupled to either.
+    group = _groups(pair, block, m)
+    # The pairs group by group, in pair order within a group; per pair, the
+    # start of its group in that order and its colour, its rank there.
+    order = np.argsort(group, kind="stable")
+    count = np.bincount(group)
+    start = (np.cumsum(count) - count)[group]
+    # Row j lists the pairs of its group, order[start(j) + i] for i below
+    # the group's size; pair j's colour is its place in its own row.
+    size = count[group]
     indptr = np.concatenate([[0], np.cumsum(size)])
     rows = np.repeat(np.arange(m), size)
     cols = order[np.repeat(start - indptr[:-1], size) + np.arange(indptr[-1])]
+    colour = np.flatnonzero(cols == rows) - indptr[:-1]
+    # Column-major, as the solvers return x: the residual check's reductions
+    # over each column of a row-major (n, c) array took 36 against 4.6 us
+    # (n = 1295, c = 3; 2-core Xeon).
+    rhs = np.zeros((split.keys.size, int(np.maximum.reduce(colour)) + 1), order="F")
+    rhs[copy, colour[pair]] = value
+    x = _grounded_solve(split.factor, rhs)
+    # potential[j, c] = b_j^T x[:, c]; within a group, column colour(k) is
+    # the potential of pair k, so R_jk = potential[j, colour(k)].
+    potential = np.zeros((m, x.shape[1]))
+    np.add.at(potential, pair, value[:, None] * x[copy])
     # Halve before adding: a resistance above half the largest double still
     # symmetrizes to itself.
     values = 0.5 * potential[rows, colour[cols]] + 0.5 * potential[cols, colour[rows]]
     matrix = csr_array((values, cols, indptr), shape=(m, m))
     # Pair j is entry colour(j) of its own row.
-    return matrix, values[indptr[:-1] + colour], x, copy_node, blocks
+    return matrix, values[indptr[:-1] + colour], x, split
+
+
+def _node_potential(n: int, split: _Split, x: np.ndarray) -> np.ndarray:
+    """The potential, measured from the root, on each of the n nodes of the
+    connected graph of ``split``, from the potentials ``x`` (one column) on
+    its copies: each node's potential from its block's top node, plus, in
+    preorder, the top node's own.  A block without copies carries no
+    current.  The sum runs node by node, not as a difference of prefix sums,
+    so that a node off the current's path gets the bits of its top node."""
+    _, order, position, up, block, _ = split.tree
+    top = up[np.maximum(block, 0)]
+    where = np.stack([block * n + order, block * n + order[top]])
+    found = np.minimum(np.searchsorted(split.keys, where), split.keys.size - 1)
+    local = np.subtract(*np.where(split.keys[found] == where, x[split.copies[found]], 0.0))
+    potential, top = local.tolist(), top.tolist()
+    for p in range(1, len(potential)):
+        potential[p] += potential[top[p]]
+    return np.array(potential)[position]
 
 
 def _diagonal_blocks(matrix: csr_array) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -151,7 +151,7 @@ def edge_blocks(g: SignedGraph) -> np.ndarray:
     key = np.empty(g.edge_count, dtype=np.intp)
     for c, inside in enumerate(component_edge_masks(g)):
         # One component's keys stay below node_count + edge_count.
-        key[inside] = (_edge_blocks(g.node_count, g.tails[inside], g.heads[inside])
+        key[inside] = (_edge_blocks(g.node_count, g.tails[inside], g.heads[inside])[0]
                        + c * (g.node_count + g.edge_count))
     return _first_seen_ids(key)
 

@@ -56,15 +56,6 @@ def test_check_psd_boundary_and_indefinite(tmp_path, capsys):
     assert "indefinite, sigma=(7,1,1)" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Relabelling flips a verdict at the boundary: on a 41-node cycle whose path "
-           "weights span 1e-4 to 1e4, with the chord at 1/R (exact margin -9.4e-17), "
-           "nodes in path order give indefinite (39,1,1) with margin 7.7e-8, and the "
-           "order i -> 40 - i gives PSD (boundary) (39,0,2).  In path order the ground, "
-           "node 0, is the light end, and banded Cholesky and splu both give the wrong "
-           "verdict there.",
-)
 def test_relabelling_keeps_the_verdict_of_a_cycle_whose_weights_span_eight_decades(
         tmp_path, capsys):
     weights = (10.0 ** np.linspace(-4.0, 4.0, 40)).tolist()
@@ -95,11 +86,12 @@ corollary6_satisfied = true
 
 
 # A chord at its threshold: the margin is round-off (+2.2e-17 in exact
-# arithmetic, +2.2e-16 computed), and at --tol 0 the verdict follows its sign.
+# arithmetic, 0 computed: R is the series sum 1/2 + 1/5 of two bridges,
+# rounded to the double nearest 0.7), and at --tol 0 the verdict follows it.
 TRIANGLE_AT_TOL_0 = (
     "nodes 3\n0 1 2\n1 2 5\n0 2 -1.4285714285714286\n",
-    """indefinite, sigma=(1,1,1)
-edge (0,2): |w-| = 1.42857142857  threshold = 1.42857142857  margin = 2.22044604925e-16
+    """PSD (boundary), sigma=(1,0,2)
+edge (0,2): |w-| = 1.42857142857  threshold = 1.42857142857  margin = 0
 disjoint_paths = true
 corollary6_satisfied = true
 """, "0")

@@ -279,14 +279,14 @@ def test_predict_clusters_caterpillar():
 
 
 def test_predict_clusters_checks_the_null_vector_residual(monkeypatch):
-    # a potential off by 1e-6 at node 0's copy keeps R(0, 4) but breaks
+    # a potential off by 1e-6 at node 0's copies keeps R(0, 4) but breaks
     # L z = 0 at 0's cycle neighbours 1 and 4 and at 0 itself
     solve = consensus._block_solve
 
     def perturbed(g_plus, pairs):
-        matrix, diagonal, x, copy_node, blocks = solve(g_plus, pairs)
-        x[copy_node == 0] += 1e-6
-        return matrix, diagonal, x, copy_node, blocks
+        matrix, diagonal, x, split = solve(g_plus, pairs)
+        x[split.copies[split.keys % g_plus.node_count == 0]] += 1e-6
+        return matrix, diagonal, x, split
 
     monkeypatch.setattr(consensus, "_block_solve", perturbed)
     with pytest.raises(sl.CrossCheckError,

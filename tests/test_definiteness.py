@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,9 +243,15 @@ def test_overlapping_chords_each_inside_threshold_can_be_indefinite():
 def test_wrong_disjointness_answer_is_caught(monkeypatch):
     # block ids that put every edge in a block of its own call the chords'
     # path sets disjoint; each chord's block then holds none of its positive
-    # paths, which the resistance layer's connectivity test on the blocks
+    # paths, which the resistance layer's test of the copies on the blocks
     # reports as inconsistent block ids, not as a disconnected G+
-    monkeypatch.setattr(resistance, "_edge_blocks", lambda n, tails, heads: np.arange(tails.size))
+    block_pass = graph_core._edge_blocks
+
+    def every_edge_alone(n, tails, heads):
+        key, *rest = block_pass(n, tails, heads)
+        return (np.arange(key.size) + n, *rest)
+
+    monkeypatch.setattr(resistance, "_edge_blocks", every_edge_alone)
     with pytest.raises(sl.CrossCheckError):
         sl.multi_edge_verdict(overlapping_chords_at_nine_tenths())
 
@@ -477,3 +484,52 @@ def test_boundary_verdict_when_block_weights_differ_in_scale(last):
     exact = np.array([3 * 12 / (15 * w) for w in weights])
     assert np.all(np.abs(np.diag(matrix) - exact) <= 1e-12 * exact)
     assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+
+
+def chain_with_far_chord(scale):
+    """The positive edges of a chain of 40 unit-shaped 15-cycles, 39 of
+    weight 1e-6 and the last of weight 1e6, plus the chord (0, 560) across
+    all of them at ``scale`` times its exact threshold."""
+    g_plus = cycle_chain_at_threshold([1e-6] * 39 + [1e6]).positive_subgraph()
+    exact = 39 * 56 / (15 * Fraction(1e-6)) + 14 / (15 * Fraction(1e6))
+    return sl.build_graph(g_plus.node_count,
+                          list(g_plus.edges) + [(0, 560, -scale / float(exact))])
+
+
+@pytest.mark.parametrize("scale, expected", [(0.9, Classification.STRICT_INTERIOR),
+                                             (1.1, Classification.INDEFINITE)])
+def test_a_chord_across_blocks_of_far_apart_scales_keeps_its_margin(scale, expected):
+    # R(0, 560) is a series sum over 40 blocks of G+, one of them 1e12 times
+    # heavier than the rest: one grounded solve of them all as one system
+    # loses the light blocks' digits, enough to move the verdict
+    verdict = sl.multi_edge_verdict(chain_with_far_chord(scale))
+    assert verdict.classification is expected
+    (edge,) = verdict.per_edge
+    assert abs(edge.margin - (scale - 1.0)) <= 1e-12
+
+
+def test_trees_with_weights_over_twelve_decades_sit_on_the_boundary_in_any_order():
+    # Derandomized: random trees numbered parent first, weights 10**U(-6, 6),
+    # and a chord at -1/fsum(1/w) along its tree path; in that order and in
+    # a scrambled one, the verdict is BOUNDARY.
+    rng = np.random.default_rng(2041)
+    for _ in range(400):
+        n = int(rng.integers(3, 30))
+        parent = [int(rng.integers(0, v)) for v in range(1, n)]
+        weights = 10.0 ** rng.uniform(-6.0, 6.0, n - 1)
+        while True:
+            u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+            if parent[v - 1] != u:
+                break
+        up_from = {}
+        for x, side in ((u, 0), (v, 1)):
+            while x:
+                up_from.setdefault(x, []).append(side)
+                x = parent[x - 1]
+        # edge x -> parent(x) lies on the path when only one end's climb uses it
+        path = [weights[x - 1] for x, sides in up_from.items() if len(sides) == 1]
+        chord = -1.0 / math.fsum(1.0 / w for w in path)
+        tree = [(parent[x - 1], x, float(weights[x - 1])) for x in range(1, n)]
+        g = sl.build_graph(n, tree + [(u, v, chord)])
+        for graph in (g, relabelled(g, rng.permutation(n))):
+            assert sl.multi_edge_verdict(graph).classification is Classification.BOUNDARY

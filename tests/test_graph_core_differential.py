@@ -250,7 +250,7 @@ def test_search_adjacency_keeps_the_neighbour_order_of_the_coo_oracle(g):
             oracle_blocks = graph_core._edge_blocks(*part)
         assert np.array_equal(order, oracle_order)
         assert np.array_equal(parent, oracle_parent)
-        assert np.array_equal(blocks, oracle_blocks)
+        assert all(map(np.array_equal, blocks, oracle_blocks))
 
 
 def first_seen_reference(raw: list[int]) -> list[int]:

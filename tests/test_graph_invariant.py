@@ -149,6 +149,7 @@ def test_every_derived_graph_holds_the_invariant(monkeypatch):
                  if u != v and labels[u] == labels[v]]
         if pairs:
             sl.resistance._pair_resistances(g_plus, pairs)
-    # positive subgraphs, split graphs and component parts all came up
-    assert set(derived) == {"subgraph", "_split_blocks", "_pair_resistances"}
+    # positive subgraphs and component parts, both subgraphs, and split
+    # graphs all came up
+    assert set(derived) == {"subgraph", "_split_blocks"}
 

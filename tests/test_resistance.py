@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     positive_weight,
     random_connected_positive,
     random_tree,
+    relabelled,
 )
 from siglap import graph_core, resistance
 
@@ -254,18 +256,24 @@ def test_negative_edge_report():
 
 
 def test_wrong_block_ids_are_caught(monkeypatch):
-    # 4-cycle 0-1-2-3 with a chord (0, 2); G has one block
+    # 4-cycle 0-1-2-3 with a chord (0, 2); G+ has one block
     g_plus = sl.build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    block_pass = graph_core._edge_blocks
 
-    def block_pass_returning(ids):
-        monkeypatch.setattr(resistance, "_edge_blocks", lambda n, tails, heads: np.array(ids))
+    def block_pass_keeping(in_block):
+        # the block pass, with only the edges in_block left in the cycle's block
+        def wrong(n, tails, heads):
+            key, *rest = block_pass(n, tails, heads)
+            return (np.where(in_block, key, key + n), *rest)
+
+        monkeypatch.setattr(resistance, "_edge_blocks", wrong)
 
     # the chord's block holds only (0,1) and (2,3): both ends, not connected
-    block_pass_returning([0, 1, 0, 1, 0])
-    with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) is not connected"):
+    block_pass_keeping([True, False, True, False])
+    with pytest.raises(sl.CrossCheckError, match=r"block of G\+ are not connected"):
         sl.resistance_matrix_for_negatives(g_plus, [(0, 2)])
     # the chord's block holds only (0,1): node 2 is missing
-    block_pass_returning([0, 1, 1, 1, 0])
+    block_pass_keeping([True, False, False, False])
     with pytest.raises(sl.CrossCheckError, match=r"\(0, 2\) misses an end"):
         sl.resistance_matrix_for_negatives(g_plus, [(0, 2)])
 
@@ -296,14 +304,6 @@ def test_cancelling_parallel_edges_still_join_their_nodes():
     assert sl.effective_resistance(g, 0, 2) == pytest.approx(float(e @ pinv @ e), abs=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="One grounded solve over the whole component: a light block beside a "
-           "heavy one keeps only about 1e-3 relative accuracy (worst 2.1e-3 here, "
-           "on the banded route; 1.7e-4 under splu), though the residual check "
-           "passes; the block-by-block route of resistance_matrix_for_negatives "
-           "is exact to 1.5e-15 on the same graph.",
-)
 def test_pair_resistance_when_block_weights_differ_in_scale():
     # chord (u, v) 3 apart on a unit-shaped 15-cycle of weight w: R = 36 / (15 w)
     weights = [1e-6] * 39 + [1e6]
@@ -313,3 +313,81 @@ def test_pair_resistance_when_block_weights_differ_in_scale():
         exact = 36.0 / (15.0 * w)
         r = sl.effective_resistance(g_plus, int(g.tails[k]), int(g.heads[k]))
         assert abs(r - exact) <= 1e-12 * exact
+
+
+def test_pair_resistance_across_forty_blocks_is_their_exact_series_sum():
+    # 0 and 560 are the ends of a chain of 40 unit-shaped 15-cycles: 7 steps
+    # across each of the 39 light cycles, then one step on the heavy one
+    g_plus = cycle_chain_at_threshold([1e-6] * 39 + [1e6]).positive_subgraph()
+    exact = float(39 * 56 / (15 * Fraction(1e-6)) + 14 / (15 * Fraction(1e6)))
+    assert abs(sl.effective_resistance(g_plus, 0, 560) - exact) <= 1e-12 * exact
+    assert abs(sl.resistance_matrix_for_negatives(g_plus, [(0, 560)])[1][0] - exact) \
+        <= 1e-12 * exact
+
+
+def random_cactus(rng):
+    """Blocks hung one by one on a node already placed: a bridge, or a cycle
+    on 3..7 nodes, each block of one weight 10**U(-6, 6).  Returns the edges,
+    the node count and, per block, its weight and its nodes in cycle order
+    (a bridge's two ends), the first being the node it hangs on."""
+    edges, blocks, n = [], [], 1
+    for _ in range(int(rng.integers(1, 12))):
+        w = float(10.0 ** rng.uniform(-6.0, 6.0))
+        size = 2 if rng.random() < 0.3 else int(rng.integers(3, 8))
+        ring = [int(rng.integers(0, n)), *range(n, n + size - 1)]
+        n += size - 1
+        edges += [(ring[i], ring[(i + 1) % size], w) for i in range(size if size > 2 else 1)]
+        blocks.append((w, ring))
+    return edges, n, blocks
+
+
+def cactus_resistance(blocks, u, v):
+    """Exact R_uv on a cactus: per block on the path, d (L - d) / (L w) for a
+    cycle of L nodes entered and left d steps apart, 1/w for a bridge."""
+    home = {node: b for b, (_, ring) in enumerate(blocks) for node in ring[1:]}
+
+    def climb(x):  # (block, node where the path meets it) up to node 0
+        steps = []
+        while x in home:
+            steps.append((home[x], x))
+            x = blocks[home[x]][1][0]
+        return steps
+
+    def segment(b, p, q):
+        w, ring = blocks[b]
+        size, d = len(ring), abs(ring.index(p) - ring.index(q))
+        if d == 0:
+            return Fraction(0)
+        return 1 / Fraction(w) if size == 2 else Fraction(d * (size - d)) / (size * Fraction(w))
+
+    # The climbs from u and v first share their lowest common block, if any
+    # (else they meet at node 0); above it they agree and carry no current.
+    up_u, up_v = climb(u), climb(v)
+    common = [b for b, _ in up_u if b in dict(up_v)]
+    stop = common[0] if common else None
+    total = Fraction(0)
+    for steps in (up_u, up_v):
+        for b, x in steps:
+            if b == stop:
+                break
+            total += segment(b, x, blocks[b][1][0])
+    if stop is not None:
+        total += segment(stop, dict(up_u)[stop], dict(up_v)[stop])
+    return total
+
+
+def test_pair_resistances_on_cacti_match_exact_series_sums():
+    # Derandomized: every block has its own weight over twelve decades, the
+    # nodes come in build order or scrambled, and pairs are anywhere.
+    rng = np.random.default_rng(4141)
+    for trial in range(150):
+        edges, n, blocks = random_cactus(rng)
+        perm = np.arange(n) if trial % 2 else rng.permutation(n)
+        g_plus = relabelled(sl.build_graph(n, edges), perm)
+        pairs = [tuple(int(x) for x in rng.choice(n, 2, replace=False)) for _ in range(4)]
+        exact = [float(cactus_resistance(blocks, u, v)) for u, v in pairs]
+        named = [(int(perm[u]), int(perm[v])) for u, v in pairs]
+        diagonal = sl.resistance_matrix_for_negatives(g_plus, named)[1]
+        for (u, v), r, d in zip(named, exact, diagonal):
+            assert abs(sl.effective_resistance(g_plus, u, v) - r) <= 1e-12 * r
+            assert abs(d - r) <= 1e-12 * r

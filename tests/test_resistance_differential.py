@@ -167,23 +167,31 @@ def test_perturbed_block_solve_of_three_columns_raises_cross_check(monkeypatch):
 
 def test_numerically_singular_grounded_matrix_raises_cross_check():
     # 1e-300 vanishes next to 1e300 on node 1's diagonal, so the grounded
-    # matrix is exactly singular in floating point although R = 1e300 is not
-    g = sl.build_graph(3, [(0, 1, 1e-300), (1, 2, 1e300)])
+    # matrix of the triangle, one block, is exactly singular in floating point
+    # although R(0, 2) = 5e299 is not
+    g = sl.build_graph(3, [(0, 1, 1e-300), (1, 2, 1e300), (0, 2, 1e-300)])
     with pytest.raises(sl.CrossCheckError):
         sl.effective_resistance(g, 0, 2)
     with pytest.raises(sl.CrossCheckError):
         sl.resistance_matrix_for_negatives(g, [(0, 2)])
+    # Without the chord the two edges are blocks of their own, each solved on
+    # its own copy of node 1, and R is their series sum.
+    path = g.subgraph([0, 1])
+    assert sl.effective_resistance(path, 0, 2) == pytest.approx(1e300, rel=1e-15)
+    assert sl.resistance_matrix_for_negatives(path, [(0, 2)])[1] == pytest.approx([1e300],
+                                                                                 rel=1e-15)
 
 
 def test_numerically_singular_grounded_matrix_raises_cross_check_on_the_splu_route():
-    # The graph of the test above, relabelled and hung on node 0 of a unit
-    # 200-cycle in scrambled order, so that both solves take splu; node 0
-    # is still grounded, and the pair's block of G is the whole graph.
+    # The triangle of the test above, relabelled and hung on node 0 of a unit
+    # 200-cycle in scrambled order, so that both solves take splu; node 0,
+    # its lowest node, is still its grounded copy.
     perm = np.random.default_rng(127).permutation(np.arange(1, 202))
     ring = [0, *perm[:199].tolist()]
     light, heavy = perm[199:].tolist()
     edges = [(ring[i], ring[(i + 1) % 200], 1.0) for i in range(200)]
-    g = sl.build_graph(202, edges + [(0, light, 1e-300), (light, heavy, 1e300)])
+    g = sl.build_graph(202, edges + [(0, light, 1e-300), (light, heavy, 1e300),
+                                     (0, heavy, 1e-300)])
     assert resistance_module._band(g, 1) is None
     with pytest.raises(sl.CrossCheckError):
         sl.effective_resistance(g, ring[100], heavy)
@@ -402,7 +410,7 @@ def test_pair_queries_factor_each_component_once_and_repeat_the_bits(monkeypatch
                 for kind in calls.values():
                     kind.clear()
                 assert sl.effective_resistance(g, u, v) == r
-                factor = record.factors[int(record.labels[u])]
+                factor = record.factors[int(record.labels[u])].factor
                 solve = "SuperLU.solve" if factor.width is None else "dpbtrs"
                 assert calls == {"factor": [], "solve": [solve], "product": [1], "dense": []}
         assert len(record.factors) == len(routes)
@@ -414,8 +422,8 @@ def test_the_pair_record_numbers_each_component_by_rank_and_keeps_its_bits():
     # Isolated nodes (node 0 among them, so no component starts at 0), a
     # one-edge component, a triangle and a 16x16 grid, their nodes mixed
     # at random: every pair's R has the bits of that pair on its component
-    # built alone, and the record numbers each node by its rank within its
-    # component, 0..n-1 on each connected graph.
+    # built alone, and the record numbers each component's copies by the
+    # ranks of their nodes, as in the split graph of the component alone.
     rng = np.random.default_rng(173)
     parts = [[(0, 1, 2.5)], [(0, 1, 1.0), (1, 2, 3.0), (0, 2, 0.5)], grid_edges(rng, 16, 16)]
     sizes = [2, 3, 256]
@@ -426,7 +434,6 @@ def test_the_pair_record_numbers_each_component_by_rank_and_keeps_its_bits():
     g = sl.build_graph(n, [
         (int(nodes[u]), int(nodes[v]), w) for nodes, part in zip(members, parts)
         for u, v, w in part])
-    expected_local = np.zeros(n, dtype=np.intp)
     for nodes, part, size in zip(members, parts, sizes):
         alone = sl.build_graph(size, part)
         pairs = [(0, 1), (1, 0)] + [tuple(int(x) for x in rng.choice(size, 2, replace=False))
@@ -435,9 +442,9 @@ def test_the_pair_record_numbers_each_component_by_rank_and_keeps_its_bits():
         embedded = [(int(nodes[u]), int(nodes[v])) for u, v in pairs]
         assert [sl.effective_resistance(g, u, v) for u, v in embedded] == values
         assert resistance_module._pair_resistances(g, embedded) == values
-        assert np.array_equal(resistance_module._pair_factors(alone).local, np.arange(size))
-        expected_local[nodes] = np.arange(size)
-    assert np.array_equal(resistance_module._pair_factors(g).local, expected_local)
+        record = resistance_module._pair_factors(g)
+        split = record.factors[int(record.labels[nodes[0]])]
+        assert split.factor.g == resistance_module._pair_factors(alone).factors[0].factor.g
     assert len(resistance_module._pair_factors(g).factors) == len(parts)
 
 
@@ -473,8 +480,9 @@ def test_a_failed_factorization_is_not_kept():
     ring = [0, *perm[:199].tolist()]
     light, heavy = perm[199:].tolist()
     edges = [(ring[i], ring[(i + 1) % 200], 1.0) for i in range(200)]
-    hung = sl.build_graph(202, edges + [(0, light, 1e-300), (light, heavy, 1e300)])
-    for g, u, v in ((sl.build_graph(3, [(0, 1, 1e-300), (1, 2, 1e300)]), 0, 2),
+    hung = sl.build_graph(202, edges + [(0, light, 1e-300), (light, heavy, 1e300),
+                                        (0, heavy, 1e-300)])
+    for g, u, v in ((sl.build_graph(3, [(0, 1, 1e-300), (1, 2, 1e300), (0, 2, 1e-300)]), 0, 2),
                     (hung, ring[100], heavy)):
         for _ in range(2):
             with pytest.raises(sl.CrossCheckError, match="factorization failed"):
@@ -576,13 +584,13 @@ def test_block_route_matches_dense_pseudo_inverse(case):
     assert np.all(matrix[across] == 0.0)
 
 
-def copy_numbering_reference(g_plus, edge_block, pair_block):
-    """The node copies of the blocks that hold a pair, numbered by a dict:
+def copy_numbering_reference(g_plus, edge_block, solved_blocks):
+    """The node copies of the blocks ``solved_blocks``, numbered by a dict:
     a copy per (block, node) at an end of a solved edge, each block's lowest
     copy first, block by block, then the others in (block, node) order.
     Returns the number of each copy, the copies in number order and the
     count of blocks."""
-    solved = set(pair_block.tolist())
+    solved = set(solved_blocks.tolist())
     copies = sorted({(b, x) for b, t, h in zip(edge_block.tolist(), g_plus.tails.tolist(),
                                                g_plus.heads.tolist())
                      if b in solved for x in (t, h)})
@@ -598,22 +606,25 @@ def copy_numbering_reference(g_plus, edge_block, pair_block):
 @given(glued_blocks_with_pairs())
 def test_split_graph_copies_match_a_dict_numbering(case):
     g_plus, pairs = case
-    pairs = np.sort(np.array(pairs), axis=1)
-    blocks = graph_core._edge_blocks(g_plus.node_count, np.append(g_plus.tails, pairs[:, 0]),
-                                     np.append(g_plus.heads, pairs[:, 1]))
-    edge_block, pair_block = blocks[:g_plus.edge_count], blocks[g_plus.edge_count:]
-    split, grounded, ends, copy_node = resistance_module._split_blocks(
-        g_plus, edge_block, pair_block, pairs)
-    number, order, block_count = copy_numbering_reference(g_plus, edge_block, pair_block)
-    solved = np.isin(edge_block, pair_block)
-    assert grounded == block_count and split.node_count == len(order)
-    assert copy_node.tolist() == [x for _, x in order]
-    for column, split_column in ((g_plus.tails, split.tails), (g_plus.heads, split.heads)):
-        assert split_column.tolist() == [number[b, x] for b, x in
-                                         zip(edge_block[solved].tolist(), column[solved].tolist())]
-    assert np.array_equal(split.weights, g_plus.weights[solved])
-    assert ends.tolist() == [[number[b, u], number[b, v]]
-                             for b, (u, v) in zip(pair_block.tolist(), pairs.tolist())]
+    n = g_plus.node_count
+    pairs = np.sort(np.array(pairs), axis=1)[:, ::-1]
+    tree = graph_core._edge_blocks(n, g_plus.tails, g_plus.heads)
+    edge_block = tree[0]
+    pair, where, _ = resistance_module._entries(tree, pairs, n)
+    solved = np.unique(where // n)
+    split = resistance_module._split_blocks(g_plus, tree, solved)
+    number, order, block_count = copy_numbering_reference(g_plus, edge_block, solved)
+    graph, solved_edges = split.factor.g, np.isin(edge_block, solved)
+    assert split.factor.grounded == block_count and graph.node_count == len(order)
+    assert [number[b, x] for b, x in zip((split.keys // n).tolist(),
+                                         (split.keys % n).tolist())] == split.copies.tolist()
+    for column, split_column in ((g_plus.tails, graph.tails), (g_plus.heads, graph.heads)):
+        assert split_column.tolist() == [
+            number[b, x] for b, x in zip(edge_block[solved_edges].tolist(),
+                                         column[solved_edges].tolist())]
+    assert np.array_equal(graph.weights, g_plus.weights[solved_edges])
+    assert split.copies[np.searchsorted(split.keys, where)].tolist() == [
+        number[w // n, w % n] for w in where.tolist()]
 
 
 TWO_TRIANGLES = sl.build_graph(5, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0),
